@@ -28,13 +28,26 @@ from .verify import (GridSpec, check_flow_lengths, run_suite,
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
 
 
+def _number(args, flag: str, kind):
+    """The value of ``--seed``/``--tol-scale`` as ``kind``, None when absent."""
+    text = getattr(args, flag.replace("-", "_"))
+    if text is None:
+        return None
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"--{flag} expects {'an integer' if kind is int else 'a number'}, "
+                          f"got {text!r}") from None
+
+
 def _load_config(args) -> RunConfig:
     cfg = parse_config(Path(args.config).read_text())
-    if args.seed is not None:
-        cfg.seed = int(args.seed)
-        cfg.grid = replace(cfg.grid, seed=int(args.seed))
-    if args.tol_scale is not None:
-        cfg.tol_scale = float(args.tol_scale)
+    seed, tol_scale = _number(args, "seed", int), _number(args, "tol-scale", float)
+    if seed is not None:
+        cfg.seed = seed
+        cfg.grid = replace(cfg.grid, seed=seed)
+    if tol_scale is not None:
+        cfg.tol_scale = tol_scale
     if getattr(args, "grid", None):
         parts = [int(p) for p in args.grid.split(",")]
         if len(parts) != 4:
@@ -170,9 +183,9 @@ def cmd_flow(args) -> int:
     lam = data.maps.lam
     delta = 0.01 * lam
     p0 = subject.fiber_point(subject.fiber_bases[0], delta)
-    path = geo.integrate_gradient_flow(subject.metric, subject.tau, p0,
+    path = geo.integrate_gradient_flow(subject.metric, subject.tau, p0[None, :],
                                        target_value=float(data.maps.tau_of_s(lam - delta)),
-                                       step=2e-3)
+                                       step=2e-3).fiber(0)
     with (out / "trajectory.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "arclength", "x1", "x2", "tau", "theta", "s_of_tau"])
@@ -187,9 +200,10 @@ def cmd_flow(args) -> int:
 
 
 def cmd_fubini_check(args) -> int:
+    seed, tol_scale = _number(args, "seed", int), _number(args, "tol-scale", float)
     out = _out_dir(args)
-    spec = GridSpec(seed=int(args.seed) if args.seed is not None else 0)
-    tol_scale = float(args.tol_scale) if args.tol_scale is not None else 1.0
+    spec = GridSpec(seed=0 if seed is None else seed)
+    tol_scale = 1.0 if tol_scale is None else tol_scale
     subject = subject_from_fs()
     reports = run_suite(subject, spec, tol_scale=tol_scale)
     # The classification cross-check: extraction must see a constant gamma.

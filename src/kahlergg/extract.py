@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
@@ -136,92 +136,25 @@ class FiberTrace:
     points: np.ndarray
 
 
-def _unit_grad_field(oracle: ExtractionOracle, sign: float) -> Callable:
-    metric, tau = oracle.metric, oracle.tau
-
-    def fld(pp):
-        v = geo.scalar_gradient(metric, tau, pp)
-        g = metric.value(pp)
-        sp = np.sqrt(np.einsum("pij,pi,pj->p", g, v, v))
-        return sign * v / sp[:, None]
-
-    return fld
-
-
-def _flow_batch(oracle: ExtractionOracle, seeds: np.ndarray, sign: float, ds: float,
-                stop_sqrtq: Callable, max_steps: int) -> list:
-    """RK4 unit-speed flow for every seed, frozen once its stop rule fires.
-
-    Returns per-seed (s_arr, tau_arr, q_arr, pts_arr) up to the stop step.
-    """
-    fld = _unit_grad_field(oracle, sign)
-    metric, tau_f = oracle.metric, oracle.tau
-    x = seeds.copy()
-    n = len(seeds)
-    active = np.ones(n, dtype=bool)
-    recs_pts = [x.copy()]
-    stop_at = np.full(n, -1, dtype=int)
-
-    def q_of(pp):
-        v = geo.scalar_gradient(metric, tau_f, pp)
-        g = metric.value(pp)
-        return np.einsum("pij,pi,pj->p", g, v, v)
-
-    q0 = q_of(x)
-    recs_q = [q0]
-    recs_tau = [tau_f.value(x)]
-    sqrt_ref = np.sqrt(q0)
-    for k in range(1, max_steps + 1):
-        idx = np.where(active)[0]
-        if idx.size == 0:
-            break
-        xa = x[idx]
-        k1 = fld(xa)
-        k2 = fld(xa + 0.5 * ds * k1)
-        k3 = fld(xa + 0.5 * ds * k2)
-        k4 = fld(xa + ds * k3)
-        x_new = xa + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x = x.copy()
-        x[idx] = x_new
-        q = recs_q[-1].copy()
-        q[idx] = q_of(x_new)
-        t = recs_tau[-1].copy()
-        t[idx] = tau_f.value(x_new)
-        sqrt_ref = np.maximum(sqrt_ref, np.sqrt(q))
-        stopped = idx[stop_sqrtq(np.sqrt(q[idx]), sqrt_ref[idx])]
-        active[stopped] = False
-        stop_at[stopped] = k
-        recs_pts.append(x.copy())
-        recs_q.append(q)
-        recs_tau.append(t)
-    pts = np.array(recs_pts)
-    qs = np.array(recs_q)
-    taus = np.array(recs_tau)
-    out = []
-    for i in range(n):
-        stop = stop_at[i] if stop_at[i] > 0 else len(pts) - 1
-        s = ds * np.arange(stop + 1)
-        out.append((s, taus[: stop + 1, i], qs[: stop + 1, i], pts[: stop + 1, i]))
-    return out
-
-
 def trace_fibers(oracle: ExtractionOracle, ds: float = 1e-3, stop_frac: float = 0.04,
                  max_span: float = 6.0) -> list:
-    """One merged FiberTrace per seed (descending then ascending)."""
-    max_steps = int(max_span / ds)
-
+    """One merged FiberTrace per seed: descending and ascending unit-speed flows in one batch."""
     def stop(sq, ref):
         return sq < stop_frac * ref
 
-    down = _flow_batch(oracle, oracle.seeds, -1.0, ds, stop, max_steps)
-    up = _flow_batch(oracle, oracle.seeds, +1.0, ds, stop, max_steps)
+    n = len(oracle.seeds)
+    flow = geo.integrate_gradient_flow(oracle.metric, oracle.tau,
+                                       np.concatenate([oracle.seeds, oracle.seeds]),
+                                       np.repeat([-1.0, 1.0], n), stop=stop, step=ds,
+                                       unit_speed=True, max_steps=int(max_span / ds))
     traces = []
-    for (sd, td, qd, pd), (su, tu, qu, pu) in zip(down, up):
-        s = np.concatenate([-sd[::-1], su[1:]])
-        t = np.concatenate([td[::-1], tu[1:]])
-        q = np.concatenate([qd[::-1], qu[1:]])
-        p = np.concatenate([pd[::-1], pu[1:]])
-        traces.append(FiberTrace(s=s, tau=t, q=q, points=p))
+    for i in range(n):
+        down, up = flow.fiber(i), flow.fiber(n + i)
+        traces.append(FiberTrace(
+            s=np.concatenate([-down.arclength[::-1], up.arclength[1:]]),
+            tau=np.concatenate([down.values[::-1], up.values[1:]]),
+            q=np.concatenate([down.q[::-1], up.q[1:]]),
+            points=np.concatenate([down.points[::-1], up.points[1:]])))
     return traces
 
 
@@ -384,10 +317,13 @@ def extract_h(oracle: ExtractionOracle, interval: Interval, a: float,
     def stop(sq, ref):
         return sq <= 0.4 * a * delta
 
-    down = _flow_batch(oracle, oracle.seeds, -1.0, ds, stop, int(3.0 * lam / ds))
+    down = geo.integrate_gradient_flow(metric, tau_f, oracle.seeds, -1.0, stop=stop, step=ds,
+                                       unit_speed=True, max_steps=int(3.0 * lam / ds))
     h_out, dev_theta = [], 0.0
-    for i, (s, t, q, pts) in enumerate(down):
-        sq = np.sqrt(q)
+    for i in range(len(oracle.seeds)):
+        path = down.fiber(i)
+        s, pts = path.arclength, path.points
+        sq = np.sqrt(path.q)
         # local linear fit of sqrt(Q) = a (s0 - s) near the stop
         tail = slice(max(0, len(s) - 12), len(s))
         cf = np.polynomial.polynomial.polyfit(s[tail], sq[tail], 1)

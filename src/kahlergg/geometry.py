@@ -159,12 +159,23 @@ def christoffel_fn(metric: MetricField, force_fd: bool = False) -> Callable:
     return fn
 
 
+def _differential(metric: MetricField, f: ScalarField, points: np.ndarray, steps=None):
+    if f.grad is not None:
+        return f.grad(points)
+    return fd_jet(f.value, points, metric.steps_at(points) if steps is None else steps)
+
+
 def scalar_gradient(metric: MetricField, f: ScalarField, points: np.ndarray,
                     steps=None) -> np.ndarray:
-    df = f.grad(points) if f.grad is not None else fd_jet(
-        f.value, points, metric.steps_at(points) if steps is None else steps)
     ginv = np.linalg.inv(metric.value(points))
-    return np.einsum("pij,pj->pi", ginv, df)
+    return np.einsum("pij,pj->pi", ginv, _differential(metric, f, points, steps))
+
+
+def gradient_and_q(metric: MetricField, f: ScalarField, points: np.ndarray):
+    """(grad f, Q = |grad f|^2) at each point from one evaluation of g; |grad f| = sqrt(Q)."""
+    g = metric.value(points)
+    grad = np.einsum("pij,pj->pi", np.linalg.inv(g), _differential(metric, f, points))
+    return grad, np.einsum("pij,pi,pj->p", g, grad, grad)
 
 
 def hessian(metric: MetricField, f: ScalarField, points: np.ndarray, force_fd: bool = False,
@@ -303,7 +314,8 @@ class PathResult:
     status: str
     velocities: Optional[np.ndarray] = None
     speed_drift: float = 0.0
-    reason: str = ""
+    values: Optional[np.ndarray] = None     # (M,) flowed function along the path
+    q: Optional[np.ndarray] = None          # (M,) |grad f|^2 along the path
 
 
 def _rk4(field: Callable, y: np.ndarray, h: float) -> np.ndarray:
@@ -362,80 +374,169 @@ def integrate_geodesic(metric: MetricField, p0: np.ndarray, v0: np.ndarray, leng
                       status=status, velocities=vel, speed_drift=drift)
 
 
-def integrate_gradient_flow(metric: MetricField, f: ScalarField, p0: np.ndarray, *,
-                            target_value: Optional[float] = None,
-                            max_arclength: Optional[float] = None,
-                            step: float = 1e-3, unit_speed: bool = False,
-                            max_steps: int = 200000) -> PathResult:
-    """Integrate xdot = grad f (or its unit-speed reparametrization) from p0.
+@dataclass
+class FlowResult:
+    """Integral curves of a batch of seeds; every array has the step as leading axis.
 
-    In plain mode the true gradient ODE in t is integrated with steps scaled
-    so each advances roughly ``step`` in arclength; the cumulative arclength
-    is accumulated with Simpson weights on the RK4 stage speeds.  Stops when
-    f crosses ``target_value`` (the final partial step is bisected to land
-    on it), when ``max_arclength`` is exhausted, or at the domain boundary.
+    Fiber ``i`` ends at row ``last[i]`` with ``status[i]``; later rows repeat
+    that final sample (the fiber is frozen), so ``points[-1]`` holds every
+    fiber's end point.
+    """
+
+    points: np.ndarray          # (M, N, n)
+    params: np.ndarray          # (M, N) integration parameter
+    arclength: np.ndarray       # (M, N) cumulative g-arclength
+    values: np.ndarray          # (M, N) f along the curves
+    q: np.ndarray               # (M, N) Q = |grad f|^2 along the curves
+    status: list                # per fiber: target, stop, stationary, left-domain, max-steps
+    last: np.ndarray            # (N,) row of each fiber's final sample
+
+    def fiber(self, i: int) -> PathResult:
+        """Fiber ``i`` alone, cut at its final sample."""
+        k = int(self.last[i]) + 1
+        return PathResult(points=self.points[:k, i], params=self.params[:k, i],
+                          arclength=self.arclength[:k, i], status=self.status[i],
+                          values=self.values[:k, i], q=self.q[:k, i])
+
+
+def _hermite(x0, x1, m0, m1, theta):
+    """Cubic Hermite point at fraction theta of steps x0 -> x1 with end slopes m0, m1 (per step)."""
+    t = theta[:, None]
+    t2, t3 = t * t, t * t * t
+    # h00 = 1 - h01, written around x0 so coordinates the flow leaves alone stay exact.
+    return x0 + (3.0 * t2 - 2.0 * t3) * (x1 - x0) + (t3 - 2.0 * t2 + t) * m0 + (t3 - t2) * m1
+
+
+def _crossing(f: ScalarField, target: float, x0, x1, m0, m1, g0, g1) -> np.ndarray:
+    """theta in (0, 1] with f = target on each step's Hermite curve (Illinois regula falsi).
+
+    ``g0`` and ``g1`` are f - target at the step ends, of opposite sign or g1 = 0.
+    """
+    lo, hi = np.zeros(len(x0)), np.ones(len(x0))
+    glo, ghi = np.array(g0, dtype=float), np.array(g1, dtype=float)
+    theta = hi.copy()
+    todo = ghi != 0.0
+    tol = 4.0 * np.finfo(float).eps * max(1.0, abs(target))
+    for _ in range(100):
+        if not np.any(todo):
+            break
+        i = np.flatnonzero(todo)
+        th = (lo[i] * ghi[i] - hi[i] * glo[i]) / (ghi[i] - glo[i])
+        gt = f.value(_hermite(x0[i], x1[i], m0[i], m1[i], th)) - target
+        theta[i] = th
+        flip = gt * ghi[i] < 0.0
+        # Illinois: when the new point lands on the side of the previous one, halve the
+        # value kept at the other end.
+        glo[i] = np.where(flip, ghi[i], 0.5 * glo[i])
+        lo[i] = np.where(flip, hi[i], lo[i])
+        hi[i], ghi[i] = th, gt
+        todo[i] = (np.abs(gt) > tol) & (np.abs(hi[i] - lo[i]) > 4.0 * np.finfo(float).eps)
+    return theta
+
+
+def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarray,
+                            direction: "float | np.ndarray" = 1.0, *,
+                            target_value: Optional[float] = None,
+                            stop: Optional[Callable] = None,
+                            step: float = 1e-3, unit_speed: bool = False,
+                            max_steps: int = 200000) -> FlowResult:
+    """RK4 integral curves of xdot = direction * grad f for a batch of seeds (N, n).
+
+    Plain mode integrates the true gradient ODE in t with per-fiber steps
+    ``step / |grad f|``, so each advances roughly ``step`` in g-arclength;
+    the arclength of a step is Simpson's rule on |grad f| at its ends and at
+    the cubic Hermite midpoint ``(x + x_n)/2 + (h/8)(k_1 - k_n)``.
+    Unit-speed mode integrates ``direction * grad f / |grad f|`` with fixed
+    arclength steps ``step``.
+
+    Every step evaluates the metric once per RK4 stage: the first stage is
+    the previous step's endpoint evaluation, which also yields Q = |grad f|^2
+    there.  A fiber stops, and is frozen with its own status, when f crosses
+    ``target_value`` ("target": the crossing on the step's Hermite curve is
+    solved for, landing on the target), when ``stop(sqrt(Q), max sqrt(Q) so
+    far)`` fires after a step ("stop"), at a zero gradient ("stationary"),
+    when a step leaves the metric's domain ("left-domain", the last inside
+    point is kept), or after ``max_steps`` steps ("max-steps").
     """
     n = metric.dim
-    x = np.asarray(p0, dtype=float).reshape(1, n)
+    x = np.array(seeds, dtype=float).reshape(-1, n)
+    nf = len(x)
+    sign = np.broadcast_to(np.asarray(direction, dtype=float), (nf,)).copy()
 
-    def vfield(pp):
-        v = scalar_gradient(metric, f, pp)
-        if unit_speed:
-            sp = _speed(metric, pp, v)
-            v = v / sp[:, None]
-        return v
+    def field(pp, idx):
+        grad, q = gradient_and_q(metric, f, pp)
+        sp = np.sqrt(q)
+        v = sign[idx, None] * grad
+        return (v / sp[:, None] if unit_speed else v), q, sp
 
-    pts = [x[0].copy()]
-    params = [0.0]
-    arcs = [0.0]
-    status = "max-steps"
-    t = 0.0
-    arc = 0.0
+    k, q, sp = field(x, np.arange(nf))
+    fv = np.array(f.value(x), dtype=float)
+    t, arc = np.zeros(nf), np.zeros(nf)
+    ref = sp.copy()
+    active = np.ones(nf, dtype=bool)
+    status = ["max-steps"] * nf
+    last = np.zeros(nf, dtype=int)
+    rows = [(x.copy(), t.copy(), arc.copy(), fv.copy(), q.copy())]
+
+    def freeze(which, why):
+        for i in which:
+            status[i] = why
+        active[which] = False
+
     for _ in range(max_steps):
-        v = vfield(x)
-        sp = _speed(metric, x, v)[0]
-        if sp <= 1e-15:
-            status = "stationary"
+        freeze(np.flatnonzero(active & (sp <= 1e-15)), "stationary")
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
-        h = step / sp
-        mid = _rk4(vfield, x, 0.5 * h)
-        xn = _rk4(vfield, x, h)
-        if metric.domain is not None and not bool(np.all(metric.domain(xn))):
-            status = "left-domain"
-            break
-        seg = (h / 6.0) * (sp + 4.0 * _speed(metric, mid, vfield(mid))[0]
-                           + _speed(metric, xn, vfield(xn))[0])
-        crossed = target_value is not None and (
-            (f.value(xn)[0] - target_value) * (f.value(x)[0] - target_value) <= 0.0
-            and f.value(x)[0] != target_value)
-        if crossed:
-            lo, hi = 0.0, h
-            for _ in range(60):
-                mid_h = 0.5 * (lo + hi)
-                xm = _rk4(vfield, x, mid_h)
-                if (f.value(xm)[0] - target_value) * (f.value(x)[0] - target_value) <= 0.0:
-                    hi = mid_h
-                else:
-                    lo = mid_h
-            xn = _rk4(vfield, x, hi)
-            xm = _rk4(vfield, x, 0.5 * hi)
-            seg = (hi / 6.0) * (sp + 4.0 * _speed(metric, xm, vfield(xm))[0]
-                                + _speed(metric, xn, vfield(xn))[0])
-            h = hi
-            status = "target"
-        t += h
-        arc += seg
-        x = xn
-        pts.append(x[0].copy())
-        params.append(t)
-        arcs.append(arc)
-        if status == "target":
-            break
-        if max_arclength is not None and arc >= max_arclength:
-            status = "max-arclength"
-            break
-    return PathResult(points=np.array(pts), params=np.array(params),
-                      arclength=np.array(arcs), status=status)
+        x0, k1 = x[idx], k[idx]
+        h = np.full(idx.size, step) if unit_speed else step / sp[idx]
+        hc = h[:, None]
+        k2 = field(x0 + 0.5 * hc * k1, idx)[0]
+        k3 = field(x0 + 0.5 * hc * k2, idx)[0]
+        k4 = field(x0 + hc * k3, idx)[0]
+        xn = x0 + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if metric.domain is not None:
+            inside = np.asarray(metric.domain(xn), dtype=bool)
+            freeze(idx[~inside], "left-domain")
+            idx, x0, k1, h, hc, xn = (a[inside] for a in (idx, x0, k1, h, hc, xn))
+            if idx.size == 0:
+                break
+        kn, qn, spn = field(xn, idx)
+        fn = np.array(f.value(xn), dtype=float)  # a copy: f.value may return a view of xn
+        if unit_speed:
+            seg = h
+        else:
+            xm = 0.5 * (x0 + xn) + (hc / 8.0) * (k1 - kn)
+            seg = (h / 6.0) * (sp[idx] + 4.0 * np.sqrt(gradient_and_q(metric, f, xm)[1]) + spn)
+        hit = np.zeros(idx.size, dtype=bool)
+        if target_value is not None:
+            f0 = fv[idx]
+            hit = ((fn - target_value) * (f0 - target_value) <= 0.0) & (f0 != target_value)
+        if np.any(hit):
+            c = np.flatnonzero(hit)
+            curve = (x0[c], xn[c], hc[c] * k1[c], hc[c] * kn[c])
+            theta = _crossing(f, target_value, *curve, f0[c] - target_value, fn[c] - target_value)
+            # The crossing point, then the midpoint of the shortened step.
+            ends = np.concatenate([_hermite(*curve, theta), _hermite(*curve, 0.5 * theta)])
+            kc, qc, spc = field(ends, np.tile(idx[c], 2))
+            m = c.size
+            xn[c], kn[c], qn[c], spn[c] = ends[:m], kc[:m], qc[:m], spc[:m]
+            fn[c] = f.value(ends[:m])
+            h[c] = theta * h[c]
+            seg[c] = h[c] if unit_speed else (h[c] / 6.0) * (sp[idx[c]] + 4.0 * spc[m:] + spc[:m])
+        x[idx], k[idx], q[idx], sp[idx], fv[idx] = xn, kn, qn, spn, fn
+        t[idx] += h
+        arc[idx] += seg
+        last[idx] = len(rows)
+        rows.append((x.copy(), t.copy(), arc.copy(), fv.copy(), q.copy()))
+        freeze(idx[hit], "target")
+        ref[idx] = np.maximum(ref[idx], spn)
+        if stop is not None:
+            live = idx[~hit]
+            freeze(live[np.asarray(stop(sp[live], ref[live]), dtype=bool)], "stop")
+    pts, params, arcs, vals, qs = (np.array(col) for col in zip(*rows))
+    return FlowResult(points=pts, params=params, arclength=arcs, values=vals, q=qs,
+                      status=status, last=last)
 
 
 def richardson_even(values: np.ndarray) -> np.ndarray:

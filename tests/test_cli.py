@@ -145,3 +145,21 @@ def test_cli_tol_scale(torus_cfg_file, tmp_path):
     assert code == 0
     payload = json.loads((out / "verify_report.json").read_text())
     assert payload["config"]["tol_scale"] == 100.0
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--tol-scale"])
+def test_cli_verify_non_numeric_option_is_config_error(torus_cfg_file, tmp_path, capsys, flag):
+    code = main(["verify", "--config", str(torus_cfg_file), "--out", str(tmp_path / "o"),
+                 flag, "abc"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and flag in err["message"]
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--tol-scale"])
+def test_cli_fubini_check_non_numeric_option_is_config_error(tmp_path, capsys, flag):
+    code = main(["fubini-check", "--out", str(tmp_path / "o"), flag, "abc"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and flag in err["message"]
+    assert not (tmp_path / "o").exists()

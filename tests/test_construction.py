@@ -197,10 +197,10 @@ def test_fiberwise_flow_arclength_matches_s(torus_data):
     tf = tau_field(torus_data)
     s0 = float(torus_data.maps.s_of_tau(0.05))
     s1 = float(torus_data.maps.s_of_tau(0.95))
-    p0 = np.array([0.2, 0.7, 0.05, 0.3])
+    p0 = np.array([[0.2, 0.7, 0.05, 0.3]])
     path = geo.integrate_gradient_flow(m, tf, p0, target_value=0.95, step=2e-3)
-    assert path.status == "target"
-    assert abs(path.arclength[-1] - (s1 - s0)) < 1e-4
+    assert path.status[0] == "target"
+    assert abs(path.arclength[-1, 0] - (s1 - s0)) < 1e-4
 
 
 def test_closed_form_requires_unperturbed(torus_data):

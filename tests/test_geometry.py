@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kahlergg import geometry as geo
+from kahlergg.extract import oracle_from_fs, trace_fibers
 from kahlergg.surfaces import sphere_chart
 
 
@@ -181,10 +182,60 @@ def test_gradient_flow_reaches_target():
     m = flat_metric(2)
     f = geo.ScalarField(value=lambda p: p[:, 0], grad=lambda p: np.column_stack(
         [np.ones(p.shape[0]), np.zeros(p.shape[0])]))
-    path = geo.integrate_gradient_flow(m, f, [0.0, 0.3], target_value=0.7, step=1e-2)
-    assert path.status == "target"
-    assert abs(path.points[-1, 0] - 0.7) < 1e-10
-    assert abs(path.arclength[-1] - 0.7) < 1e-8
+    path = geo.integrate_gradient_flow(m, f, [[0.0, 0.3]], target_value=0.7, step=1e-2)
+    assert path.status[0] == "target"
+    assert abs(path.points[-1, 0, 0] - 0.7) < 1e-10
+    assert abs(path.arclength[-1, 0] - 0.7) < 1e-8
+
+
+def _flow_cases():
+    m = chart_metric(sphere_chart(1.0, "south"))
+    f = geo.ScalarField(value=lambda p: p[:, 0] + 0.3 * p[:, 1] ** 2,
+                        grad=lambda p: np.column_stack([np.ones(p.shape[0]), 0.6 * p[:, 1]]))
+    seeds = np.array([[-0.4, 0.2], [0.1, -0.5], [-0.7, 0.0]])
+    plain = dict(direction=1.0, target_value=0.45, step=1e-2)
+    unit = dict(direction=np.array([1.0, -1.0, 1.0]), step=1e-2, unit_speed=True,
+                stop=lambda sq, ref: sq > 0.7, max_steps=400)
+    return m, f, seeds, (plain, unit)
+
+
+@pytest.mark.parametrize("mode", [0, 1], ids=["plain-target", "unit-speed-stop"])
+def test_gradient_flow_batch_matches_single_seeds(mode):
+    m, f, seeds, cases = _flow_cases()
+    kw = dict(cases[mode])
+    direction = np.broadcast_to(kw.pop("direction"), (len(seeds),))
+    batch = geo.integrate_gradient_flow(m, f, seeds, direction, **kw)
+    assert len(set(batch.status)) == 1 and batch.status[0] in ("target", "stop")
+    assert len(set(batch.last)) > 1  # the fibers stop at different steps
+    for i, seed in enumerate(seeds):
+        alone = geo.integrate_gradient_flow(m, f, seed[None, :], direction[i], **kw).fiber(0)
+        together = batch.fiber(i)
+        assert together.status == alone.status
+        assert together.points.shape == alone.points.shape
+        for name in ("points", "params", "arclength", "values", "q"):
+            assert np.max(np.abs(getattr(together, name) - getattr(alone, name))) < 1e-12
+
+
+def test_gradient_flow_freezes_each_fiber_with_its_own_status():
+    m = geo.MetricField(dim=2, value=flat_metric(2).value, domain=lambda p: p[:, 0] < 1.0)
+    f = geo.ScalarField(value=lambda p: p[:, 0], grad=lambda p: np.column_stack(
+        [np.ones(p.shape[0]), np.zeros(p.shape[0])]))
+    seeds = np.array([[0.0, 0.3], [0.8, 0.0], [-50.0, 0.0]])
+    path = geo.integrate_gradient_flow(m, f, seeds, target_value=0.7, step=1e-2, max_steps=200)
+    assert path.status == ["target", "left-domain", "max-steps"]
+    assert len(path.points) == 201 and path.last[2] == 200
+    assert abs(path.points[-1, 0, 0] - 0.7) < 1e-12
+    assert 0.99 <= path.points[-1, 1, 0] < 1.0
+    assert abs(path.arclength[-1, 2] - 2.0) < 1e-9
+    for i in range(len(seeds)):  # frozen rows repeat the fiber's final sample
+        assert np.all(path.points[path.last[i]:, i] == path.points[-1, i])
+        assert np.all(path.arclength[path.last[i]:, i] == path.arclength[-1, i])
+
+
+def test_trace_fibers_pins_the_stop_rule():
+    traces = trace_fibers(oracle_from_fs())
+    assert len(traces) == 12
+    assert sum(len(tr.s) for tr in traces) == 18396
 
 
 def test_richardson_even_exact_on_quartic():

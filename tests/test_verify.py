@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kahlergg import geometry as geo
 from kahlergg.rp1 import INFINITY
 from kahlergg.verify import (CONTROL_EXPECTATIONS, GridSpec, _gamma_recover_raw,
-                             check_gamma_recovery, check_killing, check_laplacian_identity,
+                             check_flow_lengths, check_gamma_recovery, check_killing, check_laplacian_identity,
                              make_report, run_suite, subject_from_construction,
                              suite_passed)
 
@@ -151,3 +153,16 @@ def test_laplacian_check_on_perturbed_beta_fails(torus_data):
     pts, desc = subject.grid_points(FAST)
     rep = check_laplacian_identity(subject, pts, desc, 1e-5)
     assert not rep.passed
+
+
+def test_flow_lengths_reports_every_failing_fiber(torus_subject):
+    assert "failed_fibers" not in check_flow_lengths(torus_subject, 1e-4, n_fibers=3).extras
+    # Cut the domain at tau = 0.5 over x1 > 0.3: the fibers at x1 = 0.61 and
+    # 0.83 leave it, the one at x1 = 0.17 still reaches its target.
+    metric = replace(torus_subject.metric,
+                     domain=lambda p: (p[:, 0] < 0.3) | (p[:, 2] < 0.5))
+    report = check_flow_lengths(replace(torus_subject, metric=metric), 1e-4, n_fibers=3)
+    assert not report.passed
+    assert report.extras["failed_fibers"] == [{"fiber": 1, "status": "left-domain"},
+                                              {"fiber": 2, "status": "left-domain"}]
+    assert [o["residual"] for o in report.offenders][2] < 1e-4
