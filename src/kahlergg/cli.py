@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, build_from_config, parse_config
+from .config import ConfigError, RunConfig, build_from_config, grid_count, parse_config
 from .extract import extract_all, oracle_from_construction, oracle_from_fs, round_trip
 from .fubini import FSChart
 from .geometry import NumericalFailure
 from .profiles import profile_table
-from .verify import (GridSpec, check_flow_lengths, run_suite,
+from .verify import (GridSpec, _flow_lengths, run_suite,
                      subject_from_construction, subject_from_fs, suite_passed)
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
@@ -49,11 +49,11 @@ def _load_config(args) -> RunConfig:
     if tol_scale is not None:
         cfg.tol_scale = tol_scale
     if getattr(args, "grid", None):
-        parts = [int(p) for p in args.grid.split(",")]
+        parts = args.grid.split(",")
         if len(parts) != 4:
             raise ConfigError("--grid expects 'bx,by,n_tau,n_theta'")
-        cfg.grid = replace(cfg.grid, base=(parts[0], parts[1]), n_tau=parts[2],
-                           n_theta=parts[3])
+        bx, by, n_tau, n_theta = (grid_count(p, f"--grid[{i}]") for i, p in enumerate(parts))
+        cfg.grid = replace(cfg.grid, base=(bx, by), n_tau=n_tau, n_theta=n_theta)
     if getattr(args, "control", None):
         cfg.control = args.control
     return cfg
@@ -177,15 +177,9 @@ def cmd_flow(args) -> int:
     data = build_from_config(cfg)
     subject = subject_from_construction(data)
     tols = {"flow_lengths": cfg.tolerances.get("flow_lengths", 1e-4)}
-    report = check_flow_lengths(subject, tols["flow_lengths"] * cfg.tol_scale)
+    report, flow = _flow_lengths(subject, tols["flow_lengths"] * cfg.tol_scale)
     # Trajectory dump for the first fiber.
-    from . import geometry as geo
-    lam = data.maps.lam
-    delta = 0.01 * lam
-    p0 = subject.fiber_point(subject.fiber_bases[0], delta)
-    path = geo.integrate_gradient_flow(subject.metric, subject.tau, p0[None, :],
-                                       target_value=float(data.maps.tau_of_s(lam - delta)),
-                                       step=2e-3).fiber(0)
+    path = flow.fiber(0)
     with (out / "trajectory.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "arclength", "x1", "x2", "tau", "theta", "s_of_tau"])

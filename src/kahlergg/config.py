@@ -45,6 +45,24 @@ def _require_keys(obj: dict, allowed: set, required: set, path: str) -> None:
             raise ConfigError(f"{path}.{k}: missing required key")
 
 
+def grid_count(x, path: str) -> int:
+    """A GridSpec count (base size, n_tau, n_theta, n_random): an integer >= 1.
+
+    Accepts a JSON number with an integer value or, as ``--grid`` passes it,
+    the decimal text of one.
+    """
+    if isinstance(x, str):
+        try:
+            x = int(x)
+        except ValueError:
+            raise ConfigError(f"{path}: expected an integer >= 1, got {x!r}") from None
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise ConfigError(f"{path}: expected an integer >= 1, got {x!r}")
+    return x
+
+
 def _as_number(x, path: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {x!r}")
@@ -143,17 +161,17 @@ def parse_config(text: str) -> RunConfig:
     grid_raw = raw.get("grid", {})
     _require_keys(grid_raw, {"base", "n_tau", "n_theta", "collar", "deep_collar", "n_random"},
                   set(), "$.grid")
-    base = tuple(grid_raw.get("base", (8, 8)))
-    if len(base) != 2 or any(int(b) < 1 for b in base):
+    base = grid_raw.get("base", (8, 8))
+    if not isinstance(base, (list, tuple)) or len(base) != 2:
         raise ConfigError("$.grid.base: expected two positive integers")
     seed = int(raw.get("seed", 0))
-    grid = GridSpec(base=(int(base[0]), int(base[1])),
-                    n_tau=int(grid_raw.get("n_tau", 16)),
-                    n_theta=int(grid_raw.get("n_theta", 4)),
+    grid = GridSpec(base=tuple(grid_count(b, f"$.grid.base[{i}]") for i, b in enumerate(base)),
+                    n_tau=grid_count(grid_raw.get("n_tau", 16), "$.grid.n_tau"),
+                    n_theta=grid_count(grid_raw.get("n_theta", 4), "$.grid.n_theta"),
                     collar=float(grid_raw.get("collar", 0.02)),
                     deep_collar=float(grid_raw.get("deep_collar", 0.2)),
                     seed=seed,
-                    n_random=int(grid_raw.get("n_random", 128)))
+                    n_random=grid_count(grid_raw.get("n_random", 128), "$.grid.n_random"))
     if not 0.0 < grid.collar < 0.5:
         raise ConfigError("$.grid.collar: must lie in (0, 0.5)")
 

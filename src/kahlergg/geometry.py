@@ -84,23 +84,37 @@ class MatrixField:
     name: str = ""
 
 
+def _shifted(points: np.ndarray, axis: int, shifts: np.ndarray) -> np.ndarray:
+    """Copies of the points moved along one axis: shifts (m, N) -> points (m·N, n)."""
+    moved = np.repeat(points[None], len(shifts), axis=0)
+    moved[:, :, axis] += shifts
+    return moved.reshape(-1, points.shape[1])
+
+
+def _stencil4(vals: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """4th-order central difference from values at offsets (-2, -1, 1, 2)·h: (4, N, ...) -> (N, ...)."""
+    deriv = np.einsum("o,op...->p...", _WEIGHTS4, vals)
+    deriv /= h.reshape(h.shape + (1,) * (deriv.ndim - 1))
+    return deriv
+
+
 def fd_jet(f: Callable, points: np.ndarray, steps) -> np.ndarray:
     """All first partials of f at each point: output (N, axis, *value_shape).
 
-    f maps (M, n) -> (M, *value_shape); steps broadcastable to (N, n).
+    f maps (M, n) -> (M, *value_shape); steps broadcastable to (N, n).  The
+    stencil is evaluated one axis at a time, so f sees at most 4·N points
+    per call.
     """
     points = np.asarray(points, dtype=float)
     npts, n = points.shape
     h = np.broadcast_to(np.asarray(steps, dtype=float), (npts, n))
-    stencil = np.repeat(points[None, None], 4, axis=1)
-    stencil = np.repeat(stencil, n, axis=0).copy()  # (n, 4, N, n)
+    deriv = None
     for axis in range(n):
-        for o, off in enumerate(_OFFSETS4):
-            stencil[axis, o, :, axis] += off * h[:, axis]
-    vals = np.asarray(f(stencil.reshape(4 * n * npts, n)))
-    vals = vals.reshape((n, 4, npts) + vals.shape[1:])
-    deriv = np.einsum("o,aop...->ap...", _WEIGHTS4, vals)
-    deriv /= h.T.reshape((n, npts) + (1,) * (deriv.ndim - 2))
+        vals = np.asarray(f(_shifted(points, axis, _OFFSETS4[:, None] * h[:, axis])))
+        vals = vals.reshape((4, npts) + vals.shape[1:])
+        if deriv is None:
+            deriv = np.empty((n, npts) + vals.shape[2:])
+        deriv[axis] = _stencil4(vals, h[:, axis])
     return np.moveaxis(deriv, 0, 1)
 
 
@@ -141,6 +155,11 @@ def dvalue_residual(metric: MetricField, points: np.ndarray) -> float:
 def christoffel(metric: MetricField, points: np.ndarray, force_fd: bool = False,
                 steps=None) -> np.ndarray:
     """Levi-Civita symbols Gamma[p,k,i,j] from g and its (analytic or FD) derivatives."""
+    return levi_civita(metric, points, force_fd=force_fd, steps=steps)[2]
+
+
+def levi_civita(metric: MetricField, points: np.ndarray, force_fd: bool = False, steps=None):
+    """(g, g^-1, Gamma) at each point from one evaluation of g, for callers that need all three."""
     points = np.asarray(points, dtype=float)
     g = metric.value(points)
     dg = metric_dvalue(metric, points, force_fd=force_fd, steps=steps)
@@ -150,13 +169,7 @@ def christoffel(metric: MetricField, points: np.ndarray, force_fd: bool = False,
     if np.any(~np.isfinite(cond)) or np.max(cond) > 1e14:
         raise NumericalFailure(f"metric '{metric.name}' is numerically singular (cond~{np.max(cond):.2e})")
     t = dg + np.swapaxes(dg, 1, 2) - dg.transpose(0, 2, 3, 1)
-    return 0.5 * np.einsum("pkl,pijl->pkij", ginv, t)
-
-
-def christoffel_fn(metric: MetricField, force_fd: bool = False) -> Callable:
-    def fn(points):
-        return christoffel(metric, points, force_fd=force_fd)
-    return fn
+    return g, ginv, 0.5 * np.einsum("pkl,pijl->pkij", ginv, t)
 
 
 def _differential(metric: MetricField, f: ScalarField, points: np.ndarray, steps=None):
@@ -171,15 +184,20 @@ def scalar_gradient(metric: MetricField, f: ScalarField, points: np.ndarray,
     return np.einsum("pij,pj->pi", ginv, _differential(metric, f, points, steps))
 
 
-def gradient_and_q(metric: MetricField, f: ScalarField, points: np.ndarray):
-    """(grad f, Q = |grad f|^2) at each point from one evaluation of g; |grad f| = sqrt(Q)."""
-    g = metric.value(points)
+def gradient_and_q(metric: MetricField, f: ScalarField, points: np.ndarray,
+                   g: Optional[np.ndarray] = None):
+    """(grad f, Q = |grad f|^2) at each point from one evaluation of g; |grad f| = sqrt(Q).
+
+    ``g`` is the metric at the points when the caller has already evaluated it.
+    """
+    if g is None:
+        g = metric.value(points)
     grad = np.einsum("pij,pj->pi", np.linalg.inv(g), _differential(metric, f, points))
     return grad, np.einsum("pij,pi,pj->p", g, grad, grad)
 
 
 def hessian(metric: MetricField, f: ScalarField, points: np.ndarray, force_fd: bool = False,
-            steps=None) -> np.ndarray:
+            steps=None, gamma: Optional[np.ndarray] = None) -> np.ndarray:
     """Covariant Hessian (nabla d f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
     h = metric.steps_at(points) if steps is None else steps
     if f.grad is not None and not force_fd:
@@ -189,14 +207,19 @@ def hessian(metric: MetricField, f: ScalarField, points: np.ndarray, force_fd: b
     else:
         d2 = fd_hessian_scalar(f.value, points, h)
         df = fd_jet(f.value, points, h)
-    gamma = christoffel(metric, points, force_fd=force_fd, steps=steps)
+    if gamma is None:
+        gamma = christoffel(metric, points, force_fd=force_fd, steps=steps)
     return d2 - np.einsum("pkij,pk->pij", gamma, df)
 
 
 def laplacian(metric: MetricField, f: ScalarField, points: np.ndarray, force_fd: bool = False,
-              steps=None) -> np.ndarray:
-    hess = hessian(metric, f, points, force_fd=force_fd, steps=steps)
-    ginv = np.linalg.inv(metric.value(points))
+              steps=None, frame: Optional[tuple] = None) -> np.ndarray:
+    """g^ij (nabla d f)_ij; ``frame`` is ``levi_civita`` at the points when already built."""
+    if frame is None:
+        ginv, gamma = np.linalg.inv(metric.value(points)), None
+    else:
+        _, ginv, gamma = frame
+    hess = hessian(metric, f, points, force_fd=force_fd, steps=steps, gamma=gamma)
     return np.einsum("pij,pij->p", ginv, hess)
 
 
@@ -209,7 +232,11 @@ def grad_vector(metric: MetricField, x: VectorField, points: np.ndarray,
         dx = fd_jet(x.value, points, metric.steps_at(points) if steps is None else steps)
     if gamma is None:
         gamma = christoffel(metric, points, steps=steps)
-    xv = x.value(points)
+    return _nabla_vector(dx, x.value(points), gamma)
+
+
+def _nabla_vector(dx: np.ndarray, xv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """(nabla X)[p,k,i] from dx[p,i,k] = d_i X^k, X and Gamma at the points."""
     return np.swapaxes(dx, 1, 2) + np.einsum("pkil,pl->pki", gamma, xv)
 
 
@@ -229,18 +256,17 @@ def lie_derivative_metric(metric: MetricField, u: VectorField, points: np.ndarra
     return m + np.swapaxes(m, 1, 2)
 
 
-def divergence_vector(metric: MetricField, x: VectorField, points: np.ndarray,
-                      steps=None) -> np.ndarray:
-    gx = grad_vector(metric, x, points, steps=steps)
-    return np.einsum("pkk->p", gx)
+def divergence_vector(dx: np.ndarray, xv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """div X = d_k X^k + Gamma^k_kl X^l from the jet dx[p,i,k] = d_i X^k, X and Gamma."""
+    return np.einsum("pkk->p", _nabla_vector(dx, xv, gamma))
 
 
-def divergence_endomorphism(metric: MetricField, t_fn: Callable, points: np.ndarray,
-                            steps) -> np.ndarray:
-    """(div T)_j = d_k T^k_j + Gamma^k_kl T^l_j - Gamma^l_kj T^k_l for T[p,k,j]."""
-    dt = fd_jet(t_fn, points, steps)  # (N, a, k, j)
-    gamma = christoffel(metric, points, steps=steps)
-    tv = t_fn(points)
+def divergence_endomorphism(dt: np.ndarray, tv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """(div T)_j = d_k T^k_j + Gamma^k_kl T^l_j - Gamma^l_kj T^k_l for T[p,k,j].
+
+    ``dt[p,a,k,j] = d_a T^k_j`` is the jet of T; ``tv`` and ``gamma`` are T and
+    Gamma at the points.
+    """
     out = np.einsum("pkkj->pj", dt)
     out += np.einsum("pkkl,plj->pj", gamma, tv)
     out -= np.einsum("plkj,pkl->pj", gamma, tv)
@@ -267,28 +293,54 @@ def ricci(metric: MetricField, points: np.ndarray, force_fd: bool = False,
 
     ``outer_step`` controls the stencil applied to Gamma; optionally a
     two-level Richardson extrapolation (4th-order in the outer step) is
-    applied, which matters for the loose third-derivative identities.
+    applied, which matters for the loose third-derivative identities.  The
+    levels use the offsets (±h, ±2h) and (±h/2, ±h), so each axis builds
+    Gamma once at ±h/2, ±h and ±2h.  Where the step limiter binds, the
+    half-level step is no longer half the full one and level 2 builds its own
+    ±2h points.
     """
     points = np.asarray(points, dtype=float)
-    gfn = christoffel_fn(metric, force_fd=force_fd)
+    npts, n = points.shape
+    gam = christoffel(metric, points, force_fd=force_fd)
 
-    def ric_at(hmul: float) -> np.ndarray:
-        h = np.broadcast_to(np.asarray(outer_step, dtype=float) * hmul,
-                            (points.shape[0], metric.dim)).copy()
+    def limited(hmul: float) -> np.ndarray:
+        h = np.broadcast_to(np.asarray(outer_step, dtype=float) * hmul, (npts, n)).copy()
         if metric.step_limiter is not None:
             h = np.minimum(h, metric.step_limiter(points))
-        dgam = fd_jet(gfn, points, h)  # (N, a, k, i, j)
-        gam = gfn(points)
+        return h
+
+    def gammas(pts: np.ndarray, axis: int, shifts: np.ndarray) -> np.ndarray:
+        # One offset per call keeps the Christoffel build's temporaries at N points.
+        out = np.empty((len(shifts), len(pts)) + gam.shape[1:])
+        for o, shift in enumerate(shifts):
+            out[o] = christoffel(metric, _shifted(pts, axis, shift[None]), force_fd=force_fd)
+        return out
+
+    def ric_of(dgam: np.ndarray) -> np.ndarray:  # dgam[p, a, k, i, j] = d_a Gamma^k_ij
         ric = np.einsum("piijk->pjk", dgam)
         ric -= np.einsum("pjiik->pjk", dgam)
         ric += np.einsum("pm,pmjk->pjk", np.einsum("piim->pm", gam), gam)
         ric -= np.einsum("pijm,pmik->pjk", gam, gam)
         return 0.5 * (ric + np.swapaxes(ric, 1, 2))
 
-    r1 = ric_at(1.0)
+    h1 = limited(1.0)
     if not richardson:
-        return r1
-    r2 = ric_at(0.5)
+        return ric_of(fd_jet(lambda pp: christoffel(metric, pp, force_fd=force_fd), points, h1))
+    h2 = limited(0.5)
+    d1 = np.empty((n, npts) + gam.shape[1:])
+    d2 = np.empty_like(d1)
+    for axis in range(n):
+        a1, a2 = h1[:, axis], h2[:, axis]
+        vals = gammas(points, axis, np.concatenate([_OFFSETS4[:, None] * a1,
+                                                    _OFFSETS4[1:3, None] * a2]))
+        d1[axis] = _stencil4(vals[:4], a1)
+        half = np.stack([vals[1], vals[4], vals[5], vals[2]])
+        own = np.flatnonzero(2.0 * a2 != a1)
+        if own.size:
+            half[0, own], half[3, own] = gammas(points[own], axis,
+                                                _OFFSETS4[[0, 3], None] * a2[own])
+        d2[axis] = _stencil4(half, a2)
+    r1, r2 = ric_of(np.moveaxis(d1, 0, 1)), ric_of(np.moveaxis(d2, 0, 1))
     return (16.0 * r2 - r1) / 15.0
 
 

@@ -356,13 +356,11 @@ def check_killing(subject: VerificationSubject, points: np.ndarray, desc: str,
     routes = {}
     res = np.zeros(points.shape[0])
     u_exact = subject.u
-    u_numeric = subject.u_field() if u_exact is None else None
     if u_exact is not None:
         lie = geo.lie_derivative_metric(m, u_exact, points)
         r = np.max(np.abs(lie), axis=(1, 2)) / gscale
         routes["assembled_u_max"] = float(np.max(r))
         res = np.maximum(res, r)
-        u_numeric = subject.u_field()
         # route agreement: evaluate J(grad tau) pointwise against the assembled field
         grad = geo.scalar_gradient(m, subject.tau, points)
         u2 = np.einsum("pij,pj->pi", subject.J.value(points), grad)
@@ -373,7 +371,7 @@ def check_killing(subject: VerificationSubject, points: np.ndarray, desc: str,
         routes["numeric_u_max"] = float(np.max(r2))
         res = np.maximum(res, r2)
     else:
-        lie = geo.lie_derivative_metric(m, u_numeric, points)
+        lie = geo.lie_derivative_metric(m, subject.u_field(), points)
         r = np.max(np.abs(lie), axis=(1, 2)) / gscale
         routes["numeric_u_max"] = float(np.max(r))
         res = np.maximum(res, r)
@@ -513,22 +511,24 @@ def check_bracket_identities(subject: VerificationSubject, points: np.ndarray, d
         extras["vertical_vs_curvature_max"] = float(np.max(res_curv))
         res = np.maximum(res, res_curv)
 
-    def d_along(scalar_fn, vec):
-        jet = geo.fd_jet(scalar_fn, points, steps)
-        return np.einsum("pi,pi->p", vec, jet)
-
-    r_dvq = np.zeros(points.shape[0])
     if subject.phi is not None:
-        for wa, wb in ((w1, w1), (w1, w2), (w2, w2)):
-            def f_quot(pp, wa=wa, wb=wb):
-                gg = m.value(pp)
-                val = np.einsum("pij,pi,pj->p", gg, wa.value(pp), wb.value(pp))
-                return subject.phi(pp) * val / subject.q_pointwise(pp)
+        pairs = ((w1, w1), (w1, w2), (w2, w2))
 
-            fval = f_quot(points)
-            sc = (1.0 + np.abs(fval)) * (1.0 + q)
-            r_dvq = np.maximum(r_dvq, np.abs(d_along(f_quot, vv)) / sc)
-            r_dvq = np.maximum(r_dvq, np.abs(d_along(f_quot, uv)) / sc)
+        def quotients(pp):
+            # phi g(w_a, w_b) / Q for every lift pair, from one evaluation of g.
+            gg = m.value(pp)
+            qq = geo.gradient_and_q(m, subject.tau, pp, g=gg)[1]
+            ph = subject.phi(pp)
+            return np.stack([ph * np.einsum("pij,pi,pj->p", gg, wa.value(pp), wb.value(pp)) / qq
+                             for wa, wb in pairs], axis=1)
+
+        fval = quotients(points)
+        jet = geo.fd_jet(quotients, points, steps)  # (N, axis, pair)
+        r_dvq = np.zeros(points.shape[0])
+        for c in range(len(pairs)):
+            sc = (1.0 + np.abs(fval[:, c])) * (1.0 + q)
+            for vec in (vv, uv):
+                r_dvq = np.maximum(r_dvq, np.abs(np.einsum("pi,pi->p", vec, jet[:, :, c])) / sc)
         extras["dvq_max"] = float(np.max(r_dvq))
         res = np.maximum(res, r_dvq)
     return make_report("bracket_identities", desc, points, res, tol, extras)
@@ -539,34 +539,33 @@ def check_bochner(subject: VerificationSubject, points: np.ndarray, desc: str,
     m = subject.metric
     steps = np.minimum(m.steps_at(points), 5e-3)
     vf = subject.v_field()
+    n = subject.dim
+
+    def bundle(pp):
+        # The Levi-Civita frame, then [div v, nabla v, Delta tau, nabla_v v] from it.
+        frame = geo.levi_civita(m, pp)
+        gv = geo.grad_vector(m, vf, pp, gamma=frame[2])
+        parts = (np.einsum("pkk->p", gv)[:, None], gv.reshape(-1, n * n),
+                 geo.laplacian(m, subject.tau, pp, frame=frame)[:, None],
+                 np.einsum("pki,pi->pk", gv, vf.value(pp)))
+        return frame, np.concatenate(parts, axis=1)
+
+    def split(arr):  # (..., 2 + n*n + n) -> div v, nabla v, Delta tau, nabla_v v
+        lead = arr.shape[:-1]
+        return (arr[..., 0], arr[..., 1:1 + n * n].reshape(lead + (n, n)),
+                arr[..., 1 + n * n], arr[..., 2 + n * n:])
+
+    (g, ginv, gamma), centre = bundle(points)
+    _, gv, _, nvv = split(centre)
+    d_divv, d_gradv, d_lap, d_nvv = split(geo.fd_jet(lambda pp: bundle(pp)[1], points, steps))
     vv = vf.value(points)
-
-    def divv_fn(pp):
-        return geo.divergence_vector(m, vf, pp)
-
-    def gradv_fn(pp):
-        return geo.grad_vector(m, vf, pp)
-
-    d_divv = geo.fd_jet(divv_fn, points, steps)
-    div_gradv = geo.divergence_endomorphism(m, gradv_fn, points, steps)
+    div_gradv = geo.divergence_endomorphism(d_gradv, gv, gamma)
     ric = geo.ricci(m, points, outer_step=5e-3)
     ric_v = np.einsum("pij,pj->pi", ric, vv)
     scale = 1.0 + np.max(np.abs(ric_v), axis=1) + np.max(np.abs(d_divv), axis=1)
     r_bch = np.max(np.abs(d_divv - div_gradv + ric_v), axis=1) / scale
-
-    def lap_fn(pp):
-        return geo.laplacian(m, subject.tau, pp)
-
-    d_lap = geo.fd_jet(lap_fn, points, steps)
     r_ddt = np.max(np.abs(d_lap + 2.0 * ric_v), axis=1) / scale
-
-    def nvv_fn(pp):
-        return geo.covariant_derivative(m, vf, vf.value(pp), pp)
-
-    div_nvv = geo.divergence_vector(m, geo.VectorField(value=nvv_fn), points, steps=steps)
-    g = m.value(points)
-    ginv = np.linalg.inv(g)
-    gv = geo.grad_vector(m, vf, points)
+    div_nvv = geo.divergence_vector(d_nvv, nvv, gamma)
     norm2 = np.einsum("pkl,pij,pki,plj->p", g, ginv, gv, gv)
     dv_lap = np.einsum("pi,pi->p", vv, d_lap)
     r_dvd = np.abs(dv_lap - 2.0 * div_nvv + 2.0 * norm2) / (1.0 + np.abs(dv_lap) + norm2)
@@ -636,6 +635,12 @@ def check_boundary_limits(subject: VerificationSubject, tol: float,
 def check_flow_lengths(subject: VerificationSubject, tol: float,
                        delta_frac: float = 0.01, n_fibers: int = 2) -> CheckReport:
     """Gradient-flow trajectories vs the arclength coordinate s."""
+    return _flow_lengths(subject, tol, delta_frac, n_fibers)[0]
+
+
+def _flow_lengths(subject: VerificationSubject, tol: float, delta_frac: float = 0.01,
+                  n_fibers: int = 2) -> "tuple[CheckReport, geo.FlowResult]":
+    """``check_flow_lengths`` plus the flow it integrated, fiber 0 first."""
     if subject.fiber_point is None or not subject.fiber_bases:
         raise ValueError("subject provides no fiber structure")
     lam = subject.maps.lam
@@ -665,7 +670,7 @@ def check_flow_lengths(subject: VerificationSubject, tol: float,
     if failed:
         extras["failed_fibers"] = failed
     desc = f"{len(rows)} trajectories from s={delta_frac} lambda to s=(1-{delta_frac}) lambda"
-    return make_report("flow_lengths", desc, seeds, np.array(rows), tol, extras)
+    return make_report("flow_lengths", desc, seeds, np.array(rows), tol, extras), flow
 
 
 def check_oracle_equivalence(subject: VerificationSubject, tol: float,

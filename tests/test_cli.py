@@ -163,3 +163,21 @@ def test_cli_fubini_check_non_numeric_option_is_config_error(tmp_path, capsys, f
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err["kind"] == "config" and flag in err["message"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid", ["a,b,c,d", "2,2,0,2", "2,2,-1,2"])
+def test_cli_verify_bad_grid_is_config_error(torus_cfg_file, tmp_path, capsys, grid):
+    code = main(["verify", "--config", str(torus_cfg_file), "--out", str(tmp_path / "o"),
+                 "--grid", grid])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and "--grid" in err["message"]
+
+
+def test_cli_verify_zero_n_tau_in_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(TORUS_CFG.replace('"n_tau": 6', '"n_tau": 0'))
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and "$.grid.n_tau" in err["message"]

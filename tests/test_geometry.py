@@ -164,8 +164,10 @@ def test_bochner_identity_flat_linear_field():
     v = geo.VectorField(value=lambda p: p @ a.T)
     pts = np.random.default_rng(11).normal(size=(6, 2))
     steps = np.full((6, 2), 1e-2)
-    d_div = geo.fd_jet(lambda q: geo.divergence_vector(m, v, q), pts, steps)
-    div_grad = geo.divergence_endomorphism(m, lambda q: geo.grad_vector(m, v, q), pts, steps)
+    d_div = geo.fd_jet(lambda q: np.einsum("pkk->p", geo.grad_vector(m, v, q)), pts, steps)
+    div_grad = geo.divergence_endomorphism(
+        geo.fd_jet(lambda q: geo.grad_vector(m, v, q), pts, steps), geo.grad_vector(m, v, pts),
+        geo.christoffel(m, pts))
     assert np.max(np.abs(d_div - div_grad)) < 1e-9
 
 
@@ -245,11 +247,30 @@ def test_richardson_even_exact_on_quartic():
 
 
 def test_fd_jet_on_known_function():
-    f = lambda p: np.sin(p[:, 0]) + p[:, 1] ** 3
+    sizes = []
+
+    def f(p):
+        sizes.append(len(p))
+        return np.sin(p[:, 0]) + p[:, 1] ** 3
+
     pts = np.array([[0.5, 0.2], [1.0, -0.3]])
     jet = geo.fd_jet(f, pts, 1e-3)
     expect = np.column_stack([np.cos(pts[:, 0]), 3 * pts[:, 1] ** 2])
     assert np.max(np.abs(jet - expect)) < 1e-11
+    assert sizes == [4 * len(pts)] * pts.shape[1]  # one axis per call
+
+
+def test_ricci_shared_levels_equal_two_single_levels(torus_subject):
+    # Richardson's levels share their +-h points; where the step limiter binds
+    # (tau = 0.01 below: 0.2 * gap < h) level 2 builds its own +-2h points.
+    m = torus_subject.metric
+    pts = np.array([[0.17, 0.23, 0.5, 0.0], [0.61, 0.47, 0.3, 1.7], [0.83, 0.79, 0.01, 3.9]])
+    h = 5e-3
+    assert m.step_limiter(pts)[2, 2] < h < np.min(m.step_limiter(pts)[:2, 2])
+    shared = geo.ricci(m, pts, outer_step=h)
+    levels = (16.0 * geo.ricci(m, pts, outer_step=h / 2, richardson=False)
+              - geo.ricci(m, pts, outer_step=h, richardson=False)) / 15.0
+    assert np.max(np.abs(shared - levels)) < 1e-12
 
 
 def test_step_limiter_respected():

@@ -6,7 +6,8 @@ import pytest
 from kahlergg import geometry as geo
 from kahlergg.rp1 import INFINITY
 from kahlergg.verify import (CONTROL_EXPECTATIONS, GridSpec, _gamma_recover_raw,
-                             check_flow_lengths, check_gamma_recovery, check_killing, check_laplacian_identity,
+                             check_bochner, check_bracket_identities, check_flow_lengths,
+                             check_gamma_recovery, check_killing, check_laplacian_identity,
                              make_report, run_suite, subject_from_construction,
                              suite_passed)
 
@@ -166,3 +167,23 @@ def test_flow_lengths_reports_every_failing_fiber(torus_subject):
     assert report.extras["failed_fibers"] == [{"fiber": 1, "status": "left-domain"},
                                               {"fiber": 2, "status": "left-domain"}]
     assert [o["residual"] for o in report.offenders][2] < 1e-4
+
+
+def test_fused_checks_evaluate_the_metric_once_per_stencil_point(torus_subject):
+    # Per grid point: a 16-point stencil plus a few centre evaluations (bracket
+    # identities), and Ricci's 25 Christoffel builds on top (Bochner, which
+    # run_suite gives the deep-collar grid).
+    seen = []
+
+    def value(pp):
+        seen.append(len(pp))
+        return torus_subject.metric.value(pp)
+
+    subject = replace(torus_subject, metric=replace(torus_subject.metric, value=value))
+    spec = GridSpec(base=(4, 4), n_tau=8, n_theta=2)
+    for check, tol, collar, per_point in ((check_bracket_identities, 1e-5, spec.collar, 24),
+                                          (check_bochner, 1e-3, spec.deep_collar, 80)):
+        pts, desc = subject.grid_points(replace(spec, collar=collar))
+        seen.clear()
+        assert check(subject, pts, desc, tol).passed
+        assert sum(seen) <= per_point * len(pts)
