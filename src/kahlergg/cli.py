@@ -1,7 +1,8 @@
 """Command line entry points: construct, verify, extract, flow, fubini-check.
 
 Exit codes: 0 all requested checks pass, 1 some check failed, 2 invalid
-configuration, 3 numerical failure.  Reports are JSON with sorted keys so
+configuration (``CONFIG_ERRORS``), 3 numerical failure (``NUMERICAL_ERRORS``);
+exits 2 and 3 print a JSON error to stderr.  Reports are JSON with sorted keys so
 identical (config, seed) runs produce byte-identical files.
 """
 
@@ -18,14 +19,21 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, build_from_config, grid_count, parse_config
-from .extract import extract_all, oracle_from_construction, oracle_from_fs, round_trip
+from .extract import (FiberInconsistencyError, InconsistentOracleError, NotAFunctionOfTauError,
+                      extract_all, oracle_from_construction, oracle_from_fs, round_trip)
 from .fubini import FSChart
-from .geometry import NumericalFailure
-from .profiles import profile_table
+from .geometry import BoundaryError, NumericalFailure
+from .profiles import DomainError, InvalidProfileError, profile_table
 from .verify import (GridSpec, _flow_lengths, run_suite,
                      subject_from_construction, subject_from_fs, suite_passed)
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
+
+# Errors that end a run, by exit code: a configuration the construction
+# cannot accept, and a numerical breakdown of a check or an extraction.
+CONFIG_ERRORS = (ConfigError, InvalidProfileError, DomainError)
+NUMERICAL_ERRORS = (NumericalFailure, BoundaryError, InconsistentOracleError,
+                    NotAFunctionOfTauError, FiberInconsistencyError)
 
 
 def _number(args, flag: str, kind):
@@ -263,10 +271,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
+    except CONFIG_ERRORS as e:
         print(json.dumps({"error": {"kind": "config", "message": str(e)}}), file=sys.stderr)
         return EXIT_CONFIG
-    except NumericalFailure as e:
+    except NUMERICAL_ERRORS as e:
         print(json.dumps({"error": {"kind": "numerical", "message": str(e)}}), file=sys.stderr)
         return EXIT_NUMERICAL
 

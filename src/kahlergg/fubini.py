@@ -180,25 +180,3 @@ def fs_random_directions(chart: FSChart, n: int, rng: np.random.Generator) -> np
     d = rng.normal(size=(n, chart.dim))
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
-
-def fs_verify(chart: FSChart = None, seed: int = 0):
-    """The full cross-check suite on the projective-space oracle.
-
-    Runs every applicable identity check plus the constant-gamma extraction
-    and returns the list of reports (the last one summarizes the extraction).
-    """
-    from .extract import extract_all, oracle_from_fs
-    from .verify import GridSpec, make_report, run_suite, subject_from_fs
-
-    chart = chart or FSChart()
-    subject = subject_from_fs(chart)
-    reports = run_suite(subject, GridSpec(seed=seed))
-    ex = extract_all(oracle_from_fs(chart), with_h=False)
-    vals = np.array([g.value for g in ex.gammas if not g.infinite])
-    std = float(np.std(vals)) if len(vals) == len(ex.gammas) else float("inf")
-    reports.append(make_report(
-        "gamma_constant_extraction", f"{len(ex.gammas)} fibers, seed {seed}",
-        np.zeros((1, chart.dim)), np.array([std]), 1e-5,
-        {"gamma_mean": float(np.mean(vals)) if len(vals) else float("nan"),
-         "interval": [ex.interval.tau_min, ex.interval.tau_max], "a": ex.a}))
-    return reports

@@ -494,16 +494,20 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
                             max_steps: int = 200000) -> FlowResult:
     """RK4 integral curves of xdot = direction * grad f for a batch of seeds (N, n).
 
-    Plain mode integrates the true gradient ODE in t with per-fiber steps
-    ``step / |grad f|``, so each advances roughly ``step`` in g-arclength;
-    the arclength of a step is Simpson's rule on |grad f| at its ends and at
-    the cubic Hermite midpoint ``(x + x_n)/2 + (h/8)(k_1 - k_n)``.
+    Plain mode integrates the true gradient ODE with fixed steps h = ``step``
+    in t, so a step covers about ``h * |grad f|`` of g-arclength: toward a
+    critical set, where |grad f| vanishes linearly, the steps shrink
+    geometrically instead of jumping past it.  A step's arclength is the RK4
+    quadrature of the stage speeds, ``(h/6)(|k_1| + 2|k_2| + 2|k_3| + |k_4|)``
+    with |k_i| = |grad f| at stage i.
     Unit-speed mode integrates ``direction * grad f / |grad f|`` with fixed
     arclength steps ``step``.
 
     Every step evaluates the metric once per RK4 stage: the first stage is
     the previous step's endpoint evaluation, which also yields Q = |grad f|^2
-    there.  A fiber stops, and is frozen with its own status, when f crosses
+    there.  A target crossing costs two more: the crossing point and the
+    midpoint of the shortened step, whose arclength is Simpson's rule on
+    |grad f|.  A fiber stops, and is frozen with its own status, when f crosses
     ``target_value`` ("target": the crossing on the step's Hermite curve is
     solved for, landing on the target), when ``stop(sqrt(Q), max sqrt(Q) so
     far)`` fires after a step ("stop"), at a zero gradient ("stationary"),
@@ -541,25 +545,21 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
         if idx.size == 0:
             break
         x0, k1 = x[idx], k[idx]
-        h = np.full(idx.size, step) if unit_speed else step / sp[idx]
+        h = np.full(idx.size, step)
         hc = h[:, None]
-        k2 = field(x0 + 0.5 * hc * k1, idx)[0]
-        k3 = field(x0 + 0.5 * hc * k2, idx)[0]
-        k4 = field(x0 + hc * k3, idx)[0]
+        k2, _, sp2 = field(x0 + 0.5 * hc * k1, idx)
+        k3, _, sp3 = field(x0 + 0.5 * hc * k2, idx)
+        k4, _, sp4 = field(x0 + hc * k3, idx)
         xn = x0 + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        seg = h if unit_speed else (h / 6.0) * (sp[idx] + 2.0 * sp2 + 2.0 * sp3 + sp4)
         if metric.domain is not None:
             inside = np.asarray(metric.domain(xn), dtype=bool)
             freeze(idx[~inside], "left-domain")
-            idx, x0, k1, h, hc, xn = (a[inside] for a in (idx, x0, k1, h, hc, xn))
+            idx, x0, k1, h, hc, xn, seg = (a[inside] for a in (idx, x0, k1, h, hc, xn, seg))
             if idx.size == 0:
                 break
         kn, qn, spn = field(xn, idx)
         fn = np.array(f.value(xn), dtype=float)  # a copy: f.value may return a view of xn
-        if unit_speed:
-            seg = h
-        else:
-            xm = 0.5 * (x0 + xn) + (hc / 8.0) * (k1 - kn)
-            seg = (h / 6.0) * (sp[idx] + 4.0 * np.sqrt(gradient_and_q(metric, f, xm)[1]) + spn)
         hit = np.zeros(idx.size, dtype=bool)
         if target_value is not None:
             f0 = fv[idx]

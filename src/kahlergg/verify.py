@@ -648,7 +648,7 @@ def _flow_lengths(subject: VerificationSubject, tol: float, delta_frac: float = 
     tau_target = float(subject.maps.tau_of_s(lam - delta))
     seeds = np.array([subject.fiber_point(base, delta) for base in subject.fiber_bases[:n_fibers]])
     flow = geo.integrate_gradient_flow(subject.metric, subject.tau, seeds,
-                                       target_value=tau_target, step=2e-3)
+                                       target_value=tau_target, step=1.6e-2)
     rows, failed = [], []
     drift_max = 0.0
     for i in range(len(seeds)):

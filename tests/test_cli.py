@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from kahlergg import cli
 from kahlergg.cli import main
 from kahlergg.config import ConfigError, build_from_config, parse_config
 
@@ -181,3 +182,25 @@ def test_cli_verify_zero_n_tau_in_config_is_config_error(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err["kind"] == "config" and "$.grid.n_tau" in err["message"]
+
+
+def test_cli_nonpositive_q_factor_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "negative_q.json"
+    cfg.write_text(TORUS_CFG.replace('{"type": "constant"}', '{"type": "poly", "coeffs": [-100]}'))
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and "q(" in err["message"]
+
+
+@pytest.mark.parametrize("exc", cli.CONFIG_ERRORS + cli.NUMERICAL_ERRORS,
+                         ids=lambda e: e.__name__)
+def test_cli_error_taxonomy(torus_cfg_file, tmp_path, capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    code = main(["verify", "--config", str(torus_cfg_file), "--out", str(tmp_path / "o")])
+    kind = "config" if exc in cli.CONFIG_ERRORS else "numerical"
+    assert code == (2 if kind == "config" else 3)
+    assert json.loads(capsys.readouterr().err.strip())["error"] == {"kind": kind, "message": "boom"}

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -150,8 +152,9 @@ def test_general_m_supported():
     assert np.max(np.abs(q - 4 * t * (1 - t))) < 1e-10
 
 
-def test_fs_verify_wrapper():
-    from kahlergg.fubini import fs_verify
-    reports = fs_verify()
-    assert all(r.passed for r in reports)
-    assert reports[-1].check == "gamma_constant_extraction"
+def test_fubini_check_cli(tmp_path):
+    from kahlergg.cli import main
+    assert main(["fubini-check", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "fubini_report.json").read_text())
+    assert payload["all_pass"] is True
+    assert payload["extraction"]["gamma_std"] < 1e-5

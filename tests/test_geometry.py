@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,24 @@ def test_gradient_flow_batch_matches_single_seeds(mode):
             assert np.max(np.abs(getattr(together, name) - getattr(alone, name))) < 1e-12
 
 
+def test_plain_flow_evaluates_the_metric_four_times_per_step():
+    m, f, seeds, (plain, _) = _flow_cases()
+    points = []
+
+    def value(p, value0=m.value):
+        points.append(len(p))
+        return value0(p)
+
+    path = geo.integrate_gradient_flow(replace(m, value=value), f, seeds, **plain)
+    assert path.status == ["target"] * len(seeds)
+    # One evaluation per seed to start, four per fiber and step (the RK4 stages
+    # after the first, then the endpoint), two per target crossing.
+    assert sum(points) == len(seeds) + 4 * int(path.last.sum()) + 2 * len(seeds)
+    # The steps are fixed in t; only the crossing step is cut short.
+    dt = np.diff(path.fiber(0).params)
+    assert np.allclose(dt[:-1], plain["step"], rtol=0, atol=1e-15) and dt[-1] <= plain["step"]
+
+
 def test_gradient_flow_freezes_each_fiber_with_its_own_status():
     m = geo.MetricField(dim=2, value=flat_metric(2).value, domain=lambda p: p[:, 0] < 1.0)
     f = geo.ScalarField(value=lambda p: p[:, 0], grad=lambda p: np.column_stack(
@@ -238,6 +258,12 @@ def test_trace_fibers_pins_the_stop_rule():
     traces = trace_fibers(oracle_from_fs())
     assert len(traces) == 12
     assert sum(len(tr.s) for tr in traces) == 18396
+    # Unit-speed samples sit on the exact grid of summed arclength steps.
+    for tr in traces:
+        down = np.count_nonzero(tr.s < 0)
+        up = len(tr.s) - down - 1
+        assert np.array_equal(tr.s[down + 1:], np.cumsum(np.full(up, 1e-3)))
+        assert np.array_equal(tr.s[:down], -np.cumsum(np.full(down, 1e-3))[::-1])
 
 
 def test_richardson_even_exact_on_quartic():

@@ -5,7 +5,7 @@ import pytest
 
 from kahlergg import geometry as geo
 from kahlergg.rp1 import INFINITY
-from kahlergg.verify import (CONTROL_EXPECTATIONS, GridSpec, _gamma_recover_raw,
+from kahlergg.verify import (CONTROL_EXPECTATIONS, GridSpec, _flow_lengths, _gamma_recover_raw,
                              check_bochner, check_bracket_identities, check_flow_lengths,
                              check_gamma_recovery, check_killing, check_laplacian_identity,
                              make_report, run_suite, subject_from_construction,
@@ -167,6 +167,38 @@ def test_flow_lengths_reports_every_failing_fiber(torus_subject):
     assert report.extras["failed_fibers"] == [{"fiber": 1, "status": "left-domain"},
                                               {"fiber": 2, "status": "left-domain"}]
     assert [o["residual"] for o in report.offenders][2] < 1e-4
+
+
+@pytest.mark.parametrize("data, bound", [("torus_data", 2.68e-7), ("sphere_data", 2.68e-7),
+                                         ("torus_inf_data", 2.68e-7), ("fs", 2.59e-8)])
+def test_flow_lengths_steps_and_residual(request, fs_subject, data, bound):
+    subject = fs_subject if data == "fs" else subject_from_construction(
+        request.getfixturevalue(data))
+    calls = []
+
+    def value(p, value0=subject.metric.value):
+        calls.append(len(p))
+        return value0(p)
+
+    metric = replace(subject.metric, value=value)
+    report, flow = _flow_lengths(replace(subject, metric=metric), 1e-4)
+    steps = len(flow.points) - 1
+    assert steps <= 300
+    assert len(calls) <= 4 * steps + 1 + len(flow.last)  # start, stages, crossings
+    assert report.passed and report.max <= bound
+
+
+def test_coarse_flow_step_still_lands_on_the_target(torus_subject):
+    # A t-step of 0.1 covers up to 0.1 of arclength mid-fiber, but the steps
+    # shrink with |grad tau| toward the critical set, so no stage point jumps
+    # past tau_max.
+    lam = torus_subject.maps.lam
+    seed = torus_subject.fiber_point(torus_subject.fiber_bases[0], 0.01 * lam)[None, :]
+    target = float(torus_subject.maps.tau_of_s(0.99 * lam))
+    flow = geo.integrate_gradient_flow(torus_subject.metric, torus_subject.tau, seed,
+                                       target_value=target, step=0.1, max_steps=200)
+    assert flow.status == ["target"] and len(flow.points) < 60
+    assert abs(flow.arclength[-1, 0] - 0.98 * lam) < 1e-4
 
 
 def test_fused_checks_evaluate_the_metric_once_per_stencil_point(torus_subject):
