@@ -63,6 +63,17 @@ def grid_count(x, path: str) -> int:
     return x
 
 
+def _chart_index(x, surface_type: str) -> int:
+    """``construction.chart``: 0 on the torus, 0 (south) or 1 (north) on the sphere."""
+    n_charts = 1 if surface_type == "torus" else 2
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n_charts:
+        raise ConfigError(f"$.construction.chart: the {surface_type} has {n_charts} chart(s), "
+                          f"expected an integer from 0 to {n_charts - 1}, got {x!r}")
+    return x
+
+
 def _as_number(x, path: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {x!r}")
@@ -156,7 +167,7 @@ def parse_config(text: str) -> RunConfig:
         normalize = con.get("normalize", "none")
         if normalize not in ("none", "a", "h-scale"):
             raise ConfigError("$.construction.normalize: must be 'none', 'a' or 'h-scale'")
-        chart = int(con.get("chart", 0))
+        chart = _chart_index(con.get("chart", 0), surface_type)
 
     grid_raw = raw.get("grid", {})
     _require_keys(grid_raw, {"base", "n_tau", "n_theta", "collar", "deep_collar", "n_random"},

@@ -113,29 +113,23 @@ def fs_metric(chart: FSChart) -> MetricField:
 
 
 def fs_tau(chart: FSChart) -> ScalarField:
-    m, k = chart.m, chart.k
-    pos = chart.homogeneous_positions()
-    in_y = pos > k  # free coordinates contributing to |y|^2
-    norm_in_y = chart.norm_index > k
+    # tau = (|p_y|^2 + y0) / (1 + |p|^2): wy weights the real coordinates of the free
+    # y-coordinates, y0 = 1 when the normalized homogeneous coordinate is a y-coordinate.
+    wy = np.repeat(chart.homogeneous_positions() > chart.k, 2).astype(float)
+    y0 = 1.0 if chart.norm_index > chart.k else 0.0
+
+    def tau_and_s(p: np.ndarray):
+        sq = p * p
+        s = 1.0 + sq.sum(axis=1)
+        return (sq @ wy + y0) / s, s
 
     def value(p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        sq = p * p
-        y2 = sq[:, 0::2][:, in_y].sum(axis=1) + sq[:, 1::2][:, in_y].sum(axis=1)
-        if norm_in_y:
-            y2 = y2 + 1.0
-        s = 1.0 + np.sum(sq, axis=1)
-        return y2 / s
+        return tau_and_s(np.asarray(p, dtype=float))[0]
 
     def grad(p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        s = 1.0 + np.sum(p * p, axis=1)
-        tau = value(p)
-        dy = np.zeros_like(p)
-        mask = np.repeat(in_y, 2)
-        dy[:, mask] = 2.0 * p[:, mask]
-        ds = 2.0 * p
-        return (dy - tau[:, None] * ds) / s[:, None]
+        tau, s = tau_and_s(p)
+        return (2.0 / s)[:, None] * (p * wy - tau[:, None] * p)
 
     return ScalarField(value=value, grad=grad, name="fs-tau")
 

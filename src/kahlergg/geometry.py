@@ -165,11 +165,26 @@ def levi_civita(metric: MetricField, points: np.ndarray, force_fd: bool = False,
     dg = metric_dvalue(metric, points, force_fd=force_fd, steps=steps)
     ginv = np.linalg.inv(g)
     # Cheap infinity-norm condition estimate; SVD per point would dominate runtime.
-    cond = np.max(np.sum(np.abs(g), axis=2), axis=1) * np.max(np.sum(np.abs(ginv), axis=2), axis=1)
+    cond = _inf_norm(g) * _inf_norm(ginv)
     if np.any(~np.isfinite(cond)) or np.max(cond) > 1e14:
         raise NumericalFailure(f"metric '{metric.name}' is numerically singular (cond~{np.max(cond):.2e})")
-    t = dg + np.swapaxes(dg, 1, 2) - dg.transpose(0, 2, 3, 1)
-    return g, ginv, 0.5 * np.einsum("pkl,pijl->pkij", ginv, t)
+    npts, n = points.shape
+    # t[p, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, so Gamma^k_ij = 1/2 g^kl t_lij is one matmul.
+    t = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1)
+    t -= dg
+    return g, ginv, ((0.5 * ginv) @ t.reshape(npts, n, n * n)).reshape(npts, n, n, n)
+
+
+def _inf_norm(a: np.ndarray) -> np.ndarray:
+    """max_i sum_j |a_ij| per matrix, from whole-column adds (reductions over a short axis are slow)."""
+    a = np.abs(a)
+    rows = a[:, :, 0].copy()
+    for j in range(1, a.shape[2]):
+        rows += a[:, :, j]
+    out = rows[:, 0]
+    for i in range(1, a.shape[1]):
+        out = np.maximum(out, rows[:, i])
+    return out
 
 
 def _differential(metric: MetricField, f: ScalarField, points: np.ndarray, steps=None):
@@ -178,10 +193,14 @@ def _differential(metric: MetricField, f: ScalarField, points: np.ndarray, steps
     return fd_jet(f.value, points, metric.steps_at(points) if steps is None else steps)
 
 
+def _solve(g: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """g^-1 df per point by a batched solve (the trailing axis makes df a stack of columns)."""
+    return np.linalg.solve(g, df[..., None])[..., 0]
+
+
 def scalar_gradient(metric: MetricField, f: ScalarField, points: np.ndarray,
                     steps=None) -> np.ndarray:
-    ginv = np.linalg.inv(metric.value(points))
-    return np.einsum("pij,pj->pi", ginv, _differential(metric, f, points, steps))
+    return _solve(metric.value(points), _differential(metric, f, points, steps))
 
 
 def gradient_and_q(metric: MetricField, f: ScalarField, points: np.ndarray,
@@ -192,8 +211,9 @@ def gradient_and_q(metric: MetricField, f: ScalarField, points: np.ndarray,
     """
     if g is None:
         g = metric.value(points)
-    grad = np.einsum("pij,pj->pi", np.linalg.inv(g), _differential(metric, f, points))
-    return grad, np.einsum("pij,pi,pj->p", g, grad, grad)
+    df = _differential(metric, f, points)
+    grad = _solve(g, df)
+    return grad, np.einsum("pi,pi->p", df, grad)  # g(grad f, grad f) = df(grad f)
 
 
 def hessian(metric: MetricField, f: ScalarField, points: np.ndarray, force_fd: bool = False,

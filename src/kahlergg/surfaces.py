@@ -74,14 +74,18 @@ class SurfaceChart:
         return self.orientation * self.sqrt_det_h(x)
 
     def complex_structure(self, x: np.ndarray) -> np.ndarray:
-        """J_Sigma[k,j] with h(Jw, w') = omega_h(w, w') (rotation by +90 deg)."""
+        """J_Sigma[k,j] with h(Jw, w') = omega_h(w, w') (rotation by +90 deg).
+
+        In closed form J = h^-1 omega^T = (orientation / sqrt(det h)) [[-h01, -h11], [h00, h01]].
+        """
         h = self.h(x)
-        hinv = np.linalg.inv(h)
-        w = self.area_form(x)
-        omega = np.zeros_like(h)
-        omega[:, 0, 1] = w
-        omega[:, 1, 0] = -w
-        return np.einsum("pki,pji->pkj", hinv, omega)
+        c = self.orientation / np.sqrt(h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] ** 2)
+        out = np.empty_like(h)
+        out[:, 0, 0] = -c * h[:, 0, 1]
+        out[:, 0, 1] = -c * h[:, 1, 1]
+        out[:, 1, 0] = c * h[:, 0, 0]
+        out[:, 1, 1] = c * h[:, 0, 1]
+        return out
 
 
 def torus_chart(h_scale: float) -> SurfaceChart:
@@ -239,8 +243,7 @@ def gamma_gradient(chart: SurfaceChart, gamma: GammaField, x: np.ndarray) -> np.
     """h-gradient of gamma as a real function; zero on the infinity locus."""
     if gamma.infinite or gamma.grad is None:
         return np.zeros((x.shape[0], 2))
-    hinv = np.linalg.inv(chart.h(x))
-    return np.einsum("pij,pj->pi", hinv, gamma.grad(x))
+    return np.linalg.solve(chart.h(x), gamma.grad(x)[..., None])[..., 0]
 
 
 # ----------------------------------------------------------------------------

@@ -342,7 +342,7 @@ def check_kaehler(subject: VerificationSubject, points: np.ndarray, desc: str,
     extras["J_squared_plus_id_max"] = float(np.max(np.abs(
         np.einsum("pij,pjk->pik", jv, jv) + np.eye(subject.dim))))
     g = m.value(points)
-    herm = np.einsum("pki,pkl,plj->pij", jv, g, jv) - g
+    herm = np.swapaxes(jv, 1, 2) @ g @ jv - g
     extras["hermitian_defect_max"] = float(np.max(np.abs(herm) / (1.0 + np.max(np.abs(g), axis=(1, 2)))[:, None, None]))
     res = np.maximum(res, np.max(np.abs(comm), axis=(1, 2)) / cscale)
     return make_report("kaehler", desc, points, res, tol, extras)
@@ -470,18 +470,23 @@ def check_ode_identities(subject: VerificationSubject, points: np.ndarray, desc:
         r3 = np.abs(d_v(subject.phi) - 2.0 * (psi - phi) * phi) / (1.0 + np.abs(psi * phi) + phi ** 2)
     else:
         r3 = np.zeros_like(r1)
-    lap = geo.laplacian(m, subject.tau, points)
+    frame = geo.levi_civita(m, points)
+    g, ginv, gamma = frame
+    lap = geo.laplacian(m, subject.tau, points, frame=frame)
     r4 = np.abs(lap - 2.0 * (psi + phi)) / (1.0 + np.abs(lap))
-    gv = geo.grad_vector(m, vf, points)
-    g = m.value(points)
-    ginv = np.linalg.inv(g)
-    norm2 = np.einsum("pkl,pij,pki,plj->p", g, ginv, gv, gv)
+    gv = geo.grad_vector(m, vf, points, gamma=gamma)
+    norm2 = _grad_v_norm2(g, ginv, gv)
     r5 = np.abs(norm2 - 2.0 * (psi ** 2 + phi ** 2)) / (1.0 + psi ** 2 + phi ** 2)
     extras = {"d_v_tau": float(np.max(r1)), "d_v_Q": float(np.max(r2)),
               "d_v_phi": float(np.max(r3)), "laplacian_split": float(np.max(r4)),
               "grad_v_norm": float(np.max(r5))}
     res = np.max(np.stack([r1, r2, r3, r4, r5]), axis=0)
     return make_report("ode_identities", desc, points, res, tol, extras)
+
+
+def _grad_v_norm2(g: np.ndarray, ginv: np.ndarray, gv: np.ndarray) -> np.ndarray:
+    """|nabla v|^2 = g_kl g^ij (nabla v)^k_i (nabla v)^l_j at each point."""
+    return np.einsum("pkl,pkl->p", g, gv @ ginv @ np.swapaxes(gv, 1, 2))
 
 
 def check_bracket_identities(subject: VerificationSubject, points: np.ndarray, desc: str,
@@ -566,7 +571,7 @@ def check_bochner(subject: VerificationSubject, points: np.ndarray, desc: str,
     r_bch = np.max(np.abs(d_divv - div_gradv + ric_v), axis=1) / scale
     r_ddt = np.max(np.abs(d_lap + 2.0 * ric_v), axis=1) / scale
     div_nvv = geo.divergence_vector(d_nvv, nvv, gamma)
-    norm2 = np.einsum("pkl,pij,pki,plj->p", g, ginv, gv, gv)
+    norm2 = _grad_v_norm2(g, ginv, gv)
     dv_lap = np.einsum("pi,pi->p", vv, d_lap)
     r_dvd = np.abs(dv_lap - 2.0 * div_nvv + 2.0 * norm2) / (1.0 + np.abs(dv_lap) + norm2)
     extras = {"bochner_max": float(np.max(r_bch)), "ddt_max": float(np.max(r_ddt)),

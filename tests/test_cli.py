@@ -204,3 +204,38 @@ def test_cli_error_taxonomy(torus_cfg_file, tmp_path, capsys, monkeypatch, exc):
     kind = "config" if exc in cli.CONFIG_ERRORS else "numerical"
     assert code == (2 if kind == "config" else 3)
     assert json.loads(capsys.readouterr().err.strip())["error"] == {"kind": kind, "message": "boom"}
+
+
+SPHERE_CFG = """
+{
+  "construction": {
+    "tau_min": 0.0, "tau_max": 1.0, "a": 2.0,
+    "surface": {"type": "sphere", "radius": 0.7905694150420949},
+    "gamma": {"type": "constant", "value": 3.0},
+    "chart": CHART
+  },
+  "grid": {"base": [3, 3], "n_tau": 6, "n_theta": 2, "n_random": 40},
+  "seed": 0
+}
+"""
+
+
+@pytest.mark.parametrize("surface,chart", [("torus", "1"), ("torus", "2.5"), ("torus", '"x"'),
+                                           ("torus", "-1"), ("torus", "true"), ("sphere", "2")])
+def test_cli_bad_chart_is_config_error(tmp_path, capsys, surface, chart):
+    cfg = tmp_path / "chart.json"
+    if surface == "torus":
+        cfg.write_text(TORUS_CFG.replace('"normalize": "none"', f'"normalize": "none", "chart": {chart}'))
+    else:
+        cfg.write_text(SPHERE_CFG.replace("CHART", chart))
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and "$.construction.chart" in err["message"]
+
+
+def test_cli_sphere_north_chart_verifies(tmp_path):
+    cfg = tmp_path / "north.json"
+    cfg.write_text(SPHERE_CFG.replace("CHART", "1"))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads((tmp_path / "o" / "verify_report.json").read_text())["all_pass"] is True

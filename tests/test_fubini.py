@@ -79,6 +79,21 @@ def test_tau_grad_matches_fd(chart, sample_points):
     assert np.max(np.abs(jet - tau.grad(sample_points[:50]))) < 1e-10
 
 
+@pytest.mark.parametrize("m,k,l,norm_index", [(2, 0, 1, 0), (2, 1, 0, 0), (2, 0, 1, 1), (2, 0, 1, 2),
+                                              (3, 1, 1, 0), (3, 0, 2, 3), (3, 2, 0, 1)])
+def test_tau_value_and_grad_on_every_chart(m, k, l, norm_index):
+    ch = FSChart(m=m, k=k, l=l, norm_index=norm_index)
+    tau = fs_tau(ch)
+    p = np.random.default_rng(m + 3 * k + 7 * norm_index).normal(size=(40, ch.dim))
+    # tau = |y|^2 / (|x|^2 + |y|^2) in homogeneous coordinates (x = z_0..z_k, y = the rest).
+    z = np.ones((len(p), m + 1), dtype=complex)
+    z[:, ch.homogeneous_positions()] = p[:, 0::2] + 1j * p[:, 1::2]
+    az = np.abs(z) ** 2
+    assert np.max(np.abs(tau.value(p) - az[:, k + 1:].sum(axis=1) / az.sum(axis=1))) < 1e-14
+    jet = geo.fd_jet(tau.value, p, 1e-4)
+    assert np.max(np.abs(tau.grad(p) - jet)) < 1e-9
+
+
 def test_metric_dvalue_matches_fd(chart, sample_points):
     m = fs_metric(chart)
     assert geo.dvalue_residual(m, sample_points[:50]) < 1e-8

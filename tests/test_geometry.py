@@ -5,7 +5,9 @@ import pytest
 
 from kahlergg import geometry as geo
 from kahlergg.extract import oracle_from_fs, trace_fibers
+from kahlergg.fubini import FSChart, fs_metric
 from kahlergg.surfaces import sphere_chart
+from kahlergg.verify import GridSpec, run_suite, suite_passed
 
 
 def flat_metric(n):
@@ -319,3 +321,80 @@ def test_boundary_error_on_domain_violation():
                         domain=lambda p: p[:, 0] < 0.5)
     with pytest.raises(geo.BoundaryError):
         m.check_domain(np.array([[0.6, 0.0]]))
+
+
+def _spd_batch(n, count=40, seed=0):
+    a = np.random.default_rng(seed).normal(size=(count, n, n))
+    return a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(n)
+
+
+def _gradient_case(source, torus_subject, fs_subject):
+    """(metric, scalar field, points) with n = 4 or 6."""
+    if source.startswith("spd"):
+        n = int(source[3:])
+        g = _spd_batch(n)
+        df = np.random.default_rng(1).normal(size=(len(g), n))
+        return (geo.MetricField(dim=n, value=lambda p: g), geo.ScalarField(value=None, grad=lambda p: df),
+                np.zeros((len(g), n)))
+    subject = torus_subject if source == "torus" else fs_subject
+    pts, _ = subject.grid_points(GridSpec(base=(3, 3), n_tau=5, n_theta=2))
+    return subject.metric, subject.tau, pts
+
+
+@pytest.mark.parametrize("source", ["spd4", "spd6", "torus", "fubini"])
+def test_gradient_and_q_match_the_inverse(source, torus_subject, fs_subject):
+    metric, f, pts = _gradient_case(source, torus_subject, fs_subject)
+    g, df = metric.value(pts), f.grad(pts)
+    grad_ref = np.einsum("pij,pj->pi", np.linalg.inv(g), df)
+    q_ref = np.einsum("pij,pi,pj->p", g, grad_ref, grad_ref)
+    grad, q = geo.gradient_and_q(metric, f, pts)
+    scale = np.max(np.abs(grad_ref), axis=1, keepdims=True)
+    assert np.max(np.abs(grad - grad_ref) / scale) < 1e-12
+    assert np.max(np.abs(q - q_ref) / np.abs(q_ref)) < 1e-12
+    assert np.max(np.abs(geo.scalar_gradient(metric, f, pts) - grad_ref) / scale) < 1e-12
+
+
+@pytest.mark.parametrize("source", ["torus", "fubini-m3"])
+def test_levi_civita_matches_the_reference_contraction(source, torus_subject):
+    if source == "torus":
+        metric = torus_subject.metric
+        pts, _ = torus_subject.grid_points(GridSpec(base=(3, 3), n_tau=5, n_theta=2))
+    else:
+        chart = FSChart(m=3, k=1, l=1)
+        metric = fs_metric(chart)
+        pts = np.random.default_rng(2).normal(size=(30, chart.dim))
+    g, ginv, gamma = geo.levi_civita(metric, pts)
+    dg = metric.dvalue(pts)
+    # t[p,i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
+    t = dg + np.swapaxes(dg, 1, 2) - np.einsum("plij->pijl", dg)
+    ref = 0.5 * np.einsum("pkl,pijl->pkij", np.linalg.inv(g), t)
+    assert np.array_equal(g, metric.value(pts)) and np.array_equal(ginv, np.linalg.inv(g))
+    assert np.max(np.abs(gamma - ref)) < 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+
+def test_levi_civita_rejects_a_singular_metric():
+    g = np.diag([1.0, 1.0, 1.0, 1e-16])[None]
+    metric = geo.MetricField(dim=4, value=lambda p: np.repeat(g, len(p), axis=0),
+                             dvalue=lambda p: np.zeros((len(p), 4, 4, 4)), name="degenerate")
+    with pytest.raises(geo.NumericalFailure, match="numerically singular"):
+        geo.levi_civita(metric, np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_condition_estimate_is_the_row_sum_norm_bitwise(n):
+    a = np.random.default_rng(n).normal(size=(50, n, n))
+    assert np.array_equal(geo._inf_norm(a), np.max(np.sum(np.abs(a), axis=2), axis=1))
+
+
+def test_default_torus_suite_inverts_few_matrices(torus_subject, monkeypatch):
+    # Gradients are solves; only the Levi-Civita frame, laplacian without a
+    # frame and boundary_limits form g^-1 (514,677 matrices before).
+    inv, seen = np.linalg.inv, []
+
+    def counted(a, *args, **kwargs):
+        seen.append(int(np.prod(np.shape(a)[:-2])))
+        return inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    assert suite_passed(run_suite(torus_subject, GridSpec()))
+    assert sum(seen) <= 130_000

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from kahlergg import geometry as geo
 from kahlergg.profiles import Interval
-from kahlergg.surfaces import (GammaRangeError, build_sphere_surface, build_torus_surface,
+from kahlergg.surfaces import (GammaRangeError, SurfaceChart, build_sphere_surface, build_torus_surface,
                                chern_integral_torus, chern_report, curvature_form,
                                gamma_constant, gamma_cos, gamma_gradient, gamma_height,
                                solve_connection_torus, sphere_chart, torus_chart,
@@ -169,6 +169,29 @@ def test_complex_structure_squares_to_minus_id():
     h = chart.h(pts)
     herm = np.einsum("pki,pkl,plj->pij", js, h, js) - h
     assert np.max(np.abs(herm)) < 1e-12
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_complex_structure_closed_form_equals_h_inverse_omega(orientation):
+    # A non-diagonal h, so every entry of the closed form is exercised.
+    def h(x):
+        out = np.empty((len(x), 2, 2))
+        out[:, 0, 0] = 2.0 + x[:, 0] ** 2
+        out[:, 1, 1] = 1.5 + np.sin(x[:, 1]) ** 2
+        out[:, 0, 1] = out[:, 1, 0] = 0.7 * np.cos(x[:, 0] - x[:, 1])
+        return out
+
+    chart = SurfaceChart(name="skew", h=h, dh=None, domain=None, bounds=((-1, 1), (-1, 1)),
+                         orientation=orientation)
+    pts = np.random.default_rng(6).uniform(-1.0, 1.0, (25, 2))
+    hh = h(pts)
+    omega = np.zeros_like(hh)
+    omega[:, 0, 1] = chart.area_form(pts)
+    omega[:, 1, 0] = -omega[:, 0, 1]
+    js = chart.complex_structure(pts)
+    # J^k_j = h^ki omega_ji, i.e. h(J w, w') = omega(w, w')
+    assert np.max(np.abs(js - np.einsum("pki,pji->pkj", np.linalg.inv(hh), omega))) < 1e-14
+    assert np.max(np.abs(np.swapaxes(js, 1, 2) @ hh - omega)) < 1e-14
 
 
 def test_x2_dependent_torus_curvature_rejected():
