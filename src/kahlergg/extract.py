@@ -8,21 +8,26 @@ differential is kept: it is data of the triple, not of the construction.)
 
 The pipeline follows the geometry rather than any stored closed form:
 
-  * unit-speed gradient-flow traces through each seed sweep out a fiber;
-    along them sqrt(Q) is an odd function of the arclength-to-end u with
-    slope a, so the endpoint values tau_min/tau_max, the Hessian constant
-    a, and the one-sided slopes dQ/dtau -> +-2a all come from linear fits
-    of d(sqrt Q)/ds and of the Newton estimate tau - Q/(dQ/dtau) against
-    Q (which is itself a proxy for u^2), with the leading curvature bias
-    removed by the fit;
+  * gradient-flow traces through each seed sweep out a fiber, stepping
+    fixed increments of the flow parameter t (so the arclength steps shrink
+    geometrically toward the ends); along them sqrt(Q) is an odd function
+    of the arclength-to-end u with slope a, so the endpoint values
+    tau_min/tau_max, the Hessian constant a, and the one-sided slopes
+    dQ/dtau -> +-2a all come from fits of d(sqrt Q)/ds =
+    (d sqrt(Q)/dt)/sqrt(Q) and of the Newton estimate tau - Q/(dQ/dtau)
+    against Q (which is itself a proxy for u^2), with the leading curvature
+    bias removed by the fit;
   * Q is resampled against tau across all traces; the spread across base
     points is the numerical realization of "Q is a function of tau" and
     failing it rejects the oracle;
   * gamma comes per base point from tau - Q/(laplacian(tau) - dQ/dtau),
-    averaged along the fiber with a consistency assertion;
+    with dQ/dtau = 2 Hess tau(grad tau, grad tau)/Q from the same
+    finite-difference Hessian as the Laplacian, averaged along the fiber
+    with a consistency assertion;
   * h is the s -> 0 limit of (tau_min - gamma)^(-1)(tau_star - gamma) times
     the metric restricted to the orthogonal complement of (grad tau,
-    J grad tau), Richardson-extrapolated at s = delta, 2 delta, 4 delta.
+    J grad tau), Richardson-extrapolated at s = delta, 2 delta, 4 delta on
+    the descending traces, continued a short way toward the minimum.
 
 ``round_trip`` rebuilds a construction from the extracted data (periodic
 splines over the torus chart; constant gamma and a radial conformal factor
@@ -125,36 +130,60 @@ def oracle_from_fs(chart: Optional[FSChart] = None, n_seeds: int = 12) -> Extrac
 
 @dataclass
 class FiberTrace:
-    """One seed's unit-speed gradient-flow record, both directions merged.
+    """One seed's gradient-flow record, both directions merged.
 
-    s is arclength with s = 0 at the seed, increasing with tau.
+    t is the flow parameter, 0 at the seed and increasing with tau, on the
+    uniform grid of the flow's fixed ``step``; s is the arclength along the
+    trace, 0 at the seed.  The steps shrink geometrically in s toward both
+    ends, where sqrt(Q) vanishes linearly.
     """
 
+    t: np.ndarray
     s: np.ndarray
     tau: np.ndarray
     q: np.ndarray
     points: np.ndarray
+    step: float
 
 
-def trace_fibers(oracle: ExtractionOracle, ds: float = 1e-3, stop_frac: float = 0.04,
-                 max_span: float = 6.0) -> list:
-    """One merged FiberTrace per seed: descending and ascending unit-speed flows in one batch."""
+def _trace(oracle: ExtractionOracle, step: float, stop_frac: float, max_span: float) -> list:
     def stop(sq, ref):
         return sq < stop_frac * ref
 
     n = len(oracle.seeds)
     flow = geo.integrate_gradient_flow(oracle.metric, oracle.tau,
                                        np.concatenate([oracle.seeds, oracle.seeds]),
-                                       np.repeat([-1.0, 1.0], n), stop=stop, step=ds,
-                                       unit_speed=True, max_steps=int(max_span / ds))
+                                       np.repeat([-1.0, 1.0], n), stop=stop, step=step,
+                                       max_steps=int(max_span / step))
     traces = []
     for i in range(n):
         down, up = flow.fiber(i), flow.fiber(n + i)
         traces.append(FiberTrace(
+            t=np.concatenate([-down.params[::-1], up.params[1:]]),
             s=np.concatenate([-down.arclength[::-1], up.arclength[1:]]),
             tau=np.concatenate([down.values[::-1], up.values[1:]]),
             q=np.concatenate([down.q[::-1], up.q[1:]]),
-            points=np.concatenate([down.points[::-1], up.points[1:]])))
+            points=np.concatenate([down.points[::-1], up.points[1:]]),
+            step=step))
+    return traces
+
+
+def trace_fibers(oracle: ExtractionOracle, ds: float = 1.6e-2, stop_frac: float = 0.04,
+                 max_span: float = 60.0) -> list:
+    """One merged FiberTrace per seed: descending and ascending flows in one batch.
+
+    Both flows step ``ds`` in the flow parameter t and stop once sqrt(Q) falls
+    below ``stop_frac`` of its largest value; ``max_span`` bounds t in each
+    direction.  Near an end sqrt(Q) ~ a u shrinks by exp(-a h) per step h,
+    and a scales with tau, so a fixed t-step does not resolve every oracle's
+    tails: when the trace ends show a h > 0.05 (fewer than 20 steps per
+    e-fold of sqrt(Q)), the fibers are traced again with the step that gives
+    a h = 1/30.
+    """
+    traces = _trace(oracle, ds, stop_frac, max_span)
+    decay = max(0.5 * math.log(max(tr.q[1] / tr.q[0], tr.q[-2] / tr.q[-1])) for tr in traces)
+    if decay > 0.05:
+        traces = _trace(oracle, ds / (30.0 * decay), stop_frac, max_span)
     return traces
 
 
@@ -167,8 +196,12 @@ def _deriv4(y: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _tail_fit(trace: FiberTrace, end: str, ds: float) -> dict:
-    """Endpoint data from one trace end: tau_end, a, dQ/dtau limit."""
+def _tail_fit(trace: FiberTrace, end: str) -> dict:
+    """Endpoint data from one trace end: tau_end, a, dQ/dtau limit.
+
+    Along the flow ds/dt = sqrt(Q), so d sqrt(Q)/ds = (d sqrt(Q)/dt) / sqrt(Q),
+    with the t-derivative taken on the trace's uniform t grid.
+    """
     sq = np.sqrt(trace.q)
     ref = float(np.max(sq))
     lo, hi = 0.06 * ref, 0.30 * ref
@@ -178,14 +211,14 @@ def _tail_fit(trace: FiberTrace, end: str, ds: float) -> dict:
     else:
         region = slice(int(np.argmax(sq)), len(sq))
         sgn = -1.0
-    s, q, t = trace.s[region], trace.q[region], trace.tau[region]
+    t, q, tau = trace.t[region], trace.q[region], trace.tau[region]
     sqr = sq[region]
-    y = _deriv4(sqr, ds)  # d sqrt(Q) / ds, tends to +-a at the ends
+    y = _deriv4(sqr, trace.step) / sqr  # d sqrt(Q) / ds, tends to +-a at the ends
     sel = (sqr > lo) & (sqr < hi)
     if end == "min":
-        sel &= s < 0
+        sel &= t < 0
     else:
-        sel &= s > 0
+        sel &= t > 0
     if np.count_nonzero(sel) < 8:
         raise InconsistentOracleError(f"too few tail samples near the {end} end")
     x2 = q[sel]
@@ -193,18 +226,18 @@ def _tail_fit(trace: FiberTrace, end: str, ds: float) -> dict:
     # a quadratic in x2 (a proxy for that distance squared) removes the bias
     # through O(u^4), leaving O(u^6) over the fit window.
     aa = np.polynomial.polynomial.polyfit(x2, y[sel], 2)
-    tau_hat = t[sel] - q[sel] / (2.0 * y[sel])
+    tau_hat = tau[sel] - q[sel] / (2.0 * y[sel])
     bb = np.polynomial.polynomial.polyfit(x2, tau_hat, 2)
     return {"tau_end": float(bb[0]), "a": float(abs(aa[0])), "dq_dtau": float(2.0 * aa[0]),
             "sign": sgn}
 
 
 def estimate_interval_and_a(oracle: ExtractionOracle, traces: Optional[list] = None,
-                            ds: float = 1e-3, rel_tol: float = 1e-3):
+                            ds: float = 1.6e-2, rel_tol: float = 1e-3):
     """(Interval, a, diagnostics); raises if the two endpoint estimates disagree."""
     traces = traces if traces is not None else trace_fibers(oracle, ds=ds)
-    mins = [_tail_fit(tr, "min", ds) for tr in traces]
-    maxs = [_tail_fit(tr, "max", ds) for tr in traces]
+    mins = [_tail_fit(tr, "min") for tr in traces]
+    maxs = [_tail_fit(tr, "max") for tr in traces]
     tau_min = float(np.median([m["tau_end"] for m in mins]))
     tau_max = float(np.median([m["tau_end"] for m in maxs]))
     a_min = float(np.median([m["a"] for m in mins]))
@@ -258,33 +291,39 @@ def extract_profile(oracle: ExtractionOracle, interval: Interval, a: float, trac
     return samples, profile, {"q_cross_spread": spread, "q_fit_residual": fit_res}
 
 
-def _fd_laplacian(oracle: ExtractionOracle, points: np.ndarray) -> np.ndarray:
+def _hessian_terms(oracle: ExtractionOracle, points: np.ndarray):
+    """(laplacian tau, Hess tau(grad tau, grad tau) / Q) from one finite-difference Hessian."""
     steps = np.min(oracle.metric.steps_at(points), axis=0)
-    return geo.laplacian(oracle.metric, oracle.tau, points, force_fd=True, steps=steps)
+    g, ginv, gamma = geo.levi_civita(oracle.metric, points, force_fd=True, steps=steps)
+    hess = geo.hessian(oracle.metric, oracle.tau, points, force_fd=True, steps=steps, gamma=gamma)
+    grad, q = geo.gradient_and_q(oracle.metric, oracle.tau, points, g=g)
+    return (np.einsum("pij,pij->p", ginv, hess),
+            np.einsum("pi,pij,pj->p", grad, hess, grad) / q)
 
 
 def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: list,
                   fiber_tol: float = 1e-3):
     """Recovered gamma per seed, averaged along its fiber, with consistency check.
 
-    psi = (dQ/dtau)/2 is taken from the local trace derivative
-    (dQ/ds)/(2 sqrt Q) rather than the fitted profile polynomial: the
-    recovery denominator amplifies psi errors by (tau - gamma)^2 / Q.
+    psi = (dQ/dtau)/2 = Hess tau(grad tau, grad tau) / Q is taken at each of
+    five trace points from the finite-difference Hessian that also gives
+    laplacian(tau) there, rather than from the fitted profile polynomial:
+    the recovery denominator amplifies psi errors by (tau - gamma)^2 / Q.
+    The result does not depend on how the traces are sampled.
     """
     iv = profile.interval
-    gammas, spreads = [], []
+    lo = iv.tau_min + 0.25 * iv.length
+    hi = iv.tau_min + 0.75 * iv.length
+    picks = []
     for tr in traces:
-        lo = iv.tau_min + 0.25 * iv.length
-        hi = iv.tau_min + 0.75 * iv.length
         idx = np.where((tr.tau > lo) & (tr.tau < hi))[0]
-        picks = idx[np.linspace(0, idx.size - 1, 5).astype(int)]
-        pts = tr.points[picks]
-        lap = _fd_laplacian(oracle, pts)
-        ds_local = float(tr.s[1] - tr.s[0])
-        psi = (_deriv4(tr.q, ds_local) / (2.0 * np.sqrt(tr.q)))[picks]
-        denom = lap - 2.0 * psi
+        picks.append(idx[np.linspace(0, idx.size - 1, 5).astype(int)])
+    lap, psi = _hessian_terms(oracle, np.concatenate([tr.points[p] for tr, p in zip(traces, picks)]))
+    denoms = (lap - 2.0 * psi).reshape(len(traces), -1)
+    gammas, spreads = [], []
+    for tr, p, denom in zip(traces, picks, denoms):
         vals = []
-        for t, qq, dd in zip(tr.tau[picks], tr.q[picks], denom):
+        for t, qq, dd in zip(tr.tau[p], tr.q[p], denom):
             if abs(dd) < 1e-8 * (1.0 + qq):
                 vals.append(INFINITY)
             else:
@@ -308,56 +347,63 @@ def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: li
 
 def extract_h(oracle: ExtractionOracle, interval: Interval, a: float,
               gammas: list, lam: float, delta_frac: float = 0.005,
-              ds: float = 5e-4):
-    """h at the seed base points: the rescaled horizontal metric block at s -> 0."""
+              ds: float = 1.6e-2, traces: Optional[list] = None):
+    """h at the seed base points: the rescaled horizontal metric block at s -> 0.
+
+    Each seed's trace (from ``trace_fibers`` with t-step ``ds``, traced here
+    when not given) is continued from its low end with the trace's t-step until
+    sqrt(Q) <= 0.4 a delta.  On the spliced path a linear fit of
+    sqrt(Q) = a (s0 - s) over the last samples locates the end s0, and the
+    metric block is taken at s0 - delta, 2 delta, 4 delta for all seeds in
+    one batch.
+    """
+    traces = traces if traces is not None else trace_fibers(oracle, ds=ds)
     delta = delta_frac * lam
-    metric, tau_f, jf = oracle.metric, oracle.tau, oracle.J
-    tau_star = interval.tau_star
+    metric, tau_f = oracle.metric, oracle.tau
+    level = 0.4 * a * delta
 
     def stop(sq, ref):
-        return sq <= 0.4 * a * delta
+        return sq <= level
 
-    down = geo.integrate_gradient_flow(metric, tau_f, oracle.seeds, -1.0, stop=stop, step=ds,
-                                       unit_speed=True, max_steps=int(3.0 * lam / ds))
-    h_out, dev_theta = [], 0.0
-    for i in range(len(oracle.seeds)):
-        path = down.fiber(i)
-        s, pts = path.arclength, path.points
-        sq = np.sqrt(path.q)
-        # local linear fit of sqrt(Q) = a (s0 - s) near the stop
-        tail = slice(max(0, len(s) - 12), len(s))
-        cf = np.polynomial.polynomial.polyfit(s[tail], sq[tail], 1)
+    # Near the end sqrt(Q) ~ a u shrinks by exp(-a h) per step h; allow three
+    # times the steps that takes from the trace end with the largest sqrt(Q).
+    step = traces[0].step
+    sq_end = max(math.sqrt(tr.q[0]) for tr in traces)
+    n_steps = 3.0 * max(math.log(sq_end / level), 0.0) / (a * step)
+    cont = geo.integrate_gradient_flow(metric, tau_f, np.array([tr.points[0] for tr in traces]),
+                                       -1.0, stop=stop, step=step, max_steps=int(n_steps) + 16)
+    offsets = delta * np.array([1.0, 2.0, 4.0])
+    pts = []
+    for i, tr in enumerate(traces):
+        path = cont.fiber(i)
+        # Arclength from the trace's top end down through the seed and the continuation.
+        s = np.concatenate([-tr.s[::-1], path.arclength[1:] - tr.s[0]])
+        sq = np.sqrt(np.concatenate([tr.q[::-1], path.q[1:]]))
+        cf = np.polynomial.polynomial.polyfit(s[-12:], sq[-12:], 1)
         s0 = -cf[0] / cf[1]
-        coord = [PchipInterpolator(s, pts[:, c]) for c in range(oracle.dim)]
-        h_mats = []
-        for mult in (1.0, 2.0, 4.0):
-            starget = s0 - mult * delta
-            p = np.array([[c(starget) for c in coord]])
-            g = metric.value(p)[0]
-            v = geo.scalar_gradient(metric, tau_f, p)[0]
-            u = jf.value(p)[0] @ v
-            ev = v / math.sqrt(v @ g @ v)
-            u_perp = u - (u @ g @ ev) * ev
-            eu = u_perp / math.sqrt(u_perp @ g @ u_perp)
-            gam = gammas[i]
-            if gam.infinite:
-                factor = 1.0
-            else:
-                factor = (tau_star - gam.value) / (interval.tau_min - gam.value)
-            hm = np.empty((2, 2))
-            basis = []
-            for ax in oracle.base_axes:
-                e = np.zeros(oracle.dim)
-                e[ax] = 1.0
-                e = e - (e @ g @ ev) * ev - (e @ g @ eu) * eu
-                basis.append(e)
-            for r in range(2):
-                for c in range(2):
-                    hm[r, c] = factor * (basis[r] @ g @ basis[c])
-            h_mats.append(hm)
-        h_lim = geo.richardson_even(np.array(h_mats))
-        h_out.append(h_lim)
-    return np.array(h_out), {"delta": delta, "theta_consistency": dev_theta}
+        path_pts = np.concatenate([tr.points[::-1], path.points[1:]])
+        pts.append(PchipInterpolator(s, path_pts)(s0 - offsets))
+    p = np.concatenate(pts)  # (3 * seeds, n), seed-major
+
+    g = metric.value(p)
+    v, _ = geo.gradient_and_q(metric, tau_f, p, g=g)
+    u = np.einsum("pij,pj->pi", oracle.J.value(p), v)
+
+    def dot(x, y):  # g(x, y) per point; x may carry a middle axis of vectors
+        return np.einsum("p...i,pij,pj->p...", x, g, y)
+
+    ev = v / np.sqrt(dot(v, v))[:, None]
+    u_perp = u - dot(u, ev)[:, None] * ev
+    eu = u_perp / np.sqrt(dot(u_perp, u_perp))[:, None]
+    e = np.zeros((len(p), 2, oracle.dim))
+    e[:, [0, 1], list(oracle.base_axes)] = 1.0
+    e -= dot(e, ev)[..., None] * ev[:, None] + dot(e, eu)[..., None] * eu[:, None]
+    hm = np.einsum("pri,pij,pcj->prc", e, g, e)
+    factor = np.array([1.0 if gam.infinite
+                       else (interval.tau_star - gam.value) / (interval.tau_min - gam.value)
+                       for gam in gammas])
+    hm = factor[:, None, None, None] * hm.reshape(len(traces), len(offsets), 2, 2)
+    return geo.richardson_even(np.swapaxes(hm, 0, 1)), {"delta": delta}
 
 
 @dataclass
@@ -391,7 +437,7 @@ def extract_all(oracle: ExtractionOracle, with_h: bool = True) -> ExtractedData:
     diag.update(diag_g)
     if with_h and oracle.base_axes:
         maps = build_reparams(profile)
-        h_samples, diag_h = extract_h(oracle, interval, a, gammas, maps.lam)
+        h_samples, diag_h = extract_h(oracle, interval, a, gammas, maps.lam, traces=traces)
         diag.update({f"h_{k}": v for k, v in diag_h.items()})
     else:
         h_samples = np.empty((0, 2, 2))

@@ -510,18 +510,15 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
                             direction: "float | np.ndarray" = 1.0, *,
                             target_value: Optional[float] = None,
                             stop: Optional[Callable] = None,
-                            step: float = 1e-3, unit_speed: bool = False,
-                            max_steps: int = 200000) -> FlowResult:
+                            step: float = 1e-3, max_steps: int = 200000) -> FlowResult:
     """RK4 integral curves of xdot = direction * grad f for a batch of seeds (N, n).
 
-    Plain mode integrates the true gradient ODE with fixed steps h = ``step``
-    in t, so a step covers about ``h * |grad f|`` of g-arclength: toward a
-    critical set, where |grad f| vanishes linearly, the steps shrink
-    geometrically instead of jumping past it.  A step's arclength is the RK4
+    The true gradient ODE is integrated with fixed steps h = ``step`` in t,
+    so a step covers about ``h * |grad f|`` of g-arclength: toward a critical
+    set, where |grad f| vanishes linearly, the steps shrink geometrically
+    instead of jumping past it.  A step's arclength is the RK4
     quadrature of the stage speeds, ``(h/6)(|k_1| + 2|k_2| + 2|k_3| + |k_4|)``
     with |k_i| = |grad f| at stage i.
-    Unit-speed mode integrates ``direction * grad f / |grad f|`` with fixed
-    arclength steps ``step``.
 
     Every step evaluates the metric once per RK4 stage: the first stage is
     the previous step's endpoint evaluation, which also yields Q = |grad f|^2
@@ -541,9 +538,7 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
 
     def field(pp, idx):
         grad, q = gradient_and_q(metric, f, pp)
-        sp = np.sqrt(q)
-        v = sign[idx, None] * grad
-        return (v / sp[:, None] if unit_speed else v), q, sp
+        return sign[idx, None] * grad, q, np.sqrt(q)
 
     k, q, sp = field(x, np.arange(nf))
     fv = np.array(f.value(x), dtype=float)
@@ -571,7 +566,7 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
         k3, _, sp3 = field(x0 + 0.5 * hc * k2, idx)
         k4, _, sp4 = field(x0 + hc * k3, idx)
         xn = x0 + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        seg = h if unit_speed else (h / 6.0) * (sp[idx] + 2.0 * sp2 + 2.0 * sp3 + sp4)
+        seg = (h / 6.0) * (sp[idx] + 2.0 * sp2 + 2.0 * sp3 + sp4)
         if metric.domain is not None:
             inside = np.asarray(metric.domain(xn), dtype=bool)
             freeze(idx[~inside], "left-domain")
@@ -595,7 +590,7 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
             xn[c], kn[c], qn[c], spn[c] = ends[:m], kc[:m], qc[:m], spc[:m]
             fn[c] = f.value(ends[:m])
             h[c] = theta * h[c]
-            seg[c] = h[c] if unit_speed else (h[c] / 6.0) * (sp[idx[c]] + 4.0 * spc[m:] + spc[:m])
+            seg[c] = (h[c] / 6.0) * (sp[idx[c]] + 4.0 * spc[m:] + spc[:m])
         x[idx], k[idx], q[idx], sp[idx], fv[idx] = xn, kn, qn, spn, fn
         t[idx] += h
         arc[idx] += seg

@@ -239,13 +239,6 @@ def validate_gamma_range(gamma: GammaField, interval: Interval) -> None:
             "gamma to avoid the closed interval")
 
 
-def gamma_gradient(chart: SurfaceChart, gamma: GammaField, x: np.ndarray) -> np.ndarray:
-    """h-gradient of gamma as a real function; zero on the infinity locus."""
-    if gamma.infinite or gamma.grad is None:
-        return np.zeros((x.shape[0], 2))
-    return np.linalg.solve(chart.h(x), gamma.grad(x)[..., None])[..., 0]
-
-
 # ----------------------------------------------------------------------------
 # Curvature form and connection potentials
 # ----------------------------------------------------------------------------

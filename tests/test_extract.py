@@ -148,6 +148,22 @@ def test_rescaled_tau_oracle():
     assert np.max(np.abs(profile.Q(t) - 8 * t * (1 - t / 2))) < 2e-3
 
 
+def test_steep_tau_oracle_is_traced_finer():
+    # tau -> 10 tau on the projective-space oracle: I = [0, 10], a = 20.  Near the
+    # ends sqrt(Q) falls by exp(-20 h) per t-step h, so the default h = 1.6e-2 leaves
+    # about 3 samples per e-fold; the fibers are traced again with a h = 1/30.
+    base = oracle_from_fs(n_seeds=4)
+    tau10 = geo.ScalarField(value=lambda p: 10.0 * base.tau.value(p),
+                            grad=lambda p: 10.0 * base.tau.grad(p))
+    from kahlergg.extract import ExtractionOracle
+    oracle = ExtractionOracle(name="fs-steep", metric=base.metric, tau=tau10,
+                              J=base.J, dim=base.dim, seeds=base.seeds, base_axes=())
+    interval, a, diag, traces = estimate_interval_and_a(oracle)
+    assert abs(traces[0].step * 20.0 - 1.0 / 30.0) < 1e-3
+    assert abs(interval.tau_min) < 1e-2 and abs(interval.tau_max - 10.0) < 1e-2
+    assert abs(a - 20.0) < 2e-2
+
+
 def test_distorted_tau_is_inconsistent():
     # tau -> tau + 0.3 tau^2 gives different Hessian constants at the two ends
     base = oracle_from_fs(n_seeds=4)
@@ -175,6 +191,21 @@ def test_round_trip_torus(torus_data):
 def test_round_trip_sphere(sphere_data):
     rep = round_trip(sphere_data)
     assert rep["max_rel_metric_dev"] < 1e-3
+
+
+@pytest.mark.parametrize("data, bound", [("torus_data", 5.548e-5), ("sphere_data", 6.805e-5),
+                                         ("torus_inf_data", 5.050e-5)])
+def test_round_trip_deviation_bounds(data, bound, request):
+    # The bundled configs' deviations with unit-speed traces at ds = 1e-3 and 5e-4.
+    rep = round_trip(request.getfixturevalue(data))
+    assert rep["max_rel_metric_dev"] <= bound
+    assert "h_theta_consistency" not in rep["extracted"]["diagnostics"]
+
+
+def test_fubini_gamma_is_sampling_free():
+    ex = extract_all(oracle_from_fs(), with_h=False)
+    assert max(abs(g.value) for g in ex.gammas) <= 1e-9
+    assert ex.diagnostics["fiber_spread_max"] <= 1e-9
 
 
 def test_traces_cover_interval(torus_oracle):

@@ -200,12 +200,12 @@ def _flow_cases():
                         grad=lambda p: np.column_stack([np.ones(p.shape[0]), 0.6 * p[:, 1]]))
     seeds = np.array([[-0.4, 0.2], [0.1, -0.5], [-0.7, 0.0]])
     plain = dict(direction=1.0, target_value=0.45, step=1e-2)
-    unit = dict(direction=np.array([1.0, -1.0, 1.0]), step=1e-2, unit_speed=True,
-                stop=lambda sq, ref: sq > 0.7, max_steps=400)
-    return m, f, seeds, (plain, unit)
+    stopped = dict(direction=np.array([1.0, -1.0, 1.0]), step=1e-2,
+                   stop=lambda sq, ref: sq > 0.7, max_steps=400)
+    return m, f, seeds, (plain, stopped)
 
 
-@pytest.mark.parametrize("mode", [0, 1], ids=["plain-target", "unit-speed-stop"])
+@pytest.mark.parametrize("mode", [0, 1], ids=["plain-target", "plain-stop"])
 def test_gradient_flow_batch_matches_single_seeds(mode):
     m, f, seeds, cases = _flow_cases()
     kw = dict(cases[mode])
@@ -259,13 +259,28 @@ def test_gradient_flow_freezes_each_fiber_with_its_own_status():
 def test_trace_fibers_pins_the_stop_rule():
     traces = trace_fibers(oracle_from_fs())
     assert len(traces) == 12
-    assert sum(len(tr.s) for tr in traces) == 18396
-    # Unit-speed samples sit on the exact grid of summed arclength steps.
+    assert sum(len(tr.s) for tr in traces) == 2964
+    # Samples sit on the exact grid of summed t-steps, both halves from t = 0 at the seed.
     for tr in traces:
-        down = np.count_nonzero(tr.s < 0)
-        up = len(tr.s) - down - 1
-        assert np.array_equal(tr.s[down + 1:], np.cumsum(np.full(up, 1e-3)))
-        assert np.array_equal(tr.s[:down], -np.cumsum(np.full(down, 1e-3))[::-1])
+        down = np.count_nonzero(tr.t < 0)
+        up = len(tr.t) - down - 1
+        assert tr.t[down] == 0.0 and tr.s[down] == 0.0
+        assert np.array_equal(tr.t[down + 1:], np.cumsum(np.full(up, 1.6e-2)))
+        assert np.array_equal(tr.t[:down], -np.cumsum(np.full(down, 1.6e-2))[::-1])
+        assert np.all(np.diff(tr.s) > 0)
+
+
+def test_trace_fibers_metric_evaluations():
+    oracle = oracle_from_fs()
+    calls = []
+
+    def value(p, value0=oracle.metric.value):
+        calls.append(len(p))
+        return value0(p)
+
+    traces = trace_fibers(replace(oracle, metric=replace(oracle.metric, value=value)))
+    assert len(traces) == 12
+    assert len(calls) <= 613  # a fifth of the 3,065 calls of unit-speed traces at ds = 1e-3
 
 
 def test_richardson_even_exact_on_quartic():

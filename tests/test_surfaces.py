@@ -6,7 +6,7 @@ from kahlergg import geometry as geo
 from kahlergg.profiles import Interval
 from kahlergg.surfaces import (GammaRangeError, SurfaceChart, build_sphere_surface, build_torus_surface,
                                chern_integral_torus, chern_report, curvature_form,
-                               gamma_constant, gamma_cos, gamma_gradient, gamma_height,
+                               gamma_constant, gamma_cos, gamma_height,
                                solve_connection_torus, sphere_chart, torus_chart,
                                validate_gamma_range)
 
@@ -55,26 +55,6 @@ def test_sphere_h_scale_normalization_rejected():
     gammas = {"south": gamma_constant(3.0), "north": gamma_constant(3.0)}
     with pytest.raises(ValueError):
         build_sphere_surface(1.0, gammas, IV, 2.0, normalize="h-scale")
-
-
-def test_gamma_gradient_cosine_oracle():
-    # gamma = 3 + cos(2 pi x)/2, h = c^2 euclid: D gamma at (1/4, 0) is (-pi/c^2, 0)
-    chart = torus_chart(H_SCALE)
-    g = gamma_gradient(chart, gamma_cos(3.0, 0.5), np.array([[0.25, 0.0]]))
-    assert g[0, 0] == pytest.approx(-np.pi / H_SCALE, rel=1e-12)
-    assert g[0, 1] == 0.0
-
-
-def test_gamma_gradient_infinite_is_zero():
-    chart = torus_chart(H_SCALE)
-    g = gamma_gradient(chart, gamma_constant("inf"), np.array([[0.1, 0.9], [0.5, 0.5]]))
-    assert np.all(g == 0.0)
-
-
-def test_gamma_gradient_constant_is_zero():
-    chart = torus_chart(H_SCALE)
-    g = gamma_gradient(chart, gamma_constant(4.0), np.array([[0.3, 0.2]]))
-    assert np.all(g == 0.0)
 
 
 def test_curvature_form_spot_value():
