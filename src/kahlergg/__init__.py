@@ -4,7 +4,7 @@ surfaces carrying Killing potentials with geodesic gradients."""
 __version__ = "0.1.0"
 
 from .profiles import Interval, MomentumProfile, make_profile, build_reparams
-from .rp1 import RP1Value, INFINITY, rp1_div, beta_factor
+from .rp1 import RP1Value, INFINITY
 
 __all__ = [
     "Interval",
@@ -13,7 +13,5 @@ __all__ = [
     "build_reparams",
     "RP1Value",
     "INFINITY",
-    "rp1_div",
-    "beta_factor",
     "__version__",
 ]

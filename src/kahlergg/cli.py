@@ -18,12 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, build_from_config, grid_count, parse_config
+from .config import (ConfigError, RunConfig, build_from_config, grid_count, parse_config,
+                     positive_number)
+from .construction import CONTROLS
 from .extract import (FiberInconsistencyError, InconsistentOracleError, NotAFunctionOfTauError,
                       extract_all, oracle_from_construction, oracle_from_fs, round_trip)
 from .fubini import FSChart
-from .geometry import BoundaryError, NumericalFailure
-from .profiles import DomainError, InvalidProfileError, profile_table
+from .geometry import NumericalFailure
+from .profiles import InvalidProfileError, profile_table
 from .verify import (GridSpec, _flow_lengths, run_suite,
                      subject_from_construction, subject_from_fs, suite_passed)
 
@@ -31,26 +33,20 @@ EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
 
 # Errors that end a run, by exit code: a configuration the construction
 # cannot accept, and a numerical breakdown of a check or an extraction.
-CONFIG_ERRORS = (ConfigError, InvalidProfileError, DomainError)
-NUMERICAL_ERRORS = (NumericalFailure, BoundaryError, InconsistentOracleError,
-                    NotAFunctionOfTauError, FiberInconsistencyError)
+CONFIG_ERRORS = (ConfigError, InvalidProfileError)
+NUMERICAL_ERRORS = (NumericalFailure, InconsistentOracleError, NotAFunctionOfTauError,
+                    FiberInconsistencyError)
 
 
-def _number(args, flag: str, kind):
-    """The value of ``--seed``/``--tol-scale`` as ``kind``, None when absent."""
-    text = getattr(args, flag.replace("-", "_"))
-    if text is None:
-        return None
-    try:
-        return kind(text)
-    except ValueError:
-        raise ConfigError(f"--{flag} expects {'an integer' if kind is int else 'a number'}, "
-                          f"got {text!r}") from None
+def _overrides(args) -> tuple:
+    """(``--seed``, ``--tol-scale``), validated; None where a flag is absent."""
+    return (None if args.seed is None else grid_count(args.seed, "--seed", 0),
+            None if args.tol_scale is None else positive_number(args.tol_scale, "--tol-scale"))
 
 
 def _load_config(args) -> RunConfig:
     cfg = parse_config(Path(args.config).read_text())
-    seed, tol_scale = _number(args, "seed", int), _number(args, "tol-scale", float)
+    seed, tol_scale = _overrides(args)
     if seed is not None:
         cfg.seed = seed
         cfg.grid = replace(cfg.grid, seed=seed)
@@ -202,7 +198,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_fubini_check(args) -> int:
-    seed, tol_scale = _number(args, "seed", int), _number(args, "tol-scale", float)
+    seed, tol_scale = _overrides(args)
     out = _out_dir(args)
     spec = GridSpec(seed=0 if seed is None else seed)
     tol_scale = 1.0 if tol_scale is None else tol_scale
@@ -249,8 +245,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run the identity suite")
     common(p)
     p.add_argument("--grid", default=None, help="bx,by,n_tau,n_theta")
-    p.add_argument("--control", default=None,
-                   choices=["none", "perturb-beta", "perturb-j", "break-symmetry"],
+    p.add_argument("--control", default=None, choices=CONTROLS,
                    help="apply a documented negative control")
     p.set_defaults(fn=cmd_verify)
 

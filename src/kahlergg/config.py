@@ -10,15 +10,15 @@ is accepted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .construction import CONTROLS, ConstructionData, build_construction
 from .profiles import Interval
-from .rp1 import RP1Value
-from .surfaces import (build_sphere_surface, build_torus_surface, gamma_constant,
-                       gamma_cos, gamma_height)
+from .surfaces import (GammaRangeError, build_sphere_surface, build_torus_surface,
+                       gamma_constant, gamma_cos, gamma_height, validate_gamma_range)
 from .verify import DEFAULT_TOLERANCES, GridSpec
 
 
@@ -45,22 +45,34 @@ def _require_keys(obj: dict, allowed: set, required: set, path: str) -> None:
             raise ConfigError(f"{path}.{k}: missing required key")
 
 
-def grid_count(x, path: str) -> int:
-    """A GridSpec count (base size, n_tau, n_theta, n_random): an integer >= 1.
+def grid_count(x, path: str, least: int = 1) -> int:
+    """An integer >= ``least``: a GridSpec count (>= 1) or a seed (>= 0).
 
-    Accepts a JSON number with an integer value or, as ``--grid`` passes it,
-    the decimal text of one.
+    Accepts a JSON number with an integer value or, as ``--grid`` and
+    ``--seed`` pass it, the decimal text of one.
     """
     if isinstance(x, str):
         try:
             x = int(x)
         except ValueError:
-            raise ConfigError(f"{path}: expected an integer >= 1, got {x!r}") from None
+            raise ConfigError(f"{path}: expected an integer >= {least}, got {x!r}") from None
     if isinstance(x, float) and x.is_integer():
         x = int(x)
-    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-        raise ConfigError(f"{path}: expected an integer >= 1, got {x!r}")
+    if isinstance(x, bool) or not isinstance(x, int) or x < least:
+        raise ConfigError(f"{path}: expected an integer >= {least}, got {x!r}")
     return x
+
+
+def positive_number(x, path: str) -> float:
+    """A tolerance or tolerance scale: a finite number > 0, or (``--tol-scale``) its text."""
+    if isinstance(x, str):
+        try:
+            x = float(x)
+        except ValueError:
+            raise ConfigError(f"{path}: expected a positive number, got {x!r}") from None
+    if _as_number(x, path) <= 0 or not math.isfinite(x):
+        raise ConfigError(f"{path}: expected a positive number, got {x!r}")
+    return float(x)
 
 
 def _chart_index(x, surface_type: str) -> int:
@@ -156,13 +168,16 @@ def parse_config(text: str) -> RunConfig:
         gtype = gamma_spec.get("type")
         if gtype not in _GAMMA_KEYS:
             raise ConfigError(f"$.construction.gamma.type: unknown family {gtype!r}")
-        _require_keys(gamma_spec, _GAMMA_KEYS[gtype], _GAMMA_KEYS[gtype] - {"value"},
-                      "$.construction.gamma")
+        _require_keys(gamma_spec, _GAMMA_KEYS[gtype], _GAMMA_KEYS[gtype], "$.construction.gamma")
         if gtype == "cos" and surface_type != "torus":
             raise ConfigError("$.construction.gamma: 'cos' is a torus family")
         if gtype == "height" and surface_type != "sphere":
             raise ConfigError("$.construction.gamma: 'height' is a sphere family")
-        _validate_gamma_range(gamma_spec, tau_min, tau_max, surface_params)
+        try:
+            for gam in _gamma_fields(surface_type, gamma_spec, surface_params).values():
+                validate_gamma_range(gam, Interval(tau_min, tau_max))
+        except GammaRangeError as e:
+            raise ConfigError(f"$.construction.gamma: {e}") from None
 
         normalize = con.get("normalize", "none")
         if normalize not in ("none", "a", "h-scale"):
@@ -175,87 +190,54 @@ def parse_config(text: str) -> RunConfig:
     base = grid_raw.get("base", (8, 8))
     if not isinstance(base, (list, tuple)) or len(base) != 2:
         raise ConfigError("$.grid.base: expected two positive integers")
-    seed = int(raw.get("seed", 0))
+    seed = grid_count(raw.get("seed", 0), "$.seed", 0)
+    collars = {k: _as_number(grid_raw.get(k, d), f"$.grid.{k}")
+               for k, d in (("collar", 0.02), ("deep_collar", 0.2))}
+    for k, c in collars.items():
+        if not 0.0 < c < 0.5:
+            raise ConfigError(f"$.grid.{k}: must lie in (0, 0.5)")
     grid = GridSpec(base=tuple(grid_count(b, f"$.grid.base[{i}]") for i, b in enumerate(base)),
                     n_tau=grid_count(grid_raw.get("n_tau", 16), "$.grid.n_tau"),
                     n_theta=grid_count(grid_raw.get("n_theta", 4), "$.grid.n_theta"),
-                    collar=float(grid_raw.get("collar", 0.02)),
-                    deep_collar=float(grid_raw.get("deep_collar", 0.2)),
                     seed=seed,
-                    n_random=grid_count(grid_raw.get("n_random", 128), "$.grid.n_random"))
-    if not 0.0 < grid.collar < 0.5:
-        raise ConfigError("$.grid.collar: must lie in (0, 0.5)")
+                    n_random=grid_count(grid_raw.get("n_random", 128), "$.grid.n_random"),
+                    **collars)
 
-    tolerances = raw.get("tolerances", {})
-    for k, v in tolerances.items():
-        if k not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"$.tolerances.{k}: unknown check")
-        if _as_number(v, f"$.tolerances.{k}") <= 0:
-            raise ConfigError(f"$.tolerances.{k}: must be positive")
-    tol_scale = _as_number(raw.get("tol_scale", 1.0), "$.tol_scale")
-    if tol_scale <= 0:
-        raise ConfigError("$.tol_scale: must be positive")
+    tol_raw = raw.get("tolerances", {})
+    _require_keys(tol_raw, set(DEFAULT_TOLERANCES), set(), "$.tolerances")
+    tolerances = {k: positive_number(v, f"$.tolerances.{k}") for k, v in tol_raw.items()}
+    tol_scale = positive_number(raw.get("tol_scale", 1.0), "$.tol_scale")
     control = raw.get("control", "none")
     if control not in CONTROLS:
         raise ConfigError(f"$.control: must be one of {CONTROLS}")
     return RunConfig(tau_min=tau_min, tau_max=tau_max, a=a, q_coeffs=q_coeffs,
                      surface_type=surface_type, surface_params=surface_params,
                      gamma_spec=gamma_spec, normalize=normalize, chart=chart,
-                     grid=grid, tolerances=dict(tolerances), tol_scale=tol_scale,
+                     grid=grid, tolerances=tolerances, tol_scale=tol_scale,
                      seed=seed, control=control, oracle=oracle, raw=raw)
 
 
-def _gamma_bounds(gamma_spec: dict, surface_params: dict):
+def _gamma_fields(surface_type: str, gamma_spec: dict, surface_params: dict) -> dict:
+    """The gamma field of each chart of the surface, by family."""
     gtype = gamma_spec["type"]
-    if gtype == "inf":
-        return None
-    if gtype == "constant":
-        v = RP1Value.of(gamma_spec["value"])
-        if v.infinite:
-            return None
-        return v.value, v.value
-    c0, c1 = float(gamma_spec["c0"]), float(gamma_spec["c1"])
-    if gtype == "cos":
-        return c0 - abs(c1), c0 + abs(c1)
-    radius = surface_params.get("radius", 1.0)
-    return c0 - abs(c1) * radius, c0 + abs(c1) * radius
-
-
-def _validate_gamma_range(gamma_spec, tau_min, tau_max, surface_params) -> None:
-    bounds = _gamma_bounds(gamma_spec, surface_params)
-    if bounds is None:
-        return
-    lo, hi = bounds
-    if not (hi < tau_min or lo > tau_max):
-        raise ConfigError(
-            f"$.construction.gamma: range [{lo}, {hi}] intersects the interval "
-            f"[{tau_min}, {tau_max}]")
+    if gtype in ("cos", "height"):
+        c0, c1 = (_as_number(gamma_spec[k], f"$.construction.gamma.{k}") for k in ("c0", "c1"))
+        if gtype == "cos":
+            return {"torus": gamma_cos(c0, c1)}
+        return {w: gamma_height(c0, c1, surface_params["radius"], w) for w in ("south", "north")}
+    value = "inf" if gtype == "inf" else gamma_spec["value"]
+    gam = gamma_constant(value if value == "inf" else _as_number(value, "$.construction.gamma.value"))
+    return {"torus": gam} if surface_type == "torus" else {"south": gam, "north": gam}
 
 
 def build_from_config(cfg: RunConfig) -> ConstructionData:
     interval = Interval(cfg.tau_min, cfg.tau_max)
-    gtype = cfg.gamma_spec["type"]
+    gammas = _gamma_fields(cfg.surface_type, cfg.gamma_spec, cfg.surface_params)
     if cfg.surface_type == "torus":
-        if gtype == "cos":
-            gam = gamma_cos(float(cfg.gamma_spec["c0"]), float(cfg.gamma_spec["c1"]))
-        elif gtype == "inf":
-            gam = gamma_constant("inf")
-        else:
-            gam = gamma_constant(cfg.gamma_spec["value"])
-        surface, a = build_torus_surface(cfg.surface_params["h_scale"], gam, interval,
+        surface, a = build_torus_surface(cfg.surface_params["h_scale"], gammas["torus"], interval,
                                          cfg.a, normalize=cfg.normalize)
     else:
-        radius = cfg.surface_params["radius"]
-        gammas = {}
-        for which in ("south", "north"):
-            if gtype == "height":
-                gammas[which] = gamma_height(float(cfg.gamma_spec["c0"]),
-                                             float(cfg.gamma_spec["c1"]), radius, which)
-            elif gtype == "inf":
-                gammas[which] = gamma_constant("inf")
-            else:
-                gammas[which] = gamma_constant(cfg.gamma_spec["value"])
-        surface, a = build_sphere_surface(radius, gammas, interval, cfg.a,
+        surface, a = build_sphere_surface(cfg.surface_params["radius"], gammas, interval, cfg.a,
                                           normalize=cfg.normalize)
     return build_construction(interval, a, surface, q_interior=cfg.q_coeffs,
                               chart_index=cfg.chart, control=cfg.control)

@@ -29,7 +29,7 @@ points is the main oracle-equivalence gate of the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,37 +63,27 @@ class ConstructionData:
     def tau_star(self) -> float:
         return self.interval.tau_star
 
-    def with_chart(self, index: int) -> "ConstructionData":
-        return ConstructionData(self.interval, self.a, self.profile, self.maps,
-                                self.surface, chart_index=index, control=self.control)
-
-    def with_control(self, control: str) -> "ConstructionData":
-        return ConstructionData(self.interval, self.a, self.profile, self.maps,
-                                self.surface, chart_index=self.chart_index, control=control)
-
-    def with_connection(self, connection) -> "ConstructionData":
-        cd = self.chart_data
-        charts = list(self.surface.charts)
-        charts[self.chart_index] = ChartData(chart=cd.chart, gamma=cd.gamma, connection=connection)
-        surface = BaseSurfaceData(self.surface.surface_type, charts, self.surface.params,
-                                  self.surface.chern, self.surface.chern_deviation)
-        return ConstructionData(self.interval, self.a, self.profile, self.maps,
-                                surface, chart_index=self.chart_index, control=self.control)
-
 
 def _beta(data: ConstructionData, x: np.ndarray, tau: np.ndarray):
-    """beta and its (d_x1, d_x2, d_tau) derivatives; beta = 1 where gamma = inf."""
+    """beta and its (d_x1, d_x2, d_tau) derivatives; beta = 1 where gamma = inf.
+
+    The perturb-beta control replaces beta by beta^1.01.
+    """
     gamma = data.chart_data.gamma
     n = x.shape[0]
     if gamma.infinite:
-        return np.ones(n), np.zeros((n, 2)), np.zeros(n)
-    g = gamma.value(x)
-    dg = gamma.grad(x)
-    ts = data.tau_star
-    beta = (tau - g) / (ts - g)
-    dbeta_dg = (tau - ts) / (ts - g) ** 2
-    dbeta_dx = dbeta_dg[:, None] * dg
-    dbeta_dtau = 1.0 / (ts - g)
+        beta, dbeta_dx, dbeta_dtau = np.ones(n), np.zeros((n, 2)), np.zeros(n)
+    else:
+        g = gamma.value(x)
+        dg = gamma.grad(x)
+        ts = data.tau_star
+        beta = (tau - g) / (ts - g)
+        dbeta_dg = (tau - ts) / (ts - g) ** 2
+        dbeta_dx = dbeta_dg[:, None] * dg
+        dbeta_dtau = 1.0 / (ts - g)
+    if data.control == "perturb-beta":
+        fac = 1.01 * beta ** 0.01
+        return beta ** 1.01, fac[:, None] * dbeta_dx, fac * dbeta_dtau
     return beta, dbeta_dx, dbeta_dtau
 
 
@@ -122,8 +112,6 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         A = cd.connection.A(x)
         Q = prof.Q(tau)
         beta, _, _ = _beta(data, x, tau)
-        if control == "perturb-beta":
-            beta = beta ** 1.01
         B = Q / a ** 2
         g = np.zeros((n, 4, 4))
         g[:, :2, :2] = beta[:, None, None] * h + B[:, None, None] * A[:, :, None] * A[:, None, :]
@@ -147,11 +135,6 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         Q = prof.Q(tau)
         dQ = prof.dQ(tau)
         beta, dbeta_dx, dbeta_dtau = _beta(data, x, tau)
-        if control == "perturb-beta":
-            fac = 1.01 * beta ** 0.01
-            dbeta_dx = fac[:, None] * dbeta_dx
-            dbeta_dtau = fac * dbeta_dtau
-            beta = beta ** 1.01
         B = Q / a ** 2
         dB = dQ / a ** 2
         out = np.zeros((n, 4, 4, 4))
@@ -179,7 +162,7 @@ def assemble_metric(data: ConstructionData) -> MetricField:
 
     def domain(P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
-        return iv.contains(P[:, 2], closed=False) & cd.chart.domain(P[:, :2])
+        return iv.contains(P[:, 2]) & cd.chart.domain(P[:, :2])
 
     def step_limiter(P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)

@@ -146,15 +146,15 @@ class FiberTrace:
     step: float
 
 
-def _trace(oracle: ExtractionOracle, step: float, stop_frac: float, max_span: float) -> list:
+def _trace(oracle: ExtractionOracle, step: float) -> list:
     def stop(sq, ref):
-        return sq < stop_frac * ref
+        return sq < 0.04 * ref
 
     n = len(oracle.seeds)
     flow = geo.integrate_gradient_flow(oracle.metric, oracle.tau,
                                        np.concatenate([oracle.seeds, oracle.seeds]),
                                        np.repeat([-1.0, 1.0], n), stop=stop, step=step,
-                                       max_steps=int(max_span / step))
+                                       max_steps=int(60.0 / step))
     traces = []
     for i in range(n):
         down, up = flow.fiber(i), flow.fiber(n + i)
@@ -168,22 +168,21 @@ def _trace(oracle: ExtractionOracle, step: float, stop_frac: float, max_span: fl
     return traces
 
 
-def trace_fibers(oracle: ExtractionOracle, ds: float = 1.6e-2, stop_frac: float = 0.04,
-                 max_span: float = 60.0) -> list:
+def trace_fibers(oracle: ExtractionOracle) -> list:
     """One merged FiberTrace per seed: descending and ascending flows in one batch.
 
-    Both flows step ``ds`` in the flow parameter t and stop once sqrt(Q) falls
-    below ``stop_frac`` of its largest value; ``max_span`` bounds t in each
-    direction.  Near an end sqrt(Q) ~ a u shrinks by exp(-a h) per step h,
+    Both flows step ``geometry.FLOW_STEP`` in the flow parameter t and stop
+    once sqrt(Q) falls below 0.04 of its largest value; t is bounded by 60 in
+    each direction.  Near an end sqrt(Q) ~ a u shrinks by exp(-a h) per step h,
     and a scales with tau, so a fixed t-step does not resolve every oracle's
     tails: when the trace ends show a h > 0.05 (fewer than 20 steps per
     e-fold of sqrt(Q)), the fibers are traced again with the step that gives
     a h = 1/30.
     """
-    traces = _trace(oracle, ds, stop_frac, max_span)
+    traces = _trace(oracle, geo.FLOW_STEP)
     decay = max(0.5 * math.log(max(tr.q[1] / tr.q[0], tr.q[-2] / tr.q[-1])) for tr in traces)
     if decay > 0.05:
-        traces = _trace(oracle, ds / (30.0 * decay), stop_frac, max_span)
+        traces = _trace(oracle, geo.FLOW_STEP / (30.0 * decay))
     return traces
 
 
@@ -232,10 +231,9 @@ def _tail_fit(trace: FiberTrace, end: str) -> dict:
             "sign": sgn}
 
 
-def estimate_interval_and_a(oracle: ExtractionOracle, traces: Optional[list] = None,
-                            ds: float = 1.6e-2, rel_tol: float = 1e-3):
-    """(Interval, a, diagnostics); raises if the two endpoint estimates disagree."""
-    traces = traces if traces is not None else trace_fibers(oracle, ds=ds)
+def estimate_interval_and_a(oracle: ExtractionOracle):
+    """(Interval, a, diagnostics, traces); raises if the two endpoint estimates disagree."""
+    traces = trace_fibers(oracle)
     mins = [_tail_fit(tr, "min") for tr in traces]
     maxs = [_tail_fit(tr, "max") for tr in traces]
     tau_min = float(np.median([m["tau_end"] for m in mins]))
@@ -243,7 +241,7 @@ def estimate_interval_and_a(oracle: ExtractionOracle, traces: Optional[list] = N
     a_min = float(np.median([m["a"] for m in mins]))
     a_max = float(np.median([m["a"] for m in maxs]))
     a = 0.5 * (a_min + a_max)
-    if abs(a_min - a_max) > rel_tol * max(a, 1e-12) * 2.0:
+    if abs(a_min - a_max) > 1e-3 * max(a, 1e-12) * 2.0:
         raise InconsistentOracleError(
             f"endpoint slope estimates disagree: {a_min:.6g} vs {a_max:.6g}")
     diag = {
@@ -257,8 +255,7 @@ def estimate_interval_and_a(oracle: ExtractionOracle, traces: Optional[list] = N
     return Interval(tau_min, tau_max), a, diag, traces
 
 
-def extract_profile(oracle: ExtractionOracle, interval: Interval, a: float, traces: list,
-                    spread_tol: float = 1e-5, fit_degree: int = 4):
+def extract_profile(oracle: ExtractionOracle, interval: Interval, a: float, traces: list):
     """Momentum samples and a fitted profile; rejects base-point-dependent Q."""
     L = interval.length
     tgrid = np.linspace(interval.tau_min + 0.05 * L, interval.tau_max - 0.05 * L, 33)
@@ -272,7 +269,7 @@ def extract_profile(oracle: ExtractionOracle, interval: Interval, a: float, trac
     med = np.nanmedian(per_trace, axis=0)
     spread = float(np.nanmax(np.abs(per_trace - med[None, :])))
     qmax = float(np.nanmax(med))
-    if spread > spread_tol * max(qmax, 1.0):
+    if spread > 1e-5 * max(qmax, 1.0):
         raise NotAFunctionOfTauError(
             f"Q spread across base points is {spread:.3e} at fixed tau; "
             "the oracle's potential does not have a geodesic gradient")
@@ -283,7 +280,7 @@ def extract_profile(oracle: ExtractionOracle, interval: Interval, a: float, trac
     keep = w > 0.10 * np.max(w)
     t_n = (t_all[keep] - interval.tau_min) / L
     target = q_all[keep] / w[keep] - 2.0 * a / L
-    basis = np.stack([w[keep] * t_n ** i for i in range(fit_degree + 1)], axis=1)
+    basis = np.stack([w[keep] * t_n ** i for i in range(5)], axis=1)  # a quartic bump
     coeffs, *_ = np.linalg.lstsq(basis, target, rcond=None)
     profile = make_profile(interval, a, coeffs)
     fit_res = float(np.max(np.abs(basis @ coeffs - target)))
@@ -301,8 +298,7 @@ def _hessian_terms(oracle: ExtractionOracle, points: np.ndarray):
             np.einsum("pi,pij,pj->p", grad, hess, grad) / q)
 
 
-def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: list,
-                  fiber_tol: float = 1e-3):
+def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: list):
     """Recovered gamma per seed, averaged along its fiber, with consistency check.
 
     psi = (dQ/dtau)/2 = Hess tau(grad tau, grad tau) / Q is taken at each of
@@ -331,7 +327,7 @@ def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: li
         angles = np.array([rp1_angle(v) for v in vals])
         spread = max(rp1_distance(v1, v2) for v1 in vals for v2 in vals)
         spreads.append(spread)
-        if spread > fiber_tol:
+        if spread > 1e-3:
             raise FiberInconsistencyError(
                 f"gamma varies by {spread:.3e} along one fiber; recovery aborted")
         if all(v.infinite for v in vals):
@@ -346,19 +342,18 @@ def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: li
 
 
 def extract_h(oracle: ExtractionOracle, interval: Interval, a: float,
-              gammas: list, lam: float, delta_frac: float = 0.005,
-              ds: float = 1.6e-2, traces: Optional[list] = None):
+              gammas: list, lam: float, traces: Optional[list] = None):
     """h at the seed base points: the rescaled horizontal metric block at s -> 0.
 
-    Each seed's trace (from ``trace_fibers`` with t-step ``ds``, traced here
-    when not given) is continued from its low end with the trace's t-step until
-    sqrt(Q) <= 0.4 a delta.  On the spliced path a linear fit of
+    Each seed's trace (from ``trace_fibers``, traced here when not given) is
+    continued from its low end with the trace's t-step until sqrt(Q) <= 0.4 a
+    delta, with delta = 0.005 lambda.  On the spliced path a linear fit of
     sqrt(Q) = a (s0 - s) over the last samples locates the end s0, and the
     metric block is taken at s0 - delta, 2 delta, 4 delta for all seeds in
     one batch.
     """
-    traces = traces if traces is not None else trace_fibers(oracle, ds=ds)
-    delta = delta_frac * lam
+    traces = traces if traces is not None else trace_fibers(oracle)
+    delta = 0.005 * lam
     metric, tau_f = oracle.metric, oracle.tau
     level = 0.4 * a * delta
 
@@ -483,7 +478,6 @@ def _rebuild_torus(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionD
     h_spline = CubicSpline(x1p, np.concatenate([h_iso, [h_iso[0]]]), bc_type="periodic")
 
     gam_field = GammaField(
-        kind="interp",
         infinite=all(g.infinite for g in ex.gammas),
         value=lambda x: gam_spline(np.mod(x[:, 0], 1.0)),
         grad=lambda x: np.column_stack([gam_spline.derivative()(np.mod(x[:, 0], 1.0)),
@@ -507,7 +501,7 @@ def _rebuild_torus(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionD
 
     chart = SurfaceChart(name="torus-rebuilt", h=h_fn, dh=dh_fn,
                          domain=lambda x: np.ones(x.shape[0], dtype=bool),
-                         bounds=((0.0, 1.0), (0.0, 1.0)), periodic=True)
+                         bounds=((0.0, 1.0), (0.0, 1.0)))
     tau_star = ex.interval.tau_star
 
     def w_fn(x):
@@ -574,8 +568,9 @@ def _rebuild_sphere(ex: ExtractedData, oracle: ExtractionOracle) -> Construction
     return build_construction(ex.interval, ex.a, surface, profile=ex.profile)
 
 
-def round_trip(data: ConstructionData, n_compare: int = 400, seed: int = 3) -> dict:
-    """construct -> oracle -> extract -> re-construct -> compare metrics."""
+def round_trip(data: ConstructionData) -> dict:
+    """construct -> oracle -> extract -> re-construct -> compare metrics at 400 random points."""
+    n_compare = 400
     oracle = oracle_from_construction(data)
     ex = extract_all(oracle)
     if oracle.meta["surface"] == "torus":
@@ -584,7 +579,7 @@ def round_trip(data: ConstructionData, n_compare: int = 400, seed: int = 3) -> d
         rebuilt = _rebuild_sphere(ex, oracle)
     g_orig = assemble_metric(data)
     g_new = assemble_metric(rebuilt)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     (x1lo, x1hi), (x2lo, x2hi) = rebuilt.chart_data.chart.bounds
     lam = data.maps.lam
     pts = np.column_stack([

@@ -24,10 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 
-class BoundaryError(ValueError):
-    """A finite-difference stencil would leave the field's domain."""
-
-
 class NumericalFailure(RuntimeError):
     """An integrator or solver failed to converge."""
 
@@ -55,10 +51,6 @@ class MetricField:
         if self.step_limiter is not None:
             h = np.minimum(h, self.step_limiter(points))
         return h
-
-    def check_domain(self, points: np.ndarray) -> None:
-        if self.domain is not None and not bool(np.all(self.domain(points))):
-            raise BoundaryError(f"points outside the domain of metric '{self.name}'")
 
 
 @dataclass
@@ -143,15 +135,6 @@ def metric_dvalue(metric: MetricField, points: np.ndarray, force_fd: bool = Fals
     return fd_jet(metric.value, points, h)
 
 
-def dvalue_residual(metric: MetricField, points: np.ndarray) -> float:
-    """Max deviation between analytic and finite-difference metric derivatives."""
-    if metric.dvalue is None:
-        return 0.0
-    ana = metric.dvalue(points)
-    num = fd_jet(metric.value, points, metric.steps_at(points))
-    return float(np.max(np.abs(ana - num)))
-
-
 def christoffel(metric: MetricField, points: np.ndarray, force_fd: bool = False,
                 steps=None) -> np.ndarray:
     """Levi-Civita symbols Gamma[p,k,i,j] from g and its (analytic or FD) derivatives."""
@@ -187,10 +170,10 @@ def _inf_norm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _differential(metric: MetricField, f: ScalarField, points: np.ndarray, steps=None):
+def _differential(metric: MetricField, f: ScalarField, points: np.ndarray):
     if f.grad is not None:
         return f.grad(points)
-    return fd_jet(f.value, points, metric.steps_at(points) if steps is None else steps)
+    return fd_jet(f.value, points, metric.steps_at(points))
 
 
 def _solve(g: np.ndarray, df: np.ndarray) -> np.ndarray:
@@ -198,9 +181,8 @@ def _solve(g: np.ndarray, df: np.ndarray) -> np.ndarray:
     return np.linalg.solve(g, df[..., None])[..., 0]
 
 
-def scalar_gradient(metric: MetricField, f: ScalarField, points: np.ndarray,
-                    steps=None) -> np.ndarray:
-    return _solve(metric.value(points), _differential(metric, f, points, steps))
+def scalar_gradient(metric: MetricField, f: ScalarField, points: np.ndarray) -> np.ndarray:
+    return _solve(metric.value(points), _differential(metric, f, points))
 
 
 def gradient_and_q(metric: MetricField, f: ScalarField, points: np.ndarray,
@@ -232,26 +214,26 @@ def hessian(metric: MetricField, f: ScalarField, points: np.ndarray, force_fd: b
     return d2 - np.einsum("pkij,pk->pij", gamma, df)
 
 
-def laplacian(metric: MetricField, f: ScalarField, points: np.ndarray, force_fd: bool = False,
-              steps=None, frame: Optional[tuple] = None) -> np.ndarray:
+def laplacian(metric: MetricField, f: ScalarField, points: np.ndarray,
+              frame: Optional[tuple] = None) -> np.ndarray:
     """g^ij (nabla d f)_ij; ``frame`` is ``levi_civita`` at the points when already built."""
     if frame is None:
         ginv, gamma = np.linalg.inv(metric.value(points)), None
     else:
         _, ginv, gamma = frame
-    hess = hessian(metric, f, points, force_fd=force_fd, steps=steps, gamma=gamma)
+    hess = hessian(metric, f, points, gamma=gamma)
     return np.einsum("pij,pij->p", ginv, hess)
 
 
 def grad_vector(metric: MetricField, x: VectorField, points: np.ndarray,
-                steps=None, gamma: Optional[np.ndarray] = None) -> np.ndarray:
+                gamma: Optional[np.ndarray] = None) -> np.ndarray:
     """(nabla X)[p,k,i] = d_i X^k + Gamma^k_il X^l."""
     if x.jac is not None:
         dx = x.jac(points)
     else:
-        dx = fd_jet(x.value, points, metric.steps_at(points) if steps is None else steps)
+        dx = fd_jet(x.value, points, metric.steps_at(points))
     if gamma is None:
-        gamma = christoffel(metric, points, steps=steps)
+        gamma = christoffel(metric, points)
     return _nabla_vector(dx, x.value(points), gamma)
 
 
@@ -261,16 +243,15 @@ def _nabla_vector(dx: np.ndarray, xv: np.ndarray, gamma: np.ndarray) -> np.ndarr
 
 
 def covariant_derivative(metric: MetricField, x: VectorField, y: np.ndarray,
-                         points: np.ndarray, steps=None) -> np.ndarray:
+                         points: np.ndarray) -> np.ndarray:
     """(nabla_Y X)^k at each point, Y given as an array (N, n) of vectors."""
-    gx = grad_vector(metric, x, points, steps=steps)
+    gx = grad_vector(metric, x, points)
     return np.einsum("pki,pi->pk", gx, y)
 
 
-def lie_derivative_metric(metric: MetricField, u: VectorField, points: np.ndarray,
-                          steps=None) -> np.ndarray:
+def lie_derivative_metric(metric: MetricField, u: VectorField, points: np.ndarray) -> np.ndarray:
     """(L_u g)_ij = g(nabla_i u, d_j) + g(d_i, nabla_j u)."""
-    gu = grad_vector(metric, u, points, steps=steps)
+    gu = grad_vector(metric, u, points)
     g = metric.value(points)
     m = np.einsum("pkj,pki->pij", g, gu)  # g_kj (nabla u)^k_i
     return m + np.swapaxes(m, 1, 2)
@@ -294,21 +275,21 @@ def divergence_endomorphism(dt: np.ndarray, tv: np.ndarray, gamma: np.ndarray) -
 
 
 def nabla_J(metric: MetricField, j: MatrixField, points: np.ndarray,
-            steps=None, gamma: Optional[np.ndarray] = None) -> np.ndarray:
+            gamma: Optional[np.ndarray] = None) -> np.ndarray:
     """(nabla_a J)^k_j = d_a J^k_j + Gamma^k_al J^l_j - Gamma^l_aj J^k_l."""
     if j.jac is not None:
         dj = j.jac(points)
     else:
-        dj = fd_jet(j.value, points, metric.steps_at(points) if steps is None else steps)
+        dj = fd_jet(j.value, points, metric.steps_at(points))
     if gamma is None:
-        gamma = christoffel(metric, points, steps=steps)
+        gamma = christoffel(metric, points)
     jv = j.value(points)
     out = dj + np.einsum("pkal,plj->pakj", gamma, jv) - np.einsum("plaj,pkl->pakj", gamma, jv)
     return out
 
 
-def ricci(metric: MetricField, points: np.ndarray, force_fd: bool = False,
-          outer_step: "float | np.ndarray" = 1e-2, richardson: bool = True) -> np.ndarray:
+def ricci(metric: MetricField, points: np.ndarray, outer_step: "float | np.ndarray" = 1e-2,
+          richardson: bool = True) -> np.ndarray:
     """Ricci tensor by finite differences of the Christoffel field.
 
     ``outer_step`` controls the stencil applied to Gamma; optionally a
@@ -321,7 +302,7 @@ def ricci(metric: MetricField, points: np.ndarray, force_fd: bool = False,
     """
     points = np.asarray(points, dtype=float)
     npts, n = points.shape
-    gam = christoffel(metric, points, force_fd=force_fd)
+    gam = christoffel(metric, points)
 
     def limited(hmul: float) -> np.ndarray:
         h = np.broadcast_to(np.asarray(outer_step, dtype=float) * hmul, (npts, n)).copy()
@@ -333,7 +314,7 @@ def ricci(metric: MetricField, points: np.ndarray, force_fd: bool = False,
         # One offset per call keeps the Christoffel build's temporaries at N points.
         out = np.empty((len(shifts), len(pts)) + gam.shape[1:])
         for o, shift in enumerate(shifts):
-            out[o] = christoffel(metric, _shifted(pts, axis, shift[None]), force_fd=force_fd)
+            out[o] = christoffel(metric, _shifted(pts, axis, shift[None]))
         return out
 
     def ric_of(dgam: np.ndarray) -> np.ndarray:  # dgam[p, a, k, i, j] = d_a Gamma^k_ij
@@ -345,7 +326,7 @@ def ricci(metric: MetricField, points: np.ndarray, force_fd: bool = False,
 
     h1 = limited(1.0)
     if not richardson:
-        return ric_of(fd_jet(lambda pp: christoffel(metric, pp, force_fd=force_fd), points, h1))
+        return ric_of(fd_jet(lambda pp: christoffel(metric, pp), points, h1))
     h2 = limited(0.5)
     d1 = np.empty((n, npts) + gam.shape[1:])
     d2 = np.empty_like(d1)
@@ -384,66 +365,8 @@ class PathResult:
     params: np.ndarray          # (M,) integration parameter
     arclength: np.ndarray       # (M,) cumulative g-arclength
     status: str
-    velocities: Optional[np.ndarray] = None
-    speed_drift: float = 0.0
-    values: Optional[np.ndarray] = None     # (M,) flowed function along the path
-    q: Optional[np.ndarray] = None          # (M,) |grad f|^2 along the path
-
-
-def _rk4(field: Callable, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = field(y)
-    k2 = field(y + 0.5 * h * k1)
-    k3 = field(y + 0.5 * h * k2)
-    k4 = field(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _speed(metric: MetricField, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    g = metric.value(x)
-    return np.sqrt(np.einsum("pij,pi,pj->p", g, v, v))
-
-
-def integrate_geodesic(metric: MetricField, p0: np.ndarray, v0: np.ndarray, length: float,
-                       n_steps: int = 2000) -> PathResult:
-    """Geodesic from (p0, v0), run for the given g-arclength.
-
-    The initial velocity is normalized to unit g-speed, so the affine
-    parameter is arclength.  Conservation of g(xdot, xdot) along the way is
-    reported as ``speed_drift``.
-    """
-    n = metric.dim
-    x = np.asarray(p0, dtype=float).reshape(1, n)
-    v = np.asarray(v0, dtype=float).reshape(1, n)
-    sp0 = _speed(metric, x, v)[0]
-    if sp0 <= 0:
-        raise NumericalFailure("zero initial velocity")
-    v = v / sp0
-
-    def field(state):
-        xx, vv = state[:, :n], state[:, n:]
-        gam = christoffel(metric, xx)
-        acc = -np.einsum("pkij,pi,pj->pk", gam, vv, vv)
-        return np.concatenate([vv, acc], axis=1)
-
-    h = length / n_steps
-    ys = np.empty((n_steps + 1, 2 * n))
-    ys[0] = np.concatenate([x, v], axis=1)[0]
-    state = ys[0].reshape(1, 2 * n)
-    status = "completed"
-    for k in range(n_steps):
-        nxt = _rk4(field, state, h)
-        if metric.domain is not None and not bool(np.all(metric.domain(nxt[:, :n]))):
-            ys = ys[: k + 1]
-            status = "left-domain"
-            break
-        state = nxt
-        ys[k + 1] = state[0]
-    pts, vel = ys[:, :n], ys[:, n:]
-    speeds = _speed(metric, pts, vel)
-    arclen = np.concatenate([[0.0], np.cumsum(0.5 * (speeds[1:] + speeds[:-1]) * h)])
-    drift = float(np.max(np.abs(speeds - 1.0)))
-    return PathResult(points=pts, params=np.arange(len(pts)) * h, arclength=arclen,
-                      status=status, velocities=vel, speed_drift=drift)
+    values: np.ndarray          # (M,) flowed function along the path
+    q: np.ndarray               # (M,) |grad f|^2 along the path
 
 
 @dataclass
@@ -504,6 +427,10 @@ def _crossing(f: ScalarField, target: float, x0, x1, m0, m1, g0, g1) -> np.ndarr
         hi[i], ghi[i] = th, gt
         todo[i] = (np.abs(gt) > tol) & (np.abs(hi[i] - lo[i]) > 4.0 * np.finfo(float).eps)
     return theta
+
+
+# The t-step of the flow-length check and of fiber tracing.
+FLOW_STEP = 1.6e-2
 
 
 def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarray,

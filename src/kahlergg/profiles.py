@@ -40,10 +40,6 @@ class InvalidProfileError(ValueError):
     """The requested q-factor is not positive on the whole interval."""
 
 
-class DomainError(ValueError):
-    """Evaluation outside the profile's interval."""
-
-
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
@@ -65,10 +61,9 @@ class Interval:
     def length(self) -> float:
         return self.tau_max - self.tau_min
 
-    def contains(self, tau, closed: bool = True):
+    def contains(self, tau):
+        """Whether tau lies in the open interval."""
         tau = np.asarray(tau, dtype=float)
-        if closed:
-            return (tau >= self.tau_min) & (tau <= self.tau_max)
         return (tau > self.tau_min) & (tau < self.tau_max)
 
 
@@ -141,15 +136,6 @@ def make_profile(interval: Interval, a: float, q_interior=()) -> MomentumProfile
     return prof
 
 
-def psi_of(profile: MomentumProfile, tau):
-    """psi = (dQ/dtau)/2, from the analytic derivative of the stored shape."""
-    tau_arr = np.asarray(tau, dtype=float)
-    if not np.all(profile.interval.contains(tau_arr)):
-        raise DomainError(f"tau outside [{profile.interval.tau_min}, {profile.interval.tau_max}]")
-    out = profile.psi(tau_arr)
-    return float(out) if np.isscalar(tau) or np.ndim(tau) == 0 else out
-
-
 def _cumulative_gl(f, grid: np.ndarray) -> np.ndarray:
     """Cumulative integral of f over a strictly increasing grid (8-pt GL per cell)."""
     lo, hi = grid[:-1], grid[1:]
@@ -182,9 +168,6 @@ class ReparamMaps:
     def tau_of_s(self, s):
         return self._tau_of_s(s)
 
-    def ds_dtau(self, tau):
-        return self._s_of_tau.derivative()(tau)
-
     def r_of_tau(self, tau):
         return np.exp(self._logr_of_tau(tau))
 
@@ -195,19 +178,13 @@ class ReparamMaps:
         """s as a function of the fiber radius r."""
         return self._s_of_tau(self.tau_of_r(r))
 
-    def dsigma_dr(self, r):
-        logr = np.log(r)
-        tau = self._tau_of_logr(logr)
-        dtau_dlogr = self._tau_of_logr.derivative()(logr)
-        return self._s_of_tau.derivative()(tau) * dtau_dlogr / np.asarray(r, dtype=float)
-
     @property
     def tabulated_tau_range(self):
         x = self._logr_of_tau.x
         return float(x[0]), float(x[-1])
 
 
-def build_reparams(profile: MomentumProfile, n_grid: int = 2048, s_margin: float = 2e-4) -> ReparamMaps:
+def build_reparams(profile: MomentumProfile) -> ReparamMaps:
     """Tabulate s(tau), r(tau) and their inverses for a valid profile.
 
     The s-integral is computed on the square-root substitution grids so the
@@ -218,8 +195,7 @@ def build_reparams(profile: MomentumProfile, n_grid: int = 2048, s_margin: float
     iv, a = profile.interval, profile.a
     L = iv.length
     xi_max = np.sqrt(0.5 * L)
-    n_half = max(n_grid // 2, 256)
-    xi = xi_max * np.linspace(0.0, 1.0, n_half + 1)
+    xi = xi_max * np.linspace(0.0, 1.0, 1025)
 
     def integrand_left(x):
         return 2.0 / np.sqrt((L - x * x) * profile.q_factor(iv.tau_min + x * x))
@@ -237,8 +213,8 @@ def build_reparams(profile: MomentumProfile, n_grid: int = 2048, s_margin: float
     tau_of_s = PchipInterpolator(s_nodes, tau_nodes, extrapolate=False)
 
     # log r on an s-uniform interior grid; cumulative quadrature of a/Q in tau.
-    s_cut = s_margin * lam
-    s_grid = np.linspace(s_cut, lam - s_cut, n_grid)
+    s_cut = 2e-4 * lam  # log r diverges at both ends
+    s_grid = np.linspace(s_cut, lam - s_cut, 2048)
     tau_grid = np.asarray(tau_of_s(s_grid), dtype=float)
 
     def a_over_q(t):

@@ -1,4 +1,4 @@
-"""Arithmetic on the real projective line RP1 = R u {inf}.
+"""Points of the real projective line RP1 = R u {inf}, their chart angle and distance.
 
 The classification invariant gamma takes values in RP1, and several
 construction formulas divide by quantities that may legitimately be zero
@@ -15,14 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-class UndefinedRP1Operation(ArithmeticError):
-    """Raised for 0/0 and other operations RP1 leaves undefined."""
-
-
-class SingularFactorError(ValueError):
-    """Raised when a rescaling factor degenerates (gamma hits tau or tau_star)."""
 
 
 @dataclass(frozen=True)
@@ -52,10 +44,6 @@ class RP1Value:
             return RP1Value(float(x))
         return RP1Value(float(x))
 
-    @property
-    def finite(self) -> bool:
-        return not self.infinite
-
     def to_json(self) -> "float | str":
         """Serialize as a plain number, or the literal string "inf"."""
         return "inf" if self.infinite else self.value
@@ -65,28 +53,6 @@ class RP1Value:
 
 
 INFINITY = RP1Value(infinite=True)
-
-
-def rp1_div(q: float, p: "RP1Value | float") -> RP1Value:
-    """q / p with the conventions q/inf = 0 and q/0 = inf (q != 0).
-
-    0/0 is undefined and raises :class:`UndefinedRP1Operation`.
-    """
-    p = RP1Value.of(p)
-    if p.infinite:
-        return RP1Value(0.0)
-    if p.value == 0.0:
-        if q == 0.0:
-            raise UndefinedRP1Operation("0/0 is undefined in RP1")
-        return INFINITY
-    return RP1Value(q / p.value)
-
-
-def rp1_sub(p: float, g: RP1Value) -> RP1Value:
-    """p - g in RP1 (finite - inf = inf)."""
-    if g.infinite:
-        return INFINITY
-    return RP1Value(p - g.value)
 
 
 def rp1_angle(g: "RP1Value | float") -> float:
@@ -105,22 +71,3 @@ def rp1_distance(g1: "RP1Value | float", g2: "RP1Value | float") -> float:
     """
     d = abs(rp1_angle(g1) - rp1_angle(g2))
     return min(d, math.pi - d)
-
-
-def beta_factor(tau: float, tau_star: float, gamma: "RP1Value | float") -> float:
-    """The horizontal rescaling (tau - gamma)/(tau_star - gamma); 1 when gamma = inf.
-
-    Only admissible when gamma stays off the closed segment between tau and
-    tau_star, which keeps the ratio strictly positive.
-    """
-    gamma = RP1Value.of(gamma)
-    if gamma.infinite:
-        return 1.0
-    g = gamma.value
-    if g == tau or g == tau_star:
-        raise SingularFactorError(f"gamma={g} collides with tau={tau} or tau_star={tau_star}")
-    if min(tau, tau_star) < g < max(tau, tau_star):
-        raise SingularFactorError(
-            f"gamma={g} lies between tau={tau} and tau_star={tau_star}; factor not positive"
-        )
-    return (tau - g) / (tau_star - g)

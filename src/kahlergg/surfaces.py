@@ -31,16 +31,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .profiles import Interval
+from .profiles import Interval, _cumulative_gl
 from .rp1 import RP1Value, INFINITY
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 class GammaRangeError(ValueError):
@@ -62,7 +60,6 @@ class SurfaceChart:
     dh: Callable[[np.ndarray], np.ndarray]           # (N,2) -> (N,2,2,2), [a,i,j] = d_a h_ij
     domain: Callable[[np.ndarray], np.ndarray]
     bounds: tuple                                    # sampling box ((x1lo,x1hi),(x2lo,x2hi))
-    periodic: bool = False
     orientation: int = 1
 
     def sqrt_det_h(self, x: np.ndarray) -> np.ndarray:
@@ -106,7 +103,6 @@ def torus_chart(h_scale: float) -> SurfaceChart:
         dh=dh,
         domain=lambda x: np.ones(x.shape[0], dtype=bool),
         bounds=((0.0, 1.0), (0.0, 1.0)),
-        periodic=True,
     )
 
 
@@ -141,7 +137,6 @@ def sphere_chart(radius: float, which: str) -> SurfaceChart:
         dh=dh,
         domain=lambda x: np.sum(x * x, axis=1) < rho_max2,
         bounds=((-half, half), (-half, half)),
-        periodic=False,
     )
 
 
@@ -169,62 +164,48 @@ def sphere_height_grad(radius: float, which: str, x: np.ndarray) -> np.ndarray:
 class GammaField:
     """Chart-local RP1-valued map; a single branch (all finite or all infinite)."""
 
-    kind: str
     infinite: bool
     value: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None   # coordinate differential d gamma
     value_range: tuple = (0.0, 0.0)
-    params: dict = field(default_factory=dict)
 
     def rp1_at(self, x: np.ndarray) -> list:
         if self.infinite:
             return [INFINITY] * x.shape[0]
         return [RP1Value(float(v)) for v in self.value(x)]
 
-    @property
-    def is_constant(self) -> bool:
-        return self.kind in ("constant", "inf")
-
 
 def gamma_constant(value: "float | RP1Value | str") -> GammaField:
     v = RP1Value.of(value)
     if v.infinite:
-        return GammaField(kind="inf", infinite=True,
-                          value=None,
-                          grad=None)
+        return GammaField(infinite=True)
     c = v.value
     return GammaField(
-        kind="constant",
         infinite=False,
         value=lambda x, c=c: np.full(x.shape[0], c),
         grad=lambda x: np.zeros((x.shape[0], 2)),
         value_range=(c, c),
-        params={"value": c},
     )
 
 
 def gamma_cos(c0: float, c1: float) -> GammaField:
     """c0 + c1 cos(2 pi x1) on the torus chart."""
     return GammaField(
-        kind="cos",
         infinite=False,
         value=lambda x: c0 + c1 * np.cos(2.0 * np.pi * x[:, 0]),
         grad=lambda x: np.column_stack(
             [-2.0 * np.pi * c1 * np.sin(2.0 * np.pi * x[:, 0]), np.zeros(x.shape[0])]),
         value_range=(c0 - abs(c1), c0 + abs(c1)),
-        params={"c0": c0, "c1": c1},
     )
 
 
 def gamma_height(c0: float, c1: float, radius: float, which: str) -> GammaField:
     """c0 + c1 * (embedding height) on a sphere chart."""
     return GammaField(
-        kind="height",
         infinite=False,
         value=lambda x: c0 + c1 * sphere_height(radius, which, x),
         grad=lambda x: c1 * sphere_height_grad(radius, which, x),
         value_range=(c0 - abs(c1) * radius, c0 + abs(c1) * radius),
-        params={"c0": c0, "c1": c1},
     )
 
 
@@ -234,7 +215,7 @@ def validate_gamma_range(gamma: GammaField, interval: Interval) -> None:
     lo, hi = gamma.value_range
     if not (hi < interval.tau_min or lo > interval.tau_max):
         raise GammaRangeError(
-            f"gamma range [{lo}, {hi}] meets the interval "
+            f"gamma range [{lo}, {hi}] intersects the interval "
             f"[{interval.tau_min}, {interval.tau_max}]; the construction requires "
             "gamma to avoid the closed interval")
 
@@ -263,36 +244,9 @@ class ConnectionForm:
     A: Callable[[np.ndarray], np.ndarray]            # (N,2) -> (N,2)
     dA: Callable[[np.ndarray], np.ndarray]           # (N,2) -> (N,2,2), [a,i] = d_a A_i
     gauge_jump: float = 0.0                          # torus seam jump F(1) - F(0)
-    description: str = ""
-
-    def curvature(self, x: np.ndarray) -> np.ndarray:
-        d = self.dA(x)
-        return d[:, 0, 1] - d[:, 1, 0]
-
-    def add_df(self, f: Callable, df: Callable, d2f: Callable) -> "ConnectionForm":
-        """Gauge-shifted potential A + df (same curvature); used for invariance runs."""
-        def a_fn(x, base=self.A):
-            return base(x) + df(x)
-
-        def da_fn(x, base=self.dA):
-            return base(x) + d2f(x)
-
-        return ConnectionForm(A=a_fn, dA=da_fn, gauge_jump=self.gauge_jump,
-                              description=self.description + " + df")
 
 
-def _cumulative_gl_vec(f, grid: np.ndarray) -> np.ndarray:
-    lo, hi = grid[:-1], grid[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    out = np.empty(grid.shape)
-    out[0] = 0.0
-    np.cumsum(half * (vals @ _GL_WEIGHTS), out=out[1:])
-    return out
-
-
-def solve_connection_torus(chart: SurfaceChart, w_fn: Callable, n_grid: int = 16384) -> ConnectionForm:
+def solve_connection_torus(chart: SurfaceChart, w_fn: Callable) -> ConnectionForm:
     """A = F(x1) dx2 with F' = W and F(0) = 0, for Omega = W(x1) dx1 ^ dx2.
 
     W must not depend on x2 (checked by sampling); the gauge jump across the
@@ -310,8 +264,8 @@ def solve_connection_torus(chart: SurfaceChart, w_fn: Callable, n_grid: int = 16
         raise ValueError("torus curvature coefficient depends on x2; "
                          "only x1-dependent built-in data is supported")
 
-    grid = np.linspace(0.0, 1.0, n_grid + 1)
-    f_vals = _cumulative_gl_vec(w_of_x1, grid)
+    grid = np.linspace(0.0, 1.0, 16385)
+    f_vals = _cumulative_gl(w_of_x1, grid)
     jump = float(f_vals[-1])
     f_interp = PchipInterpolator(grid, f_vals, extrapolate=False)
 
@@ -330,12 +284,10 @@ def solve_connection_torus(chart: SurfaceChart, w_fn: Callable, n_grid: int = 16
         out[:, 0, 1] = w_of_x1(x[:, 0])
         return out
 
-    return ConnectionForm(A=a_fn, dA=da_fn, gauge_jump=jump,
-                          description="torus antiderivative gauge, F(0)=0")
+    return ConnectionForm(A=a_fn, dA=da_fn, gauge_jump=jump)
 
 
-def solve_connection_radial(chart: SurfaceChart, w_fn: Callable, sigma_max: float,
-                            n_grid: int = 4096) -> ConnectionForm:
+def solve_connection_radial(chart: SurfaceChart, w_fn: Callable, sigma_max: float) -> ConnectionForm:
     """Rotationally symmetric potential A = P(sigma)(x dy - y dx), sigma = rho^2.
 
     Solves d/d(sigma)[sigma P] = W(sigma)/2, so dA = W dx ^ dy exactly given
@@ -347,8 +299,8 @@ def solve_connection_radial(chart: SurfaceChart, w_fn: Callable, sigma_max: floa
         pts = np.column_stack([np.sqrt(np.maximum(sig, 0.0)), np.zeros(sig.size)])
         return w_fn(pts)
 
-    grid = np.linspace(0.0, sigma_max, n_grid + 1)
-    u_vals = 0.5 * _cumulative_gl_vec(w_of_sigma, grid)  # sigma * P
+    grid = np.linspace(0.0, sigma_max, 4097)
+    u_vals = 0.5 * _cumulative_gl(w_of_sigma, grid)  # sigma * P
     u_interp = PchipInterpolator(grid, u_vals, extrapolate=False)
     w0 = float(w_of_sigma(np.array([0.0]))[0])
     dw0 = float((w_of_sigma(np.array([1e-4 * sigma_max]))[0] - w0) / (1e-4 * sigma_max))
@@ -388,8 +340,7 @@ def solve_connection_radial(chart: SurfaceChart, w_fn: Callable, sigma_max: floa
         out[:, 1, 1] = x[:, 0] * dp * 2.0 * x[:, 1]           # d_2 A_2
         return out
 
-    return ConnectionForm(A=a_fn, dA=da_fn, gauge_jump=0.0,
-                          description="radial gauge, regular at the chart center")
+    return ConnectionForm(A=a_fn, dA=da_fn)
 
 
 # ----------------------------------------------------------------------------

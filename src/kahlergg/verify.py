@@ -580,8 +580,11 @@ def check_bochner(subject: VerificationSubject, points: np.ndarray, desc: str,
     return make_report("bochner", desc, points, res, tol, extras)
 
 
-def check_boundary_limits(subject: VerificationSubject, tol: float,
-                          delta_frac: float = 0.01) -> CheckReport:
+# Fiber-end offset of the boundary-limit and flow-length checks, in units of lambda.
+_END_FRAC = 0.01
+
+
+def check_boundary_limits(subject: VerificationSubject, tol: float) -> CheckReport:
     """Richardson limits along fibers at both interval ends.
 
     Asserts the Hessian eigenvalue limits, |E^2 - aE| -> 0 for the one-jet
@@ -591,7 +594,7 @@ def check_boundary_limits(subject: VerificationSubject, tol: float,
         raise ValueError("subject provides no fiber structure")
     m, tau, a = subject.metric, subject.tau, subject.a
     lam = subject.maps.lam
-    delta = delta_frac * lam
+    delta = _END_FRAC * lam
     rows = []
     points_used = []
     vf = subject.v_field()
@@ -633,27 +636,33 @@ def check_boundary_limits(subject: VerificationSubject, tol: float,
             rows.append(max(r_eig, r_jet, r_slope))
             points_used.append(pts[0])
     res = np.array(rows)
-    desc = f"{len(subject.fiber_bases)} fibers, Richardson at s = delta,2delta,4delta, delta = {delta_frac} lambda"
+    desc = f"{len(subject.fiber_bases)} fibers, Richardson at s = delta,2delta,4delta, delta = {_END_FRAC} lambda"
     return make_report("boundary_limits", desc, np.array(points_used), res, tol, {})
 
 
 def check_flow_lengths(subject: VerificationSubject, tol: float,
-                       delta_frac: float = 0.01, n_fibers: int = 2) -> CheckReport:
+                       n_fibers: int = 2) -> CheckReport:
     """Gradient-flow trajectories vs the arclength coordinate s."""
-    return _flow_lengths(subject, tol, delta_frac, n_fibers)[0]
+    return _flow_lengths(subject, tol, n_fibers)[0]
 
 
-def _flow_lengths(subject: VerificationSubject, tol: float, delta_frac: float = 0.01,
+def _flow_lengths(subject: VerificationSubject, tol: float,
                   n_fibers: int = 2) -> "tuple[CheckReport, geo.FlowResult]":
-    """``check_flow_lengths`` plus the flow it integrated, fiber 0 first."""
+    """``check_flow_lengths`` plus the flow it integrated, fiber 0 first.
+
+    The t-step is min(FLOW_STEP, 2 FLOW_STEP / a): tau -> c tau multiplies a
+    by c, and near the ends sqrt(Q) shrinks by exp(-a h) per step h, so a h
+    is held at most at its value 0.032 on the bundled configs (a = 2).
+    """
     if subject.fiber_point is None or not subject.fiber_bases:
         raise ValueError("subject provides no fiber structure")
     lam = subject.maps.lam
-    delta = delta_frac * lam
+    delta = _END_FRAC * lam
     tau_target = float(subject.maps.tau_of_s(lam - delta))
     seeds = np.array([subject.fiber_point(base, delta) for base in subject.fiber_bases[:n_fibers]])
+    step = min(geo.FLOW_STEP, 2.0 * geo.FLOW_STEP / subject.a)
     flow = geo.integrate_gradient_flow(subject.metric, subject.tau, seeds,
-                                       target_value=tau_target, step=1.6e-2)
+                                       target_value=tau_target, step=step)
     rows, failed = [], []
     drift_max = 0.0
     for i in range(len(seeds)):
@@ -674,7 +683,7 @@ def _flow_lengths(subject: VerificationSubject, tol: float, delta_frac: float = 
     extras = {"fiber_drift_max": drift_max}
     if failed:
         extras["failed_fibers"] = failed
-    desc = f"{len(rows)} trajectories from s={delta_frac} lambda to s=(1-{delta_frac}) lambda"
+    desc = f"{len(rows)} trajectories from s={_END_FRAC} lambda to s=(1-{_END_FRAC}) lambda"
     return make_report("flow_lengths", desc, seeds, np.array(rows), tol, extras), flow
 
 

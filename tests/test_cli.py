@@ -148,18 +148,27 @@ def test_cli_tol_scale(torus_cfg_file, tmp_path):
     assert payload["config"]["tol_scale"] == 100.0
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--tol-scale"])
-def test_cli_verify_non_numeric_option_is_config_error(torus_cfg_file, tmp_path, capsys, flag):
+BAD_OPTIONS = [pytest.param("--seed", "abc", id="--seed"),
+               pytest.param("--tol-scale", "abc", id="--tol-scale"),
+               pytest.param("--seed", "-1", id="--seed=-1"),
+               pytest.param("--tol-scale", "-1", id="--tol-scale=-1"),
+               pytest.param("--tol-scale", "0", id="--tol-scale=0"),
+               pytest.param("--tol-scale", "nan", id="--tol-scale=nan")]
+
+
+@pytest.mark.parametrize("flag,value", BAD_OPTIONS)
+def test_cli_verify_non_numeric_option_is_config_error(torus_cfg_file, tmp_path, capsys, flag,
+                                                       value):
     code = main(["verify", "--config", str(torus_cfg_file), "--out", str(tmp_path / "o"),
-                 flag, "abc"])
+                 flag, value])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err["kind"] == "config" and flag in err["message"]
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--tol-scale"])
-def test_cli_fubini_check_non_numeric_option_is_config_error(tmp_path, capsys, flag):
-    code = main(["fubini-check", "--out", str(tmp_path / "o"), flag, "abc"])
+@pytest.mark.parametrize("flag,value", BAD_OPTIONS)
+def test_cli_fubini_check_non_numeric_option_is_config_error(tmp_path, capsys, flag, value):
+    code = main(["fubini-check", "--out", str(tmp_path / "o"), flag, value])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err["kind"] == "config" and flag in err["message"]
@@ -182,6 +191,29 @@ def test_cli_verify_zero_n_tau_in_config_is_config_error(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err["kind"] == "config" and "$.grid.n_tau" in err["message"]
+
+
+@pytest.mark.parametrize("old,new,path", [pytest.param(*case, id=case[1]) for case in [
+    ('"seed": 0', '"seed": "x"', "$.seed"),
+    ('"seed": 0', '"seed": 1.5', "$.seed"),
+    ('"seed": 0', '"seed": true', "$.seed"),
+    ('"seed": 0', '"seed": -1', "$.seed"),
+    ('"n_random": 40', '"collar": "x", "n_random": 40', "$.grid.collar"),
+    ('"n_random": 40', '"collar": [1], "n_random": 40', "$.grid.collar"),
+    ('"n_random": 40', '"deep_collar": 2, "n_random": 40', "$.grid.deep_collar"),
+    ('"n_random": 40', '"deep_collar": -1, "n_random": 40', "$.grid.deep_collar"),
+    ('"seed": 0', '"tolerances": [1], "seed": 0', "$.tolerances"),
+    ('"seed": 0', '"tolerances": {"kaehler": NaN}, "seed": 0', "$.tolerances.kaehler"),
+    ('"seed": 0', '"tol_scale": 0, "seed": 0', "$.tol_scale"),
+    ('"c0": 3.0', '"c0": "x"', "$.construction.gamma.c0"),
+]])
+def test_cli_bad_config_value_is_config_error(tmp_path, capsys, old, new, path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(TORUS_CFG.replace(old, new))
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and path in err["message"]
 
 
 def test_cli_nonpositive_q_factor_is_config_error(tmp_path, capsys):

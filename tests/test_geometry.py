@@ -175,15 +175,6 @@ def test_bochner_identity_flat_linear_field():
     assert np.max(np.abs(d_div - div_grad)) < 1e-9
 
 
-def test_geodesic_straight_line_arclength():
-    m = flat_metric(2)
-    res = geo.integrate_geodesic(m, [0.0, 0.0], [2.0, 0.0], length=1.5, n_steps=100)
-    assert res.status == "completed"
-    assert abs(res.arclength[-1] - 1.5) < 1e-12
-    assert np.max(np.abs(res.points[:, 1])) < 1e-14
-    assert res.speed_drift < 1e-12
-
-
 def test_gradient_flow_reaches_target():
     m = flat_metric(2)
     f = geo.ScalarField(value=lambda p: p[:, 0], grad=lambda p: np.column_stack(
@@ -329,13 +320,6 @@ def test_step_limiter_respected():
     geo.christoffel(m, pts, force_fd=True)
     seen = np.concatenate([c for c in calls])
     assert np.max(np.abs(seen)) <= 0.02 + 1e-12
-
-
-def test_boundary_error_on_domain_violation():
-    m = geo.MetricField(dim=2, value=lambda p: np.broadcast_to(np.eye(2), (p.shape[0], 2, 2)).copy(),
-                        domain=lambda p: p[:, 0] < 0.5)
-    with pytest.raises(geo.BoundaryError):
-        m.check_domain(np.array([[0.6, 0.0]]))
 
 
 def _spd_batch(n, count=40, seed=0):

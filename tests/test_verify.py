@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kahlergg import geometry as geo
+from kahlergg.construction import build_construction
 from kahlergg.rp1 import INFINITY
+from kahlergg.surfaces import build_torus_surface, gamma_cos
 from kahlergg.verify import (CONTROL_EXPECTATIONS, GridSpec, _flow_lengths, _gamma_recover_raw,
                              check_bochner, check_bracket_identities, check_flow_lengths,
                              check_gamma_recovery, check_killing, check_laplacian_identity,
@@ -47,7 +49,7 @@ def test_gamma_inf_suite_and_infinite_recovery(torus_inf_data):
 
 @pytest.mark.parametrize("control", sorted(CONTROL_EXPECTATIONS))
 def test_negative_controls_fail_designated_checks(torus_data, control):
-    subject = subject_from_construction(torus_data.with_control(control))
+    subject = subject_from_construction(replace(torus_data, control=control))
     wanted = CONTROL_EXPECTATIONS[control]
     reports = run_suite(subject, FAST, checks=list(wanted) + ["boundary_limits"])
     failed = failures(reports)
@@ -59,15 +61,13 @@ def test_negative_controls_fail_designated_checks(torus_data, control):
 def test_controls_leave_other_checks_green(torus_data):
     # perturbing beta does not touch the fiber block: the Killing field and the
     # geodesic-gradient property survive (so those checks must stay green).
-    subject = subject_from_construction(torus_data.with_control("perturb-beta"))
+    subject = subject_from_construction(replace(torus_data, control="perturb-beta"))
     reports = run_suite(subject, FAST, checks=["killing", "geodesic_gradient"])
     assert suite_passed(reports)
 
 
 def test_gauge_invariance(torus_data):
-    def f(x):
-        return np.sin(2 * np.pi * x[:, 0])
-
+    # The gauge shift A -> A + df with f = sin(2 pi x1), which leaves dA unchanged.
     def df(x):
         return np.column_stack([2 * np.pi * np.cos(2 * np.pi * x[:, 0]),
                                 np.zeros(x.shape[0])])
@@ -77,7 +77,11 @@ def test_gauge_invariance(torus_data):
         out[:, 0, 0] = -(2 * np.pi) ** 2 * np.sin(2 * np.pi * x[:, 0])
         return out
 
-    shifted = torus_data.with_connection(torus_data.chart_data.connection.add_df(f, df, d2f))
+    cd = torus_data.chart_data
+    conn = replace(cd.connection, A=lambda x: cd.connection.A(x) + df(x),
+                   dA=lambda x: cd.connection.dA(x) + d2f(x))
+    surface = replace(torus_data.surface, charts=[replace(cd, connection=conn)])
+    shifted = replace(torus_data, surface=surface)
     base_reports = run_suite(subject_from_construction(torus_data), FAST)
     shift_reports = run_suite(subject_from_construction(shifted), FAST)
     for rb, rs in zip(base_reports, shift_reports):
@@ -143,14 +147,14 @@ def test_nonfinite_residuals_fail():
 
 
 def test_sphere_north_chart_suite(sphere_data):
-    subject = subject_from_construction(sphere_data.with_chart(1))
+    subject = subject_from_construction(replace(sphere_data, chart_index=1))
     reports = run_suite(subject, FAST, checks=["kaehler", "killing", "laplacian",
                                                "gamma_recovery", "bracket_identities"])
     assert suite_passed(reports), failures(reports)
 
 
 def test_laplacian_check_on_perturbed_beta_fails(torus_data):
-    subject = subject_from_construction(torus_data.with_control("perturb-beta"))
+    subject = subject_from_construction(replace(torus_data, control="perturb-beta"))
     pts, desc = subject.grid_points(FAST)
     rep = check_laplacian_identity(subject, pts, desc, 1e-5)
     assert not rep.passed
@@ -186,6 +190,16 @@ def test_flow_lengths_steps_and_residual(request, fs_subject, data, bound):
     assert steps <= 300
     assert len(calls) <= 4 * steps + 1 + len(flow.last)  # start, stages, crossings
     assert report.passed and report.max <= bound
+
+
+def test_flow_lengths_is_scale_free(interval):
+    # configs/torus.json with a = 30 and h-scale normalization.  tau -> c tau
+    # multiplies a by c; a fixed t-step of 1.6e-2 gave a residual of 2.27e-4 here.
+    surface, a = build_torus_surface(7.695298980971054, gamma_cos(3.0, 0.5), interval, 30.0,
+                                     normalize="h-scale")
+    report = check_flow_lengths(subject_from_construction(build_construction(interval, a, surface)),
+                                1e-4)
+    assert a == 30.0 and report.passed
 
 
 def test_coarse_flow_step_still_lands_on_the_target(torus_subject):
