@@ -240,7 +240,10 @@ def tau_field(data: ConstructionData) -> ScalarField:
         out[:, 2] = 1.0
         return out
 
-    return ScalarField(value=value, grad=grad, name="tau")
+    def hess(P):
+        return np.zeros((np.asarray(P).shape[0], 4, 4))
+
+    return ScalarField(value=value, grad=grad, hess=hess, name="tau")
 
 
 def fields_v_u_psi_phi(data: ConstructionData):

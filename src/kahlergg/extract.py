@@ -291,7 +291,7 @@ def extract_profile(oracle: ExtractionOracle, interval: Interval, a: float, trac
 def _hessian_terms(oracle: ExtractionOracle, points: np.ndarray):
     """(laplacian tau, Hess tau(grad tau, grad tau) / Q) from one finite-difference Hessian."""
     steps = np.min(oracle.metric.steps_at(points), axis=0)
-    g, ginv, gamma = geo.levi_civita(oracle.metric, points, force_fd=True, steps=steps)
+    g, _, ginv, gamma = geo.levi_civita(oracle.metric, points, force_fd=True, steps=steps)
     hess = geo.hessian(oracle.metric, oracle.tau, points, force_fd=True, steps=steps, gamma=gamma)
     grad, q = geo.gradient_and_q(oracle.metric, oracle.tau, points, g=g)
     return (np.einsum("pij,pij->p", ginv, hess),

@@ -131,7 +131,17 @@ def fs_tau(chart: FSChart) -> ScalarField:
         tau, s = tau_and_s(p)
         return (2.0 / s)[:, None] * (p * wy - tau[:, None] * p)
 
-    return ScalarField(value=value, grad=grad, name="fs-tau")
+    def hess(p: np.ndarray) -> np.ndarray:
+        # d_a grad_j = (2/s) ((wy_j - tau) delta_aj - p_a grad_j - grad_a p_j)
+        p = np.asarray(p, dtype=float)
+        tau, s = tau_and_s(p)
+        gr = (2.0 / s)[:, None] * (p * wy - tau[:, None] * p)
+        pg = p[:, :, None] * gr[:, None, :]
+        out = -(pg + np.swapaxes(pg, 1, 2))
+        out += (wy[None, :] - tau[:, None])[:, :, None] * np.eye(p.shape[1])
+        return (2.0 / s)[:, None, None] * out
+
+    return ScalarField(value=value, grad=grad, hess=hess, name="fs-tau")
 
 
 def fs_J(chart: FSChart) -> MatrixField:

@@ -13,7 +13,10 @@ per axis; metric fields can install a limiter so stencils never cross a
 domain boundary (the fiber coordinate of the constructed metrics lives on
 an open interval).  Analytic first derivatives are used whenever a field
 carries them; ``force_fd`` switches the Christoffel computation to pure
-finite differences where an independent route is required.
+finite differences where an independent route is required.  ``build_frame``
+gathers g, its derivative and Gamma at a batch of points together with the
+exact first jets of grad tau, of Q = |grad tau|^2 and of J, for callers that
+read many identities off the same points.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ class MetricField:
 class ScalarField:
     value: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None  # (N, a, j) = d_a d_j f
     name: str = ""
 
 
@@ -138,11 +142,11 @@ def metric_dvalue(metric: MetricField, points: np.ndarray, force_fd: bool = Fals
 def christoffel(metric: MetricField, points: np.ndarray, force_fd: bool = False,
                 steps=None) -> np.ndarray:
     """Levi-Civita symbols Gamma[p,k,i,j] from g and its (analytic or FD) derivatives."""
-    return levi_civita(metric, points, force_fd=force_fd, steps=steps)[2]
+    return levi_civita(metric, points, force_fd=force_fd, steps=steps)[3]
 
 
 def levi_civita(metric: MetricField, points: np.ndarray, force_fd: bool = False, steps=None):
-    """(g, g^-1, Gamma) at each point from one evaluation of g, for callers that need all three."""
+    """(g, dg, g^-1, Gamma) at each point from one evaluation of g and one of its derivative."""
     points = np.asarray(points, dtype=float)
     g = metric.value(points)
     dg = metric_dvalue(metric, points, force_fd=force_fd, steps=steps)
@@ -155,7 +159,7 @@ def levi_civita(metric: MetricField, points: np.ndarray, force_fd: bool = False,
     # t[p, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, so Gamma^k_ij = 1/2 g^kl t_lij is one matmul.
     t = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1)
     t -= dg
-    return g, ginv, ((0.5 * ginv) @ t.reshape(npts, n, n * n)).reshape(npts, n, n, n)
+    return g, dg, ginv, ((0.5 * ginv) @ t.reshape(npts, n, n * n)).reshape(npts, n, n, n)
 
 
 def _inf_norm(a: np.ndarray) -> np.ndarray:
@@ -214,52 +218,50 @@ def hessian(metric: MetricField, f: ScalarField, points: np.ndarray, force_fd: b
     return d2 - np.einsum("pkij,pk->pij", gamma, df)
 
 
-def laplacian(metric: MetricField, f: ScalarField, points: np.ndarray,
-              frame: Optional[tuple] = None) -> np.ndarray:
-    """g^ij (nabla d f)_ij; ``frame`` is ``levi_civita`` at the points when already built."""
-    if frame is None:
-        ginv, gamma = np.linalg.inv(metric.value(points)), None
-    else:
-        _, ginv, gamma = frame
-    hess = hessian(metric, f, points, gamma=gamma)
-    return np.einsum("pij,pij->p", ginv, hess)
+def field_jet(x: "VectorField | MatrixField", points: np.ndarray, steps) -> np.ndarray:
+    """The jet d_a X of a vector or matrix field: its ``jac``, else a stencil of its values."""
+    return x.jac(points) if x.jac is not None else fd_jet(x.value, points, steps)
+
+
+def fd_directional(f: Callable, points: np.ndarray, direction: np.ndarray, steps) -> np.ndarray:
+    """df(direction) at each point from the 4-point stencil of f along the direction.
+
+    The stencil parameter h is the largest that moves no coordinate by more
+    than its step in ``steps`` (broadcastable to (N, n)) per offset, so no
+    coordinate moves farther than in the axis stencils of ``fd_jet``.
+    """
+    points = np.asarray(points, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    npts, n = points.shape
+    h = np.min(np.broadcast_to(np.asarray(steps, dtype=float), (npts, n))
+               / np.maximum(np.abs(d), 1e-300), axis=1)
+    moved = points[None] + (_OFFSETS4[:, None] * h)[:, :, None] * d[None]
+    vals = np.asarray(f(moved.reshape(-1, n)))
+    return _stencil4(vals.reshape((4, npts) + vals.shape[1:]), h)
 
 
 def grad_vector(metric: MetricField, x: VectorField, points: np.ndarray,
                 gamma: Optional[np.ndarray] = None) -> np.ndarray:
     """(nabla X)[p,k,i] = d_i X^k + Gamma^k_il X^l."""
-    if x.jac is not None:
-        dx = x.jac(points)
-    else:
-        dx = fd_jet(x.value, points, metric.steps_at(points))
     if gamma is None:
         gamma = christoffel(metric, points)
-    return _nabla_vector(dx, x.value(points), gamma)
+    return nabla_vector(field_jet(x, points, metric.steps_at(points)), x.value(points), gamma)
 
 
-def _nabla_vector(dx: np.ndarray, xv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+def nabla_vector(dx: np.ndarray, xv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(nabla X)[p,k,i] from dx[p,i,k] = d_i X^k, X and Gamma at the points."""
     return np.swapaxes(dx, 1, 2) + np.einsum("pkil,pl->pki", gamma, xv)
 
 
-def covariant_derivative(metric: MetricField, x: VectorField, y: np.ndarray,
-                         points: np.ndarray) -> np.ndarray:
-    """(nabla_Y X)^k at each point, Y given as an array (N, n) of vectors."""
-    gx = grad_vector(metric, x, points)
-    return np.einsum("pki,pi->pk", gx, y)
-
-
-def lie_derivative_metric(metric: MetricField, u: VectorField, points: np.ndarray) -> np.ndarray:
-    """(L_u g)_ij = g(nabla_i u, d_j) + g(d_i, nabla_j u)."""
-    gu = grad_vector(metric, u, points)
-    g = metric.value(points)
-    m = np.einsum("pkj,pki->pij", g, gu)  # g_kj (nabla u)^k_i
+def lie_derivative_metric(g: np.ndarray, gx: np.ndarray) -> np.ndarray:
+    """(L_X g)_ij = g(nabla_i X, d_j) + g(d_i, nabla_j X) from g and gx = nabla X at the points."""
+    m = np.swapaxes(gx, 1, 2) @ g  # g_kj (nabla X)^k_i
     return m + np.swapaxes(m, 1, 2)
 
 
 def divergence_vector(dx: np.ndarray, xv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """div X = d_k X^k + Gamma^k_kl X^l from the jet dx[p,i,k] = d_i X^k, X and Gamma."""
-    return np.einsum("pkk->p", _nabla_vector(dx, xv, gamma))
+    return np.einsum("pkk->p", nabla_vector(dx, xv, gamma))
 
 
 def divergence_endomorphism(dt: np.ndarray, tv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -274,18 +276,78 @@ def divergence_endomorphism(dt: np.ndarray, tv: np.ndarray, gamma: np.ndarray) -
     return out
 
 
-def nabla_J(metric: MetricField, j: MatrixField, points: np.ndarray,
-            gamma: Optional[np.ndarray] = None) -> np.ndarray:
-    """(nabla_a J)^k_j = d_a J^k_j + Gamma^k_al J^l_j - Gamma^l_aj J^k_l."""
-    if j.jac is not None:
-        dj = j.jac(points)
-    else:
-        dj = fd_jet(j.value, points, metric.steps_at(points))
-    if gamma is None:
-        gamma = christoffel(metric, points)
-    jv = j.value(points)
-    out = dj + np.einsum("pkal,plj->pakj", gamma, jv) - np.einsum("plaj,pkl->pakj", gamma, jv)
-    return out
+def nabla_J(dj: np.ndarray, jv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """(nabla_a J)^k_j = d_a J^k_j + Gamma^k_al J^l_j - Gamma^l_aj J^k_l.
+
+    ``dj[p,a,k,j] = d_a J^k_j`` is the jet of J; ``jv`` and ``gamma`` are J and
+    Gamma at the points.
+    """
+    ga = np.swapaxes(gamma, 1, 2)  # ga[p,a,k,l] = Gamma^k_al
+    return dj + ga @ jv[:, None] - jv[:, None] @ ga
+
+
+@dataclass
+class Frame:
+    """The geometry of a batch of points and the first jet of v = grad tau, built once.
+
+    Every array has the point as leading axis.  ``grad = g^-1 dtau`` is the
+    metric's own gradient of tau, with Q = dtau(grad) and the exact jets
+
+        d_a grad = g^-1 (d_a dtau - (d_a g) grad),
+        d_a Q    = 2 (d_a dtau)(grad) - g'_a(grad, grad),   g'_a = d_a g,
+
+    from g, d g and tau's closed-form partials ``tau.grad`` and ``tau.hess``.
+    ``v`` and ``dv`` are the supplied field and its jet where one is given,
+    else ``grad`` and ``dgrad``.  ``J`` and ``dJ`` are set when a J is given.
+    """
+
+    points: np.ndarray
+    g: np.ndarray               # (N, i, j)
+    dg: np.ndarray              # (N, a, i, j) = d_a g_ij
+    ginv: np.ndarray            # (N, i, j)
+    gamma: np.ndarray           # (N, k, i, j)
+    dtau: np.ndarray            # (N, j) = d_j tau
+    d2tau: np.ndarray           # (N, a, j) = d_a d_j tau
+    grad: np.ndarray            # (N, k) = g^kj d_j tau
+    dgrad: np.ndarray           # (N, a, k) = d_a grad^k
+    q: np.ndarray               # (N,) = |grad tau|^2
+    dq: np.ndarray              # (N, a) = d_a Q
+    v: np.ndarray               # (N, k)
+    dv: np.ndarray              # (N, a, k) = d_a v^k
+    J: Optional[np.ndarray] = None    # (N, k, j)
+    dJ: Optional[np.ndarray] = None   # (N, a, k, j) = d_a J^k_j
+
+    def laplacian(self) -> np.ndarray:
+        """Delta tau = g^ij (d_i d_j tau - Gamma^k_ij d_k tau)."""
+        hess = self.d2tau - np.einsum("pkij,pk->pij", self.gamma, self.dtau)
+        return np.einsum("pij,pij->p", self.ginv, hess)
+
+    def apply_J(self, x: np.ndarray, dx: np.ndarray):
+        """(J X, its jet d_a(J X)^k) from X and its jet dx[p,a,k] = d_a X^k."""
+        jx = np.einsum("pkj,pj->pk", self.J, x)
+        djx = np.einsum("pakj,pj->pak", self.dJ, x) + np.einsum("pkj,paj->pak", self.J, dx)
+        return jx, djx
+
+
+def build_frame(metric: MetricField, tau: ScalarField, points: np.ndarray,
+                v: Optional[VectorField] = None, j: Optional[MatrixField] = None) -> Frame:
+    """The ``Frame`` at the points: one ``levi_civita`` build plus the jets of tau, v and J."""
+    points = np.asarray(points, dtype=float)
+    g, dg, ginv, gamma = levi_civita(metric, points)
+    h = metric.steps_at(points)
+    dtau, d2tau = tau.grad(points), tau.hess(points)
+    grad = np.einsum("pkj,pj->pk", ginv, dtau)
+    dg_grad = np.einsum("paij,pj->pai", dg, grad)  # (d_a g) grad
+    dgrad = np.einsum("pki,pai->pak", ginv, d2tau - dg_grad)
+    dq = 2.0 * np.einsum("paj,pj->pa", d2tau, grad) - np.einsum("pai,pi->pa", dg_grad, grad)
+    frame = Frame(points=points, g=g, dg=dg, ginv=ginv, gamma=gamma, dtau=dtau, d2tau=d2tau,
+                  grad=grad, dgrad=dgrad, q=np.einsum("pj,pj->p", dtau, grad), dq=dq,
+                  v=grad, dv=dgrad)
+    if v is not None:
+        frame.v, frame.dv = v.value(points), field_jet(v, points, h)
+    if j is not None:
+        frame.J, frame.dJ = j.value(points), field_jet(j, points, h)
+    return frame
 
 
 def ricci(metric: MetricField, points: np.ndarray, outer_step: "float | np.ndarray" = 1e-2,
@@ -349,8 +411,7 @@ def commutator(metric: MetricField, x: VectorField, y: VectorField, points: np.n
                steps=None) -> np.ndarray:
     """[X, Y]^k = X^j d_j Y^k - Y^j d_j X^k (finite differences of the evaluators)."""
     h = metric.steps_at(points) if steps is None else steps
-    dx = x.jac(points) if x.jac is not None else fd_jet(x.value, points, h)
-    dy = y.jac(points) if y.jac is not None else fd_jet(y.value, points, h)
+    dx, dy = field_jet(x, points, h), field_jet(y, points, h)
     xv, yv = x.value(points), y.value(points)
     return np.einsum("pj,pjk->pk", xv, dy) - np.einsum("pj,pjk->pk", yv, dx)
 
@@ -437,7 +498,7 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
                             direction: "float | np.ndarray" = 1.0, *,
                             target_value: Optional[float] = None,
                             stop: Optional[Callable] = None,
-                            step: float = 1e-3, max_steps: int = 200000) -> FlowResult:
+                            step: float, max_steps: int = 200000) -> FlowResult:
     """RK4 integral curves of xdot = direction * grad f for a batch of seeds (N, n).
 
     The true gradient ODE is integrated with fixed steps h = ``step`` in t,

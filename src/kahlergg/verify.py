@@ -173,16 +173,9 @@ class VerificationSubject:
         return geo.VectorField(value=lambda pp: geo.scalar_gradient(self.metric, self.tau, pp),
                                name="grad-tau")
 
-    def u_field(self) -> geo.VectorField:
-        if self.u is not None:
-            return self.u
-        metric, J, tau = self.metric, self.J, self.tau
-
-        def val(pp):
-            grad = geo.scalar_gradient(metric, tau, pp)
-            return np.einsum("pij,pj->pi", J.value(pp), grad)
-
-        return geo.VectorField(value=val, name="J-grad-tau")
+    def frame(self, points: np.ndarray) -> geo.Frame:
+        """The geometry the main-grid checks read: g, Gamma and the jets of tau, v and J."""
+        return geo.build_frame(self.metric, self.tau, points, v=self.v, j=self.J)
 
 
 def subject_from_construction(data: ConstructionData) -> VerificationSubject:
@@ -325,78 +318,62 @@ def subject_from_fs(chart: Optional[FSChart] = None) -> VerificationSubject:
 # Individual checks
 # ----------------------------------------------------------------------------
 
-def check_kaehler(subject: VerificationSubject, points: np.ndarray, desc: str,
+def check_kaehler(subject: VerificationSubject, frame: geo.Frame, desc: str,
                   tol: float) -> CheckReport:
-    m = subject.metric
-    gamma = geo.christoffel(m, points)
-    nj = geo.nabla_J(m, subject.J, points, gamma=gamma)
-    jv = subject.J.value(points)
+    gamma, jv = frame.gamma, frame.J
+    nj = geo.nabla_J(frame.dJ, jv, gamma)
     scale = 1.0 + (np.max(np.abs(gamma), axis=(1, 2, 3)) * np.max(np.abs(jv), axis=(1, 2)))
     res = np.max(np.abs(nj), axis=(1, 2, 3)) / scale
     extras = {}
-    vf = subject.v_field()
-    gv = geo.grad_vector(m, vf, points, gamma=gamma)
-    comm = np.einsum("pij,pjk->pik", jv, gv) - np.einsum("pij,pjk->pik", gv, jv)
+    gv = geo.nabla_vector(frame.dv, frame.v, gamma)
+    comm = jv @ gv - gv @ jv
     cscale = 1.0 + np.max(np.abs(gv), axis=(1, 2)) * np.max(np.abs(jv), axis=(1, 2))
     extras["commutator_J_nabla_v_max"] = float(np.max(np.max(np.abs(comm), axis=(1, 2)) / cscale))
-    extras["J_squared_plus_id_max"] = float(np.max(np.abs(
-        np.einsum("pij,pjk->pik", jv, jv) + np.eye(subject.dim))))
-    g = m.value(points)
+    extras["J_squared_plus_id_max"] = float(np.max(np.abs(jv @ jv + np.eye(subject.dim))))
+    g = frame.g
     herm = np.swapaxes(jv, 1, 2) @ g @ jv - g
     extras["hermitian_defect_max"] = float(np.max(np.abs(herm) / (1.0 + np.max(np.abs(g), axis=(1, 2)))[:, None, None]))
     res = np.maximum(res, np.max(np.abs(comm), axis=(1, 2)) / cscale)
-    return make_report("kaehler", desc, points, res, tol, extras)
+    return make_report("kaehler", desc, frame.points, res, tol, extras)
 
 
-def check_killing(subject: VerificationSubject, points: np.ndarray, desc: str,
+def check_killing(subject: VerificationSubject, frame: geo.Frame, desc: str,
                   tol: float) -> CheckReport:
-    m = subject.metric
-    g = m.value(points)
+    points, g = frame.points, frame.g
     gscale = 1.0 + np.max(np.abs(g), axis=(1, 2))
-    routes = {}
-    res = np.zeros(points.shape[0])
+
+    def lie_residual(du, uv):
+        lie = geo.lie_derivative_metric(g, geo.nabla_vector(du, uv, frame.gamma))
+        return np.max(np.abs(lie), axis=(1, 2)) / gscale
+
+    # The numeric route: u = J(grad tau) with its exact jet from the frame.
+    u_num, du_num = frame.apply_J(frame.grad, frame.dgrad)
+    res = lie_residual(du_num, u_num)
+    routes = {"numeric_u_max": float(np.max(res))}
     u_exact = subject.u
     if u_exact is not None:
-        lie = geo.lie_derivative_metric(m, u_exact, points)
-        r = np.max(np.abs(lie), axis=(1, 2)) / gscale
+        uv = u_exact.value(points)
+        r = lie_residual(geo.field_jet(u_exact, points, subject.metric.steps_at(points)), uv)
         routes["assembled_u_max"] = float(np.max(r))
-        res = np.maximum(res, r)
-        # route agreement: evaluate J(grad tau) pointwise against the assembled field
-        grad = geo.scalar_gradient(m, subject.tau, points)
-        u2 = np.einsum("pij,pj->pi", subject.J.value(points), grad)
-        routes["route_agreement_max"] = float(np.max(np.abs(u2 - u_exact.value(points))))
-        lie2 = geo.lie_derivative_metric(m, geo.VectorField(value=lambda pp: np.einsum(
-            "pij,pj->pi", subject.J.value(pp), geo.scalar_gradient(m, subject.tau, pp))), points)
-        r2 = np.max(np.abs(lie2), axis=(1, 2)) / gscale
-        routes["numeric_u_max"] = float(np.max(r2))
-        res = np.maximum(res, r2)
-    else:
-        lie = geo.lie_derivative_metric(m, subject.u_field(), points)
-        r = np.max(np.abs(lie), axis=(1, 2)) / gscale
-        routes["numeric_u_max"] = float(np.max(r))
+        routes["route_agreement_max"] = float(np.max(np.abs(u_num - uv)))
         res = np.maximum(res, r)
     return make_report("killing", desc, points, res, tol, routes)
 
 
-def check_geodesic_gradient(subject: VerificationSubject, points: np.ndarray, desc: str,
+def check_geodesic_gradient(subject: VerificationSubject, frame: geo.Frame, desc: str,
                             tol: float) -> CheckReport:
-    m = subject.metric
-    steps = m.steps_at(points)
-    q_fn = subject.q_pointwise
-    dq = geo.fd_jet(q_fn, points, steps)
-    dtau = (subject.tau.grad(points) if subject.tau.grad is not None
-            else geo.fd_jet(subject.tau.value, points, steps))
+    dq, dtau = frame.dq, frame.dtau
     wedge = dq[:, :, None] * dtau[:, None, :] - dq[:, None, :] * dtau[:, :, None]
     scale = (1.0 + np.max(np.abs(dq), axis=1)) * (1.0 + np.max(np.abs(dtau), axis=1))
     res_wedge = np.max(np.abs(wedge), axis=(1, 2)) / scale
-    vf = subject.v_field()
-    vv = vf.value(points)
-    nvv = geo.covariant_derivative(m, vf, vv, points)
-    psi = subject.psi(points)
+    vv = frame.v
+    nvv = np.einsum("pki,pi->pk", geo.nabla_vector(frame.dv, vv, frame.gamma), vv)
+    psi = subject.psi(frame.points)
     dev = nvv - psi[:, None] * vv
     res_geo = np.max(np.abs(dev), axis=1) / (1.0 + np.abs(psi) * np.max(np.abs(vv), axis=1))
     extras = {"wedge_max": float(np.max(res_wedge)), "nabla_vv_max": float(np.max(res_geo))}
-    return make_report("geodesic_gradient", desc, points, np.maximum(res_wedge, res_geo), tol, extras)
+    return make_report("geodesic_gradient", desc, frame.points, np.maximum(res_wedge, res_geo),
+                       tol, extras)
 
 
 def _laplacian_target(subject: VerificationSubject, points: np.ndarray) -> np.ndarray:
@@ -405,21 +382,20 @@ def _laplacian_target(subject: VerificationSubject, points: np.ndarray) -> np.nd
     return 2.0 * (psi + phi)
 
 
-def check_laplacian_identity(subject: VerificationSubject, points: np.ndarray, desc: str,
+def check_laplacian_identity(subject: VerificationSubject, frame: geo.Frame, desc: str,
                              tol: float) -> CheckReport:
-    lap = geo.laplacian(subject.metric, subject.tau, points)
-    target = _laplacian_target(subject, points)
+    lap = frame.laplacian()
+    target = _laplacian_target(subject, frame.points)
     res = np.abs(lap - target) / (1.0 + np.abs(lap))
-    return make_report("laplacian", desc, points, res, tol,
+    return make_report("laplacian", desc, frame.points, res, tol,
                        {"max_abs_laplacian": float(np.max(np.abs(lap)))})
 
 
-def _gamma_recover_raw(subject: VerificationSubject, points: np.ndarray):
-    lap = geo.laplacian(subject.metric, subject.tau, points)
-    q = subject.q_pointwise(points)
-    psi = subject.psi(points)
+def _gamma_recover_raw(subject: VerificationSubject, frame: geo.Frame):
+    lap, q = frame.laplacian(), frame.q
+    psi = subject.psi(frame.points)
     denom = lap - 2.0 * psi
-    tau = subject.tau.value(points)
+    tau = subject.tau.value(frame.points)
     out = []
     thresh = 1e-8
     for t, qq, dd in zip(tau, q, denom):
@@ -430,12 +406,12 @@ def _gamma_recover_raw(subject: VerificationSubject, points: np.ndarray):
     return out
 
 
-def check_gamma_recovery(subject: VerificationSubject, points: np.ndarray, desc: str,
+def check_gamma_recovery(subject: VerificationSubject, frame: geo.Frame, desc: str,
                          tol: float) -> CheckReport:
     if subject.gamma_expected is None:
         raise ValueError("subject provides no expected gamma")
-    rec = _gamma_recover_raw(subject, points)
-    exp = subject.gamma_expected(points)
+    rec = _gamma_recover_raw(subject, frame)
+    exp = subject.gamma_expected(frame.points)
     res = np.array([rp1_distance(r, e) for r, e in zip(rec, exp)])
     extras = {}
     # Fiber constancy: sweep tau and theta over the first base point.
@@ -444,38 +420,30 @@ def check_gamma_recovery(subject: VerificationSubject, points: np.ndarray, desc:
         sweep = [subject.fiber_point(subject.fiber_bases[0], s, th)
                  for s in np.linspace(0.15 * lam, 0.85 * lam, 7)
                  for th in (0.0, 1.7, 3.9)]
-        angles = [rp1_angle(gv) for gv in _gamma_recover_raw(subject, np.array(sweep))]
+        angles = [rp1_angle(gv) for gv in _gamma_recover_raw(subject, subject.frame(np.array(sweep)))]
         extras["fiber_spread"] = float(np.ptp(angles))
-    return make_report("gamma_recovery", desc, points, res, tol, extras)
+    return make_report("gamma_recovery", desc, frame.points, res, tol, extras)
 
 
-def check_ode_identities(subject: VerificationSubject, points: np.ndarray, desc: str,
+def check_ode_identities(subject: VerificationSubject, frame: geo.Frame, desc: str,
                          tol: float) -> CheckReport:
-    m = subject.metric
-    steps = m.steps_at(points)
-    vf = subject.v_field()
-    vv = vf.value(points)
+    points, vv = frame.points, frame.v
     tau = subject.tau.value(points)
     q_prof = subject.profile.Q(tau)
     psi = subject.psi(points)
     phi = subject.phi(points) if subject.phi is not None else np.zeros(points.shape[0])
-
-    def d_v(scalar_fn):
-        jet = geo.fd_jet(scalar_fn, points, steps)
-        return np.einsum("pi,pi->p", vv, jet)
-
-    r1 = np.abs(d_v(subject.tau.value) - q_prof) / (1.0 + q_prof)
-    r2 = np.abs(d_v(subject.q_pointwise) - 2.0 * psi * q_prof) / (1.0 + np.abs(psi) * q_prof)
+    r1 = np.abs(np.einsum("pi,pi->p", vv, frame.dtau) - q_prof) / (1.0 + q_prof)
+    r2 = (np.abs(np.einsum("pi,pi->p", vv, frame.dq) - 2.0 * psi * q_prof)
+          / (1.0 + np.abs(psi) * q_prof))
     if subject.phi is not None:
-        r3 = np.abs(d_v(subject.phi) - 2.0 * (psi - phi) * phi) / (1.0 + np.abs(psi * phi) + phi ** 2)
+        dv_phi = geo.fd_directional(subject.phi, points, vv, subject.metric.steps_at(points))
+        r3 = np.abs(dv_phi - 2.0 * (psi - phi) * phi) / (1.0 + np.abs(psi * phi) + phi ** 2)
     else:
         r3 = np.zeros_like(r1)
-    frame = geo.levi_civita(m, points)
-    g, ginv, gamma = frame
-    lap = geo.laplacian(m, subject.tau, points, frame=frame)
+    lap = frame.laplacian()
     r4 = np.abs(lap - 2.0 * (psi + phi)) / (1.0 + np.abs(lap))
-    gv = geo.grad_vector(m, vf, points, gamma=gamma)
-    norm2 = _grad_v_norm2(g, ginv, gv)
+    gv = geo.nabla_vector(frame.dv, vv, frame.gamma)
+    norm2 = _grad_v_norm2(frame.g, frame.ginv, gv)
     r5 = np.abs(norm2 - 2.0 * (psi ** 2 + phi ** 2)) / (1.0 + psi ** 2 + phi ** 2)
     extras = {"d_v_tau": float(np.max(r1)), "d_v_Q": float(np.max(r2)),
               "d_v_phi": float(np.max(r3)), "laplacian_split": float(np.max(r4)),
@@ -489,23 +457,21 @@ def _grad_v_norm2(g: np.ndarray, ginv: np.ndarray, gv: np.ndarray) -> np.ndarray
     return np.einsum("pkl,pkl->p", g, gv @ ginv @ np.swapaxes(gv, 1, 2))
 
 
-def check_bracket_identities(subject: VerificationSubject, points: np.ndarray, desc: str,
+def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, desc: str,
                              tol: float) -> CheckReport:
     if subject.lift_fields is None:
         raise ValueError("subject provides no horizontal lifts")
-    m = subject.metric
-    steps = m.steps_at(points)
+    points, g, q, vv = frame.points, frame.g, frame.q, frame.v
+    steps = subject.metric.steps_at(points)
     w1, w2 = subject.lift_fields
-    bracket = geo.commutator(m, w1, w2, points, steps=steps)
-    g = m.value(points)
-    vf, uf = subject.v_field(), subject.u_field()
-    vv, uv = vf.value(points), uf.value(points)
-    q = subject.q_pointwise(points)
+    bracket = geo.commutator(subject.metric, w1, w2, points, steps=steps)
+    uv = subject.u.value(points)
     c_v = np.einsum("pij,pi,pj->p", g, bracket, vv) / q
     c_u = np.einsum("pij,pi,pj->p", g, bracket, uv) / q
     phi = subject.phi(points) if subject.phi is not None else np.zeros(points.shape[0])
-    jw1 = np.einsum("pij,pj->pi", subject.J.value(points), w1.value(points))
-    g_jw_w = np.einsum("pij,pi,pj->p", g, jw1, w2.value(points))
+    wv = (w1.value(points), w2.value(points))
+    jw1 = np.einsum("pij,pj->pi", frame.J, wv[0])
+    g_jw_w = np.einsum("pij,pi,pj->p", g, jw1, wv[1])
     scale = 1.0 + np.abs(phi * g_jw_w)
     res_wwv = (np.abs(q * c_v) + np.abs(q * c_u + 2.0 * phi * g_jw_w)) / scale
     extras = {"wwv_max": float(np.max(res_wwv))}
@@ -517,23 +483,24 @@ def check_bracket_identities(subject: VerificationSubject, points: np.ndarray, d
         res = np.maximum(res, res_curv)
 
     if subject.phi is not None:
-        pairs = ((w1, w1), (w1, w2), (w2, w2))
-
-        def quotients(pp):
-            # phi g(w_a, w_b) / Q for every lift pair, from one evaluation of g.
-            gg = m.value(pp)
-            qq = geo.gradient_and_q(m, subject.tau, pp, g=gg)[1]
-            ph = subject.phi(pp)
-            return np.stack([ph * np.einsum("pij,pi,pj->p", gg, wa.value(pp), wb.value(pp)) / qq
-                             for wa, wb in pairs], axis=1)
-
-        fval = quotients(points)
-        jet = geo.fd_jet(quotients, points, steps)  # (N, axis, pair)
+        # d_X [phi g(w_a, w_b) / Q] along X = v and X = u for every lift pair, with
+        # the jets of g, Q and the lifts exact and d_X phi a stencil along X.
+        dw = (geo.field_jet(w1, points, steps), geo.field_jet(w2, points, steps))
         r_dvq = np.zeros(points.shape[0])
-        for c in range(len(pairs)):
-            sc = (1.0 + np.abs(fval[:, c])) * (1.0 + q)
-            for vec in (vv, uv):
-                r_dvq = np.maximum(r_dvq, np.abs(np.einsum("pi,pi->p", vec, jet[:, :, c])) / sc)
+        for vec in (vv, uv):
+            d_phi = geo.fd_directional(subject.phi, points, vec, steps)
+            d_q = np.einsum("pa,pa->p", vec, frame.dq)
+            d_g = np.einsum("pa,paij->pij", vec, frame.dg)
+            d_w = [np.einsum("pa,pak->pk", vec, jet) for jet in dw]
+            for a, b in ((0, 0), (0, 1), (1, 1)):
+                gab = np.einsum("pij,pi,pj->p", g, wv[a], wv[b])
+                d_gab = (np.einsum("pij,pi,pj->p", g, d_w[a], wv[b])
+                         + np.einsum("pij,pi,pj->p", d_g, wv[a], wv[b])
+                         + np.einsum("pij,pi,pj->p", g, wv[a], d_w[b]))
+                quot = phi * gab / q
+                d_quot = (d_phi * gab + phi * d_gab) / q - quot * d_q / q
+                sc = (1.0 + np.abs(quot)) * (1.0 + q)
+                r_dvq = np.maximum(r_dvq, np.abs(d_quot) / sc)
         extras["dvq_max"] = float(np.max(r_dvq))
         res = np.maximum(res, r_dvq)
     return make_report("bracket_identities", desc, points, res, tol, extras)
@@ -543,35 +510,33 @@ def check_bochner(subject: VerificationSubject, points: np.ndarray, desc: str,
                   tol: float) -> CheckReport:
     m = subject.metric
     steps = np.minimum(m.steps_at(points), 5e-3)
-    vf = subject.v_field()
     n = subject.dim
 
     def bundle(pp):
-        # The Levi-Civita frame, then [div v, nabla v, Delta tau, nabla_v v] from it.
-        frame = geo.levi_civita(m, pp)
-        gv = geo.grad_vector(m, vf, pp, gamma=frame[2])
+        # The frame, then [div v, nabla v, Delta tau, nabla_v v] from it.
+        fr = geo.build_frame(m, subject.tau, pp, v=subject.v)
+        gv = geo.nabla_vector(fr.dv, fr.v, fr.gamma)
         parts = (np.einsum("pkk->p", gv)[:, None], gv.reshape(-1, n * n),
-                 geo.laplacian(m, subject.tau, pp, frame=frame)[:, None],
-                 np.einsum("pki,pi->pk", gv, vf.value(pp)))
-        return frame, np.concatenate(parts, axis=1)
+                 fr.laplacian()[:, None], np.einsum("pki,pi->pk", gv, fr.v))
+        return fr, np.concatenate(parts, axis=1)
 
     def split(arr):  # (..., 2 + n*n + n) -> div v, nabla v, Delta tau, nabla_v v
         lead = arr.shape[:-1]
         return (arr[..., 0], arr[..., 1:1 + n * n].reshape(lead + (n, n)),
                 arr[..., 1 + n * n], arr[..., 2 + n * n:])
 
-    (g, ginv, gamma), centre = bundle(points)
+    fr, centre = bundle(points)
     _, gv, _, nvv = split(centre)
     d_divv, d_gradv, d_lap, d_nvv = split(geo.fd_jet(lambda pp: bundle(pp)[1], points, steps))
-    vv = vf.value(points)
-    div_gradv = geo.divergence_endomorphism(d_gradv, gv, gamma)
+    vv = fr.v
+    div_gradv = geo.divergence_endomorphism(d_gradv, gv, fr.gamma)
     ric = geo.ricci(m, points, outer_step=5e-3)
     ric_v = np.einsum("pij,pj->pi", ric, vv)
     scale = 1.0 + np.max(np.abs(ric_v), axis=1) + np.max(np.abs(d_divv), axis=1)
     r_bch = np.max(np.abs(d_divv - div_gradv + ric_v), axis=1) / scale
     r_ddt = np.max(np.abs(d_lap + 2.0 * ric_v), axis=1) / scale
-    div_nvv = geo.divergence_vector(d_nvv, nvv, gamma)
-    norm2 = _grad_v_norm2(g, ginv, gv)
+    div_nvv = geo.divergence_vector(d_nvv, nvv, fr.gamma)
+    norm2 = _grad_v_norm2(fr.g, fr.ginv, gv)
     dv_lap = np.einsum("pi,pi->p", vv, d_lap)
     r_dvd = np.abs(dv_lap - 2.0 * div_nvv + 2.0 * norm2) / (1.0 + np.abs(dv_lap) + norm2)
     extras = {"bochner_max": float(np.max(r_bch)), "ddt_max": float(np.max(r_ddt)),
@@ -729,20 +694,19 @@ def run_suite(subject: VerificationSubject, spec: Optional[GridSpec] = None,
     def want(name: str) -> bool:
         return checks is None or name in checks
 
-    if want("kaehler"):
-        reports.append(check_kaehler(subject, points, desc, tols["kaehler"]))
-    if want("killing"):
-        reports.append(check_killing(subject, points, desc, tols["killing"]))
-    if want("geodesic_gradient"):
-        reports.append(check_geodesic_gradient(subject, points, desc, tols["geodesic_gradient"]))
-    if want("laplacian"):
-        reports.append(check_laplacian_identity(subject, points, desc, tols["laplacian"]))
-    if want("gamma_recovery") and subject.gamma_expected is not None:
-        reports.append(check_gamma_recovery(subject, points, desc, tols["gamma_recovery"]))
-    if want("ode_identities"):
-        reports.append(check_ode_identities(subject, points, desc, tols["ode_identities"]))
-    if want("bracket_identities") and subject.lift_fields is not None:
-        reports.append(check_bracket_identities(subject, points, desc, tols["bracket_identities"]))
+    grid_checks = [(name, check) for name, check, applies in (
+        ("kaehler", check_kaehler, True),
+        ("killing", check_killing, True),
+        ("geodesic_gradient", check_geodesic_gradient, True),
+        ("laplacian", check_laplacian_identity, True),
+        ("gamma_recovery", check_gamma_recovery, subject.gamma_expected is not None),
+        ("ode_identities", check_ode_identities, True),
+        ("bracket_identities", check_bracket_identities, subject.lift_fields is not None),
+    ) if applies and want(name)]
+    if grid_checks:
+        frame = subject.frame(points)
+        reports += [check(subject, frame, desc, tols[name]) for name, check in grid_checks]
+        del frame  # freed before bochner builds its deep-grid stencils
     if want("bochner"):
         reports.append(check_bochner(subject, deep_points, deep_desc + " (deep collar)",
                                      tols["bochner"]))

@@ -92,6 +92,7 @@ def test_tau_value_and_grad_on_every_chart(m, k, l, norm_index):
     assert np.max(np.abs(tau.value(p) - az[:, k + 1:].sum(axis=1) / az.sum(axis=1))) < 1e-14
     jet = geo.fd_jet(tau.value, p, 1e-4)
     assert np.max(np.abs(tau.grad(p) - jet)) < 1e-9
+    assert np.max(np.abs(tau.hess(p) - geo.fd_jet(tau.grad, p, 1e-4))) < 1e-9
 
 
 def test_metric_dvalue_matches_fd(chart, sample_points):

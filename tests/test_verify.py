@@ -43,7 +43,7 @@ def test_gamma_inf_suite_and_infinite_recovery(torus_inf_data):
     reports = run_suite(subject, FAST)
     assert suite_passed(reports), failures(reports)
     pts, _ = subject.grid_points(FAST)
-    rec = _gamma_recover_raw(subject, pts[:40])
+    rec = _gamma_recover_raw(subject, subject.frame(pts[:40]))
     assert all(g == INFINITY for g in rec)
 
 
@@ -93,14 +93,13 @@ def test_gauge_invariance(torus_data):
 
 def test_laplacian_spot_value(torus_subject):
     # Delta tau at (1/4, 0, 1/2, 0) = (1/2 - 3)^(-1) * 1 + 0 = -0.4
-    lap = geo.laplacian(torus_subject.metric, torus_subject.tau,
-                        np.array([[0.25, 0.0, 0.5, 0.0]]))
+    lap = torus_subject.frame(np.array([[0.25, 0.0, 0.5, 0.0]])).laplacian()
     assert abs(lap[0] + 0.4) < 1e-5
 
 
 def test_killing_route_agreement(torus_subject):
     pts, desc = torus_subject.grid_points(FAST)
-    rep = check_killing(torus_subject, pts[:200], desc, 1e-6)
+    rep = check_killing(torus_subject, torus_subject.frame(pts[:200]), desc, 1e-6)
     assert rep.passed
     assert rep.extras["route_agreement_max"] < 1e-8
 
@@ -110,13 +109,15 @@ def test_wrong_field_is_not_killing(torus_subject):
     bad = geo.VectorField(value=lambda p: np.broadcast_to(
         [0.0, 0.0, 1.0, 0.0], (p.shape[0], 4)).copy())
     pts, _ = torus_subject.grid_points(FAST)
-    lie = geo.lie_derivative_metric(torus_subject.metric, bad, pts[:50])
+    frame = torus_subject.frame(pts[:50])
+    lie = geo.lie_derivative_metric(frame.g, geo.grad_vector(torus_subject.metric, bad, pts[:50],
+                                                             gamma=frame.gamma))
     assert np.max(np.abs(lie)) > 1.0
 
 
 def test_gamma_recovery_fiber_spread(torus_subject):
     pts, desc = torus_subject.grid_points(FAST)
-    rep = check_gamma_recovery(torus_subject, pts[:100], desc, 1e-5)
+    rep = check_gamma_recovery(torus_subject, torus_subject.frame(pts[:100]), desc, 1e-5)
     assert rep.passed
     assert rep.extras["fiber_spread"] < 1e-6
 
@@ -156,7 +157,7 @@ def test_sphere_north_chart_suite(sphere_data):
 def test_laplacian_check_on_perturbed_beta_fails(torus_data):
     subject = subject_from_construction(replace(torus_data, control="perturb-beta"))
     pts, desc = subject.grid_points(FAST)
-    rep = check_laplacian_identity(subject, pts, desc, 1e-5)
+    rep = check_laplacian_identity(subject, subject.frame(pts), desc, 1e-5)
     assert not rep.passed
 
 
@@ -216,20 +217,86 @@ def test_coarse_flow_step_still_lands_on_the_target(torus_subject):
 
 
 def test_fused_checks_evaluate_the_metric_once_per_stencil_point(torus_subject):
-    # Per grid point: a 16-point stencil plus a few centre evaluations (bracket
-    # identities), and Ricci's 25 Christoffel builds on top (Bochner, which
-    # run_suite gives the deep-collar grid).
+    # Per grid point: the frame's one evaluation (bracket identities, whose
+    # jets are exact), and a frame at each of the 16 stencil points plus
+    # Ricci's 25 Christoffel builds (Bochner, which run_suite gives the
+    # deep-collar grid).
     seen = []
 
     def value(pp):
         seen.append(len(pp))
         return torus_subject.metric.value(pp)
 
+    def bracket(subject, pts, desc, tol):
+        return check_bracket_identities(subject, subject.frame(pts), desc, tol)
+
     subject = replace(torus_subject, metric=replace(torus_subject.metric, value=value))
     spec = GridSpec(base=(4, 4), n_tau=8, n_theta=2)
-    for check, tol, collar, per_point in ((check_bracket_identities, 1e-5, spec.collar, 24),
+    for check, tol, collar, per_point in ((bracket, 1e-5, spec.collar, 1),
                                           (check_bochner, 1e-3, spec.deep_collar, 80)):
         pts, desc = subject.grid_points(replace(spec, collar=collar))
         seen.clear()
         assert check(subject, pts, desc, tol).passed
         assert sum(seen) <= per_point * len(pts)
+
+
+@pytest.mark.parametrize("name", ["torus_data", "sphere_data", "fs"])
+def test_frame_jets_match_finite_differences(request, fs_subject, name):
+    # The frame's exact dQ, dv (closed-form v.jac on the constructions, the
+    # numeric g^-1 (d dtau - dg v) on Fubini-Study) and d(Jv) against stencils
+    # of the pointwise values; 1e-8 is the bound the analytic dg meets.
+    subject = fs_subject if name == "fs" else subject_from_construction(
+        request.getfixturevalue(name))
+    pts, _ = subject.grid_points(FAST)
+    frame = subject.frame(pts)
+    steps = subject.metric.steps_at(pts)
+    vf, jf = subject.v_field(), subject.J
+
+    def jv(pp):
+        return np.einsum("pij,pj->pi", jf.value(pp), vf.value(pp))
+
+    assert np.max(np.abs(frame.dq - geo.fd_jet(subject.q_pointwise, pts, steps))) < 1e-8
+    assert np.max(np.abs(frame.dv - geo.fd_jet(vf.value, pts, steps))) < 1e-8
+    assert np.max(np.abs(frame.apply_J(frame.v, frame.dv)[1] - geo.fd_jet(jv, pts, steps))) < 1e-8
+
+
+MAIN_GRID_CHECKS = ["kaehler", "killing", "geodesic_gradient", "laplacian", "gamma_recovery",
+                    "ode_identities", "bracket_identities"]
+
+
+def test_main_grid_checks_share_one_frame(torus_subject, monkeypatch):
+    # One levi_civita build and about one metric evaluation per grid point for
+    # all seven checks (83 points and 8 builds before the shared frame); the
+    # gamma_recovery fiber sweep adds a 21-point frame of its own.
+    pts, _ = torus_subject.grid_points(GridSpec())
+    seen, builds = [], []
+
+    def value(pp):
+        seen.append(len(pp))
+        return torus_subject.metric.value(pp)
+
+    def levi_civita(metric, pp, *args, lc=geo.levi_civita, **kwargs):
+        builds.append(len(pp))
+        return lc(metric, pp, *args, **kwargs)
+
+    monkeypatch.setattr(geo, "levi_civita", levi_civita)
+    subject = replace(torus_subject, metric=replace(torus_subject.metric, value=value))
+    reports = run_suite(subject, GridSpec(), checks=MAIN_GRID_CHECKS)
+    assert suite_passed(reports) and [r.check for r in reports] == MAIN_GRID_CHECKS
+    assert sum(seen) <= 2 * len(pts)
+    assert builds.count(len(pts)) == 1
+
+
+def test_fubini_bochner_takes_v_jacobian_from_the_frame(fs_subject):
+    # 349 metric points per grid point when the numeric v had no Jacobian.
+    seen = []
+
+    def value(pp):
+        seen.append(len(pp))
+        return fs_subject.metric.value(pp)
+
+    subject = replace(fs_subject, metric=replace(fs_subject.metric, value=value))
+    spec = GridSpec()
+    pts, desc = subject.grid_points(replace(spec, collar=spec.deep_collar, n_tau=spec.n_tau // 2))
+    assert check_bochner(subject, pts, desc, 1e-3).passed
+    assert sum(seen) <= 50 * len(pts)
