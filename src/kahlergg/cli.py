@@ -26,7 +26,7 @@ from .extract import (FiberInconsistencyError, InconsistentOracleError, NotAFunc
 from .fubini import FSChart
 from .geometry import NumericalFailure
 from .profiles import InvalidProfileError, profile_table
-from .verify import (GridSpec, _flow_lengths, run_suite,
+from .verify import (GridSpec, _flow_lengths, resolve_tolerances, run_suite,
                      subject_from_construction, subject_from_fs, suite_passed)
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NUMERICAL = 0, 1, 2, 3
@@ -147,7 +147,7 @@ def cmd_construct(args) -> int:
 def cmd_extract(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    if cfg.oracle == "fubini":
+    if cfg.oracle == "fubini" and not args.round_trip:
         oracle = oracle_from_fs(FSChart())
         ex = extract_all(oracle, with_h=False)
         payload = {"oracle": "fubini", "extracted": ex.to_dict(),
@@ -180,8 +180,8 @@ def cmd_flow(args) -> int:
     out = _out_dir(args)
     data = build_from_config(cfg)
     subject = subject_from_construction(data)
-    tols = {"flow_lengths": cfg.tolerances.get("flow_lengths", 1e-4)}
-    report, flow = _flow_lengths(subject, tols["flow_lengths"] * cfg.tol_scale)
+    tol = resolve_tolerances(cfg.tolerances, cfg.tol_scale)["flow_lengths"]
+    report, flow = _flow_lengths(subject, tol)
     # Trajectory dump for the first fiber.
     path = flow.fiber(0)
     with (out / "trajectory.csv").open("w", newline="") as fh:

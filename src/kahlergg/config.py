@@ -231,6 +231,9 @@ def _gamma_fields(surface_type: str, gamma_spec: dict, surface_params: dict) -> 
 
 
 def build_from_config(cfg: RunConfig) -> ConstructionData:
+    if cfg.oracle != "construction":
+        raise ConfigError(f"$.oracle: '{cfg.oracle}' has no construction; construct, flow "
+                          "and extract --round-trip need oracle = 'construction'")
     interval = Interval(cfg.tau_min, cfg.tau_max)
     gammas = _gamma_fields(cfg.surface_type, cfg.gamma_spec, cfg.surface_params)
     if cfg.surface_type == "torus":

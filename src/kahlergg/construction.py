@@ -284,9 +284,11 @@ def fields_v_u_psi_phi(data: ConstructionData):
     return v, u, psi, phi
 
 
-def gamma_of_points(data: ConstructionData, P: np.ndarray) -> list:
-    """Input gamma (as RP1 values) at the base points under the given chart points."""
-    return data.chart_data.gamma.rp1_at(np.asarray(P, dtype=float)[:, :2])
+def gamma_of_points(data: ConstructionData, P: np.ndarray) -> np.ndarray:
+    """Input gamma at the base points under the given chart points, inf where infinite."""
+    P = np.asarray(P, dtype=float)
+    gam = data.chart_data.gamma
+    return np.full(P.shape[0], np.inf) if gam.infinite else gam.value(P[:, :2])
 
 
 def christoffel_closed_form(data: ConstructionData, P: np.ndarray) -> np.ndarray:

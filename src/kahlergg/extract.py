@@ -4,7 +4,8 @@ An :class:`ExtractionOracle` exposes only pointwise evaluations of (g, J,
 tau) plus seed points; the metric's analytic derivatives are deliberately
 stripped so every covariant quantity here goes through the finite
 difference engine, keeping the round trip non-circular.  (tau's coordinate
-differential is kept: it is data of the triple, not of the construction.)
+differential and Hessian are kept: they are data of the triple, not of the
+construction.)
 
 The pipeline follows the geometry rather than any stored closed form:
 
@@ -21,9 +22,9 @@ The pipeline follows the geometry rather than any stored closed form:
     points is the numerical realization of "Q is a function of tau" and
     failing it rejects the oracle;
   * gamma comes per base point from tau - Q/(laplacian(tau) - dQ/dtau),
-    with dQ/dtau = 2 Hess tau(grad tau, grad tau)/Q from the same
-    finite-difference Hessian as the Laplacian, averaged along the fiber
-    with a consistency assertion;
+    with dQ/dtau = 2 Hess tau(grad tau, grad tau)/Q from the same covariant
+    Hessian as the Laplacian (tau's closed-form partials, Christoffels from
+    a stencil of g), averaged along the fiber with a consistency assertion;
   * h is the s -> 0 limit of (tau_min - gamma)^(-1)(tau_star - gamma) times
     the metric restricted to the orthogonal complement of (grad tau,
     J grad tau), Richardson-extrapolated at s = delta, 2 delta, 4 delta on
@@ -49,7 +50,7 @@ from .construction import (ConstructionData, assemble_metric, assemble_J,
                            build_construction, tau_field)
 from .fubini import FSChart, fs_J, fs_metric, fs_random_directions, fs_tau
 from .profiles import Interval, MomentumProfile, build_reparams, make_profile
-from .rp1 import INFINITY, RP1Value, rp1_angle, rp1_distance
+from .rp1 import INFINITY, RP1Value, recover_gamma, rp1_angle, rp1_distance
 from .surfaces import (BaseSurfaceData, ChartData, GammaField, SurfaceChart,
                        curvature_form, gamma_constant, solve_connection_radial,
                        solve_connection_torus)
@@ -88,7 +89,8 @@ def oracle_from_construction(data: ConstructionData, n_x1: int = 24, n_x2: int =
                              step=m_full.step, step_limiter=m_full.step_limiter,
                              name=m_full.name + ":oracle")
     tau_full = tau_field(data)
-    tau = geo.ScalarField(value=tau_full.value, grad=tau_full.grad, name="tau:oracle")
+    tau = geo.ScalarField(value=tau_full.value, grad=tau_full.grad, hess=tau_full.hess,
+                          name="tau:oracle")
     j_full = assemble_J(data)
     jf = geo.MatrixField(value=j_full.value, jac=None, name="J:oracle")
     (x1lo, x1hi), (x2lo, x2hi) = data.chart_data.chart.bounds
@@ -288,24 +290,15 @@ def extract_profile(oracle: ExtractionOracle, interval: Interval, a: float, trac
     return samples, profile, {"q_cross_spread": spread, "q_fit_residual": fit_res}
 
 
-def _hessian_terms(oracle: ExtractionOracle, points: np.ndarray):
-    """(laplacian tau, Hess tau(grad tau, grad tau) / Q) from one finite-difference Hessian."""
-    steps = np.min(oracle.metric.steps_at(points), axis=0)
-    g, _, ginv, gamma = geo.levi_civita(oracle.metric, points, force_fd=True, steps=steps)
-    hess = geo.hessian(oracle.metric, oracle.tau, points, force_fd=True, steps=steps, gamma=gamma)
-    grad, q = geo.gradient_and_q(oracle.metric, oracle.tau, points, g=g)
-    return (np.einsum("pij,pij->p", ginv, hess),
-            np.einsum("pi,pij,pj->p", grad, hess, grad) / q)
-
-
 def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: list):
     """Recovered gamma per seed, averaged along its fiber, with consistency check.
 
     psi = (dQ/dtau)/2 = Hess tau(grad tau, grad tau) / Q is taken at each of
-    five trace points from the finite-difference Hessian that also gives
-    laplacian(tau) there, rather than from the fitted profile polynomial:
-    the recovery denominator amplifies psi errors by (tau - gamma)^2 / Q.
-    The result does not depend on how the traces are sampled.
+    five trace points from the covariant Hessian that also gives
+    laplacian(tau) there, all from one frame, rather than from the fitted
+    profile polynomial: the recovery denominator amplifies psi errors by
+    (tau - gamma)^2 / Q.  The result does not depend on how the traces are
+    sampled.
     """
     iv = profile.interval
     lo = iv.tau_min + 0.25 * iv.length
@@ -314,31 +307,20 @@ def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: li
     for tr in traces:
         idx = np.where((tr.tau > lo) & (tr.tau < hi))[0]
         picks.append(idx[np.linspace(0, idx.size - 1, 5).astype(int)])
-    lap, psi = _hessian_terms(oracle, np.concatenate([tr.points[p] for tr, p in zip(traces, picks)]))
-    denoms = (lap - 2.0 * psi).reshape(len(traces), -1)
-    gammas, spreads = [], []
-    for tr, p, denom in zip(traces, picks, denoms):
-        vals = []
-        for t, qq, dd in zip(tr.tau[p], tr.q[p], denom):
-            if abs(dd) < 1e-8 * (1.0 + qq):
-                vals.append(INFINITY)
-            else:
-                vals.append(RP1Value(t - qq / dd))
-        angles = np.array([rp1_angle(v) for v in vals])
-        spread = max(rp1_distance(v1, v2) for v1 in vals for v2 in vals)
-        spreads.append(spread)
-        if spread > 1e-3:
-            raise FiberInconsistencyError(
-                f"gamma varies by {spread:.3e} along one fiber; recovery aborted")
-        if all(v.infinite for v in vals):
-            gammas.append(INFINITY)
-        else:
-            mean_angle = float(np.mean(angles))
-            if abs(abs(mean_angle) - 0.5 * math.pi) < 1e-9:
-                gammas.append(INFINITY)
-            else:
-                gammas.append(RP1Value(math.tan(mean_angle)))
-    return gammas, {"fiber_spread_max": float(np.max(spreads))}
+    fr = geo.build_frame(oracle.metric, oracle.tau,
+                         np.concatenate([tr.points[p] for tr, p in zip(traces, picks)]))
+    psi = np.einsum("pi,pij,pj->p", fr.grad, fr.hessian(), fr.grad) / fr.q
+    gam = recover_gamma(np.concatenate([tr.tau[p] for tr, p in zip(traces, picks)]),
+                        np.concatenate([tr.q[p] for tr, p in zip(traces, picks)]),
+                        fr.laplacian(), psi).reshape(len(traces), -1)
+    spreads = np.max(rp1_distance(gam[:, :, None], gam[:, None, :]), axis=(1, 2))
+    worst = float(np.max(spreads))
+    if worst > 1e-3:
+        raise FiberInconsistencyError(
+            f"gamma varies by {worst:.3e} along one fiber; recovery aborted")
+    gammas = [INFINITY if abs(abs(m) - 0.5 * math.pi) < 1e-9 else RP1Value(math.tan(m))
+              for m in np.mean(rp1_angle(gam), axis=1)]
+    return gammas, {"fiber_spread_max": worst}
 
 
 def extract_h(oracle: ExtractionOracle, interval: Interval, a: float,

@@ -114,42 +114,23 @@ def fd_jet(f: Callable, points: np.ndarray, steps) -> np.ndarray:
     return np.moveaxis(deriv, 0, 1)
 
 
-def fd_hessian_scalar(f: Callable, points: np.ndarray, steps) -> np.ndarray:
-    """Nested 4th-order stencil Hessian of a scalar evaluator, symmetrized.
-
-    Steps must be a scalar or per-axis (n,): the inner stencil is re-applied
-    at shifted points, so per-point steps would not line up.
-    """
-    inner = np.asarray(steps, dtype=float)
-    if inner.ndim not in (0, 1):
-        raise ValueError("nested Hessian stencils need scalar or per-axis steps")
-
-    def jet(pp):
-        return fd_jet(f, pp, inner)
-
-    hess = fd_jet(jet, points, inner)  # (N, a, b)
-    return 0.5 * (hess + np.swapaxes(hess, 1, 2))
-
-
-def metric_dvalue(metric: MetricField, points: np.ndarray, force_fd: bool = False,
-                  steps=None) -> np.ndarray:
-    if metric.dvalue is not None and not force_fd:
-        return metric.dvalue(points)
-    h = metric.steps_at(points) if steps is None else steps
-    return fd_jet(metric.value, points, h)
-
-
-def christoffel(metric: MetricField, points: np.ndarray, force_fd: bool = False,
-                steps=None) -> np.ndarray:
+def christoffel(metric: MetricField, points: np.ndarray, force_fd: bool = False) -> np.ndarray:
     """Levi-Civita symbols Gamma[p,k,i,j] from g and its (analytic or FD) derivatives."""
-    return levi_civita(metric, points, force_fd=force_fd, steps=steps)[3]
+    return levi_civita(metric, points, force_fd=force_fd)[3]
 
 
-def levi_civita(metric: MetricField, points: np.ndarray, force_fd: bool = False, steps=None):
-    """(g, dg, g^-1, Gamma) at each point from one evaluation of g and one of its derivative."""
+def levi_civita(metric: MetricField, points: np.ndarray, force_fd: bool = False):
+    """(g, dg, g^-1, Gamma) at each point from one evaluation of g and one of its derivative.
+
+    dg is the metric's analytic ``dvalue`` unless it has none or ``force_fd``
+    is set; then it is the stencil of g with the metric's own steps.
+    """
     points = np.asarray(points, dtype=float)
     g = metric.value(points)
-    dg = metric_dvalue(metric, points, force_fd=force_fd, steps=steps)
+    if metric.dvalue is not None and not force_fd:
+        dg = metric.dvalue(points)
+    else:
+        dg = fd_jet(metric.value, points, metric.steps_at(points))
     ginv = np.linalg.inv(g)
     # Cheap infinity-norm condition estimate; SVD per point would dominate runtime.
     cond = _inf_norm(g) * _inf_norm(ginv)
@@ -185,10 +166,6 @@ def _solve(g: np.ndarray, df: np.ndarray) -> np.ndarray:
     return np.linalg.solve(g, df[..., None])[..., 0]
 
 
-def scalar_gradient(metric: MetricField, f: ScalarField, points: np.ndarray) -> np.ndarray:
-    return _solve(metric.value(points), _differential(metric, f, points))
-
-
 def gradient_and_q(metric: MetricField, f: ScalarField, points: np.ndarray,
                    g: Optional[np.ndarray] = None):
     """(grad f, Q = |grad f|^2) at each point from one evaluation of g; |grad f| = sqrt(Q).
@@ -200,22 +177,6 @@ def gradient_and_q(metric: MetricField, f: ScalarField, points: np.ndarray,
     df = _differential(metric, f, points)
     grad = _solve(g, df)
     return grad, np.einsum("pi,pi->p", df, grad)  # g(grad f, grad f) = df(grad f)
-
-
-def hessian(metric: MetricField, f: ScalarField, points: np.ndarray, force_fd: bool = False,
-            steps=None, gamma: Optional[np.ndarray] = None) -> np.ndarray:
-    """Covariant Hessian (nabla d f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
-    h = metric.steps_at(points) if steps is None else steps
-    if f.grad is not None and not force_fd:
-        d2 = fd_jet(f.grad, points, h)  # (N, a, j) = d_a (d_j f)
-        d2 = 0.5 * (d2 + np.swapaxes(d2, 1, 2))
-        df = f.grad(points)
-    else:
-        d2 = fd_hessian_scalar(f.value, points, h)
-        df = fd_jet(f.value, points, h)
-    if gamma is None:
-        gamma = christoffel(metric, points, force_fd=force_fd, steps=steps)
-    return d2 - np.einsum("pkij,pk->pij", gamma, df)
 
 
 def field_jet(x: "VectorField | MatrixField", points: np.ndarray, steps) -> np.ndarray:
@@ -238,14 +199,6 @@ def fd_directional(f: Callable, points: np.ndarray, direction: np.ndarray, steps
     moved = points[None] + (_OFFSETS4[:, None] * h)[:, :, None] * d[None]
     vals = np.asarray(f(moved.reshape(-1, n)))
     return _stencil4(vals.reshape((4, npts) + vals.shape[1:]), h)
-
-
-def grad_vector(metric: MetricField, x: VectorField, points: np.ndarray,
-                gamma: Optional[np.ndarray] = None) -> np.ndarray:
-    """(nabla X)[p,k,i] = d_i X^k + Gamma^k_il X^l."""
-    if gamma is None:
-        gamma = christoffel(metric, points)
-    return nabla_vector(field_jet(x, points, metric.steps_at(points)), x.value(points), gamma)
 
 
 def nabla_vector(dx: np.ndarray, xv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -317,10 +270,13 @@ class Frame:
     J: Optional[np.ndarray] = None    # (N, k, j)
     dJ: Optional[np.ndarray] = None   # (N, a, k, j) = d_a J^k_j
 
+    def hessian(self) -> np.ndarray:
+        """The covariant Hessian (nabla d tau)_ij = d_i d_j tau - Gamma^k_ij d_k tau."""
+        return self.d2tau - np.einsum("pkij,pk->pij", self.gamma, self.dtau)
+
     def laplacian(self) -> np.ndarray:
-        """Delta tau = g^ij (d_i d_j tau - Gamma^k_ij d_k tau)."""
-        hess = self.d2tau - np.einsum("pkij,pk->pij", self.gamma, self.dtau)
-        return np.einsum("pij,pij->p", self.ginv, hess)
+        """Delta tau = g^ij (nabla d tau)_ij."""
+        return np.einsum("pij,pij->p", self.ginv, self.hessian())
 
     def apply_J(self, x: np.ndarray, dx: np.ndarray):
         """(J X, its jet d_a(J X)^k) from X and its jet dx[p,a,k] = d_a X^k."""

@@ -8,13 +8,17 @@ or infinite there.  The conventions in force throughout the package:
 
 Infinity is a tagged value rather than a floating-point ``inf`` so that
 branch logic ("set the gradient to zero where gamma is infinite") stays
-explicit and serialization round-trips exactly.
+explicit and serialization round-trips exactly.  Arrays of gamma samples are
+the exception: there ``inf`` stands for the point at infinity, which the
+chart angle arctan(inf) = pi/2 handles without a branch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -55,19 +59,31 @@ class RP1Value:
 INFINITY = RP1Value(infinite=True)
 
 
-def rp1_angle(g: "RP1Value | float") -> float:
-    """Arctangent chart angle in (-pi/2, pi/2], with inf at pi/2."""
-    g = RP1Value.of(g)
-    if g.infinite:
-        return 0.5 * math.pi
-    return math.atan(g.value)
+def rp1_angle(g: "RP1Value | float | np.ndarray") -> "float | np.ndarray":
+    """Arctangent chart angle in (-pi/2, pi/2], with inf at pi/2; elementwise on arrays."""
+    if isinstance(g, RP1Value):
+        g = math.inf if g.infinite else g.value
+    return np.arctan(g)
 
 
-def rp1_distance(g1: "RP1Value | float", g2: "RP1Value | float") -> float:
-    """Chordal distance on RP1: angle difference modulo pi.
+def rp1_distance(g1: "RP1Value | float | np.ndarray",
+                 g2: "RP1Value | float | np.ndarray") -> "float | np.ndarray":
+    """Chordal distance on RP1: angle difference modulo pi; elementwise on arrays.
 
     The point at infinity is a regular point of this metric, so residuals
     of gamma-recovery remain meaningful when gamma = inf.
     """
-    d = abs(rp1_angle(g1) - rp1_angle(g2))
-    return min(d, math.pi - d)
+    d = np.abs(rp1_angle(g1) - rp1_angle(g2))
+    return np.minimum(d, np.pi - d)
+
+
+def recover_gamma(tau: np.ndarray, q: np.ndarray, lap: np.ndarray,
+                  psi: np.ndarray) -> np.ndarray:
+    """gamma = tau - Q / (Delta tau - 2 psi) at each point, inf where the denominator vanishes.
+
+    The denominator counts as zero below 1e-8 (1 + Q), so the point at
+    infinity is recovered as inf rather than as a large finite value.
+    """
+    denom = np.asarray(lap - 2.0 * psi, dtype=float)
+    infinite = np.abs(denom) < 1e-8 * (1.0 + q)
+    return np.where(infinite, np.inf, tau - q / np.where(infinite, 1.0, denom))

@@ -38,7 +38,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .profiles import Interval, _cumulative_gl
-from .rp1 import RP1Value, INFINITY
+from .rp1 import RP1Value
 
 
 class GammaRangeError(ValueError):
@@ -168,11 +168,6 @@ class GammaField:
     value: Optional[Callable[[np.ndarray], np.ndarray]] = None
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None   # coordinate differential d gamma
     value_range: tuple = (0.0, 0.0)
-
-    def rp1_at(self, x: np.ndarray) -> list:
-        if self.infinite:
-            return [INFINITY] * x.shape[0]
-        return [RP1Value(float(v)) for v in self.value(x)]
 
 
 def gamma_constant(value: "float | RP1Value | str") -> GammaField:

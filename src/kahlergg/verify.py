@@ -36,7 +36,7 @@ from .construction import (ConstructionData, assemble_J, assemble_metric,
 from .fubini import (FSChart, fs_J, fs_metric, fs_profile, fs_random_directions,
                      fs_ray_point, fs_tau)
 from .profiles import Interval, MomentumProfile, ReparamMaps
-from .rp1 import INFINITY, RP1Value, rp1_angle, rp1_distance
+from .rp1 import recover_gamma, rp1_angle, rp1_distance
 from .surfaces import curvature_form
 
 DEFAULT_TOLERANCES = {
@@ -153,7 +153,7 @@ class VerificationSubject:
     phi: Optional[Callable] = None
     v: Optional[geo.VectorField] = None
     u: Optional[geo.VectorField] = None
-    gamma_expected: Optional[Callable] = None
+    gamma_expected: Optional[Callable] = None    # points -> gamma array, inf for infinity
     lift_fields: Optional[tuple] = None          # (w1, w2) horizontal lifts
     omega12: Optional[Callable] = None           # Omega(d_1, d_2) at points
     fiber_point: Optional[Callable] = None       # (base, s, theta) -> chart point
@@ -163,15 +163,6 @@ class VerificationSubject:
     random_points: Optional[Callable] = None     # (n, seed, s_range) -> points
     control: str = "none"
     construction: Optional[ConstructionData] = None
-
-    def q_pointwise(self, points: np.ndarray) -> np.ndarray:
-        return geo.gradient_and_q(self.metric, self.tau, points)[1]
-
-    def v_field(self) -> geo.VectorField:
-        if self.v is not None:
-            return self.v
-        return geo.VectorField(value=lambda pp: geo.scalar_gradient(self.metric, self.tau, pp),
-                               name="grad-tau")
 
     def frame(self, points: np.ndarray) -> geo.Frame:
         """The geometry the main-grid checks read: g, Gamma and the jets of tau, v and J."""
@@ -257,10 +248,10 @@ def subject_from_fs(chart: Optional[FSChart] = None) -> VerificationSubject:
     metric, tau, jf = fs_metric(chart), fs_tau(chart), fs_J(chart)
     prof, maps = fs_profile()
     if chart.k == 0:
-        gamma_const: Optional[RP1Value] = RP1Value(0.0)
+        gamma_const: Optional[float] = 0.0
         expect_min, expect_max = (2.0, 2.0, 2.0, 2.0), (-2.0, -2.0, 0.0, 0.0)
     elif chart.l == 0:
-        gamma_const = RP1Value(1.0)
+        gamma_const = 1.0
         expect_min, expect_max = (2.0, 2.0, 0.0, 0.0), (-2.0, -2.0, -2.0, -2.0)
     else:
         gamma_const = None
@@ -272,14 +263,12 @@ def subject_from_fs(chart: Optional[FSChart] = None) -> VerificationSubject:
     phi = None
     gamma_expected = None
     if gamma_const is not None:
-        gval = gamma_const.value
-
         def phi(pp):  # noqa: F811 - deliberate conditional definition
             t = tau.value(pp)
-            return 0.5 * prof.Q(t) / (t - gval)
+            return 0.5 * prof.Q(t) / (t - gamma_const)
 
         def gamma_expected(pp):  # noqa: F811
-            return [gamma_const] * np.asarray(pp).shape[0]
+            return np.full(np.asarray(pp).shape[0], gamma_const)
 
     rng_dirs = fs_random_directions(chart, 3, np.random.default_rng(7))
 
@@ -391,28 +380,16 @@ def check_laplacian_identity(subject: VerificationSubject, frame: geo.Frame, des
                        {"max_abs_laplacian": float(np.max(np.abs(lap)))})
 
 
-def _gamma_recover_raw(subject: VerificationSubject, frame: geo.Frame):
-    lap, q = frame.laplacian(), frame.q
-    psi = subject.psi(frame.points)
-    denom = lap - 2.0 * psi
-    tau = subject.tau.value(frame.points)
-    out = []
-    thresh = 1e-8
-    for t, qq, dd in zip(tau, q, denom):
-        if abs(dd) < thresh * (1.0 + abs(qq)):
-            out.append(INFINITY)
-        else:
-            out.append(RP1Value(t - qq / dd))
-    return out
+def _recovered_gamma(subject: VerificationSubject, frame: geo.Frame) -> np.ndarray:
+    pts = frame.points
+    return recover_gamma(subject.tau.value(pts), frame.q, frame.laplacian(), subject.psi(pts))
 
 
 def check_gamma_recovery(subject: VerificationSubject, frame: geo.Frame, desc: str,
                          tol: float) -> CheckReport:
     if subject.gamma_expected is None:
         raise ValueError("subject provides no expected gamma")
-    rec = _gamma_recover_raw(subject, frame)
-    exp = subject.gamma_expected(frame.points)
-    res = np.array([rp1_distance(r, e) for r, e in zip(rec, exp)])
+    res = rp1_distance(_recovered_gamma(subject, frame), subject.gamma_expected(frame.points))
     extras = {}
     # Fiber constancy: sweep tau and theta over the first base point.
     if subject.fiber_point is not None and subject.fiber_bases:
@@ -420,7 +397,7 @@ def check_gamma_recovery(subject: VerificationSubject, frame: geo.Frame, desc: s
         sweep = [subject.fiber_point(subject.fiber_bases[0], s, th)
                  for s in np.linspace(0.15 * lam, 0.85 * lam, 7)
                  for th in (0.0, 1.7, 3.9)]
-        angles = [rp1_angle(gv) for gv in _gamma_recover_raw(subject, subject.frame(np.array(sweep)))]
+        angles = rp1_angle(_recovered_gamma(subject, subject.frame(np.array(sweep))))
         extras["fiber_spread"] = float(np.ptp(angles))
     return make_report("gamma_recovery", desc, frame.points, res, tol, extras)
 
@@ -553,56 +530,39 @@ def check_boundary_limits(subject: VerificationSubject, tol: float) -> CheckRepo
     """Richardson limits along fibers at both interval ends.
 
     Asserts the Hessian eigenvalue limits, |E^2 - aE| -> 0 for the one-jet
-    of v in an orthonormal frame, and dQ/dtau -> +-2a.
+    of v in an orthonormal frame, and dQ/dtau -> +-2a.  One frame at s =
+    delta, 2 delta, 4 delta from each end of each fiber gives all three:
+    along the unit-speed fiber d/ds = grad tau / sqrt(Q), so dQ/dtau =
+    dQ(grad tau) / Q exactly.
     """
     if subject.fiber_point is None or not subject.fiber_bases:
         raise ValueError("subject provides no fiber structure")
-    m, tau, a = subject.metric, subject.tau, subject.a
-    lam = subject.maps.lam
-    delta = _END_FRAC * lam
-    rows = []
-    points_used = []
-    vf = subject.v_field()
-    for base in subject.fiber_bases:
-        for end in ("min", "max"):
-            expect = subject.boundary_expect.get(end, ())
-            if not len(expect):
-                continue
-            svals = np.array([delta, 2 * delta, 4 * delta])
-            s_at = svals if end == "min" else lam - svals
-            pts = np.array([subject.fiber_point(base, s) for s in s_at])
-            hess = geo.hessian(m, tau, pts)
-            g = m.value(pts)
-            eigs = np.array([np.sort(scipy.linalg.eigh(hess[i], g[i])[0])[::-1]
-                             for i in range(3)])
-            lim = geo.richardson_even(eigs)
-            r_eig = float(np.max(np.abs(lim - np.sort(np.asarray(expect))[::-1])))
-            # one-jet E in an orthonormal frame
-            gv = geo.grad_vector(m, vf, pts)
-            e2 = []
-            for i in range(3):
-                lchol = np.linalg.cholesky(g[i])
-                ef = lchol.T @ gv[i] @ np.linalg.inv(lchol.T)
-                e2.append(np.max(np.abs(ef @ ef - a * np.sign(1 if end == "min" else -1) * ef)))
-            r_jet = float(abs(geo.richardson_even(np.array(e2))))
-            # dQ/dtau limit via s-stencils of the pointwise Q
-            h_s = delta / 8.0
-            slopes = []
-            for s0 in s_at:
-                spts = np.array([subject.fiber_point(base, s0 + k * h_s)
-                                 for k in (-2.0, -1.0, 1.0, 2.0)])
-                qs = subject.q_pointwise(spts)
-                dq_ds = float(np.dot([1.0, -8.0, 8.0, -1.0], qs) / (12.0 * h_s))
-                dtau_ds = math.sqrt(max(float(subject.q_pointwise(
-                    subject.fiber_point(base, s0)[None, :])[0]), 1e-300))
-                slopes.append(dq_ds / dtau_ds)
-            target_slope = 2.0 * a if end == "min" else -2.0 * a
-            r_slope = float(abs(geo.richardson_even(np.array(slopes)) - target_slope)) / (2.0 * a)
-            rows.append(max(r_eig, r_jet, r_slope))
-            points_used.append(pts[0])
-    res = np.array(rows)
+    a, lam = subject.a, subject.maps.lam
+    svals = _END_FRAC * lam * np.array([1.0, 2.0, 4.0])
+    ends = [(base, end, sign) for base in subject.fiber_bases
+            for end, sign in (("min", 1.0), ("max", -1.0))
+            if len(subject.boundary_expect.get(end, ()))]
+    pts = np.array([subject.fiber_point(base, s if end == "min" else lam - s)
+                    for base, end, _ in ends for s in svals])
+    fr = geo.build_frame(subject.metric, subject.tau, pts, v=subject.v)
+    hess, g = fr.hessian(), fr.g
+    eigs = np.array([np.sort(scipy.linalg.eigh(hp, gp)[0])[::-1] for hp, gp in zip(hess, g)])
+    # one-jet E in an orthonormal frame
+    lt = np.swapaxes(np.linalg.cholesky(g), 1, 2)
+    ef = lt @ geo.nabla_vector(fr.dv, fr.v, fr.gamma) @ np.linalg.inv(lt)
+    sign = np.array([sg for _, _, sg in ends])
+    e2 = np.max(np.abs(ef @ ef - (a * np.repeat(sign, 3))[:, None, None] * ef), axis=(1, 2))
+    slopes = np.einsum("pa,pa->p", fr.dq, fr.grad) / fr.q
+
+    def limit(x):  # per (fiber, end): the Richardson limit over the three s-values
+        return geo.richardson_even(np.swapaxes(x.reshape((len(ends), 3) + x.shape[1:]), 0, 1))
+
+    targets = np.array([np.sort(subject.boundary_expect[end])[::-1] for _, end, _ in ends])
+    r_eig = np.max(np.abs(limit(eigs) - targets), axis=1)
+    r_slope = np.abs(limit(slopes) - 2.0 * a * sign) / (2.0 * a)
+    res = np.max(np.stack([r_eig, np.abs(limit(e2)), r_slope]), axis=0)
     desc = f"{len(subject.fiber_bases)} fibers, Richardson at s = delta,2delta,4delta, delta = {_END_FRAC} lambda"
-    return make_report("boundary_limits", desc, np.array(points_used), res, tol, {})
+    return make_report("boundary_limits", desc, pts[::3], res, tol, {})
 
 
 def check_flow_lengths(subject: VerificationSubject, tol: float,

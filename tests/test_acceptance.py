@@ -78,7 +78,7 @@ def test_criterion_3_fubini_study_cross_check(announce):
     dirs = fs_random_directions(chart, 200, rng)
     s = rng.uniform(0.25, 1.3, 200)
     pts = np.tan(s)[:, None] * dirs
-    grad = geo.scalar_gradient(m, tau, pts)
+    grad = geo.gradient_and_q(m, tau, pts)[0]
     g = m.value(pts)
     q = np.einsum("pij,pi,pj->p", g, grad, grad)
     t = tau.value(pts)

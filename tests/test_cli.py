@@ -129,6 +129,19 @@ def test_cli_flow(torus_cfg_file, tmp_path):
     assert len(rows) > 50
 
 
+@pytest.mark.parametrize("argv", [["construct"], ["flow"], ["extract", "--round-trip"]],
+                         ids=lambda a: " ".join(a))
+def test_cli_fubini_oracle_needs_a_construction(tmp_path, capsys, argv):
+    # These commands used to build the default torus, or skip the round trip, and exit 0.
+    cfg = tmp_path / "fubini.json"
+    cfg.write_text('{"oracle": "fubini"}')
+    out = tmp_path / "o"
+    assert main(argv[:1] + ["--config", str(cfg), "--out", str(out)] + argv[1:]) == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and "$.oracle" in err["message"]
+    assert list(out.glob("*")) == []
+
+
 def test_cli_seed_override_changes_report(torus_cfg_file, tmp_path):
     out1, out2 = tmp_path / "s0", tmp_path / "s9"
     main(["verify", "--config", str(torus_cfg_file), "--out", str(out1)])

@@ -112,7 +112,7 @@ def test_phi_spot_value(torus_data):
 def test_phi_times_tau_minus_gamma(torus_data):
     _, _, _, phi = fields_v_u_psi_phi(torus_data)
     pts = rand_points(torus_data, 30, seed=6)
-    gam = np.array([g.value for g in gamma_of_points(torus_data, pts)])
+    gam = gamma_of_points(torus_data, pts)
     q = torus_data.profile.Q(pts[:, 2])
     assert np.max(np.abs(2 * phi(pts) * (pts[:, 2] - gam) - q)) < 1e-12
 
@@ -179,8 +179,8 @@ def test_hessian_eigenvalues_are_psi_psi_phi_phi(torus_data):
     tf = tau_field(torus_data)
     _, _, psi, phi = fields_v_u_psi_phi(torus_data)
     pts = rand_points(torus_data, 12, seed=12)
-    hess = geo.hessian(m, tf, pts)
-    g = m.value(pts)
+    frame = geo.build_frame(m, tf, pts)
+    hess, g = frame.hessian(), frame.g
     for i in range(12):
         eigs = np.sort(scipy.linalg.eigh(hess[i], g[i])[0])
         expect = np.sort([psi(pts[i:i+1])[0]] * 2 + [phi(pts[i:i+1])[0]] * 2)

@@ -5,13 +5,12 @@ import pytest
 
 from kahlergg import geometry as geo
 from kahlergg.construction import build_construction
-from kahlergg.rp1 import INFINITY
 from kahlergg.surfaces import build_torus_surface, gamma_cos
-from kahlergg.verify import (CONTROL_EXPECTATIONS, GridSpec, _flow_lengths, _gamma_recover_raw,
-                             check_bochner, check_bracket_identities, check_flow_lengths,
-                             check_gamma_recovery, check_killing, check_laplacian_identity,
-                             make_report, run_suite, subject_from_construction,
-                             suite_passed)
+from kahlergg.verify import (CONTROL_EXPECTATIONS, GridSpec, _flow_lengths, _recovered_gamma,
+                             check_bochner, check_boundary_limits, check_bracket_identities,
+                             check_flow_lengths, check_gamma_recovery, check_killing,
+                             check_laplacian_identity, make_report, run_suite,
+                             subject_from_construction, suite_passed)
 
 FAST = GridSpec(base=(4, 4), n_tau=8, n_theta=2, n_random=60)
 
@@ -43,8 +42,7 @@ def test_gamma_inf_suite_and_infinite_recovery(torus_inf_data):
     reports = run_suite(subject, FAST)
     assert suite_passed(reports), failures(reports)
     pts, _ = subject.grid_points(FAST)
-    rec = _gamma_recover_raw(subject, subject.frame(pts[:40]))
-    assert all(g == INFINITY for g in rec)
+    assert np.all(_recovered_gamma(subject, subject.frame(pts[:40])) == np.inf)
 
 
 @pytest.mark.parametrize("control", sorted(CONTROL_EXPECTATIONS))
@@ -110,8 +108,8 @@ def test_wrong_field_is_not_killing(torus_subject):
         [0.0, 0.0, 1.0, 0.0], (p.shape[0], 4)).copy())
     pts, _ = torus_subject.grid_points(FAST)
     frame = torus_subject.frame(pts[:50])
-    lie = geo.lie_derivative_metric(frame.g, geo.grad_vector(torus_subject.metric, bad, pts[:50],
-                                                             gamma=frame.gamma))
+    dbad = geo.field_jet(bad, pts[:50], torus_subject.metric.steps_at(pts[:50]))
+    lie = geo.lie_derivative_metric(frame.g, geo.nabla_vector(dbad, bad.value(pts[:50]), frame.gamma))
     assert np.max(np.abs(lie)) > 1.0
 
 
@@ -250,13 +248,20 @@ def test_frame_jets_match_finite_differences(request, fs_subject, name):
     pts, _ = subject.grid_points(FAST)
     frame = subject.frame(pts)
     steps = subject.metric.steps_at(pts)
-    vf, jf = subject.v_field(), subject.J
+
+    def q(pp):
+        return geo.gradient_and_q(subject.metric, subject.tau, pp)[1]
+
+    def v(pp):
+        if subject.v is not None:
+            return subject.v.value(pp)
+        return geo.gradient_and_q(subject.metric, subject.tau, pp)[0]
 
     def jv(pp):
-        return np.einsum("pij,pj->pi", jf.value(pp), vf.value(pp))
+        return np.einsum("pij,pj->pi", subject.J.value(pp), v(pp))
 
-    assert np.max(np.abs(frame.dq - geo.fd_jet(subject.q_pointwise, pts, steps))) < 1e-8
-    assert np.max(np.abs(frame.dv - geo.fd_jet(vf.value, pts, steps))) < 1e-8
+    assert np.max(np.abs(frame.dq - geo.fd_jet(q, pts, steps))) < 1e-8
+    assert np.max(np.abs(frame.dv - geo.fd_jet(v, pts, steps))) < 1e-8
     assert np.max(np.abs(frame.apply_J(frame.v, frame.dv)[1] - geo.fd_jet(jv, pts, steps))) < 1e-8
 
 
@@ -285,6 +290,23 @@ def test_main_grid_checks_share_one_frame(torus_subject, monkeypatch):
     assert suite_passed(reports) and [r.check for r in reports] == MAIN_GRID_CHECKS
     assert sum(seen) <= 2 * len(pts)
     assert builds.count(len(pts)) == 1
+
+
+@pytest.mark.parametrize("name", ["torus_data", "sphere_data", "torus_inf_data"])
+def test_boundary_limits_read_one_frame(request, name, monkeypatch):
+    # The 18 fiber-end points share one levi_civita build.  dQ/dtau is the
+    # exact dQ(grad tau)/Q; its s-stencils of the pointwise Q left 9.2e-6.
+    subject = subject_from_construction(request.getfixturevalue(name))
+    builds = []
+
+    def levi_civita(metric, pp, *args, lc=geo.levi_civita, **kwargs):
+        builds.append(len(pp))
+        return lc(metric, pp, *args, **kwargs)
+
+    monkeypatch.setattr(geo, "levi_civita", levi_civita)
+    report = check_boundary_limits(subject, 1e-3)
+    assert builds == [18]
+    assert report.max <= 1e-7
 
 
 def test_fubini_bochner_takes_v_jacobian_from_the_frame(fs_subject):
