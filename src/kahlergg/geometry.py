@@ -16,7 +16,11 @@ carries them; ``force_fd`` switches the Christoffel computation to pure
 finite differences where an independent route is required.  ``build_frame``
 gathers g, its derivative and Gamma at a batch of points together with the
 exact first jets of grad tau, of Q = |grad tau|^2 and of J, for callers that
-read many identities off the same points.
+read many identities off the same points.  Curvature is a contraction of a
+Gamma jet the caller takes (``ricci``), so a check can differentiate Gamma on
+the same stencil as the quantities it compares Ricci with.  Richardson
+extrapolation (``richardson_even``) serves only the limits at the fiber ends
+(boundary limits and h extraction).
 """
 
 from __future__ import annotations
@@ -80,13 +84,6 @@ class MatrixField:
     name: str = ""
 
 
-def _shifted(points: np.ndarray, axis: int, shifts: np.ndarray) -> np.ndarray:
-    """Copies of the points moved along one axis: shifts (m, N) -> points (m·N, n)."""
-    moved = np.repeat(points[None], len(shifts), axis=0)
-    moved[:, :, axis] += shifts
-    return moved.reshape(-1, points.shape[1])
-
-
 def _stencil4(vals: np.ndarray, h: np.ndarray) -> np.ndarray:
     """4th-order central difference from values at offsets (-2, -1, 1, 2)·h: (4, N, ...) -> (N, ...)."""
     deriv = np.einsum("o,op...->p...", _WEIGHTS4, vals)
@@ -106,7 +103,9 @@ def fd_jet(f: Callable, points: np.ndarray, steps) -> np.ndarray:
     h = np.broadcast_to(np.asarray(steps, dtype=float), (npts, n))
     deriv = None
     for axis in range(n):
-        vals = np.asarray(f(_shifted(points, axis, _OFFSETS4[:, None] * h[:, axis])))
+        moved = np.repeat(points[None], 4, axis=0)
+        moved[:, :, axis] += _OFFSETS4[:, None] * h[:, axis]
+        vals = np.asarray(f(moved.reshape(-1, n)))
         vals = vals.reshape((4, npts) + vals.shape[1:])
         if deriv is None:
             deriv = np.empty((n, npts) + vals.shape[2:])
@@ -306,70 +305,18 @@ def build_frame(metric: MetricField, tau: ScalarField, points: np.ndarray,
     return frame
 
 
-def ricci(metric: MetricField, points: np.ndarray, outer_step: "float | np.ndarray" = 1e-2,
-          richardson: bool = True) -> np.ndarray:
-    """Ricci tensor by finite differences of the Christoffel field.
+def ricci(dgamma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Ric_jk = d_i Gamma^i_jk - d_j Gamma^i_ik + Gamma^i_im Gamma^m_jk - Gamma^i_jm Gamma^m_ik.
 
-    ``outer_step`` controls the stencil applied to Gamma; optionally a
-    two-level Richardson extrapolation (4th-order in the outer step) is
-    applied, which matters for the loose third-derivative identities.  The
-    levels use the offsets (±h, ±2h) and (±h/2, ±h), so each axis builds
-    Gamma once at ±h/2, ±h and ±2h.  Where the step limiter binds, the
-    half-level step is no longer half the full one and level 2 builds its own
-    ±2h points.
+    ``dgamma[p,a,k,i,j] = d_a Gamma^k_ij`` is the jet of Gamma (e.g. ``fd_jet``
+    of ``christoffel``) and ``gamma`` is Gamma at the points; the result is
+    symmetrised.
     """
-    points = np.asarray(points, dtype=float)
-    npts, n = points.shape
-    gam = christoffel(metric, points)
-
-    def limited(hmul: float) -> np.ndarray:
-        h = np.broadcast_to(np.asarray(outer_step, dtype=float) * hmul, (npts, n)).copy()
-        if metric.step_limiter is not None:
-            h = np.minimum(h, metric.step_limiter(points))
-        return h
-
-    def gammas(pts: np.ndarray, axis: int, shifts: np.ndarray) -> np.ndarray:
-        # One offset per call keeps the Christoffel build's temporaries at N points.
-        out = np.empty((len(shifts), len(pts)) + gam.shape[1:])
-        for o, shift in enumerate(shifts):
-            out[o] = christoffel(metric, _shifted(pts, axis, shift[None]))
-        return out
-
-    def ric_of(dgam: np.ndarray) -> np.ndarray:  # dgam[p, a, k, i, j] = d_a Gamma^k_ij
-        ric = np.einsum("piijk->pjk", dgam)
-        ric -= np.einsum("pjiik->pjk", dgam)
-        ric += np.einsum("pm,pmjk->pjk", np.einsum("piim->pm", gam), gam)
-        ric -= np.einsum("pijm,pmik->pjk", gam, gam)
-        return 0.5 * (ric + np.swapaxes(ric, 1, 2))
-
-    h1 = limited(1.0)
-    if not richardson:
-        return ric_of(fd_jet(lambda pp: christoffel(metric, pp), points, h1))
-    h2 = limited(0.5)
-    d1 = np.empty((n, npts) + gam.shape[1:])
-    d2 = np.empty_like(d1)
-    for axis in range(n):
-        a1, a2 = h1[:, axis], h2[:, axis]
-        vals = gammas(points, axis, np.concatenate([_OFFSETS4[:, None] * a1,
-                                                    _OFFSETS4[1:3, None] * a2]))
-        d1[axis] = _stencil4(vals[:4], a1)
-        half = np.stack([vals[1], vals[4], vals[5], vals[2]])
-        own = np.flatnonzero(2.0 * a2 != a1)
-        if own.size:
-            half[0, own], half[3, own] = gammas(points[own], axis,
-                                                _OFFSETS4[[0, 3], None] * a2[own])
-        d2[axis] = _stencil4(half, a2)
-    r1, r2 = ric_of(np.moveaxis(d1, 0, 1)), ric_of(np.moveaxis(d2, 0, 1))
-    return (16.0 * r2 - r1) / 15.0
-
-
-def commutator(metric: MetricField, x: VectorField, y: VectorField, points: np.ndarray,
-               steps=None) -> np.ndarray:
-    """[X, Y]^k = X^j d_j Y^k - Y^j d_j X^k (finite differences of the evaluators)."""
-    h = metric.steps_at(points) if steps is None else steps
-    dx, dy = field_jet(x, points, h), field_jet(y, points, h)
-    xv, yv = x.value(points), y.value(points)
-    return np.einsum("pj,pjk->pk", xv, dy) - np.einsum("pj,pjk->pk", yv, dx)
+    ric = np.einsum("piijk->pjk", dgamma)
+    ric -= np.einsum("pjiik->pjk", dgamma)
+    ric += np.einsum("pm,pmjk->pjk", np.einsum("piim->pm", gamma), gamma)
+    ric -= np.einsum("pijm,pmik->pjk", gamma, gamma)
+    return 0.5 * (ric + np.swapaxes(ric, 1, 2))
 
 
 # ----------------------------------------------------------------------------

@@ -8,10 +8,11 @@ per point, and returns a CheckReport whose pass flag is exactly
           nabla J, Killing, geodesic-gradient;
     1e-5  second-derivative identities: Laplacian, gamma recovery, the
           radial ODE family, bracket identities;
-    1e-3  third-derivative (Ricci/Bochner) identities and boundary limits,
-          computed on a deeper arclength collar with Richardson
-          extrapolation (finite differences of Christoffel-level poles are
-          hopeless near the fiber ends at tighter tolerances);
+    1e-3  third-derivative (Ricci/Bochner) identities, on a deeper arclength
+          collar with every derivative from one stencil of the frame, and
+          boundary limits, by Richardson extrapolation along the fibers
+          (finite differences of Christoffel-level poles are hopeless near
+          the fiber ends at tighter tolerances);
     1e-4  flow arclength consistency.
 
 Default grid: 8x8 base points x 16 tau-values (Chebyshev-spaced in the
@@ -441,12 +442,14 @@ def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, des
     points, g, q, vv = frame.points, frame.g, frame.q, frame.v
     steps = subject.metric.steps_at(points)
     w1, w2 = subject.lift_fields
-    bracket = geo.commutator(subject.metric, w1, w2, points, steps=steps)
+    wv = (w1.value(points), w2.value(points))
+    dw = (geo.field_jet(w1, points, steps), geo.field_jet(w2, points, steps))
+    # [w1, w2]^k = w1^j d_j w2^k - w2^j d_j w1^k
+    bracket = np.einsum("pj,pjk->pk", wv[0], dw[1]) - np.einsum("pj,pjk->pk", wv[1], dw[0])
     uv = subject.u.value(points)
     c_v = np.einsum("pij,pi,pj->p", g, bracket, vv) / q
     c_u = np.einsum("pij,pi,pj->p", g, bracket, uv) / q
     phi = subject.phi(points) if subject.phi is not None else np.zeros(points.shape[0])
-    wv = (w1.value(points), w2.value(points))
     jw1 = np.einsum("pij,pj->pi", frame.J, wv[0])
     g_jw_w = np.einsum("pij,pi,pj->p", g, jw1, wv[1])
     scale = 1.0 + np.abs(phi * g_jw_w)
@@ -462,7 +465,6 @@ def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, des
     if subject.phi is not None:
         # d_X [phi g(w_a, w_b) / Q] along X = v and X = u for every lift pair, with
         # the jets of g, Q and the lifts exact and d_X phi a stencil along X.
-        dw = (geo.field_jet(w1, points, steps), geo.field_jet(w2, points, steps))
         r_dvq = np.zeros(points.shape[0])
         for vec in (vv, uv):
             d_phi = geo.fd_directional(subject.phi, points, vec, steps)
@@ -490,24 +492,27 @@ def check_bochner(subject: VerificationSubject, points: np.ndarray, desc: str,
     n = subject.dim
 
     def bundle(pp):
-        # The frame, then [div v, nabla v, Delta tau, nabla_v v] from it.
+        # The frame, then [div v, nabla v, Delta tau, nabla_v v, Gamma] from it.
         fr = geo.build_frame(m, subject.tau, pp, v=subject.v)
         gv = geo.nabla_vector(fr.dv, fr.v, fr.gamma)
         parts = (np.einsum("pkk->p", gv)[:, None], gv.reshape(-1, n * n),
-                 fr.laplacian()[:, None], np.einsum("pki,pi->pk", gv, fr.v))
+                 fr.laplacian()[:, None], np.einsum("pki,pi->pk", gv, fr.v),
+                 fr.gamma.reshape(-1, n ** 3))
         return fr, np.concatenate(parts, axis=1)
 
-    def split(arr):  # (..., 2 + n*n + n) -> div v, nabla v, Delta tau, nabla_v v
+    def split(arr):  # (..., 2 + n*n + n + n^3) -> div v, nabla v, Delta tau, nabla_v v, Gamma
         lead = arr.shape[:-1]
         return (arr[..., 0], arr[..., 1:1 + n * n].reshape(lead + (n, n)),
-                arr[..., 1 + n * n], arr[..., 2 + n * n:])
+                arr[..., 1 + n * n], arr[..., 2 + n * n:2 + n * n + n],
+                arr[..., 2 + n * n + n:].reshape(lead + (n, n, n)))
 
     fr, centre = bundle(points)
-    _, gv, _, nvv = split(centre)
-    d_divv, d_gradv, d_lap, d_nvv = split(geo.fd_jet(lambda pp: bundle(pp)[1], points, steps))
+    _, gv, _, nvv, _ = split(centre)
+    d_divv, d_gradv, d_lap, d_nvv, d_gamma = split(
+        geo.fd_jet(lambda pp: bundle(pp)[1], points, steps))
     vv = fr.v
     div_gradv = geo.divergence_endomorphism(d_gradv, gv, fr.gamma)
-    ric = geo.ricci(m, points, outer_step=5e-3)
+    ric = geo.ricci(d_gamma, fr.gamma)
     ric_v = np.einsum("pij,pj->pi", ric, vv)
     scale = 1.0 + np.max(np.abs(ric_v), axis=1) + np.max(np.abs(d_divv), axis=1)
     r_bch = np.max(np.abs(d_divv - div_gradv + ric_v), axis=1) / scale

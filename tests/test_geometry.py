@@ -72,14 +72,15 @@ def test_round_sphere_ricci_equals_metric():
     chart = sphere_chart(1.0, "south")
     m = chart_metric(chart)
     pts = np.random.default_rng(4).uniform(-0.6, 0.6, size=(15, 2))
-    ric = geo.ricci(m, pts, outer_step=2e-3)
+    ric = geo.ricci(geo.fd_jet(lambda p: geo.christoffel(m, p), pts, 2e-3), geo.christoffel(m, pts))
     assert np.max(np.abs(ric - m.value(pts))) < 1e-4
 
 
 def test_flat_ricci_zero():
     m = flat_metric(4)
     pts = np.random.default_rng(5).normal(size=(10, 4))
-    assert np.max(np.abs(geo.ricci(m, pts, outer_step=1e-2))) < 1e-9
+    ric = geo.ricci(geo.fd_jet(lambda p: geo.christoffel(m, p), pts, 1e-2), geo.christoffel(m, pts))
+    assert np.max(np.abs(ric)) < 1e-9
 
 
 def test_flat_hessian_and_laplacian():
@@ -291,19 +292,6 @@ def test_fd_jet_on_known_function():
     expect = np.column_stack([np.cos(pts[:, 0]), 3 * pts[:, 1] ** 2])
     assert np.max(np.abs(jet - expect)) < 1e-11
     assert sizes == [4 * len(pts)] * pts.shape[1]  # one axis per call
-
-
-def test_ricci_shared_levels_equal_two_single_levels(torus_subject):
-    # Richardson's levels share their +-h points; where the step limiter binds
-    # (tau = 0.01 below: 0.2 * gap < h) level 2 builds its own +-2h points.
-    m = torus_subject.metric
-    pts = np.array([[0.17, 0.23, 0.5, 0.0], [0.61, 0.47, 0.3, 1.7], [0.83, 0.79, 0.01, 3.9]])
-    h = 5e-3
-    assert m.step_limiter(pts)[2, 2] < h < np.min(m.step_limiter(pts)[:2, 2])
-    shared = geo.ricci(m, pts, outer_step=h)
-    levels = (16.0 * geo.ricci(m, pts, outer_step=h / 2, richardson=False)
-              - geo.ricci(m, pts, outer_step=h, richardson=False)) / 15.0
-    assert np.max(np.abs(shared - levels)) < 1e-12
 
 
 def test_step_limiter_respected():
