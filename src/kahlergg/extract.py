@@ -11,16 +11,14 @@ The pipeline follows the geometry rather than any stored closed form:
 
   * gradient-flow traces through each seed sweep out a fiber, stepping
     fixed increments of the flow parameter t (so the arclength steps shrink
-    geometrically toward the ends); along them sqrt(Q) is an odd function
-    of the arclength-to-end u with slope a, so the endpoint values
-    tau_min/tau_max, the Hessian constant a, and the one-sided slopes
-    dQ/dtau -> +-2a all come from fits of d(sqrt Q)/ds =
-    (d sqrt(Q)/dt)/sqrt(Q) and of the Newton estimate tau - Q/(dQ/dtau)
-    against Q (which is itself a proxy for u^2), with the leading curvature
-    bias removed by the fit;
-  * Q is resampled against tau across all traces; the spread across base
-    points is the numerical realization of "Q is a function of tau" and
-    failing it rejects the oracle;
+    geometrically toward the ends); tau and Q = |d tau|^2 are exact oracle
+    values at every sample;
+  * one polynomial fit of Q(tau) over the samples of all traces gives the
+    rest of the 1-D data: the interval is where it vanishes, a is half its
+    slope there, and the profile's rho is what remains after dividing out
+    the interval's quadratic.  A fit residual above 1e-5 max(Q_max, 1) is
+    the numerical realization of "Q is not a function of tau" and rejects
+    the oracle, as do end slopes that are not +-2a for one a;
   * gamma comes per base point from tau - Q/(laplacian(tau) - dQ/dtau),
     with dQ/dtau = 2 Hess tau(grad tau, grad tau)/Q from the same covariant
     Hessian as the Laplacian (tau's closed-form partials, Christoffels from
@@ -43,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import geometry as geo
@@ -57,7 +56,7 @@ from .surfaces import (BaseSurfaceData, ChartData, GammaField, SurfaceChart,
 
 
 class InconsistentOracleError(ValueError):
-    """Endpoint estimates from the two critical levels disagree."""
+    """The fitted Q(tau) has no bracketing interval, or its two end slopes disagree."""
 
 
 class NotAFunctionOfTauError(ValueError):
@@ -135,7 +134,7 @@ class FiberTrace:
     """One seed's gradient-flow record, both directions merged.
 
     t is the flow parameter, 0 at the seed and increasing with tau, on the
-    uniform grid of the flow's fixed ``step``; s is the arclength along the
+    uniform grid of ``geometry.FLOW_STEP``; s is the arclength along the
     trace, 0 at the seed.  The steps shrink geometrically in s toward both
     ends, where sqrt(Q) vanishes linearly.
     """
@@ -145,18 +144,24 @@ class FiberTrace:
     tau: np.ndarray
     q: np.ndarray
     points: np.ndarray
-    step: float
 
 
-def _trace(oracle: ExtractionOracle, step: float) -> list:
+def trace_fibers(oracle: ExtractionOracle) -> list:
+    """One merged FiberTrace per seed: descending and ascending flows in one batch.
+
+    Both flows step ``geometry.FLOW_STEP`` in the flow parameter t and stop
+    once sqrt(Q) falls below 0.04 of its largest value; t is bounded by 60 in
+    each direction.  tau and Q are exact oracle values at every sample,
+    wherever the step put it, so the step needs no tuning to the oracle's a.
+    """
     def stop(sq, ref):
         return sq < 0.04 * ref
 
     n = len(oracle.seeds)
     flow = geo.integrate_gradient_flow(oracle.metric, oracle.tau,
                                        np.concatenate([oracle.seeds, oracle.seeds]),
-                                       np.repeat([-1.0, 1.0], n), stop=stop, step=step,
-                                       max_steps=int(60.0 / step))
+                                       np.repeat([-1.0, 1.0], n), stop=stop, step=geo.FLOW_STEP,
+                                       max_steps=int(60.0 / geo.FLOW_STEP))
     traces = []
     for i in range(n):
         down, up = flow.fiber(i), flow.fiber(n + i)
@@ -165,129 +170,55 @@ def _trace(oracle: ExtractionOracle, step: float) -> list:
             s=np.concatenate([-down.arclength[::-1], up.arclength[1:]]),
             tau=np.concatenate([down.values[::-1], up.values[1:]]),
             q=np.concatenate([down.q[::-1], up.q[1:]]),
-            points=np.concatenate([down.points[::-1], up.points[1:]]),
-            step=step))
+            points=np.concatenate([down.points[::-1], up.points[1:]])))
     return traces
 
 
-def trace_fibers(oracle: ExtractionOracle) -> list:
-    """One merged FiberTrace per seed: descending and ascending flows in one batch.
+def extract_profile(traces: list):
+    """(profile, diagnostics) from one polynomial fit of Q(tau) over every trace sample.
 
-    Both flows step ``geometry.FLOW_STEP`` in the flow parameter t and stop
-    once sqrt(Q) falls below 0.04 of its largest value; t is bounded by 60 in
-    each direction.  Near an end sqrt(Q) ~ a u shrinks by exp(-a h) per step h,
-    and a scales with tau, so a fixed t-step does not resolve every oracle's
-    tails: when the trace ends show a h > 0.05 (fewer than 20 steps per
-    e-fold of sqrt(Q)), the fibers are traced again with the step that gives
-    a h = 1/30.
+    The fit takes the lowest degree from 2 to 8 whose max residual is at
+    roundoff, 1e-12 max(Q_max, 1).  A residual above 1e-5 max(Q_max, 1)
+    means Q is not a function of tau.  The interval is where the fit
+    vanishes, at the two real roots that bracket the samples, and a is the
+    mean of its half end slopes, which must agree to 2e-3 a.  rho is the fit
+    divided twice by w = (tau - tau_min)(tau_max - tau), as polynomials in
+    t = (tau - tau_min)/L, with 2a/L taken off between the divisions.
     """
-    traces = _trace(oracle, geo.FLOW_STEP)
-    decay = max(0.5 * math.log(max(tr.q[1] / tr.q[0], tr.q[-2] / tr.q[-1])) for tr in traces)
-    if decay > 0.05:
-        traces = _trace(oracle, geo.FLOW_STEP / (30.0 * decay))
-    return traces
-
-
-def _deriv4(y: np.ndarray, h: float) -> np.ndarray:
-    """4th-order first derivative on a uniform grid (one-sided bias at edges trimmed)."""
-    d = np.empty_like(y)
-    d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
-    d[:2] = d[2]
-    d[-2:] = d[-3]
-    return d
-
-
-def _tail_fit(trace: FiberTrace, end: str) -> dict:
-    """Endpoint data from one trace end: tau_end, a, dQ/dtau limit.
-
-    Along the flow ds/dt = sqrt(Q), so d sqrt(Q)/ds = (d sqrt(Q)/dt) / sqrt(Q),
-    with the t-derivative taken on the trace's uniform t grid.
-    """
-    sq = np.sqrt(trace.q)
-    ref = float(np.max(sq))
-    lo, hi = 0.06 * ref, 0.30 * ref
-    if end == "min":
-        region = slice(0, int(np.argmax(sq)) + 1)
-        sgn = +1.0
-    else:
-        region = slice(int(np.argmax(sq)), len(sq))
-        sgn = -1.0
-    t, q, tau = trace.t[region], trace.q[region], trace.tau[region]
-    sqr = sq[region]
-    y = _deriv4(sqr, trace.step) / sqr  # d sqrt(Q) / ds, tends to +-a at the ends
-    sel = (sqr > lo) & (sqr < hi)
-    if end == "min":
-        sel &= t < 0
-    else:
-        sel &= t > 0
-    if np.count_nonzero(sel) < 8:
-        raise InconsistentOracleError(f"too few tail samples near the {end} end")
-    x2 = q[sel]
-    # sqrt(Q) is odd in the distance-to-end, so y and tau_hat are even: fitting
-    # a quadratic in x2 (a proxy for that distance squared) removes the bias
-    # through O(u^4), leaving O(u^6) over the fit window.
-    aa = np.polynomial.polynomial.polyfit(x2, y[sel], 2)
-    tau_hat = tau[sel] - q[sel] / (2.0 * y[sel])
-    bb = np.polynomial.polynomial.polyfit(x2, tau_hat, 2)
-    return {"tau_end": float(bb[0]), "a": float(abs(aa[0])), "dq_dtau": float(2.0 * aa[0]),
-            "sign": sgn}
-
-
-def estimate_interval_and_a(oracle: ExtractionOracle):
-    """(Interval, a, diagnostics, traces); raises if the two endpoint estimates disagree."""
-    traces = trace_fibers(oracle)
-    mins = [_tail_fit(tr, "min") for tr in traces]
-    maxs = [_tail_fit(tr, "max") for tr in traces]
-    tau_min = float(np.median([m["tau_end"] for m in mins]))
-    tau_max = float(np.median([m["tau_end"] for m in maxs]))
-    a_min = float(np.median([m["a"] for m in mins]))
-    a_max = float(np.median([m["a"] for m in maxs]))
+    tau = np.concatenate([tr.tau for tr in traces])
+    q = np.concatenate([tr.q for tr in traces])
+    scale = max(float(np.max(q)), 1.0)
+    for degree in range(2, 9):
+        fit = np.polynomial.Polynomial.fit(tau, q, degree)
+        residual = float(np.max(np.abs(fit(tau) - q)))
+        if residual <= 1e-12 * scale:
+            break
+    if residual > 1e-5 * scale:
+        raise NotAFunctionOfTauError(
+            f"Q(tau) fit residual over all base points is {residual:.3e}; "
+            "the oracle's potential does not have a geodesic gradient")
+    roots = fit.roots()
+    roots = roots[np.isreal(roots)].real
+    below, above = roots[roots < tau.min()], roots[roots > tau.max()]
+    if not (below.size and above.size):
+        raise InconsistentOracleError("the fitted Q(tau) has no real roots bracketing the samples")
+    interval = Interval(float(below.max()), float(above.min()))
+    slope = fit.deriv()
+    a_min = 0.5 * float(slope(interval.tau_min))
+    a_max = -0.5 * float(slope(interval.tau_max))
     a = 0.5 * (a_min + a_max)
-    if abs(a_min - a_max) > 1e-3 * max(a, 1e-12) * 2.0:
+    if abs(a_min - a_max) > 2e-3 * abs(a):
         raise InconsistentOracleError(
             f"endpoint slope estimates disagree: {a_min:.6g} vs {a_max:.6g}")
-    diag = {
-        "a_min_end": a_min, "a_max_end": a_max,
-        "a_spread_rel": abs(a_min - a_max) / a,
-        "tau_min_spread": float(np.ptp([m["tau_end"] for m in mins])),
-        "tau_max_spread": float(np.ptp([m["tau_end"] for m in maxs])),
-        "dq_dtau_min": float(np.median([m["dq_dtau"] for m in mins])),
-        "dq_dtau_max": float(np.median([-m["dq_dtau"] for m in maxs])),
-    }
-    return Interval(tau_min, tau_max), a, diag, traces
-
-
-def extract_profile(oracle: ExtractionOracle, interval: Interval, a: float, traces: list):
-    """Momentum samples and a fitted profile; rejects base-point-dependent Q."""
     L = interval.length
-    tgrid = np.linspace(interval.tau_min + 0.05 * L, interval.tau_max - 0.05 * L, 33)
-    per_trace = []
-    for tr in traces:
-        order = np.argsort(tr.tau)
-        t_sorted, idx = np.unique(tr.tau[order], return_index=True)
-        q_sorted = tr.q[order][idx]
-        per_trace.append(PchipInterpolator(t_sorted, q_sorted, extrapolate=False)(tgrid))
-    per_trace = np.array(per_trace)
-    med = np.nanmedian(per_trace, axis=0)
-    spread = float(np.nanmax(np.abs(per_trace - med[None, :])))
-    qmax = float(np.nanmax(med))
-    if spread > 1e-5 * max(qmax, 1.0):
-        raise NotAFunctionOfTauError(
-            f"Q spread across base points is {spread:.3e} at fixed tau; "
-            "the oracle's potential does not have a geodesic gradient")
-    # Fit the bump coefficients of q = Q / ((tau - min)(max - tau)).
-    t_all = np.concatenate([tr.tau for tr in traces])
-    q_all = np.concatenate([tr.q for tr in traces])
-    w = (t_all - interval.tau_min) * (interval.tau_max - t_all)
-    keep = w > 0.10 * np.max(w)
-    t_n = (t_all[keep] - interval.tau_min) / L
-    target = q_all[keep] / w[keep] - 2.0 * a / L
-    basis = np.stack([w[keep] * t_n ** i for i in range(5)], axis=1)  # a quartic bump
-    coeffs, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    profile = make_profile(interval, a, coeffs)
-    fit_res = float(np.max(np.abs(basis @ coeffs - target)))
-    samples = np.column_stack([tgrid, med])
-    return samples, profile, {"q_cross_spread": spread, "q_fit_residual": fit_res}
+    w = L * L * np.array([0.0, 1.0, -1.0])  # w as a polynomial in t
+    q_factor = npoly.polydiv(fit.convert(domain=[interval.tau_min, interval.tau_max],
+                                         window=[0.0, 1.0]).coef, w)[0]
+    q_factor[0] -= 2.0 * a / L
+    rho = npoly.polydiv(q_factor, w)[0] if degree >= 4 else ()  # degree 2 or 3: q is constant
+    diag = {"a_min_end": a_min, "a_max_end": a_max, "q_fit_degree": degree,
+            "q_fit_residual": residual}
+    return make_profile(interval, a, rho), diag
 
 
 def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: list):
@@ -328,11 +259,11 @@ def extract_h(oracle: ExtractionOracle, interval: Interval, a: float,
     """h at the seed base points: the rescaled horizontal metric block at s -> 0.
 
     Each seed's trace (from ``trace_fibers``, traced here when not given) is
-    continued from its low end with the trace's t-step until sqrt(Q) <= 0.4 a
-    delta, with delta = 0.005 lambda.  On the spliced path a linear fit of
-    sqrt(Q) = a (s0 - s) over the last samples locates the end s0, and the
-    metric block is taken at s0 - delta, 2 delta, 4 delta for all seeds in
-    one batch.
+    continued from its low end with the t-step ``geometry.flow_step(a)``
+    until sqrt(Q) <= 0.4 a delta, with delta = 0.005 lambda.  On the spliced
+    path a linear fit of sqrt(Q) = a (s0 - s) over the last samples locates
+    the end s0, and the metric block is taken at s0 - delta, 2 delta,
+    4 delta for all seeds in one batch.
     """
     traces = traces if traces is not None else trace_fibers(oracle)
     delta = 0.005 * lam
@@ -344,7 +275,7 @@ def extract_h(oracle: ExtractionOracle, interval: Interval, a: float,
 
     # Near the end sqrt(Q) ~ a u shrinks by exp(-a h) per step h; allow three
     # times the steps that takes from the trace end with the largest sqrt(Q).
-    step = traces[0].step
+    step = geo.flow_step(a)
     sq_end = max(math.sqrt(tr.q[0]) for tr in traces)
     n_steps = 3.0 * max(math.log(sq_end / level), 0.0) / (a * step)
     cont = geo.integrate_gradient_flow(metric, tau_f, np.array([tr.points[0] for tr in traces]),
@@ -407,10 +338,13 @@ class ExtractedData:
 
 
 def extract_all(oracle: ExtractionOracle, with_h: bool = True) -> ExtractedData:
-    interval, a, diag, traces = estimate_interval_and_a(oracle)
-    samples, profile, diag_q = extract_profile(oracle, interval, a, traces)
+    traces = trace_fibers(oracle)
+    profile, diag = extract_profile(traces)
+    interval, a = profile.interval, profile.a
+    tgrid = np.linspace(interval.tau_min + 0.05 * interval.length,
+                        interval.tau_max - 0.05 * interval.length, 33)
+    samples = np.column_stack([tgrid, profile.Q(tgrid)])
     gammas, diag_g = extract_gamma(oracle, profile, traces)
-    diag.update(diag_q)
     diag.update(diag_g)
     if with_h and oracle.base_axes:
         maps = build_reparams(profile)

@@ -26,6 +26,7 @@ extrapolation (``richardson_even``) serves only the limits at the fiber ends
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -248,9 +249,10 @@ class Frame:
         d_a grad = g^-1 (d_a dtau - (d_a g) grad),
         d_a Q    = 2 (d_a dtau)(grad) - g'_a(grad, grad),   g'_a = d_a g,
 
-    from g, d g and tau's closed-form partials ``tau.grad`` and ``tau.hess``.
-    ``v`` and ``dv`` are the supplied field and its jet where one is given,
-    else ``grad`` and ``dgrad``.  ``J`` and ``dJ`` are set when a J is given.
+    from g, d g and tau's closed-form partials ``tau.grad`` and ``tau.hess``,
+    computed on first read.  ``v`` and ``dv`` are the supplied field and its
+    jet where one is given, else ``grad`` and ``dgrad``.  ``J`` and ``dJ`` are
+    set when a J is given.
     """
 
     points: np.ndarray
@@ -261,13 +263,27 @@ class Frame:
     dtau: np.ndarray            # (N, j) = d_j tau
     d2tau: np.ndarray           # (N, a, j) = d_a d_j tau
     grad: np.ndarray            # (N, k) = g^kj d_j tau
-    dgrad: np.ndarray           # (N, a, k) = d_a grad^k
     q: np.ndarray               # (N,) = |grad tau|^2
-    dq: np.ndarray              # (N, a) = d_a Q
     v: np.ndarray               # (N, k)
-    dv: np.ndarray              # (N, a, k) = d_a v^k
     J: Optional[np.ndarray] = None    # (N, k, j)
     dJ: Optional[np.ndarray] = None   # (N, a, k, j) = d_a J^k_j
+
+    @cached_property
+    def _dg_grad(self) -> np.ndarray:  # (N, a, i) = (d_a g) grad, shared by dgrad and dq
+        return np.einsum("paij,pj->pai", self.dg, self.grad)
+
+    @cached_property
+    def dgrad(self) -> np.ndarray:  # (N, a, k) = d_a grad^k
+        return np.einsum("pki,pai->pak", self.ginv, self.d2tau - self._dg_grad)
+
+    @cached_property
+    def dq(self) -> np.ndarray:  # (N, a) = d_a Q
+        return (2.0 * np.einsum("paj,pj->pa", self.d2tau, self.grad)
+                - np.einsum("pai,pi->pa", self._dg_grad, self.grad))
+
+    @cached_property
+    def dv(self) -> np.ndarray:  # (N, a, k) = d_a v^k; build_frame sets it when v is supplied
+        return self.dgrad
 
     def hessian(self) -> np.ndarray:
         """The covariant Hessian (nabla d tau)_ij = d_i d_j tau - Gamma^k_ij d_k tau."""
@@ -292,12 +308,8 @@ def build_frame(metric: MetricField, tau: ScalarField, points: np.ndarray,
     h = metric.steps_at(points)
     dtau, d2tau = tau.grad(points), tau.hess(points)
     grad = np.einsum("pkj,pj->pk", ginv, dtau)
-    dg_grad = np.einsum("paij,pj->pai", dg, grad)  # (d_a g) grad
-    dgrad = np.einsum("pki,pai->pak", ginv, d2tau - dg_grad)
-    dq = 2.0 * np.einsum("paj,pj->pa", d2tau, grad) - np.einsum("pai,pi->pa", dg_grad, grad)
     frame = Frame(points=points, g=g, dg=dg, ginv=ginv, gamma=gamma, dtau=dtau, d2tau=d2tau,
-                  grad=grad, dgrad=dgrad, q=np.einsum("pj,pj->p", dtau, grad), dq=dq,
-                  v=grad, dv=dgrad)
+                  grad=grad, q=np.einsum("pj,pj->p", dtau, grad), v=grad)
     if v is not None:
         frame.v, frame.dv = v.value(points), field_jet(v, points, h)
     if j is not None:
@@ -393,8 +405,17 @@ def _crossing(f: ScalarField, target: float, x0, x1, m0, m1, g0, g1) -> np.ndarr
     return theta
 
 
-# The t-step of the flow-length check and of fiber tracing.
+# The t-step of fiber tracing, and the base of ``flow_step``.
 FLOW_STEP = 1.6e-2
+
+
+def flow_step(a: float) -> float:
+    """The t-step min(FLOW_STEP, 2 FLOW_STEP / a) toward an end with Hessian constant a.
+
+    Near an end sqrt(Q) ~ a u shrinks by exp(-a h) per step h, and tau -> c tau
+    multiplies a by c, so a h is held at most at its value 0.032 for a = 2.
+    """
+    return min(FLOW_STEP, 2.0 * FLOW_STEP / a)
 
 
 def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarray,

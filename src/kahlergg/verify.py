@@ -580,9 +580,7 @@ def _flow_lengths(subject: VerificationSubject, tol: float,
                   n_fibers: int = 2) -> "tuple[CheckReport, geo.FlowResult]":
     """``check_flow_lengths`` plus the flow it integrated, fiber 0 first.
 
-    The t-step is min(FLOW_STEP, 2 FLOW_STEP / a): tau -> c tau multiplies a
-    by c, and near the ends sqrt(Q) shrinks by exp(-a h) per step h, so a h
-    is held at most at its value 0.032 on the bundled configs (a = 2).
+    The t-step is ``geometry.flow_step(a)``.
     """
     if subject.fiber_point is None or not subject.fiber_bases:
         raise ValueError("subject provides no fiber structure")
@@ -590,9 +588,8 @@ def _flow_lengths(subject: VerificationSubject, tol: float,
     delta = _END_FRAC * lam
     tau_target = float(subject.maps.tau_of_s(lam - delta))
     seeds = np.array([subject.fiber_point(base, delta) for base in subject.fiber_bases[:n_fibers]])
-    step = min(geo.FLOW_STEP, 2.0 * geo.FLOW_STEP / subject.a)
     flow = geo.integrate_gradient_flow(subject.metric, subject.tau, seeds,
-                                       target_value=tau_target, step=step)
+                                       target_value=tau_target, step=geo.flow_step(subject.a))
     rows, failed = [], []
     drift_max = 0.0
     for i in range(len(seeds)):

@@ -47,6 +47,22 @@ def torus_inf_data(interval):
 
 
 @pytest.fixture(scope="session")
+def poly_profile_data():
+    # A non-canonical profile on a shifted interval.
+    interval = Interval(-0.5, 1.7)
+    surface, a = build_torus_surface(H_SCALE, gamma_cos(3.0, 0.5), interval, 3.0,
+                                     normalize="h-scale")
+    return build_construction(interval, a, surface, q_interior=(0.4, -0.3, 0.2))
+
+
+@pytest.fixture(scope="session")
+def steep_torus_data(interval):
+    surface, a = build_torus_surface(H_SCALE, gamma_cos(3.0, 0.5), interval, 30.0,
+                                     normalize="h-scale")
+    return build_construction(interval, a, surface)
+
+
+@pytest.fixture(scope="session")
 def sphere_data(interval):
     gammas = {"south": gamma_constant(3.0), "north": gamma_constant(3.0)}
     surface, a = build_sphere_surface(SPHERE_RADIUS, gammas, interval, 2.0)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from kahlergg import geometry as geo
-from kahlergg.extract import (InconsistentOracleError, NotAFunctionOfTauError,
-                              estimate_interval_and_a, extract_all, extract_gamma,
-                              extract_h, extract_profile, oracle_from_construction,
-                              oracle_from_fs, round_trip, trace_fibers)
+from kahlergg.extract import (ExtractionOracle, InconsistentOracleError, NotAFunctionOfTauError,
+                              extract_all, extract_gamma, extract_h, extract_profile,
+                              oracle_from_construction, oracle_from_fs, round_trip,
+                              trace_fibers)
 from kahlergg.profiles import build_reparams
 
 
@@ -16,33 +16,30 @@ def torus_oracle(torus_data):
 
 @pytest.fixture(scope="module")
 def torus_extraction(torus_oracle):
-    interval, a, diag, traces = estimate_interval_and_a(torus_oracle)
-    return torus_oracle, interval, a, diag, traces
+    traces = trace_fibers(torus_oracle)
+    profile, diag = extract_profile(traces)
+    return torus_oracle, profile, diag, traces
 
 
 def test_interval_and_a_roundtrip(torus_extraction):
-    _, interval, a, diag, _ = torus_extraction
-    assert abs(interval.tau_min - 0.0) < 1e-3
-    assert abs(interval.tau_max - 1.0) < 1e-3
-    assert abs(a - 2.0) < 1e-3
-    # both endpoints see the same Hessian constant
-    assert diag["a_spread_rel"] < 1e-3
-    # one-sided slopes are +-2a
-    assert abs(diag["dq_dtau_min"] - 4.0) < 4e-3
-    assert abs(diag["dq_dtau_max"] - 4.0) < 4e-3
+    _, profile, diag, _ = torus_extraction
+    assert abs(profile.interval.tau_min - 0.0) < 1e-12
+    assert abs(profile.interval.tau_max - 1.0) < 1e-12
+    assert abs(profile.a - 2.0) < 1e-12
+    # both endpoints see the same Hessian constant: one-sided slopes are +-2a
+    assert abs(diag["a_min_end"] - 2.0) < 1e-12
+    assert abs(diag["a_max_end"] - 2.0) < 1e-12
 
 
 def test_profile_recovery(torus_extraction):
-    oracle, interval, a, _, traces = torus_extraction
-    samples, profile, diag = extract_profile(oracle, interval, a, traces)
+    _, profile, diag, _ = torus_extraction
     tau = np.linspace(0.05, 0.95, 19)
     assert np.max(np.abs(profile.Q(tau) - 4 * tau * (1 - tau))) < 1e-4
-    assert diag["q_cross_spread"] < 1e-6
+    assert diag["q_fit_degree"] == 2 and diag["q_fit_residual"] < 1e-12
 
 
 def test_gamma_recovery_matches_input(torus_extraction):
-    oracle, interval, a, _, traces = torus_extraction
-    _, profile, _ = extract_profile(oracle, interval, a, traces)
+    oracle, profile, _, traces = torus_extraction
     gammas, diag = extract_gamma(oracle, profile, traces)
     x1 = oracle.seed_bases[:, 0]
     expect = 3.0 + 0.5 * np.cos(2 * np.pi * x1)
@@ -52,11 +49,10 @@ def test_gamma_recovery_matches_input(torus_extraction):
 
 
 def test_h_recovery_matches_input(torus_extraction):
-    oracle, interval, a, _, traces = torus_extraction
-    _, profile, _ = extract_profile(oracle, interval, a, traces)
+    oracle, profile, _, traces = torus_extraction
     gammas, _ = extract_gamma(oracle, profile, traces)
     maps = build_reparams(profile)
-    h_samples, _ = extract_h(oracle, interval, a, gammas, maps.lam)
+    h_samples, _ = extract_h(oracle, profile.interval, profile.a, gammas, maps.lam)
     c2 = float(np.pi * np.sqrt(6.0))
     assert np.max(np.abs(h_samples - c2 * np.eye(2))) < 1e-3 * c2
 
@@ -83,9 +79,9 @@ def test_sphere_constant_gamma(sphere_data):
 def test_fubini_special_branch():
     oracle = oracle_from_fs()
     ex = extract_all(oracle, with_h=False)
-    assert abs(ex.interval.tau_min) < 1e-3
-    assert abs(ex.interval.tau_max - 1.0) < 1e-3
-    assert abs(ex.a - 2.0) < 1e-3
+    assert abs(ex.interval.tau_min) < 1e-12
+    assert abs(ex.interval.tau_max - 1.0) < 1e-12
+    assert abs(ex.a - 2.0) < 1e-12
     vals = np.array([g.value for g in ex.gammas])
     assert np.std(vals) < 1e-5  # constant: the special branch
     assert ex.diagnostics["gamma_on_interval_boundary"] is True
@@ -122,12 +118,11 @@ def test_warped_metric_rejected():
     jf = geo.MatrixField(value=lambda p: np.broadcast_to(np.eye(4), (p.shape[0], 4, 4)).copy())
     seeds = np.column_stack([np.linspace(0.1, 0.9, 5), np.zeros(5),
                              np.full(5, 0.5), np.zeros(5)])
-    from kahlergg.extract import ExtractionOracle
     oracle = ExtractionOracle(name="warped", metric=metric, tau=tau, J=jf, dim=4,
                               seeds=seeds)
-    interval, a, diag, traces = estimate_interval_and_a(oracle)
+    traces = trace_fibers(oracle)
     with pytest.raises(NotAFunctionOfTauError):
-        extract_profile(oracle, interval, a, traces)
+        extract_profile(traces)
 
 
 def test_rescaled_tau_oracle():
@@ -136,32 +131,29 @@ def test_rescaled_tau_oracle():
     base = oracle_from_fs(n_seeds=4)
     tau2 = geo.ScalarField(value=lambda p: 2.0 * base.tau.value(p),
                            grad=lambda p: 2.0 * base.tau.grad(p))
-    from kahlergg.extract import ExtractionOracle
     oracle = ExtractionOracle(name="fs-rescaled", metric=base.metric, tau=tau2,
                               J=base.J, dim=base.dim, seeds=base.seeds, base_axes=())
-    interval, a, diag, traces = estimate_interval_and_a(oracle)
-    assert abs(interval.tau_min - 0.0) < 2e-3
-    assert abs(interval.tau_max - 2.0) < 2e-3
-    assert abs(a - 4.0) < 4e-3
-    _, profile, _ = extract_profile(oracle, interval, a, traces)
+    profile, _ = extract_profile(trace_fibers(oracle))
+    assert abs(profile.interval.tau_min - 0.0) < 2e-3
+    assert abs(profile.interval.tau_max - 2.0) < 2e-3
+    assert abs(profile.a - 4.0) < 4e-3
     t = np.linspace(0.1, 1.9, 10)
     assert np.max(np.abs(profile.Q(t) - 8 * t * (1 - t / 2))) < 2e-3
 
 
-def test_steep_tau_oracle_is_traced_finer():
+def test_steep_tau_oracle():
     # tau -> 10 tau on the projective-space oracle: I = [0, 10], a = 20.  Near the
-    # ends sqrt(Q) falls by exp(-20 h) per t-step h, so the default h = 1.6e-2 leaves
-    # about 3 samples per e-fold; the fibers are traced again with a h = 1/30.
+    # ends sqrt(Q) falls by exp(-20 h) per t-step h, but tau and Q are exact at every
+    # sample, so the one fit of Q(tau) needs no finer step.
     base = oracle_from_fs(n_seeds=4)
     tau10 = geo.ScalarField(value=lambda p: 10.0 * base.tau.value(p),
                             grad=lambda p: 10.0 * base.tau.grad(p))
-    from kahlergg.extract import ExtractionOracle
     oracle = ExtractionOracle(name="fs-steep", metric=base.metric, tau=tau10,
                               J=base.J, dim=base.dim, seeds=base.seeds, base_axes=())
-    interval, a, diag, traces = estimate_interval_and_a(oracle)
-    assert abs(traces[0].step * 20.0 - 1.0 / 30.0) < 1e-3
-    assert abs(interval.tau_min) < 1e-2 and abs(interval.tau_max - 10.0) < 1e-2
-    assert abs(a - 20.0) < 2e-2
+    profile, _ = extract_profile(trace_fibers(oracle))
+    assert abs(profile.interval.tau_min) < 1e-9 * 10.0
+    assert abs(profile.interval.tau_max - 10.0) < 1e-9 * 10.0
+    assert abs(profile.a - 20.0) < 1e-9 * 20.0
 
 
 def test_distorted_tau_is_inconsistent():
@@ -176,11 +168,11 @@ def test_distorted_tau_is_inconsistent():
 
     tau2 = geo.ScalarField(value=lambda p: chi(base.tau.value(p)),
                            grad=lambda p: dchi(base.tau.value(p))[:, None] * base.tau.grad(p))
-    from kahlergg.extract import ExtractionOracle
     oracle = ExtractionOracle(name="fs-distorted", metric=base.metric, tau=tau2,
                               J=base.J, dim=base.dim, seeds=base.seeds, base_axes=())
+    traces = trace_fibers(oracle)
     with pytest.raises(InconsistentOracleError):
-        estimate_interval_and_a(oracle)
+        extract_profile(traces)
 
 
 def test_round_trip_torus(torus_data):
@@ -193,13 +185,24 @@ def test_round_trip_sphere(sphere_data):
     assert rep["max_rel_metric_dev"] < 1e-3
 
 
-@pytest.mark.parametrize("data, bound", [("torus_data", 5.548e-5), ("sphere_data", 6.805e-5),
-                                         ("torus_inf_data", 5.050e-5)])
+@pytest.mark.parametrize("data, bound", [("torus_data", 1e-6), ("sphere_data", 6.805e-5),
+                                         ("torus_inf_data", 1e-12),
+                                         ("poly_profile_data", 5e-6),
+                                         ("steep_torus_data", 2e-6)])
 def test_round_trip_deviation_bounds(data, bound, request):
-    # The bundled configs' deviations with unit-speed traces at ds = 1e-3 and 5e-4.
-    rep = round_trip(request.getfixturevalue(data))
+    # Interval, a and rho come from one fit of the exact Q(tau) samples; the sphere's
+    # bound is its 8-ring conformal-factor spline, which holds it at about 6e-5.
+    data = request.getfixturevalue(data)
+    rep = round_trip(data)
     assert rep["max_rel_metric_dev"] <= bound
     assert "h_theta_consistency" not in rep["extracted"]["diagnostics"]
+    scale = max(abs(data.interval.tau_min), abs(data.interval.tau_max))
+    assert np.allclose(rep["interval"], [data.interval.tau_min, data.interval.tau_max],
+                       rtol=0.0, atol=1e-9 * scale)
+    assert abs(rep["a"] - data.a) <= 1e-9 * data.a
+    rho = rep["extracted"]["q_factor_coeffs"]
+    assert len(rho) == len(data.profile.rho_coeffs)
+    assert np.allclose(rho, data.profile.rho_coeffs, rtol=1e-9, atol=0.0)
 
 
 def test_fubini_gamma_is_sampling_free():
