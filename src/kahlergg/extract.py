@@ -131,15 +131,13 @@ def oracle_from_fs(chart: Optional[FSChart] = None, n_seeds: int = 12) -> Extrac
 
 @dataclass
 class FiberTrace:
-    """One seed's gradient-flow record, both directions merged.
+    """One seed's gradient-flow record, both directions merged, in order of tau.
 
-    t is the flow parameter, 0 at the seed and increasing with tau, on the
-    uniform grid of ``geometry.FLOW_STEP``; s is the arclength along the
-    trace, 0 at the seed.  The steps shrink geometrically in s toward both
-    ends, where sqrt(Q) vanishes linearly.
+    s is the arclength along the trace, 0 at the seed.  The samples are fixed
+    steps of the flow parameter apart, so their s-steps shrink geometrically
+    toward both ends, where sqrt(Q) vanishes linearly.
     """
 
-    t: np.ndarray
     s: np.ndarray
     tau: np.ndarray
     q: np.ndarray
@@ -147,7 +145,7 @@ class FiberTrace:
 
 
 def trace_fibers(oracle: ExtractionOracle) -> list:
-    """One merged FiberTrace per seed: descending and ascending flows in one batch.
+    """One merged FiberTrace per seed, in order of tau: both flows in one batch.
 
     Both flows step ``geometry.FLOW_STEP`` in the flow parameter t and stop
     once sqrt(Q) falls below 0.04 of its largest value; t is bounded by 60 in
@@ -166,7 +164,6 @@ def trace_fibers(oracle: ExtractionOracle) -> list:
     for i in range(n):
         down, up = flow.fiber(i), flow.fiber(n + i)
         traces.append(FiberTrace(
-            t=np.concatenate([-down.params[::-1], up.params[1:]]),
             s=np.concatenate([-down.arclength[::-1], up.arclength[1:]]),
             tau=np.concatenate([down.values[::-1], up.values[1:]]),
             q=np.concatenate([down.q[::-1], up.q[1:]]),
@@ -423,7 +420,7 @@ def _rebuild_torus(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionD
     def w_fn(x):
         return curvature_form(ex.a, tau_star, chart, gam_field, x)
 
-    conn = solve_connection_torus(chart, w_fn)
+    conn = solve_connection_torus(w_fn)
     surface = BaseSurfaceData(surface_type="torus",
                               charts=[ChartData(chart=chart, gamma=gam_field, connection=conn)],
                               params={"rebuilt": True, "gamma_row_spread": row_spread,
@@ -476,7 +473,7 @@ def _rebuild_sphere(ex: ExtractedData, oracle: ExtractionOracle) -> Construction
     def w_fn(x):
         return curvature_form(ex.a, tau_star, chart, gam_field, x)
 
-    conn = solve_connection_radial(chart, w_fn, sigma_max=sig_max)
+    conn = solve_connection_radial(w_fn, sigma_max=sig_max)
     surface = BaseSurfaceData(surface_type="sphere",
                               charts=[ChartData(chart=chart, gamma=gam_field, connection=conn)],
                               params={"rebuilt": True, "gamma_spread": spread,

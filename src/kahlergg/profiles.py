@@ -25,6 +25,10 @@ together with lambda = s(tau_max), which is finite because the endpoint
 slopes +-2a turn Q^(-1/2) into an integrable inverse-square-root
 singularity.  The quadrature substitutes tau = tau_min + xi^2 (and its
 mirror) to remove that singularity before integrating.
+
+Each map is a cubic Hermite table with the node slopes its ODE gives in
+closed form: ds/dxi is the substituted integrand (finite at the ends),
+dtau/ds = sqrt(Q), dlog r/dtau = a/Q and dtau/dlog r = Q/a.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 
 class InvalidProfileError(ValueError):
@@ -152,18 +156,26 @@ def _cumulative_gl(f, grid: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReparamMaps:
-    """Tabulated monotone maps between tau, r and s (PCHIP, invertible by table swap)."""
+    """Monotone maps between tau, r and s as exact-slope cubic Hermite tables.
+
+    s(tau) is one table per half: s against sqrt(tau - tau_min) and lambda - s
+    against sqrt(tau_max - tau).  Every map is NaN outside its table."""
 
     interval: Interval
     a: float
     lam: float
-    _s_of_tau: PchipInterpolator = field(repr=False)
-    _tau_of_s: PchipInterpolator = field(repr=False)
-    _logr_of_tau: PchipInterpolator = field(repr=False)
-    _tau_of_logr: PchipInterpolator = field(repr=False)
+    _s_left: CubicHermiteSpline = field(repr=False)
+    _s_right: CubicHermiteSpline = field(repr=False)
+    _tau_of_s: CubicHermiteSpline = field(repr=False)
+    _logr_of_tau: CubicHermiteSpline = field(repr=False)
+    _tau_of_logr: CubicHermiteSpline = field(repr=False)
 
     def s_of_tau(self, tau):
-        return self._s_of_tau(tau)
+        tau = np.asarray(tau, dtype=float)
+        iv = self.interval
+        with np.errstate(invalid="ignore"):  # each half's sqrt is NaN on the other half
+            return np.where(tau <= iv.tau_star, self._s_left(np.sqrt(tau - iv.tau_min)),
+                            self.lam - self._s_right(np.sqrt(iv.tau_max - tau)))
 
     def tau_of_s(self, s):
         return self._tau_of_s(s)
@@ -176,7 +188,7 @@ class ReparamMaps:
 
     def sigma(self, r):
         """s as a function of the fiber radius r."""
-        return self._s_of_tau(self.tau_of_r(r))
+        return self.s_of_tau(self.tau_of_r(r))
 
     @property
     def tabulated_tau_range(self):
@@ -209,8 +221,8 @@ def build_reparams(profile: MomentumProfile) -> ReparamMaps:
 
     tau_nodes = np.concatenate([iv.tau_min + xi * xi, (iv.tau_max - xi * xi)[::-1][1:]])
     s_nodes = np.concatenate([s_left, (lam - s_right)[::-1][1:]])
-    s_of_tau = PchipInterpolator(tau_nodes, s_nodes, extrapolate=False)
-    tau_of_s = PchipInterpolator(s_nodes, tau_nodes, extrapolate=False)
+    tau_of_s = CubicHermiteSpline(s_nodes, tau_nodes, np.sqrt(profile.Q(tau_nodes)),
+                                  extrapolate=False)
 
     # log r on an s-uniform interior grid; cumulative quadrature of a/Q in tau.
     s_cut = 2e-4 * lam  # log r diverges at both ends
@@ -225,8 +237,7 @@ def build_reparams(profile: MomentumProfile) -> ReparamMaps:
     j = int(np.searchsorted(tau_grid, iv.tau_star))
     anchor = logr[j - 1] + _cumulative_gl(a_over_q, np.array([tau_grid[j - 1], iv.tau_star]))[-1]
     logr = logr - anchor
-    logr_of_tau = PchipInterpolator(tau_grid, logr, extrapolate=False)
-    tau_of_logr = PchipInterpolator(logr, tau_grid, extrapolate=False)
+    q_grid = profile.Q(tau_grid)
 
     if not np.isfinite(lam) or lam <= 0:
         raise ArithmeticError("arclength quadrature failed to produce a finite positive lambda")
@@ -234,10 +245,11 @@ def build_reparams(profile: MomentumProfile) -> ReparamMaps:
         interval=iv,
         a=a,
         lam=lam,
-        _s_of_tau=s_of_tau,
+        _s_left=CubicHermiteSpline(xi, s_left, integrand_left(xi), extrapolate=False),
+        _s_right=CubicHermiteSpline(xi, s_right, integrand_right(xi), extrapolate=False),
         _tau_of_s=tau_of_s,
-        _logr_of_tau=logr_of_tau,
-        _tau_of_logr=tau_of_logr,
+        _logr_of_tau=CubicHermiteSpline(tau_grid, logr, a / q_grid, extrapolate=False),
+        _tau_of_logr=CubicHermiteSpline(logr, tau_grid, q_grid / a, extrapolate=False),
     )
 
 

@@ -20,8 +20,9 @@ The prescribed curvature 2-form is
 
 and connection potentials A with dA = Omega are produced per chart:
 an antiderivative in x1 on the torus (with the canonical gauge F(0) = 0),
-and the rotationally symmetric potential A = P(rho^2)(x dy - y dx) on the
-sphere charts, with P obtained from the radial ODE d/d(sigma)[sigma P] = W/2.
+and the rotationally symmetric potential A = P(rho)(x dy - y dx) on the
+sphere charts, with P obtained from the radial ODE d/d(rho)[rho^2 P] = rho W.
+Both are cubic Hermite tables with the slopes their ODEs give exactly.
 Line-bundle existence forces integral(Omega) in 2*pi*Z; the Chern integral
 reports the deviation and ``normalize`` can rescale a (or the torus h) to
 land on the nearest integer.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from .profiles import Interval, _cumulative_gl
 from .rp1 import RP1Value
@@ -241,7 +242,7 @@ class ConnectionForm:
     gauge_jump: float = 0.0                          # torus seam jump F(1) - F(0)
 
 
-def solve_connection_torus(chart: SurfaceChart, w_fn: Callable) -> ConnectionForm:
+def solve_connection_torus(w_fn: Callable) -> ConnectionForm:
     """A = F(x1) dx2 with F' = W and F(0) = 0, for Omega = W(x1) dx1 ^ dx2.
 
     W must not depend on x2 (checked by sampling); the gauge jump across the
@@ -259,10 +260,11 @@ def solve_connection_torus(chart: SurfaceChart, w_fn: Callable) -> ConnectionFor
         raise ValueError("torus curvature coefficient depends on x2; "
                          "only x1-dependent built-in data is supported")
 
-    grid = np.linspace(0.0, 1.0, 16385)
+    # 4,097 nodes put the Hermite error of F at roundoff (1e-14).
+    grid = np.linspace(0.0, 1.0, 4097)
     f_vals = _cumulative_gl(w_of_x1, grid)
     jump = float(f_vals[-1])
-    f_interp = PchipInterpolator(grid, f_vals, extrapolate=False)
+    f_interp = CubicHermiteSpline(grid, f_vals, w_of_x1(grid), extrapolate=False)
 
     def f_eval(t):
         t = np.asarray(t, dtype=float)
@@ -282,57 +284,39 @@ def solve_connection_torus(chart: SurfaceChart, w_fn: Callable) -> ConnectionFor
     return ConnectionForm(A=a_fn, dA=da_fn, gauge_jump=jump)
 
 
-def solve_connection_radial(chart: SurfaceChart, w_fn: Callable, sigma_max: float) -> ConnectionForm:
-    """Rotationally symmetric potential A = P(sigma)(x dy - y dx), sigma = rho^2.
+def solve_connection_radial(w_fn: Callable, sigma_max: float) -> ConnectionForm:
+    """Rotationally symmetric potential A = P(rho)(x dy - y dx), rho = |x|.
 
-    Solves d/d(sigma)[sigma P] = W(sigma)/2, so dA = W dx ^ dy exactly given
-    the tabulated P (the derivative formulas reuse the ODE, not the table's
-    slope).  W is the radial curvature coefficient W(sigma) at |x|^2 = sigma.
+    dA = W dx ^ dy is the ODE d/d(rho)[rho^2 P] = rho W for a radial W, so
+    P' = (W - 2P)/rho, which is 0 at rho = 0, where P = W/2.  P is even and
+    smooth in rho and is tabulated against it up to rho^2 = sigma_max, with
+    those slopes.  dA comes from the ODE, not the table's slope: with
+    x^perp = (-y, x), d_a A_i = P d_a x^perp_i + (x_a x^perp_i / sigma)(W - 2P).
     """
-    def w_of_sigma(sig):
-        sig = np.asarray(sig, dtype=float)
-        pts = np.column_stack([np.sqrt(np.maximum(sig, 0.0)), np.zeros(sig.size)])
-        return w_fn(pts)
+    def w_of_rho(rho):
+        return w_fn(np.column_stack([rho, np.zeros(rho.size)]))
 
-    grid = np.linspace(0.0, sigma_max, 4097)
-    u_vals = 0.5 * _cumulative_gl(w_of_sigma, grid)  # sigma * P
-    u_interp = PchipInterpolator(grid, u_vals, extrapolate=False)
-    w0 = float(w_of_sigma(np.array([0.0]))[0])
-    dw0 = float((w_of_sigma(np.array([1e-4 * sigma_max]))[0] - w0) / (1e-4 * sigma_max))
-    eps = 1e-8 * sigma_max
-
-    def p_of_sigma(sig):
-        sig = np.asarray(sig, dtype=float)
-        out = np.empty(sig.shape)
-        small = sig < eps
-        out[small] = 0.5 * w0 + 0.25 * dw0 * sig[small]
-        big = ~small
-        out[big] = u_interp(sig[big]) / sig[big]
-        return out
-
-    def dp_of_sigma(sig, p):
-        sig = np.asarray(sig, dtype=float)
-        out = np.empty(sig.shape)
-        small = sig < eps
-        out[small] = 0.25 * dw0
-        big = ~small
-        out[big] = (0.5 * w_of_sigma(sig[big]) - p[big]) / sig[big]
-        return out
+    rho = np.linspace(0.0, math.sqrt(sigma_max), 4097)
+    w = w_of_rho(rho)
+    u = _cumulative_gl(lambda r: r * w_of_rho(r), rho)  # rho^2 P
+    p = np.concatenate([[0.5 * w[0]], u[1:] / rho[1:] ** 2])
+    slope = np.concatenate([[0.0], (w[1:] - 2.0 * p[1:]) / rho[1:]])
+    p_table = CubicHermiteSpline(rho, p, slope, extrapolate=False)
 
     def a_fn(x):
-        sig = np.sum(x * x, axis=1)
-        p = p_of_sigma(sig)
+        p = p_table(np.hypot(x[:, 0], x[:, 1]))
         return np.column_stack([-x[:, 1] * p, x[:, 0] * p])
 
     def da_fn(x):
         sig = np.sum(x * x, axis=1)
-        p = p_of_sigma(sig)
-        dp = dp_of_sigma(sig, p)
-        out = np.empty((x.shape[0], 2, 2))
-        out[:, 0, 0] = -x[:, 1] * dp * 2.0 * x[:, 0]          # d_1 A_1
-        out[:, 1, 0] = -p - x[:, 1] * dp * 2.0 * x[:, 1]      # d_2 A_1
-        out[:, 0, 1] = p + x[:, 0] * dp * 2.0 * x[:, 0]       # d_1 A_2
-        out[:, 1, 1] = x[:, 0] * dp * 2.0 * x[:, 1]           # d_2 A_2
+        p = p_table(np.sqrt(sig))
+        # (x_a x_b / sigma)(W - 2P), the quotient taken as 0 at sigma = 0.
+        xx = np.divide(x[:, :, None] * x[:, None, :], sig[:, None, None],
+                       out=np.zeros((x.shape[0], 2, 2)), where=sig[:, None, None] > 0)
+        m = xx * (w_fn(x) - 2.0 * p)[:, None, None]
+        out = np.stack([-m[:, :, 1], m[:, :, 0]], axis=2)     # x^perp_i d_a P, then P d_a x^perp_i
+        out[:, 1, 0] -= p
+        out[:, 0, 1] += p
         return out
 
     return ConnectionForm(A=a_fn, dA=da_fn)
@@ -416,7 +400,7 @@ def build_torus_surface(h_scale: float, gamma_spec: GammaField, interval: Interv
     def w_fn(x, ch=chart):
         return curvature_form(a, tau_star, ch, gamma_spec, x)
 
-    conn = solve_connection_torus(chart, w_fn)
+    conn = solve_connection_torus(w_fn)
     data = BaseSurfaceData(
         surface_type="torus",
         charts=[ChartData(chart=chart, gamma=gamma_spec, connection=conn)],
@@ -451,7 +435,7 @@ def build_sphere_surface(radius: float, gamma_specs: dict, interval: Interval,
         def w_fn(x, ch=ch, g=g):
             return curvature_form(a, tau_star, ch, g, x)
 
-        conn = solve_connection_radial(ch, w_fn, sigma_max=4.0 * radius ** 2)
+        conn = solve_connection_radial(w_fn, sigma_max=4.0 * radius ** 2)
         chart_data.append(ChartData(chart=ch, gamma=g, connection=conn))
     data = BaseSurfaceData(
         surface_type="sphere",

@@ -7,6 +7,7 @@ import scipy.linalg
 from kahlergg import geometry as geo
 from kahlergg.construction import (assemble_J, assemble_metric, christoffel_closed_form,
                                    fields_v_u_psi_phi, gamma_of_points, tau_field)
+from kahlergg.verify import check_oracle_equivalence, subject_from_construction
 
 
 def rand_points(data, n, seed=0, s_range=(0.15, 0.85)):
@@ -142,6 +143,14 @@ def test_oracle_equivalence_sphere(sphere_data):
     g_fd = geo.christoffel(assemble_metric(sphere_data), pts, force_fd=True)
     scale = 1.0 + np.max(np.abs(g_cf))
     assert np.max(np.abs(g_cf - g_fd)) / scale < 1e-6
+
+
+def test_oracle_equivalence_sphere_seed_sweep(sphere_data):
+    # The verify suite's check at its 128 samples, on every seed from 0 to 99.
+    subject = subject_from_construction(sphere_data)
+    worst = max(check_oracle_equivalence(subject, 1e-6, n_samples=128, seed=seed).max
+                for seed in range(100))
+    assert worst < 1e-6
 
 
 def test_flat_limit_vertical_block(torus_inf_data):

@@ -65,15 +65,25 @@ def test_r_closed_form(canonical):
     # r^2 = tau/(1-tau), verified by hand from dr/dtau = a r / Q
     _, maps = canonical
     for tau in (0.25, 0.5, 0.75):
-        assert abs(maps.r_of_tau(tau) - np.sqrt(tau / (1.0 - tau))) < 1e-8
+        assert abs(maps.r_of_tau(tau) - np.sqrt(tau / (1.0 - tau))) < 1e-11
 
 
 def test_sigma_closed_form(canonical):
     # sigma(r) = arctan r; sigma(1) = s(1/2) = arcsin(sqrt(1/2)) = pi/4
     _, maps = canonical
-    assert abs(maps.sigma(1.0) - np.pi / 4) < 1e-8
+    assert abs(maps.sigma(1.0) - np.pi / 4) < 1e-12
     for r in (0.4, 1.7, 3.0):
-        assert abs(maps.sigma(r) - np.arctan(r)) < 1e-7
+        assert abs(maps.sigma(r) - np.arctan(r)) < 1e-12
+
+
+def test_arclength_maps_are_exact_on_the_closed_interval(canonical):
+    # tau = sin^2 s on the canonical profile; the tables carry the ODE's own
+    # slopes, so they hold to roundoff up to and including both ends.
+    _, maps = canonical
+    s = np.linspace(0.0, maps.lam, 4001)
+    assert np.max(np.abs(maps.tau_of_s(s) - np.sin(s) ** 2)) <= 1e-13
+    tau = np.linspace(0.0, 1.0, 4001)
+    assert np.max(np.abs(maps.s_of_tau(tau) - np.arcsin(np.sqrt(tau)))) <= 1e-12
 
 
 def test_dsigma_dr_matches_rate(canonical):
@@ -94,10 +104,10 @@ def test_chain_rule_consistency(canonical):
 def test_inverse_maps(canonical):
     _, maps = canonical
     s = np.linspace(0.02, maps.lam - 0.02, 41)
-    assert np.max(np.abs(maps.s_of_tau(maps.tau_of_s(s)) - s)) < 1e-7
+    assert np.max(np.abs(maps.s_of_tau(maps.tau_of_s(s)) - s)) < 1e-11
     lo, hi = maps.tabulated_tau_range
     tau = np.linspace(lo + 0.01, hi - 0.01, 41)
-    assert np.max(np.abs(maps.tau_of_r(maps.r_of_tau(tau)) - tau)) < 1e-7
+    assert np.max(np.abs(maps.tau_of_r(maps.r_of_tau(tau)) - tau)) < 1e-11
 
 
 def test_asymmetric_interval_and_slopes():

@@ -79,8 +79,7 @@ def test_curvature_constant_multiple_for_constant_gamma():
 
 
 def test_flat_curvature_gives_zero_potential():
-    chart = torus_chart(H_SCALE)
-    conn = solve_connection_torus(chart, lambda x: np.zeros(x.shape[0]))
+    conn = solve_connection_torus(lambda x: np.zeros(x.shape[0]))
     pts = np.random.default_rng(1).uniform(0, 1, (10, 2))
     assert np.max(np.abs(conn.A(pts))) < 1e-14
     assert conn.gauge_jump == pytest.approx(0.0, abs=1e-15)
@@ -108,6 +107,21 @@ def test_sphere_connection_da_equals_omega(sphere_data):
         omega = curvature_form(2.0, 0.5, cd.chart, cd.gamma, pts)
         dA_fd = geo.fd_jet(cd.connection.A, pts, 1e-4)
         assert np.max(np.abs(dA_fd[:, 0, 1] - dA_fd[:, 1, 0] - omega)) < 1e-8
+
+
+@pytest.mark.parametrize("chart", [0, 1])
+def test_sphere_connection_at_and_near_the_chart_centre(sphere_data, chart):
+    # One formula from x = 0 outward: the analytic dA must match the
+    # potential's own derivatives at, next to and away from the centre.
+    cd = sphere_data.surface.charts[chart]
+    radius = np.sqrt(0.625)
+    rho = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1.5e-4, 2e-4, 1e-3, 0.1, 0.5 * radius])
+    phi = np.array([0.0, 0.7, 2.9])
+    pts = (rho[:, None, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)[None]).reshape(-1, 2)
+    dA = cd.connection.dA(pts)
+    assert np.max(np.abs(dA - geo.fd_jet(cd.connection.A, pts, 1e-4))) < 1e-10
+    omega = curvature_form(2.0, 0.5, cd.chart, cd.gamma, pts)
+    assert np.max(np.abs(dA[:, 0, 1] - dA[:, 1, 0] - omega)) < 1e-12
 
 
 def test_sphere_chern_is_one(sphere_data):
@@ -176,9 +190,8 @@ def test_complex_structure_closed_form_equals_h_inverse_omega(orientation):
 
 
 def test_x2_dependent_torus_curvature_rejected():
-    chart = torus_chart(1.0)
     with pytest.raises(ValueError):
-        solve_connection_torus(chart, lambda x: np.sin(2 * np.pi * x[:, 1]))
+        solve_connection_torus(lambda x: np.sin(2 * np.pi * x[:, 1]))
 
 
 def test_nonquantized_flux_warns():

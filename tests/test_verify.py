@@ -172,8 +172,8 @@ def test_flow_lengths_reports_every_failing_fiber(torus_subject):
     assert [o["residual"] for o in report.offenders][2] < 1e-4
 
 
-@pytest.mark.parametrize("data, bound", [("torus_data", 2.68e-7), ("sphere_data", 2.68e-7),
-                                         ("torus_inf_data", 2.68e-7), ("fs", 2.59e-8)])
+@pytest.mark.parametrize("data, bound", [("torus_data", 3e-8), ("sphere_data", 3e-8),
+                                         ("torus_inf_data", 3e-8), ("fs", 1.5e-8)])
 def test_flow_lengths_steps_and_residual(request, fs_subject, data, bound):
     subject = fs_subject if data == "fs" else subject_from_construction(
         request.getfixturevalue(data))
