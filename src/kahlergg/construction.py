@@ -64,11 +64,22 @@ class ConstructionData:
         return self.interval.tau_star
 
 
-def _beta(data: ConstructionData, x: np.ndarray, tau: np.ndarray):
-    """beta and its (d_x1, d_x2, d_tau) derivatives; beta = 1 where gamma = inf.
+def _beta(data: ConstructionData, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """beta = (tau - gamma)/(tau_star - gamma); beta = 1 where gamma = inf.
 
     The perturb-beta control replaces beta by beta^1.01.
     """
+    gamma = data.chart_data.gamma
+    if gamma.infinite:
+        beta = np.ones(x.shape[0])
+    else:
+        g = gamma.value(x)
+        beta = (tau - g) / (data.tau_star - g)
+    return beta ** 1.01 if data.control == "perturb-beta" else beta
+
+
+def _beta_jet(data: ConstructionData, x: np.ndarray, tau: np.ndarray):
+    """``_beta`` and its (d_x1, d_x2, d_tau) derivatives."""
     gamma = data.chart_data.gamma
     n = x.shape[0]
     if gamma.infinite:
@@ -111,7 +122,7 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         h = cd.chart.h(x)
         A = cd.connection.A(x)
         Q = prof.Q(tau)
-        beta, _, _ = _beta(data, x, tau)
+        beta = _beta(data, x, tau)
         B = Q / a ** 2
         g = np.zeros((n, 4, 4))
         g[:, :2, :2] = beta[:, None, None] * h + B[:, None, None] * A[:, :, None] * A[:, None, :]
@@ -134,7 +145,7 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         dA = cd.connection.dA(x)
         Q = prof.Q(tau)
         dQ = prof.dQ(tau)
-        beta, dbeta_dx, dbeta_dtau = _beta(data, x, tau)
+        beta, dbeta_dx, dbeta_dtau = _beta_jet(data, x, tau)
         B = Q / a ** 2
         dB = dQ / a ** 2
         out = np.zeros((n, 4, 4, 4))
@@ -312,7 +323,7 @@ def christoffel_closed_form(data: ConstructionData, P: np.ndarray) -> np.ndarray
     psi = prof.psi(tau)
     inv_tg = _inv_tau_minus_gamma(data, x, tau)
     phi = 0.5 * Q * inv_tg
-    beta, _, _ = _beta(data, x, tau)
+    beta = _beta(data, x, tau)
 
     h = cd.chart.h(x)
     dh = cd.chart.dh(x)

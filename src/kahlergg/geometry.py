@@ -25,6 +25,7 @@ extrapolation (``richardson_even``) serves only the limits at the fiber ends
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -370,51 +371,47 @@ class FlowResult:
                           values=self.values[:k, i], q=self.q[:k, i])
 
 
-def _hermite(x0, x1, m0, m1, theta):
-    """Cubic Hermite point at fraction theta of steps x0 -> x1 with end slopes m0, m1 (per step)."""
-    t = theta[:, None]
-    t2, t3 = t * t, t * t * t
-    # h00 = 1 - h01, written around x0 so coordinates the flow leaves alone stay exact.
-    return x0 + (3.0 * t2 - 2.0 * t3) * (x1 - x0) + (t3 - 2.0 * t2 + t) * m0 + (t3 - t2) * m1
+# Butcher's 7-stage, 6th-order explicit Runge-Kutta tableau: stage i is taken at
+# x0 + h sum_j A[i][j] k_j, at the fractions c = (0, 1/3, 2/3, 1/3, 1/2, 1/2, 1) of the step.
+_RK6_A = ((),
+          (1.0 / 3.0,),
+          (0.0, 2.0 / 3.0),
+          (1.0 / 12.0, 1.0 / 3.0, -1.0 / 12.0),
+          (-1.0 / 16.0, 9.0 / 8.0, -3.0 / 16.0, -3.0 / 8.0),
+          (0.0, 9.0 / 8.0, -3.0 / 8.0, -3.0 / 4.0, 1.0 / 2.0),
+          (9.0 / 44.0, -9.0 / 11.0, 63.0 / 44.0, 18.0 / 11.0, 0.0, -16.0 / 11.0))
+_RK6_B = (11.0 / 120.0, 0.0, 27.0 / 40.0, 27.0 / 40.0, -4.0 / 15.0, -4.0 / 15.0, 11.0 / 120.0)
 
 
-def _crossing(f: ScalarField, target: float, x0, x1, m0, m1, g0, g1) -> np.ndarray:
-    """theta in (0, 1] with f = target on each step's Hermite curve (Illinois regula falsi).
+def _rk6(rates: Callable, x0: np.ndarray, first: tuple, h: np.ndarray) -> tuple:
+    """One RK6 step of x' = k from x0, of length h per point: (x1, h sum_i b_i r_i for each r).
 
-    ``g0`` and ``g1`` are f - target at the step ends, of opposite sign or g1 = 0.
+    ``rates(x)`` returns (k, r_1, r_2, ...) at the points; ``first`` is that
+    tuple at x0, so a step calls ``rates`` six times.  The trailing rates
+    (speed, dt/df) are integrated along with x by the same quadrature.
     """
-    lo, hi = np.zeros(len(x0)), np.ones(len(x0))
-    glo, ghi = np.array(g0, dtype=float), np.array(g1, dtype=float)
-    theta = hi.copy()
-    todo = ghi != 0.0
-    tol = 4.0 * np.finfo(float).eps * max(1.0, abs(target))
-    for _ in range(100):
-        if not np.any(todo):
-            break
-        i = np.flatnonzero(todo)
-        th = (lo[i] * ghi[i] - hi[i] * glo[i]) / (ghi[i] - glo[i])
-        gt = f.value(_hermite(x0[i], x1[i], m0[i], m1[i], th)) - target
-        theta[i] = th
-        flip = gt * ghi[i] < 0.0
-        # Illinois: when the new point lands on the side of the previous one, halve the
-        # value kept at the other end.
-        glo[i] = np.where(flip, ghi[i], 0.5 * glo[i])
-        lo[i] = np.where(flip, hi[i], lo[i])
-        hi[i], ghi[i] = th, gt
-        todo[i] = (np.abs(gt) > tol) & (np.abs(hi[i] - lo[i]) > 4.0 * np.finfo(float).eps)
-    return theta
+    stages = [first]
+    for row in _RK6_A[1:]:
+        dx = sum(a * st[0] for a, st in zip(row, stages) if a != 0.0)
+        stages.append(rates(x0 + h[:, None] * dx))
+    sums = [sum(b * st[j] for b, st in zip(_RK6_B, stages) if b != 0.0) for j in range(len(first))]
+    return (x0 + h[:, None] * sums[0],) + tuple(h * s for s in sums[1:])
 
 
-# The t-step of fiber tracing, and the base of ``flow_step``.
-FLOW_STEP = 1.6e-2
+# The t-step of fiber tracing at an unknown end slope, and the base of ``flow_step``.
+FLOW_STEP = 4.8e-2
 
 
 def flow_step(a: float) -> float:
     """The t-step min(FLOW_STEP, 2 FLOW_STEP / a) toward an end with Hessian constant a.
 
     Near an end sqrt(Q) ~ a u shrinks by exp(-a h) per step h, and tau -> c tau
-    multiplies a by c, so a h is held at most at its value 0.032 for a = 2.
+    multiplies a by c, so a h is held at most at its value 0.096 for a = 2.
+    An a that is zero, negative, infinite or NaN measures no end, and gives
+    FLOW_STEP.
     """
+    if not (0.0 < a < math.inf):
+        return FLOW_STEP
     return min(FLOW_STEP, 2.0 * FLOW_STEP / a)
 
 
@@ -423,36 +420,42 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
                             target_value: Optional[float] = None,
                             stop: Optional[Callable] = None,
                             step: float, max_steps: int = 200000) -> FlowResult:
-    """RK4 integral curves of xdot = direction * grad f for a batch of seeds (N, n).
+    """RK6 integral curves of xdot = direction * grad f for a batch of seeds (N, n).
 
-    The true gradient ODE is integrated with fixed steps h = ``step`` in t,
-    so a step covers about ``h * |grad f|`` of g-arclength: toward a critical
-    set, where |grad f| vanishes linearly, the steps shrink geometrically
-    instead of jumping past it.  A step's arclength is the RK4
-    quadrature of the stage speeds, ``(h/6)(|k_1| + 2|k_2| + 2|k_3| + |k_4|)``
-    with |k_i| = |grad f| at stage i.
+    The true gradient ODE is integrated with Butcher's 7-stage, 6th-order
+    tableau in fixed steps h = ``step`` of t, so a step covers about
+    ``h * |grad f|`` of g-arclength: toward a critical set, where |grad f|
+    vanishes linearly, the steps shrink geometrically instead of jumping past
+    it.  A step's arclength is the same tableau applied to the stage speeds,
+    ``h sum_i b_i sqrt(Q_i)``.
 
-    Every step evaluates the metric once per RK4 stage: the first stage is
-    the previous step's endpoint evaluation, which also yields Q = |grad f|^2
-    there.  A target crossing costs two more: the crossing point and the
-    midpoint of the shortened step, whose arclength is Simpson's rule on
-    |grad f|.  A fiber stops, and is frozen with its own status, when f crosses
-    ``target_value`` ("target": the crossing on the step's Hermite curve is
-    solved for, landing on the target), when ``stop(sqrt(Q), max sqrt(Q) so
-    far)`` fires after a step ("stop"), at a zero gradient ("stationary"),
-    when a step leaves the metric's domain ("left-domain", the last inside
-    point is kept), or after ``max_steps`` steps ("max-steps").
+    A step evaluates the metric at its six stages after the first and at its
+    end point, which is the next step's first stage and gives Q = |grad f|^2
+    there: 7 calls.  A step that crosses ``target_value`` is redone from its
+    start as one RK6 step with f as the clock, from f to the target (Henon's
+    trick, Physica D 5 (1982) 412): dx/df = grad f / Q, dt/df = 1/(direction Q)
+    and |ds/df| = 1/sqrt(Q).  That costs six more calls for all crossing
+    fibers together, and the end lands on the target to roundoff.  A fiber
+    stops, and is frozen with its own status, when it reaches the target
+    ("target"), when ``stop(sqrt(Q), max sqrt(Q) so far)`` fires after a step
+    ("stop"), at a zero gradient ("stationary"), when a step leaves the
+    metric's domain ("left-domain", the last inside point is kept), or after
+    ``max_steps`` steps ("max-steps").
     """
     n = metric.dim
     x = np.array(seeds, dtype=float).reshape(-1, n)
     nf = len(x)
     sign = np.broadcast_to(np.asarray(direction, dtype=float), (nf,)).copy()
 
-    def field(pp, idx):
+    def field(pp, idx):  # (xdot, sqrt(Q), Q)
         grad, q = gradient_and_q(metric, f, pp)
-        return sign[idx, None] * grad, q, np.sqrt(q)
+        return sign[idx, None] * grad, np.sqrt(q), q
 
-    k, q, sp = field(x, np.arange(nf))
+    def by_f(k_, sp_, q_, idx):  # the rates with f as the clock: (dx/df, dt/df, |ds/df|)
+        dt_df = 1.0 / (sign[idx] * q_)
+        return k_ * dt_df[:, None], dt_df, 1.0 / sp_
+
+    k, sp, q = field(x, np.arange(nf))
     fv = np.array(f.value(x), dtype=float)
     t, arc = np.zeros(nf), np.zeros(nf)
     ref = sp.copy()
@@ -471,21 +474,15 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        x0, k1 = x[idx], k[idx]
+        x0 = x[idx]
         h = np.full(idx.size, step)
-        hc = h[:, None]
-        k2, _, sp2 = field(x0 + 0.5 * hc * k1, idx)
-        k3, _, sp3 = field(x0 + 0.5 * hc * k2, idx)
-        k4, _, sp4 = field(x0 + hc * k3, idx)
-        xn = x0 + (hc / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        seg = (h / 6.0) * (sp[idx] + 2.0 * sp2 + 2.0 * sp3 + sp4)
+        xn, seg = _rk6(lambda pp: field(pp, idx)[:2], x0, (k[idx], sp[idx]), h)
         if metric.domain is not None:
             inside = np.asarray(metric.domain(xn), dtype=bool)
             freeze(idx[~inside], "left-domain")
-            idx, x0, k1, h, hc, xn, seg = (a[inside] for a in (idx, x0, k1, h, hc, xn, seg))
+            idx, x0, h, xn, seg = (a[inside] for a in (idx, x0, h, xn, seg))
             if idx.size == 0:
                 break
-        kn, qn, spn = field(xn, idx)
         fn = np.array(f.value(xn), dtype=float)  # a copy: f.value may return a view of xn
         hit = np.zeros(idx.size, dtype=bool)
         if target_value is not None:
@@ -493,16 +490,12 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
             hit = ((fn - target_value) * (f0 - target_value) <= 0.0) & (f0 != target_value)
         if np.any(hit):
             c = np.flatnonzero(hit)
-            curve = (x0[c], xn[c], hc[c] * k1[c], hc[c] * kn[c])
-            theta = _crossing(f, target_value, *curve, f0[c] - target_value, fn[c] - target_value)
-            # The crossing point, then the midpoint of the shortened step.
-            ends = np.concatenate([_hermite(*curve, theta), _hermite(*curve, 0.5 * theta)])
-            kc, qc, spc = field(ends, np.tile(idx[c], 2))
-            m = c.size
-            xn[c], kn[c], qn[c], spn[c] = ends[:m], kc[:m], qc[:m], spc[:m]
-            fn[c] = f.value(ends[:m])
-            h[c] = theta * h[c]
-            seg[c] = (h[c] / 6.0) * (sp[idx[c]] + 4.0 * spc[m:] + spc[:m])
+            ic = idx[c]
+            xn[c], h[c], ds = _rk6(lambda pp: by_f(*field(pp, ic), ic), x0[c],
+                                   by_f(k[ic], sp[ic], q[ic], ic), target_value - f0[c])
+            seg[c] = np.abs(ds)
+            fn[c] = f.value(xn[c])
+        kn, spn, qn = field(xn, idx)
         x[idx], k[idx], q[idx], sp[idx], fv[idx] = xn, kn, qn, spn, fn
         t[idx] += h
         arc[idx] += seg

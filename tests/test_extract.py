@@ -3,9 +3,9 @@ import pytest
 
 from kahlergg import geometry as geo
 from kahlergg.extract import (ExtractionOracle, InconsistentOracleError, NotAFunctionOfTauError,
-                              extract_all, extract_gamma, extract_h, extract_profile,
-                              oracle_from_construction, oracle_from_fs, round_trip,
-                              trace_fibers)
+                              _seed_end_slope, extract_all, extract_gamma, extract_h,
+                              extract_profile, oracle_from_construction, oracle_from_fs,
+                              round_trip, trace_fibers)
 from kahlergg.profiles import build_reparams
 
 
@@ -203,6 +203,21 @@ def test_round_trip_deviation_bounds(data, bound, request):
     rho = rep["extracted"]["q_factor_coeffs"]
     assert len(rho) == len(data.profile.rho_coeffs)
     assert np.allclose(rho, data.profile.rho_coeffs, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("data, exact", [("fs", True), ("torus_data", True),
+                                         ("steep_torus_data", True), ("poly_profile_data", False)])
+def test_seed_end_slope(request, data, exact):
+    if data == "fs":
+        oracle, a = oracle_from_fs(), 2.0
+    else:
+        data = request.getfixturevalue(data)
+        oracle, a = oracle_from_construction(data), data.a
+    a_hat = _seed_end_slope(oracle)
+    if exact:  # Q is quadratic in tau
+        assert abs(a_hat - a) <= 1e-9
+    else:  # Q is flatter mid-interval than its parabola: a-hat errs toward the smaller step
+        assert a_hat >= a
 
 
 def test_fubini_gamma_is_sampling_free():

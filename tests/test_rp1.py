@@ -16,7 +16,7 @@ def beta_at(tau: float, tau_star: float, gamma) -> float:
     """The construction's beta = (tau - gamma)/(tau_star - gamma) at one point, gamma constant."""
     data = SimpleNamespace(chart_data=SimpleNamespace(gamma=gamma_constant(gamma)),
                            tau_star=tau_star, control="none")
-    return float(_beta(data, np.zeros((1, 2)), np.array([tau]))[0][0])
+    return float(_beta(data, np.zeros((1, 2)), np.array([tau]))[0])
 
 
 def test_div_by_infinity_is_zero():

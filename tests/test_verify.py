@@ -6,10 +6,10 @@ import pytest
 from kahlergg import geometry as geo
 from kahlergg.construction import build_construction
 from kahlergg.surfaces import build_torus_surface, gamma_cos
-from kahlergg.verify import (CONTROL_EXPECTATIONS, GridSpec, _flow_lengths, _recovered_gamma,
-                             check_bochner, check_boundary_limits, check_bracket_identities,
-                             check_flow_lengths, check_gamma_recovery, check_killing,
-                             check_laplacian_identity, make_report, run_suite,
+from kahlergg.verify import (_END_FRAC, CONTROL_EXPECTATIONS, GridSpec, _flow_lengths,
+                             _recovered_gamma, check_bochner, check_boundary_limits,
+                             check_bracket_identities, check_flow_lengths, check_gamma_recovery,
+                             check_killing, check_laplacian_identity, make_report, run_suite,
                              subject_from_construction, suite_passed)
 
 FAST = GridSpec(base=(4, 4), n_tau=8, n_theta=2, n_random=60)
@@ -172,8 +172,8 @@ def test_flow_lengths_reports_every_failing_fiber(torus_subject):
     assert [o["residual"] for o in report.offenders][2] < 1e-4
 
 
-@pytest.mark.parametrize("data, bound", [("torus_data", 3e-8), ("sphere_data", 3e-8),
-                                         ("torus_inf_data", 3e-8), ("fs", 1.5e-8)])
+@pytest.mark.parametrize("data, bound", [("torus_data", 1e-8), ("sphere_data", 1e-8),
+                                         ("torus_inf_data", 1e-8), ("fs", 1e-9)])
 def test_flow_lengths_steps_and_residual(request, fs_subject, data, bound):
     subject = fs_subject if data == "fs" else subject_from_construction(
         request.getfixturevalue(data))
@@ -186,14 +186,32 @@ def test_flow_lengths_steps_and_residual(request, fs_subject, data, bound):
     metric = replace(subject.metric, value=value)
     report, flow = _flow_lengths(replace(subject, metric=metric), 1e-4)
     steps = len(flow.points) - 1
-    assert steps <= 300
-    assert len(calls) <= 4 * steps + 1 + len(flow.last)  # start, stages, crossings
+    assert steps <= 90
+    assert len(calls) <= 620  # 1 to start, 7 per RK6 step, 6 more for the end step in f
     assert report.passed and report.max <= bound
+    # The end step in f lands on the target level.
+    lam = subject.maps.lam
+    target = float(subject.maps.tau_of_s((1.0 - _END_FRAC) * lam))
+    assert flow.status == ["target"] * len(flow.last)
+    assert np.max(np.abs(subject.tau.value(flow.points[-1]) - target)) <= 1e-12
+    assert np.max(np.abs(flow.values[-1] - target)) <= 1e-12
+
+
+@pytest.mark.parametrize("data", ["torus_data", "fs"])
+def test_flow_lengths_is_sixth_order(request, fs_subject, data, monkeypatch):
+    # Doubling an RK6 step multiplies its error by about 2^6 = 64; an end step
+    # of lower order would cap the ratio.
+    subject = fs_subject if data == "fs" else subject_from_construction(
+        request.getfixturevalue(data))
+    base = _flow_lengths(subject, 1e-4)[0].max
+    monkeypatch.setattr(geo, "FLOW_STEP", 2.0 * geo.FLOW_STEP)
+    assert _flow_lengths(subject, 1e-4)[0].max >= 40.0 * base
 
 
 def test_flow_lengths_is_scale_free(interval):
     # configs/torus.json with a = 30 and h-scale normalization.  tau -> c tau
-    # multiplies a by c; a fixed t-step of 1.6e-2 gave a residual of 2.27e-4 here.
+    # multiplies a by c; an unscaled t-step of 4.8e-2 puts RK6 stages past
+    # tau_max here, where sqrt(Q) is NaN, and 1.6e-2 gives a residual of 2.8e-5.
     surface, a = build_torus_surface(7.695298980971054, gamma_cos(3.0, 0.5), interval, 30.0,
                                      normalize="h-scale")
     report = check_flow_lengths(subject_from_construction(build_construction(interval, a, surface)),
