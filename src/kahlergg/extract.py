@@ -12,8 +12,8 @@ The pipeline follows the geometry rather than any stored closed form:
   * gradient-flow traces through each seed sweep out a fiber, stepping
     fixed increments of the flow parameter t (so the arclength steps shrink
     geometrically toward the ends), sized by the end slope of Q(tau) read
-    at the seeds; tau and Q = |d tau|^2 are exact oracle values at every
-    sample;
+    at the seeds and cut by three while a step goes past a fiber's end; tau
+    and Q = |d tau|^2 are exact oracle values at every sample;
   * one polynomial fit of Q(tau) over the samples of all traces gives the
     rest of the 1-D data: the interval is where it vanishes, a is half its
     slope there, and the profile's rho is what remains after dividing out
@@ -155,9 +155,11 @@ def _seed_end_slope(oracle: ExtractionOracle) -> float:
     At each seed, Q is read there and at seed -+ eps grad tau / Q (tau moves
     by about -+eps, eps = ``_SLOPE_PROBE``); the parabola through the three
     (tau, Q) has end slopes +-sqrt(Q'^2 - 2 Q Q''), so a-hat is half that, or
-    |Q'|/2 where Q is convex.  It is exact where Q is quadratic in tau and
-    errs high where Q is flatter in the middle than the parabola.  Seeds with
-    no finite reading are skipped; with none left it is 0.
+    |Q'|/2 where Q is convex.  It is exact where Q is quadratic in tau.  It
+    reads high where Q bulges above that parabola between the seeds and the
+    ends, and low where Q dips below it, down to 0 where Q at a mid-interval
+    seed is half or less of the parabola's value with the true end slopes.
+    Seeds with no finite reading are skipped; with none left it is 0.
     """
     x = oracle.seeds
     grad, q = geo.gradient_and_q(oracle.metric, oracle.tau, x)
@@ -174,24 +176,44 @@ def _seed_end_slope(oracle: ExtractionOracle) -> float:
     return float(np.max(a_hat, initial=0.0, where=np.isfinite(a_hat)))
 
 
+# Fiber ends that mean a step went past the end of its fiber, and how many times
+# trace_fibers retraces at a third of the step when one occurs.
+_OVERSHOT = frozenset({"non-finite", "left-domain"})
+_RETRACES = 4
+
+
 def trace_fibers(oracle: ExtractionOracle) -> list:
     """One merged FiberTrace per seed, in order of tau: both flows in one batch.
 
     Both flows step ``geometry.flow_step(a_hat)`` in the flow parameter t, with
     a_hat the seeds' end slope read by ``_seed_end_slope``, and stop once
     sqrt(Q) falls below 0.04 of its largest value; t is bounded by 60 in each
-    direction.  tau and Q are exact oracle values at every sample, wherever
-    the step put it.
+    direction.  a_hat can read far below a, and then a step goes past the end
+    of a fiber: a fiber that ends "non-finite" or "left-domain", or a stage
+    whose metric is singular, makes every seed retrace at a third of the
+    step, up to ``_RETRACES`` times, after which InconsistentOracleError is
+    raised.  tau and Q are exact oracle
+    values at every sample, wherever the step put it.
     """
     def stop(sq, ref):
         return sq < 0.04 * ref
 
     n = len(oracle.seeds)
     step = geo.flow_step(_seed_end_slope(oracle))
-    flow = geo.integrate_gradient_flow(oracle.metric, oracle.tau,
-                                       np.concatenate([oracle.seeds, oracle.seeds]),
-                                       np.repeat([-1.0, 1.0], n), stop=stop, step=step,
-                                       max_steps=int(60.0 / step))
+    for _ in range(_RETRACES + 1):
+        try:
+            flow = geo.integrate_gradient_flow(oracle.metric, oracle.tau,
+                                               np.concatenate([oracle.seeds, oracle.seeds]),
+                                               np.repeat([-1.0, 1.0], n), stop=stop, step=step,
+                                               max_steps=int(60.0 / step))
+            if not _OVERSHOT.intersection(flow.status):
+                break
+        except np.linalg.LinAlgError:  # a stage far past a fiber's end met a singular metric
+            pass
+        step /= 3.0
+    else:
+        raise InconsistentOracleError(
+            f"gradient-flow traces still step past the ends of their fibers at t-step {3.0 * step:.3g}")
     traces = []
     for i in range(n):
         down, up = flow.fiber(i), flow.fiber(n + i)

@@ -360,7 +360,8 @@ class FlowResult:
     arclength: np.ndarray       # (M, N) cumulative g-arclength
     values: np.ndarray          # (M, N) f along the curves
     q: np.ndarray               # (M, N) Q = |grad f|^2 along the curves
-    status: list                # per fiber: target, stop, stationary, left-domain, max-steps
+    status: list                # per fiber: target, stop, stationary, left-domain, non-finite,
+                                # max-steps
     last: np.ndarray            # (N,) row of each fiber's final sample
 
     def fiber(self, i: int) -> PathResult:
@@ -439,17 +440,21 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
     stops, and is frozen with its own status, when it reaches the target
     ("target"), when ``stop(sqrt(Q), max sqrt(Q) so far)`` fires after a step
     ("stop"), at a zero gradient ("stationary"), when a step leaves the
-    metric's domain ("left-domain", the last inside point is kept), or after
-    ``max_steps`` steps ("max-steps").
+    metric's domain ("left-domain", the last inside point is kept), when a
+    stage or the end of a step reads a Q that is negative or not finite
+    ("non-finite": the step went past a critical level, where sqrt(Q) is
+    NaN; the start of the step is kept), or after ``max_steps`` steps
+    ("max-steps").
     """
     n = metric.dim
     x = np.array(seeds, dtype=float).reshape(-1, n)
     nf = len(x)
     sign = np.broadcast_to(np.asarray(direction, dtype=float), (nf,)).copy()
 
-    def field(pp, idx):  # (xdot, sqrt(Q), Q)
+    def field(pp, idx):  # (xdot, sqrt(Q), Q); sqrt(Q) is NaN past a critical level, where Q < 0
         grad, q = gradient_and_q(metric, f, pp)
-        return sign[idx, None] * grad, np.sqrt(q), q
+        with np.errstate(invalid="ignore"):
+            return sign[idx, None] * grad, np.sqrt(q), q
 
     def by_f(k_, sp_, q_, idx):  # the rates with f as the clock: (dx/df, dt/df, |ds/df|)
         dt_df = 1.0 / (sign[idx] * q_)
@@ -469,6 +474,10 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
             status[i] = why
         active[which] = False
 
+    def sift(ok, why, idx, *arrays):  # freeze the fibers idx[~ok] with ``why``; keep the rest
+        freeze(idx[~ok], why)
+        return (idx[ok],) + tuple(arr[ok] for arr in arrays)
+
     for _ in range(max_steps):
         freeze(np.flatnonzero(active & (sp <= 1e-15)), "stationary")
         idx = np.flatnonzero(active)
@@ -478,9 +487,8 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
         h = np.full(idx.size, step)
         xn, seg = _rk6(lambda pp: field(pp, idx)[:2], x0, (k[idx], sp[idx]), h)
         if metric.domain is not None:
-            inside = np.asarray(metric.domain(xn), dtype=bool)
-            freeze(idx[~inside], "left-domain")
-            idx, x0, h, xn, seg = (a[inside] for a in (idx, x0, h, xn, seg))
+            idx, x0, h, xn, seg = sift(np.asarray(metric.domain(xn), dtype=bool), "left-domain",
+                                       idx, x0, h, xn, seg)
             if idx.size == 0:
                 break
         fn = np.array(f.value(xn), dtype=float)  # a copy: f.value may return a view of xn
@@ -496,6 +504,9 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
             seg[c] = np.abs(ds)
             fn[c] = f.value(xn[c])
         kn, spn, qn = field(xn, idx)
+        idx, h, xn, seg, fn, hit, kn, spn, qn = sift(np.isfinite(seg) & np.isfinite(spn),
+                                                     "non-finite", idx, h, xn, seg, fn, hit,
+                                                     kn, spn, qn)
         x[idx], k[idx], q[idx], sp[idx], fv[idx] = xn, kn, qn, spn, fn
         t[idx] += h
         arc[idx] += seg

@@ -63,6 +63,24 @@ def steep_torus_data(interval):
 
 
 @pytest.fixture(scope="session")
+def dipped_steep_torus_data(interval):
+    # The steep torus with a q-factor that dips to 0.375 of its end value
+    # mid-interval, so Q(tau) is flatter there than any parabola with Q's end slopes.
+    surface, a = build_torus_surface(H_SCALE, gamma_cos(3.0, 0.5), interval, 30.0,
+                                     normalize="h-scale")
+    return build_construction(interval, a, surface, q_interior=(-150.0,))
+
+
+@pytest.fixture(scope="session")
+def dipped_steeper_torus_data(interval):
+    # a = 100 with the q-factor at 0.3 of its end value mid-interval: past tau_max
+    # Q vanishes again, and a stage of the base t-step lands where g is singular.
+    surface, a = build_torus_surface(H_SCALE, gamma_cos(3.0, 0.5), interval, 100.0,
+                                     normalize="h-scale")
+    return build_construction(interval, a, surface, q_interior=(-560.0,))
+
+
+@pytest.fixture(scope="session")
 def sphere_data(interval):
     gammas = {"south": gamma_constant(3.0), "north": gamma_constant(3.0)}
     surface, a = build_sphere_surface(SPHERE_RADIUS, gammas, interval, 2.0)

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from kahlergg import geometry as geo
+from kahlergg import extract, geometry as geo
 from kahlergg.extract import (ExtractionOracle, InconsistentOracleError, NotAFunctionOfTauError,
                               _seed_end_slope, extract_all, extract_gamma, extract_h,
                               extract_profile, oracle_from_construction, oracle_from_fs,
@@ -188,7 +190,9 @@ def test_round_trip_sphere(sphere_data):
 @pytest.mark.parametrize("data, bound", [("torus_data", 1e-6), ("sphere_data", 6.805e-5),
                                          ("torus_inf_data", 1e-12),
                                          ("poly_profile_data", 5e-6),
-                                         ("steep_torus_data", 2e-6)])
+                                         ("steep_torus_data", 2e-6),
+                                         ("dipped_steep_torus_data", 2e-6),
+                                         ("dipped_steeper_torus_data", 2e-6)])
 def test_round_trip_deviation_bounds(data, bound, request):
     # Interval, a and rho come from one fit of the exact Q(tau) samples; the sphere's
     # bound is its 8-ring conformal-factor spline, which holds it at about 6e-5.
@@ -205,19 +209,48 @@ def test_round_trip_deviation_bounds(data, bound, request):
     assert np.allclose(rho, data.profile.rho_coeffs, rtol=1e-9, atol=0.0)
 
 
-@pytest.mark.parametrize("data, exact", [("fs", True), ("torus_data", True),
-                                         ("steep_torus_data", True), ("poly_profile_data", False)])
-def test_seed_end_slope(request, data, exact):
+@pytest.mark.parametrize("data, reading", [("fs", "exact"), ("torus_data", "exact"),
+                                           ("steep_torus_data", "exact"),
+                                           ("poly_profile_data", "high"),
+                                           ("dipped_steep_torus_data", "low")])
+def test_seed_end_slope(request, data, reading):
     if data == "fs":
         oracle, a = oracle_from_fs(), 2.0
     else:
         data = request.getfixturevalue(data)
         oracle, a = oracle_from_construction(data), data.a
     a_hat = _seed_end_slope(oracle)
-    if exact:  # Q is quadratic in tau
+    if reading == "exact":  # Q is quadratic in tau
         assert abs(a_hat - a) <= 1e-9
-    else:  # Q is flatter mid-interval than its parabola: a-hat errs toward the smaller step
+    elif reading == "high":  # Q bulges above its end parabola mid-interval: 3.56 for a = 3
         assert a_hat >= a
+    else:  # Q dips below its end parabola mid-interval: 0 for a = 30
+        assert a_hat < 0.5 * a
+
+
+def test_trace_fibers_retraces_past_a_low_end_slope(dipped_steep_torus_data, monkeypatch):
+    # a-hat reads 0 here, so the first trace steps FLOW_STEP, 1.5 times the t-step
+    # at which RK6 stages pass tau_max at a = 30; the retrace at a third of it ends
+    # every fiber by the stop rule, with every sample inside the interval.
+    oracle = oracle_from_construction(dipped_steep_torus_data)
+    runs, integrate = [], geo.integrate_gradient_flow
+
+    def spy(*args, **kwargs):
+        flow = integrate(*args, **kwargs)
+        runs.append((kwargs["step"], set(flow.status)))
+        return flow
+
+    monkeypatch.setattr(geo, "integrate_gradient_flow", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traces = trace_fibers(oracle)
+    assert runs == [(geo.FLOW_STEP, {"non-finite"}), (geo.FLOW_STEP / 3.0, {"stop"})]
+    for tr in traces:
+        assert np.all(tr.q > 0.0) and np.all(np.isfinite(tr.s))
+        assert 0.0 < tr.tau.min() < 0.01 and 0.99 < tr.tau.max() < 1.0
+    monkeypatch.setattr(extract, "_RETRACES", 0)
+    with pytest.raises(InconsistentOracleError):
+        trace_fibers(oracle)
 
 
 def test_fubini_gamma_is_sampling_free():

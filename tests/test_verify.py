@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -217,6 +218,22 @@ def test_flow_lengths_is_scale_free(interval):
     report = check_flow_lengths(subject_from_construction(build_construction(interval, a, surface)),
                                 1e-4)
     assert a == 30.0 and report.passed
+
+
+def test_flow_freezes_a_fiber_stepped_past_the_critical_level(steep_torus_data):
+    # At a = 30 the unscaled t-step puts RK6 stages past tau_max, where sqrt(Q) is
+    # NaN: each fiber is frozen at the start of that step, not stepped to max_steps.
+    subject = subject_from_construction(steep_torus_data)
+    lam = subject.maps.lam
+    seeds = np.array([subject.fiber_point(base, 0.01 * lam) for base in subject.fiber_bases[:2]])
+    target = float(subject.maps.tau_of_s(0.99 * lam))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flow = geo.integrate_gradient_flow(subject.metric, subject.tau, seeds,
+                                           target_value=target, step=geo.FLOW_STEP,
+                                           max_steps=100)
+    assert flow.status == ["non-finite", "non-finite"] and len(flow.points) < 10
+    assert np.all(flow.q > 0.0) and np.all(np.isfinite(flow.arclength))
 
 
 def test_coarse_flow_step_still_lands_on_the_target(torus_subject):
