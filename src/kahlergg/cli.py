@@ -60,6 +60,9 @@ def _load_config(args) -> RunConfig:
         cfg.grid = replace(cfg.grid, base=(bx, by), n_tau=n_tau, n_theta=n_theta)
     if getattr(args, "control", None):
         cfg.control = args.control
+    if cfg.control != "none" and cfg.oracle != "construction":
+        raise ConfigError(f"$.oracle: '{cfg.oracle}' has no construction for control "
+                          f"'{cfg.control}' to perturb; controls need oracle = 'construction'")
     return cfg
 
 

@@ -182,6 +182,9 @@ def parse_config(text: str) -> RunConfig:
         normalize = con.get("normalize", "none")
         if normalize not in ("none", "a", "h-scale"):
             raise ConfigError("$.construction.normalize: must be 'none', 'a' or 'h-scale'")
+        if normalize == "h-scale" and surface_type != "torus":
+            raise ConfigError("$.construction.normalize: 'h-scale' is torus-only; rescaling the "
+                              "sphere metric re-parametrizes its radius and any height-based gamma")
         chart = _chart_index(con.get("chart", 0), surface_type)
 
     grid_raw = raw.get("grid", {})

@@ -24,10 +24,9 @@ The pipeline follows the geometry rather than any stored closed form:
     with dQ/dtau = 2 Hess tau(grad tau, grad tau)/Q from the same covariant
     Hessian as the Laplacian (tau's closed-form partials, Christoffels from
     a stencil of g), averaged along the fiber with a consistency assertion;
-  * h is the s -> 0 limit of (tau_min - gamma)^(-1)(tau_star - gamma) times
-    the metric restricted to the orthogonal complement of (grad tau,
-    J grad tau), Richardson-extrapolated at s = delta, 2 delta, 4 delta on
-    the descending traces, continued a short way toward the minimum.
+  * h is read at each seed: the metric restricted to the orthogonal
+    complement of (grad tau, J grad tau) is beta h there, with
+    beta = (tau - gamma)/(tau_star - gamma), so it is divided by beta.
 
 ``round_trip`` rebuilds a construction from the extracted data (periodic
 splines over the torus chart; constant gamma and a radial conformal factor
@@ -43,13 +42,13 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicSpline
 
 from . import geometry as geo
 from .construction import (ConstructionData, assemble_metric, assemble_J,
                            build_construction, tau_field)
 from .fubini import FSChart, fs_J, fs_metric, fs_random_directions, fs_tau
-from .profiles import Interval, MomentumProfile, build_reparams, make_profile
+from .profiles import Interval, MomentumProfile, make_profile
 from .rp1 import INFINITY, RP1Value, recover_gamma, rp1_angle, rp1_distance
 from .surfaces import (BaseSurfaceData, ChartData, GammaField, SurfaceChart,
                        curvature_form, gamma_constant, solve_connection_radial,
@@ -305,47 +304,17 @@ def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: li
     return gammas, {"fiber_spread_max": worst}
 
 
-def extract_h(oracle: ExtractionOracle, interval: Interval, a: float,
-              gammas: list, lam: float, traces: Optional[list] = None):
-    """h at the seed base points: the rescaled horizontal metric block at s -> 0.
+def extract_h(oracle: ExtractionOracle, interval: Interval, gammas: list) -> np.ndarray:
+    """h at the seed base points, read at the seeds.
 
-    Each seed's trace (from ``trace_fibers``, traced here when not given) is
-    continued from its low end with the t-step ``geometry.flow_step(a)``
-    until sqrt(Q) <= 0.4 a delta, with delta = 0.005 lambda.  On the spliced
-    path a linear fit of sqrt(Q) = a (s0 - s) over the last samples locates
-    the end s0, and the metric block is taken at s0 - delta, 2 delta,
-    4 delta for all seeds in one batch.
+    The horizontal block of g is beta h at every point of a fiber, with
+    beta = (tau - gamma)/(tau_star - gamma), or 1 where gamma is infinite.
+    So h is the metric restricted to the orthogonal complement of
+    (grad tau, J grad tau) at each seed, times (tau_star - gamma)/(tau_seed - gamma).
     """
-    traces = traces if traces is not None else trace_fibers(oracle)
-    delta = 0.005 * lam
-    metric, tau_f = oracle.metric, oracle.tau
-    level = 0.4 * a * delta
-
-    def stop(sq, ref):
-        return sq <= level
-
-    # Near the end sqrt(Q) ~ a u shrinks by exp(-a h) per step h; allow three
-    # times the steps that takes from the trace end with the largest sqrt(Q).
-    step = geo.flow_step(a)
-    sq_end = max(math.sqrt(tr.q[0]) for tr in traces)
-    n_steps = 3.0 * max(math.log(sq_end / level), 0.0) / (a * step)
-    cont = geo.integrate_gradient_flow(metric, tau_f, np.array([tr.points[0] for tr in traces]),
-                                       -1.0, stop=stop, step=step, max_steps=int(n_steps) + 16)
-    offsets = delta * np.array([1.0, 2.0, 4.0])
-    pts = []
-    for i, tr in enumerate(traces):
-        path = cont.fiber(i)
-        # Arclength from the trace's top end down through the seed and the continuation.
-        s = np.concatenate([-tr.s[::-1], path.arclength[1:] - tr.s[0]])
-        sq = np.sqrt(np.concatenate([tr.q[::-1], path.q[1:]]))
-        cf = np.polynomial.polynomial.polyfit(s[-12:], sq[-12:], 1)
-        s0 = -cf[0] / cf[1]
-        path_pts = np.concatenate([tr.points[::-1], path.points[1:]])
-        pts.append(PchipInterpolator(s, path_pts)(s0 - offsets))
-    p = np.concatenate(pts)  # (3 * seeds, n), seed-major
-
-    g = metric.value(p)
-    v, _ = geo.gradient_and_q(metric, tau_f, p, g=g)
+    p = oracle.seeds
+    g = oracle.metric.value(p)
+    v, _ = geo.gradient_and_q(oracle.metric, oracle.tau, p, g=g)
     u = np.einsum("pij,pj->pi", oracle.J.value(p), v)
 
     def dot(x, y):  # g(x, y) per point; x may carry a middle axis of vectors
@@ -359,10 +328,9 @@ def extract_h(oracle: ExtractionOracle, interval: Interval, a: float,
     e -= dot(e, ev)[..., None] * ev[:, None] + dot(e, eu)[..., None] * eu[:, None]
     hm = np.einsum("pri,pij,pcj->prc", e, g, e)
     factor = np.array([1.0 if gam.infinite
-                       else (interval.tau_star - gam.value) / (interval.tau_min - gam.value)
-                       for gam in gammas])
-    hm = factor[:, None, None, None] * hm.reshape(len(traces), len(offsets), 2, 2)
-    return geo.richardson_even(np.swapaxes(hm, 0, 1)), {"delta": delta}
+                       else (interval.tau_star - gam.value) / (t - gam.value)
+                       for gam, t in zip(gammas, oracle.tau.value(p))])
+    return factor[:, None, None] * hm
 
 
 @dataclass
@@ -398,9 +366,7 @@ def extract_all(oracle: ExtractionOracle, with_h: bool = True) -> ExtractedData:
     gammas, diag_g = extract_gamma(oracle, profile, traces)
     diag.update(diag_g)
     if with_h and oracle.base_axes:
-        maps = build_reparams(profile)
-        h_samples, diag_h = extract_h(oracle, interval, a, gammas, maps.lam, traces=traces)
-        diag.update({f"h_{k}": v for k, v in diag_h.items()})
+        h_samples = extract_h(oracle, interval, gammas)
     else:
         h_samples = np.empty((0, 2, 2))
     gamma_angles = [rp1_angle(g) for g in gammas]

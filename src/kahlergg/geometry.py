@@ -20,7 +20,7 @@ read many identities off the same points.  Curvature is a contraction of a
 Gamma jet the caller takes (``ricci``), so a check can differentiate Gamma on
 the same stencil as the quantities it compares Ricci with.  Richardson
 extrapolation (``richardson_even``) serves only the limits at the fiber ends
-(boundary limits and h extraction).
+in the ``boundary_limits`` check.
 """
 
 from __future__ import annotations

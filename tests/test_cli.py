@@ -129,10 +129,12 @@ def test_cli_flow(torus_cfg_file, tmp_path):
     assert len(rows) > 50
 
 
-@pytest.mark.parametrize("argv", [["construct"], ["flow"], ["extract", "--round-trip"]],
+@pytest.mark.parametrize("argv", [["construct"], ["flow"], ["extract", "--round-trip"],
+                                  ["verify", "--control", "perturb-j"]],
                          ids=lambda a: " ".join(a))
 def test_cli_fubini_oracle_needs_a_construction(tmp_path, capsys, argv):
-    # These commands used to build the default torus, or skip the round trip, and exit 0.
+    # These commands used to build the default torus, skip the round trip, or verify
+    # the clean Fubini-Study metric in place of the control, and exit 0.
     cfg = tmp_path / "fubini.json"
     cfg.write_text('{"oracle": "fubini"}')
     out = tmp_path / "o"
@@ -284,3 +286,14 @@ def test_cli_sphere_north_chart_verifies(tmp_path):
     cfg.write_text(SPHERE_CFG.replace("CHART", "1"))
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert json.loads((tmp_path / "o" / "verify_report.json").read_text())["all_pass"] is True
+
+
+def test_cli_sphere_h_scale_is_config_error(tmp_path, capsys):
+    # build_sphere_surface rejects it too, but with a ValueError the CLI does not map.
+    cfg = tmp_path / "sphere_h_scale.json"
+    cfg.write_text(SPHERE_CFG.replace('"chart": CHART', '"normalize": "h-scale"'))
+    out = tmp_path / "o"
+    assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and "$.construction.normalize" in err["message"]
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from kahlergg.extract import (ExtractionOracle, InconsistentOracleError, NotAFun
                               _seed_end_slope, extract_all, extract_gamma, extract_h,
                               extract_profile, oracle_from_construction, oracle_from_fs,
                               round_trip, trace_fibers)
-from kahlergg.profiles import build_reparams
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +53,21 @@ def test_gamma_recovery_matches_input(torus_extraction):
 def test_h_recovery_matches_input(torus_extraction):
     oracle, profile, _, traces = torus_extraction
     gammas, _ = extract_gamma(oracle, profile, traces)
-    maps = build_reparams(profile)
-    h_samples, _ = extract_h(oracle, profile.interval, profile.a, gammas, maps.lam)
+    h_samples = extract_h(oracle, profile.interval, gammas)
     c2 = float(np.pi * np.sqrt(6.0))
-    assert np.max(np.abs(h_samples - c2 * np.eye(2))) < 1e-3 * c2
+    assert np.max(np.abs(h_samples - c2 * np.eye(2))) < 1e-12 * c2
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.3, 0.9])
+def test_h_recovery_off_tau_star(torus_extraction, tau):
+    # Away from tau_star the horizontal block is beta h with beta != 1.
+    oracle, profile, _, traces = torus_extraction
+    gammas, _ = extract_gamma(oracle, profile, traces)
+    seeds = oracle.seeds.copy()
+    seeds[:, 2] = tau
+    h_samples = extract_h(replace(oracle, seeds=seeds), profile.interval, gammas)
+    c2 = float(np.pi * np.sqrt(6.0))
+    assert np.max(np.abs(h_samples - c2 * np.eye(2))) < 1e-11 * c2
 
 
 def test_h_recovery_theta_independent(torus_data):
@@ -246,7 +257,7 @@ def test_trace_fibers_retraces_past_a_low_end_slope(dipped_steep_torus_data, mon
         traces = trace_fibers(oracle)
     assert runs == [(geo.FLOW_STEP, {"non-finite"}), (geo.FLOW_STEP / 3.0, {"stop"})]
     for tr in traces:
-        assert np.all(tr.q > 0.0) and np.all(np.isfinite(tr.s))
+        assert np.all(tr.q > 0.0) and np.all(np.isfinite(tr.points))
         assert 0.0 < tr.tau.min() < 0.01 and 0.99 < tr.tau.max() < 1.0
     monkeypatch.setattr(extract, "_RETRACES", 0)
     with pytest.raises(InconsistentOracleError):
