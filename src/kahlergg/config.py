@@ -92,6 +92,13 @@ def _as_number(x, path: str) -> float:
     return float(x)
 
 
+def _positive(x, path: str) -> float:
+    x = _as_number(x, path)
+    if not x > 0:
+        raise ConfigError(f"{path}: must be positive")
+    return x
+
+
 @dataclass
 class RunConfig:
     tau_min: float
@@ -139,16 +146,16 @@ def parse_config(text: str) -> RunConfig:
         tau_max = _as_number(con["tau_max"], "$.construction.tau_max")
         if not tau_min < tau_max:
             raise ConfigError("$.construction: tau_min must be < tau_max")
-        a = _as_number(con["a"], "$.construction.a")
-        if a <= 0:
-            raise ConfigError("$.construction.a: must be positive")
+        a = _positive(con["a"], "$.construction.a")
         qf = con.get("q_factor", {"type": "constant"})
         _require_keys(qf, {"type", "coeffs"}, {"type"}, "$.construction.q_factor")
         if qf["type"] == "constant":
             q_coeffs = ()
         elif qf["type"] == "poly":
-            q_coeffs = tuple(_as_number(c, "$.construction.q_factor.coeffs[]")
-                             for c in qf.get("coeffs", []))
+            coeffs = qf.get("coeffs", [])
+            if not isinstance(coeffs, list):
+                raise ConfigError(f"$.construction.q_factor.coeffs: expected a list, got {coeffs!r}")
+            q_coeffs = tuple(_as_number(c, "$.construction.q_factor.coeffs[]") for c in coeffs)
         else:
             raise ConfigError("$.construction.q_factor.type: must be 'constant' or 'poly'")
 
@@ -156,17 +163,19 @@ def parse_config(text: str) -> RunConfig:
         _require_keys(surf, {"type", "h_scale", "radius"}, {"type"}, "$.construction.surface")
         surface_type = surf["type"]
         if surface_type == "torus":
-            surface_params = {"h_scale": _as_number(surf.get("h_scale", np.pi * np.sqrt(6.0)),
-                                                    "$.construction.surface.h_scale")}
+            surface_params = {"h_scale": _positive(surf.get("h_scale", np.pi * np.sqrt(6.0)),
+                                                   "$.construction.surface.h_scale")}
         elif surface_type == "sphere":
-            surface_params = {"radius": _as_number(surf.get("radius", np.sqrt(0.625)),
-                                                   "$.construction.surface.radius")}
+            surface_params = {"radius": _positive(surf.get("radius", np.sqrt(0.625)),
+                                                  "$.construction.surface.radius")}
         else:
             raise ConfigError("$.construction.surface.type: must be 'torus' or 'sphere'")
 
         gamma_spec = con["gamma"]
+        if not isinstance(gamma_spec, dict):
+            raise ConfigError(f"$.construction.gamma: expected an object, got {gamma_spec!r}")
         gtype = gamma_spec.get("type")
-        if gtype not in _GAMMA_KEYS:
+        if not isinstance(gtype, str) or gtype not in _GAMMA_KEYS:
             raise ConfigError(f"$.construction.gamma.type: unknown family {gtype!r}")
         _require_keys(gamma_spec, _GAMMA_KEYS[gtype], _GAMMA_KEYS[gtype], "$.construction.gamma")
         if gtype == "cos" and surface_type != "torus":

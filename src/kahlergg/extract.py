@@ -28,10 +28,11 @@ The pipeline follows the geometry rather than any stored closed form:
     complement of (grad tau, J grad tau) is beta h there, with
     beta = (tau - gamma)/(tau_star - gamma), so it is divided by beta.
 
-``round_trip`` rebuilds a construction from the extracted data (periodic
-splines over the torus chart; constant gamma and a radial conformal factor
-on the sphere) and reports the max relative metric deviation on a common
-chart grid.
+``round_trip`` rebuilds a construction from the extracted data and reports
+the max relative metric deviation on a common chart grid.  The oracle's seeds
+lie in rows that share one base coordinate u (x1 on the torus, sigma = |x|^2
+on the sphere); h and gamma are splined over u, so the one rebuild serves
+both surfaces.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ from .construction import (ConstructionData, assemble_metric, assemble_J,
 from .fubini import FSChart, fs_J, fs_metric, fs_random_directions, fs_tau
 from .profiles import Interval, MomentumProfile, make_profile
 from .rp1 import INFINITY, RP1Value, recover_gamma, rp1_angle, rp1_distance
-from .surfaces import (BaseSurfaceData, ChartData, GammaField, SurfaceChart,
-                       curvature_form, gamma_constant, solve_connection_radial,
-                       solve_connection_torus)
+from .surfaces import (BaseSurfaceData, ChartData, GammaField, SurfaceChart, curvature_form,
+                       solve_connection_radial, solve_connection_torus)
 
 
 class InconsistentOracleError(ValueError):
@@ -76,13 +76,19 @@ class ExtractionOracle:
     dim: int
     seeds: np.ndarray
     base_axes: tuple = (0, 1)
-    seed_bases: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
 
 def oracle_from_construction(data: ConstructionData, n_x1: int = 24, n_x2: int = 2,
                              theta: float = 0.0) -> ExtractionOracle:
-    """Value-only wrapper around an assembled construction."""
+    """Value-only wrapper around an assembled construction, seeded at tau_star.
+
+    The seeds are n_x1 rows of n_x2.  The seeds of a row share one base
+    coordinate u, which the rebuild splines over: x1 on the torus, where the
+    rows are evenly spaced columns of the chart, and sigma = |x|^2 on the
+    sphere, where they are rings evenly spaced in |x| from the chart centre out
+    to 0.6 R, each with n_x2 evenly spaced angles.
+    """
     m_full = assemble_metric(data)
     metric = geo.MetricField(dim=4, value=m_full.value, dvalue=None, domain=m_full.domain,
                              step=m_full.step, step_limiter=m_full.step_limiter,
@@ -92,25 +98,21 @@ def oracle_from_construction(data: ConstructionData, n_x1: int = 24, n_x2: int =
                           name="tau:oracle")
     j_full = assemble_J(data)
     jf = geo.MatrixField(value=j_full.value, jac=None, name="J:oracle")
-    (x1lo, x1hi), (x2lo, x2hi) = data.chart_data.chart.bounds
     if data.surface.surface_type == "torus":
+        (x1lo, x1hi), (x2lo, x2hi) = data.chart_data.chart.bounds
         b1 = x1lo + (x1hi - x1lo) * np.arange(n_x1) / n_x1
         b2 = x2lo + (x2hi - x2lo) * (np.arange(n_x2) + 0.5) / n_x2
         g1, g2 = np.meshgrid(b1, b2, indexing="ij")
-        bases = np.column_stack([g1.ravel(), g2.ravel()])
-        meta = {"surface": "torus", "chart_bounds": data.chart_data.chart.bounds,
-                "n_x1": n_x1, "n_x2": n_x2}
     else:
-        radius = data.surface.params["radius"]
-        radii = np.array([0.05, 0.12, 0.20, 0.28, 0.36, 0.44, 0.52, 0.60]) * radius
-        angles = 2.0 * np.pi * (np.arange(6) + 0.5) / 6
-        rr, aa = np.meshgrid(radii, angles, indexing="ij")
-        bases = np.column_stack([(rr * np.cos(aa)).ravel(), (rr * np.sin(aa)).ravel()])
-        meta = {"surface": "sphere", "radius": radius, "radii": radii, "n_angles": 6}
+        rho = np.linspace(0.0, 0.6 * data.surface.params["radius"], n_x1)
+        angles = 2.0 * np.pi * (np.arange(n_x2) + 0.5) / n_x2
+        rr, aa = np.meshgrid(rho, angles, indexing="ij")
+        g1, g2 = rr * np.cos(aa), rr * np.sin(aa)
+    bases = np.column_stack([g1.ravel(), g2.ravel()])
     tau_mid = data.interval.tau_star
     seeds = np.column_stack([bases, np.full(len(bases), tau_mid), np.full(len(bases), theta)])
-    return ExtractionOracle(name=metric.name, metric=metric, tau=tau, J=jf, dim=4,
-                            seeds=seeds, seed_bases=bases, meta=meta)
+    return ExtractionOracle(name=metric.name, metric=metric, tau=tau, J=jf, dim=4, seeds=seeds,
+                            meta={"surface": data.surface.surface_type, "n_x1": n_x1})
 
 
 def oracle_from_fs(chart: Optional[FSChart] = None, n_seeds: int = 12) -> ExtractionOracle:
@@ -122,7 +124,7 @@ def oracle_from_fs(chart: Optional[FSChart] = None, n_seeds: int = 12) -> Extrac
     seeds = dirs * np.tan(np.pi / 4.0)  # tau = 1/2 on the default chart
     return ExtractionOracle(name="fubini-study", metric=metric, tau=fs_tau(chart),
                             J=fs_J(chart), dim=chart.dim, seeds=seeds,
-                            base_axes=(), seed_bases=None, meta={"surface": "fubini"})
+                            base_axes=(), meta={"surface": "fubini"})
 
 
 # ----------------------------------------------------------------------------
@@ -394,110 +396,54 @@ def extract_all(oracle: ExtractionOracle, with_h: bool = True) -> ExtractedData:
 # Rebuild and round trip
 # ----------------------------------------------------------------------------
 
-def _rebuild_torus(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
-    n_x1, n_x2 = oracle.meta["n_x1"], oracle.meta["n_x2"]
-    bases = oracle.seed_bases.reshape(n_x1, n_x2, 2)
-    x1 = bases[:, 0, 0]
-    g_ang = np.array([rp1_angle(g) for g in ex.gammas]).reshape(n_x1, n_x2)
-    row_spread = float(np.ptp(g_ang, axis=1).max())
-    g_row = np.tan(np.mean(g_ang, axis=1))
-    h_mats = ex.h_samples.reshape(n_x1, n_x2, 2, 2)
-    h_row = h_mats.mean(axis=1)
+def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
+    """The construction from the extracted data, splined over each seed row's coordinate u.
+
+    u is x1 on the torus and sigma = |x|^2 on the sphere, whose chart reaches
+    out to the outer ring.  Each row's h is averaged to its isotropic part and
+    its gamma to one RP1 angle; both are splined over u, periodic on the torus
+    and not-a-knot on the sphere, du/dx chains their slopes into dh and
+    d gamma, and the connection comes from the surface's own solver.
+    """
+    torus = oracle.meta["surface"] == "torus"
+
+    def coord(x):  # u and du/dx at chart points x
+        if torus:
+            return np.mod(x[:, 0], 1.0), np.broadcast_to([1.0, 0.0], x.shape)
+        return np.sum(x * x, axis=1), 2.0 * x
+
+    def grad(spline, x):  # the coordinate differential of spline(u)
+        u_x, du_dx = coord(x)
+        return spline.derivative()(u_x)[:, None] * du_dx
+
+    rows = oracle.meta["n_x1"]
+    u = coord(oracle.seeds.reshape(rows, -1, oracle.dim)[:, 0, list(oracle.base_axes)])[0]
+    g_row = np.tan(np.mean(np.reshape([rp1_angle(g) for g in ex.gammas], (rows, -1)), axis=1))
+    h_row = ex.h_samples.reshape(rows, -1, 2, 2).mean(axis=1)
     h_iso = 0.5 * (h_row[:, 0, 0] + h_row[:, 1, 1])
-    aniso = float(np.max(np.abs(h_row - h_iso[:, None, None] * np.eye(2))))
-
-    x1p = np.concatenate([x1, [x1[0] + 1.0]])
-    gam_spline = CubicSpline(x1p, np.concatenate([g_row, [g_row[0]]]), bc_type="periodic")
-    h_spline = CubicSpline(x1p, np.concatenate([h_iso, [h_iso[0]]]), bc_type="periodic")
-
-    gam_field = GammaField(
-        infinite=all(g.infinite for g in ex.gammas),
-        value=lambda x: gam_spline(np.mod(x[:, 0], 1.0)),
-        grad=lambda x: np.column_stack([gam_spline.derivative()(np.mod(x[:, 0], 1.0)),
-                                        np.zeros(x.shape[0])]),
-        value_range=(float(np.min(g_row)), float(np.max(g_row))),
-    )
-
-    def h_fn(x):
-        out = np.zeros((x.shape[0], 2, 2))
-        v = h_spline(np.mod(x[:, 0], 1.0))
-        out[:, 0, 0] = v
-        out[:, 1, 1] = v
-        return out
-
-    def dh_fn(x):
-        out = np.zeros((x.shape[0], 2, 2, 2))
-        dv = h_spline.derivative()(np.mod(x[:, 0], 1.0))
-        out[:, 0, 0, 0] = dv
-        out[:, 0, 1, 1] = dv
-        return out
-
-    chart = SurfaceChart(name="torus-rebuilt", h=h_fn, dh=dh_fn,
-                         domain=lambda x: np.ones(x.shape[0], dtype=bool),
-                         bounds=((0.0, 1.0), (0.0, 1.0)))
-    tau_star = ex.interval.tau_star
+    if torus:  # one period closes each spline
+        u, g_row, h_iso = (np.append(u, u[0] + 1.0), np.append(g_row, g_row[0]),
+                           np.append(h_iso, h_iso[0]))
+    bc = "periodic" if torus else "not-a-knot"
+    gam_spline, h_spline = (CubicSpline(u, v, bc_type=bc) for v in (g_row, h_iso))
+    gam_field = GammaField(infinite=all(g.infinite for g in ex.gammas),
+                           value=lambda x: gam_spline(coord(x)[0]),
+                           grad=lambda x: grad(gam_spline, x),
+                           value_range=(float(np.min(g_row)), float(np.max(g_row))))
+    half = 0.7 * math.sqrt(u[-1])  # the sphere's square inside its outer ring
+    chart = SurfaceChart(name=f"{oracle.meta['surface']}-rebuilt",
+                         h=lambda x: h_spline(coord(x)[0])[:, None, None] * np.eye(2),
+                         dh=lambda x: grad(h_spline, x)[:, :, None, None] * np.eye(2),
+                         domain=lambda x: coord(x)[0] < u[-1],  # on the torus, u < 1 = u[-1]
+                         bounds=((0.0, 1.0),) * 2 if torus else ((-half, half),) * 2)
 
     def w_fn(x):
-        return curvature_form(ex.a, tau_star, chart, gam_field, x)
+        return curvature_form(ex.a, ex.interval.tau_star, chart, gam_field, x)
 
-    conn = solve_connection_torus(w_fn)
-    surface = BaseSurfaceData(surface_type="torus",
+    conn = solve_connection_torus(w_fn) if torus else solve_connection_radial(w_fn, sigma_max=u[-1])
+    surface = BaseSurfaceData(surface_type=oracle.meta["surface"],
                               charts=[ChartData(chart=chart, gamma=gam_field, connection=conn)],
-                              params={"rebuilt": True, "gamma_row_spread": row_spread,
-                                      "h_anisotropy": aniso})
-    return build_construction(ex.interval, ex.a, surface, profile=ex.profile)
-
-
-def _rebuild_sphere(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
-    angs = [rp1_angle(g) for g in ex.gammas]
-    spread = float(np.ptp(angs))
-    gam_field = gamma_constant(INFINITY if ex.gammas[0].infinite
-                               else RP1Value(math.tan(float(np.mean(angs)))))
-    radius = oracle.meta["radius"]
-    radii = np.asarray(oracle.meta["radii"])
-    n_ang = oracle.meta["n_angles"]
-    h_mats = ex.h_samples.reshape(len(radii), n_ang, 2, 2)
-    h_iso = 0.5 * (h_mats[..., 0, 0] + h_mats[..., 1, 1]).mean(axis=1)
-    aniso = float(np.max(np.abs(h_mats - h_iso[:, None, None, None] * np.eye(2))))
-    sig = radii ** 2
-    # Conformal factor profile lam2(sigma); sigma = 0 itself is not sampled, so
-    # extend with a cubic fit through the innermost rings.
-    inner = slice(0, min(5, len(sig)))
-    cf = np.polynomial.polynomial.polyfit(sig[inner], h_iso[inner], 3)
-    sig_ext = np.concatenate([[0.0], sig])
-    lam2_ext = np.concatenate([[np.polynomial.polynomial.polyval(0.0, cf)], h_iso])
-    spl = CubicSpline(sig_ext, lam2_ext, bc_type=((1, float(cf[1])), "not-a-knot"))
-
-    def h_fn(x):
-        out = np.zeros((x.shape[0], 2, 2))
-        v = spl(np.sum(x * x, axis=1))
-        out[:, 0, 0] = v
-        out[:, 1, 1] = v
-        return out
-
-    def dh_fn(x):
-        out = np.zeros((x.shape[0], 2, 2, 2))
-        dv = spl.derivative()(np.sum(x * x, axis=1))
-        for ax in range(2):
-            out[:, ax, 0, 0] = dv * 2.0 * x[:, ax]
-            out[:, ax, 1, 1] = out[:, ax, 0, 0]
-        return out
-
-    sig_max = float(sig[-1])
-    chart = SurfaceChart(name="sphere-rebuilt", h=h_fn, dh=dh_fn,
-                         domain=lambda x: np.sum(x * x, axis=1) < sig_max,
-                         bounds=((-0.42 * radius, 0.42 * radius),
-                                 (-0.42 * radius, 0.42 * radius)))
-    tau_star = ex.interval.tau_star
-
-    def w_fn(x):
-        return curvature_form(ex.a, tau_star, chart, gam_field, x)
-
-    conn = solve_connection_radial(w_fn, sigma_max=sig_max)
-    surface = BaseSurfaceData(surface_type="sphere",
-                              charts=[ChartData(chart=chart, gamma=gam_field, connection=conn)],
-                              params={"rebuilt": True, "gamma_spread": spread,
-                                      "h_anisotropy": aniso, "radius": radius})
+                              params={"rebuilt": True})
     return build_construction(ex.interval, ex.a, surface, profile=ex.profile)
 
 
@@ -506,10 +452,7 @@ def round_trip(data: ConstructionData) -> dict:
     n_compare = 400
     oracle = oracle_from_construction(data)
     ex = extract_all(oracle)
-    if oracle.meta["surface"] == "torus":
-        rebuilt = _rebuild_torus(ex, oracle)
-    else:
-        rebuilt = _rebuild_sphere(ex, oracle)
+    rebuilt = _rebuild(ex, oracle)
     g_orig = assemble_metric(data)
     g_new = assemble_metric(rebuilt)
     rng = np.random.default_rng(3)

@@ -4,7 +4,7 @@ import pytest
 from kahlergg.construction import build_construction
 from kahlergg.profiles import Interval
 from kahlergg.surfaces import (build_sphere_surface, build_torus_surface,
-                               gamma_constant, gamma_cos)
+                               gamma_constant, gamma_cos, gamma_height)
 
 ACCEPTANCE_LINES = []
 
@@ -85,6 +85,29 @@ def sphere_data(interval):
     gammas = {"south": gamma_constant(3.0), "north": gamma_constant(3.0)}
     surface, a = build_sphere_surface(SPHERE_RADIUS, gammas, interval, 2.0)
     return build_construction(interval, a, surface)
+
+
+def _height_sphere(interval, radius, c0, c1, chart_index=0, q_interior=(), normalize="none"):
+    gammas = {w: gamma_height(c0, c1, radius, w) for w in ("south", "north")}
+    surface, a = build_sphere_surface(radius, gammas, interval, 2.0, normalize=normalize)
+    return build_construction(interval, a, surface, q_interior=q_interior, chart_index=chart_index)
+
+
+@pytest.fixture(scope="session")
+def height_sphere_data(interval):
+    # gamma = c0 + c1 (embedding height) varies from the chart centre outward.
+    return _height_sphere(interval, SPHERE_RADIUS, -2.0, 0.5)
+
+
+@pytest.fixture(scope="session")
+def height_sphere_north_data(interval):
+    return _height_sphere(interval, SPHERE_RADIUS, -2.0, 0.5, chart_index=1)
+
+
+@pytest.fixture(scope="session")
+def wide_sphere_data(interval):
+    # Radius 2 with a q-factor, a normalized to make the Chern integral an integer.
+    return _height_sphere(interval, 2.0, 5.0, 1.0, q_interior=(0.4, -0.3), normalize="a")
 
 
 @pytest.fixture(scope="session")

@@ -221,10 +221,21 @@ def test_cli_verify_zero_n_tau_in_config_is_config_error(tmp_path, capsys):
     ('"seed": 0', '"tolerances": {"kaehler": NaN}, "seed": 0', "$.tolerances.kaehler"),
     ('"seed": 0', '"tol_scale": 0, "seed": 0', "$.tol_scale"),
     ('"c0": 3.0', '"c0": "x"', "$.construction.gamma.c0"),
+    ('"gamma": {"type": "cos", "c0": 3.0, "c1": 0.5}', '"gamma": "inf"', "$.construction.gamma"),
+    ('"gamma": {"type": "cos", "c0": 3.0, "c1": 0.5}', '"gamma": [1]', "$.construction.gamma"),
+    ('"type": "cos"', '"type": ["cos"]', "$.construction.gamma.type"),
+    ('{"type": "constant"}', '{"type": "poly", "coeffs": 5}', "$.construction.q_factor.coeffs"),
+    ('"h_scale": 7.695298980971054', '"h_scale": -1', "$.construction.surface.h_scale"),
+    ('"h_scale": 7.695298980971054', '"h_scale": 0', "$.construction.surface.h_scale"),
+    ('"radius": 0.7905694150420949', '"radius": 0', "$.construction.surface.radius"),
+    ('"radius": 0.7905694150420949', '"radius": -1', "$.construction.surface.radius"),
 ]])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, old, new, path):
+    # The radius cases edit the sphere config, every other case the torus config.
+    text = SPHERE_CFG.replace("CHART", "0") if "radius" in old else TORUS_CFG
+    assert old in text
     cfg = tmp_path / "bad.json"
-    cfg.write_text(TORUS_CFG.replace(old, new))
+    cfg.write_text(text.replace(old, new))
     code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())["error"]
