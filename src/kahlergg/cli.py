@@ -149,6 +149,9 @@ def cmd_construct(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _load_config(args)
+    if cfg.control != "none":
+        raise ConfigError(f"$.control: extract reads the clean construction and would drop "
+                          f"'{cfg.control}'; controls apply to verify, construct and flow")
     out = _out_dir(args)
     if cfg.oracle == "fubini" and not args.round_trip:
         oracle = oracle_from_fs(FSChart())

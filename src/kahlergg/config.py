@@ -99,6 +99,18 @@ def _positive(x, path: str) -> float:
     return x
 
 
+# The profile's tables overflow or underflow near magnitudes of 1e300 and
+# 1e-300; a, |tau| and the interval length stay well inside.
+_MAGNITUDE = 1e100
+
+
+def _bounded(x, path: str) -> float:
+    x = _as_number(x, path)
+    if not abs(x) <= _MAGNITUDE:
+        raise ConfigError(f"{path}: must lie in [-1e100, 1e100], got {x!r}")
+    return x
+
+
 @dataclass
 class RunConfig:
     tau_min: float
@@ -142,11 +154,17 @@ def parse_config(text: str) -> RunConfig:
         _require_keys(con, {"tau_min", "tau_max", "a", "q_factor", "surface", "gamma",
                             "normalize", "chart"},
                       {"tau_min", "tau_max", "a", "surface", "gamma"}, "$.construction")
-        tau_min = _as_number(con["tau_min"], "$.construction.tau_min")
-        tau_max = _as_number(con["tau_max"], "$.construction.tau_max")
+        tau_min = _bounded(con["tau_min"], "$.construction.tau_min")
+        tau_max = _bounded(con["tau_max"], "$.construction.tau_max")
         if not tau_min < tau_max:
             raise ConfigError("$.construction: tau_min must be < tau_max")
+        # The tau tables must resolve the interval: their first nodes sit 5e-7 of its length in.
+        if tau_max - tau_min < max(1.0 / _MAGNITUDE, 1e-6 * max(abs(tau_min), abs(tau_max))):
+            raise ConfigError("$.construction.tau_max: tau_max - tau_min must be at least 1e-100 "
+                              "and 1e-6 max(|tau_min|, |tau_max|)")
         a = _positive(con["a"], "$.construction.a")
+        if not 1.0 / _MAGNITUDE <= a <= _MAGNITUDE:
+            raise ConfigError(f"$.construction.a: must lie in [1e-100, 1e100], got {a!r}")
         qf = con.get("q_factor", {"type": "constant"})
         _require_keys(qf, {"type", "coeffs"}, {"type"}, "$.construction.q_factor")
         if qf["type"] == "constant":
@@ -248,6 +266,10 @@ def build_from_config(cfg: RunConfig) -> ConstructionData:
                           "and extract --round-trip need oracle = 'construction'")
     interval = Interval(cfg.tau_min, cfg.tau_max)
     gammas = _gamma_fields(cfg.surface_type, cfg.gamma_spec, cfg.surface_params)
+    if cfg.control in ("perturb-beta", "perturb-j") and any(g.infinite for g in gammas.values()):
+        raise ConfigError(f"$.control: '{cfg.control}' is inert where gamma = inf: beta = 1 there, "
+                          "so beta^1.01 = beta, and the metric is a local product, on which "
+                          "the flipped J is Kahler too")
     if cfg.surface_type == "torus":
         surface, a = build_torus_surface(cfg.surface_params["h_scale"], gammas["torus"], interval,
                                          cfg.a, normalize=cfg.normalize)

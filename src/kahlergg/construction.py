@@ -25,11 +25,16 @@ the covariant-derivative table of the construction (radial/angular fields
 are eigenfields of nabla v; horizontal covariant derivatives reduce to the
 base ones plus phi- and D(gamma)-corrections).  Their agreement at random
 points is the main oracle-equivalence gate of the test suite.
+
+Neither route knows the documented negative controls.  ``with_control``
+wraps the clean metric and J in the perturbation that ``data.control``
+names, each wrapper with its own analytic jet, and the verification subject
+is its only caller; the closed-form Christoffels describe the clean metric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -49,11 +54,7 @@ class ConstructionData:
     maps: ReparamMaps
     surface: BaseSurfaceData
     chart_index: int = 0
-    control: str = "none"
-
-    def __post_init__(self) -> None:
-        if self.control not in CONTROLS:
-            raise ValueError(f"unknown control '{self.control}'")
+    control: str = "none"  # a label: only ``with_control`` and the verify subject read it
 
     @property
     def chart_data(self) -> ChartData:
@@ -65,17 +66,12 @@ class ConstructionData:
 
 
 def _beta(data: ConstructionData, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """beta = (tau - gamma)/(tau_star - gamma); beta = 1 where gamma = inf.
-
-    The perturb-beta control replaces beta by beta^1.01.
-    """
+    """beta = (tau - gamma)/(tau_star - gamma); beta = 1 where gamma = inf."""
     gamma = data.chart_data.gamma
     if gamma.infinite:
-        beta = np.ones(x.shape[0])
-    else:
-        g = gamma.value(x)
-        beta = (tau - g) / (data.tau_star - g)
-    return beta ** 1.01 if data.control == "perturb-beta" else beta
+        return np.ones(x.shape[0])
+    g = gamma.value(x)
+    return (tau - g) / (data.tau_star - g)
 
 
 def _beta_jet(data: ConstructionData, x: np.ndarray, tau: np.ndarray):
@@ -83,19 +79,13 @@ def _beta_jet(data: ConstructionData, x: np.ndarray, tau: np.ndarray):
     gamma = data.chart_data.gamma
     n = x.shape[0]
     if gamma.infinite:
-        beta, dbeta_dx, dbeta_dtau = np.ones(n), np.zeros((n, 2)), np.zeros(n)
-    else:
-        g = gamma.value(x)
-        dg = gamma.grad(x)
-        ts = data.tau_star
-        beta = (tau - g) / (ts - g)
-        dbeta_dg = (tau - ts) / (ts - g) ** 2
-        dbeta_dx = dbeta_dg[:, None] * dg
-        dbeta_dtau = 1.0 / (ts - g)
-    if data.control == "perturb-beta":
-        fac = 1.01 * beta ** 0.01
-        return beta ** 1.01, fac[:, None] * dbeta_dx, fac * dbeta_dtau
-    return beta, dbeta_dx, dbeta_dtau
+        return np.ones(n), np.zeros((n, 2)), np.zeros(n)
+    g = gamma.value(x)
+    dg = gamma.grad(x)
+    ts = data.tau_star
+    beta = (tau - g) / (ts - g)
+    dbeta_dg = (tau - ts) / (ts - g) ** 2
+    return beta, dbeta_dg[:, None] * dg, 1.0 / (ts - g)
 
 
 def _inv_tau_minus_gamma(data: ConstructionData, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -105,15 +95,11 @@ def _inv_tau_minus_gamma(data: ConstructionData, x: np.ndarray, tau: np.ndarray)
     return 1.0 / (tau - gamma.value(x))
 
 
-_BREAK_AMP = 0.1
-
-
 def assemble_metric(data: ConstructionData) -> MetricField:
     """The coordinate metric with exact analytic first derivatives."""
     prof, a = data.profile, data.a
     iv = data.interval
     cd = data.chart_data
-    control = data.control
 
     def value(P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
@@ -129,10 +115,7 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         g[:, :2, 3] = -B[:, None] * A
         g[:, 3, :2] = g[:, :2, 3]
         g[:, 3, 3] = B
-        gtt = 1.0 / Q
-        if control == "break-symmetry":
-            gtt = gtt * (1.0 + _BREAK_AMP * np.sin(2.0 * np.pi * x[:, 0]) * np.sin(P[:, 3]))
-        g[:, 2, 2] = gtt
+        g[:, 2, 2] = 1.0 / Q
         return g
 
     def dvalue(P: np.ndarray) -> np.ndarray:
@@ -162,13 +145,6 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         out[:, 2, 3, :2] = out[:, 2, :2, 3]
         out[:, 2, 3, 3] = dB
         out[:, 2, 2, 2] = -dQ / Q ** 2
-        if control == "break-symmetry":
-            s1 = np.sin(2.0 * np.pi * x[:, 0])
-            c1 = np.cos(2.0 * np.pi * x[:, 0])
-            st, ct = np.sin(P[:, 3]), np.cos(P[:, 3])
-            out[:, 0, 2, 2] = (1.0 / Q) * _BREAK_AMP * 2.0 * np.pi * c1 * st
-            out[:, 2, 2, 2] = (-dQ / Q ** 2) * (1.0 + _BREAK_AMP * s1 * st)
-            out[:, 3, 2, 2] = (1.0 / Q) * _BREAK_AMP * s1 * ct
         return out
 
     def domain(P: np.ndarray) -> np.ndarray:
@@ -186,21 +162,19 @@ def assemble_metric(data: ConstructionData) -> MetricField:
     return MetricField(dim=4, value=value, dvalue=dvalue, domain=domain,
                        step=np.array([1.5e-3, 1.5e-3, 3e-4, 1e-2]),
                        step_limiter=step_limiter,
-                       name=f"construction[{data.surface.surface_type}:{cd.chart.name}]"
-                            + ("" if control == "none" else f"+{control}"))
+                       name=f"construction[{data.surface.surface_type}:{cd.chart.name}]")
 
 
 def assemble_J(data: ConstructionData) -> MatrixField:
     """Fiber rotation plus the lifted base complex structure, with analytic dJ."""
     prof, a = data.profile, data.a
     cd = data.chart_data
-    sign = -1.0 if data.control == "perturb-j" else 1.0
 
     def value(P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
         x, tau = P[:, :2], P[:, 2]
         n = P.shape[0]
-        js = sign * cd.chart.complex_structure(x)
+        js = cd.chart.complex_structure(x)
         A = cd.connection.A(x)
         Q = prof.Q(tau)
         J = np.zeros((n, 4, 4))
@@ -218,7 +192,7 @@ def assemble_J(data: ConstructionData) -> MatrixField:
         h = cd.chart.h(x)
         dh = cd.chart.dh(x)
         hinv = np.linalg.inv(h)
-        js = sign * cd.chart.complex_structure(x)
+        js = cd.chart.complex_structure(x)
         A = cd.connection.A(x)
         dA = cd.connection.dA(x)
         Q = prof.Q(tau)
@@ -238,7 +212,96 @@ def assemble_J(data: ConstructionData) -> MatrixField:
         out[:, 2, 2, 3] = -dQ / a
         return out
 
-    return MatrixField(value=value, jac=jac, name="J" + ("" if sign > 0 else "-flipped"))
+    return MatrixField(value=value, jac=jac, name="J")
+
+
+def with_control(data: ConstructionData, metric: MetricField, J: MatrixField):
+    """The (metric, J) pair of ``data.control``: the clean pair itself for "none".
+
+    Each negative control wraps the clean fields and keeps an analytic jet,
+    so the clean evaluators carry no control code.
+    """
+    if data.control == "none":
+        return metric, J
+    if data.control == "perturb-j":
+        return metric, _flip_j(J)
+    wrap = {"perturb-beta": _perturb_beta, "break-symmetry": _break_symmetry}[data.control]
+    value, dvalue = wrap(data, metric)
+    return replace(metric, value=value, dvalue=dvalue, name=f"{metric.name}+{data.control}"), J
+
+
+# Rows (x1, x2, theta) x columns (x1, x2): the entries of J and of its jet
+# that are linear in J_Sigma.
+_J_SIGMA_ROWS = [0, 1, 3]
+
+
+def _flip_j(J: MatrixField) -> MatrixField:
+    """perturb-j: J_Sigma -> -J_Sigma in the lifted structure."""
+
+    def value(P):
+        out = J.value(P)
+        out[:, _J_SIGMA_ROWS, :2] *= -1.0
+        return out
+
+    def jac(P):
+        out = J.jac(P)
+        out[:, :, _J_SIGMA_ROWS, :2] *= -1.0
+        return out
+
+    return replace(J, value=value, jac=jac, name=f"{J.name}-flipped")
+
+
+_BREAK_AMP = 0.1
+
+
+def _break_symmetry(data: ConstructionData, metric: MetricField):
+    """break-symmetry: g_tautau times f = 1 + 0.1 sin(2 pi x1) sin theta."""
+
+    def value(P):
+        P = np.asarray(P, dtype=float)
+        g = metric.value(P)
+        g[:, 2, 2] *= 1.0 + _BREAK_AMP * np.sin(2.0 * np.pi * P[:, 0]) * np.sin(P[:, 3])
+        return g
+
+    def dvalue(P):
+        P = np.asarray(P, dtype=float)
+        gtt = metric.value(P)[:, 2, 2]
+        dg = metric.dvalue(P)
+        s1, c1 = np.sin(2.0 * np.pi * P[:, 0]), np.cos(2.0 * np.pi * P[:, 0])
+        st, ct = np.sin(P[:, 3]), np.cos(P[:, 3])
+        dg[:, :, 2, 2] *= (1.0 + _BREAK_AMP * s1 * st)[:, None]
+        dg[:, 0, 2, 2] += gtt * _BREAK_AMP * 2.0 * np.pi * c1 * st
+        dg[:, 3, 2, 2] += gtt * _BREAK_AMP * s1 * ct
+        return dg
+
+    return value, dvalue
+
+
+def _perturb_beta(data: ConstructionData, metric: MetricField):
+    """perturb-beta: beta -> beta^1.01 in the horizontal block, i.e. + (beta^1.01 - beta) h."""
+    chart = data.chart_data.chart
+
+    def value(P):
+        P = np.asarray(P, dtype=float)
+        x = P[:, :2]
+        beta = _beta(data, x, P[:, 2])
+        g = metric.value(P)
+        g[:, :2, :2] += (beta ** 1.01 - beta)[:, None, None] * chart.h(x)
+        return g
+
+    def dvalue(P):
+        P = np.asarray(P, dtype=float)
+        x = P[:, :2]
+        beta, dbeta_dx, dbeta_dtau = _beta_jet(data, x, P[:, 2])
+        h = chart.h(x)
+        fac = 1.01 * beta ** 0.01 - 1.0
+        dg = metric.dvalue(P)
+        dg[:, :2, :2, :2] += ((fac[:, None] * dbeta_dx)[:, :, None, None] * h[:, None]
+                              + (beta ** 1.01 - beta)[:, None, None, None] * chart.dh(x))
+        dg[:, 2, :2, :2] += (fac * dbeta_dtau)[:, None, None] * h
+        return dg
+
+    return value, dvalue
 
 
 def tau_field(data: ConstructionData) -> ScalarField:
@@ -308,8 +371,6 @@ def christoffel_closed_form(data: ConstructionData, P: np.ndarray) -> np.ndarray
     Independent of assemble_metric: only the base geometry (h, its
     Christoffels, J_Sigma), the potential A, gamma, and the profile enter.
     """
-    if data.control != "none":
-        raise ValueError("closed-form Christoffels describe the unperturbed construction")
     P = np.asarray(P, dtype=float)
     x, tau = P[:, :2], P[:, 2]
     n = P.shape[0]

@@ -33,7 +33,7 @@ import scipy.linalg
 from . import geometry as geo
 from .construction import (ConstructionData, assemble_J, assemble_metric,
                            christoffel_closed_form, fiber_point, fields_v_u_psi_phi,
-                           gamma_of_points, tau_field)
+                           gamma_of_points, tau_field, with_control)
 from .fubini import (FSChart, fs_J, fs_metric, fs_profile, fs_random_directions,
                      fs_ray_point, fs_tau)
 from .profiles import Interval, MomentumProfile, ReparamMaps
@@ -162,7 +162,6 @@ class VerificationSubject:
     boundary_expect: dict = field(default_factory=dict)
     grid_points: Optional[Callable] = None       # GridSpec -> (points, desc)
     random_points: Optional[Callable] = None     # (n, seed, s_range) -> points
-    control: str = "none"
     construction: Optional[ConstructionData] = None
 
     def frame(self, points: np.ndarray) -> geo.Frame:
@@ -171,8 +170,7 @@ class VerificationSubject:
 
 
 def subject_from_construction(data: ConstructionData) -> VerificationSubject:
-    metric = assemble_metric(data)
-    jf = assemble_J(data)
+    metric, jf = with_control(data, assemble_metric(data), assemble_J(data))
     tau = tau_field(data)
     v, u, psi, phi = fields_v_u_psi_phi(data)
     cd = data.chart_data
@@ -239,7 +237,6 @@ def subject_from_construction(data: ConstructionData) -> VerificationSubject:
                          "max": (-data.a, -data.a, 0.0, 0.0)},
         grid_points=grid_points,
         random_points=random_points,
-        control=data.control,
         construction=data,
     )
 
@@ -676,7 +673,8 @@ def run_suite(subject: VerificationSubject, spec: Optional[GridSpec] = None,
         reports.append(check_boundary_limits(subject, tols["boundary_limits"]))
     if want("flow_lengths") and subject.fiber_point is not None:
         reports.append(check_flow_lengths(subject, tols["flow_lengths"]))
-    if want("oracle_equivalence") and subject.construction is not None and subject.control == "none":
+    data = subject.construction
+    if want("oracle_equivalence") and data is not None and data.control == "none":
         reports.append(check_oracle_equivalence(subject, tols["oracle_equivalence"],
                                                 n_samples=spec.n_random, seed=spec.seed))
     return reports

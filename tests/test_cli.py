@@ -144,6 +144,50 @@ def test_cli_fubini_oracle_needs_a_construction(tmp_path, capsys, argv):
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("control", ["perturb-beta", "perturb-j", "break-symmetry"])
+@pytest.mark.parametrize("argv", [["extract"], ["extract", "--round-trip"]], ids=" ".join)
+def test_cli_extract_control_is_config_error(tmp_path, capsys, argv, control):
+    # extract reads the clean construction. It used to drop the control and exit 0, or
+    # compare a perturbed oracle with a clean rebuild in the round trip.
+    cfg = tmp_path / "control.json"
+    cfg.write_text(TORUS_CFG.replace('"seed": 0', f'"seed": 0, "control": "{control}"'))
+    out = tmp_path / "o"
+    assert main(argv[:1] + ["--config", str(cfg), "--out", str(out)] + argv[1:]) == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and "$.control" in err["message"]
+    assert not out.exists()
+
+
+TORUS_GAMMA = '"gamma": {"type": "cos", "c0": 3.0, "c1": 0.5}'
+GAMMA_INF = '"gamma": {"type": "inf"}'
+
+
+@pytest.mark.parametrize("control", ["perturb-beta", "perturb-j"])
+@pytest.mark.parametrize("surface", ["torus", "sphere"])
+def test_cli_control_inert_at_infinite_gamma_is_config_error(tmp_path, capsys, surface, control):
+    # beta = 1 makes the metric a local product, on which the flipped J is Kahler too:
+    # the control used to reproduce every residual of the clean run and exit 0.
+    # The torus passes --control, the sphere the config key.
+    cfg = tmp_path / "gamma_inf.json"
+    argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if surface == "torus":
+        cfg.write_text(TORUS_CFG.replace(TORUS_GAMMA, GAMMA_INF))
+        argv += ["--control", control]
+    else:
+        cfg.write_text(SPHERE_CFG.replace("CHART", "0")
+                       .replace('"gamma": {"type": "constant", "value": 3.0}', GAMMA_INF)
+                       .replace('"seed": 0', f'"seed": 0, "control": "{control}"'))
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and "$.control" in err["message"]
+
+
+def test_break_symmetry_builds_at_infinite_gamma():
+    cfg = parse_config(TORUS_CFG.replace(TORUS_GAMMA, GAMMA_INF)
+                       .replace('"seed": 0', '"seed": 0, "control": "break-symmetry"'))
+    assert build_from_config(cfg).control == "break-symmetry"
+
+
 def test_cli_seed_override_changes_report(torus_cfg_file, tmp_path):
     out1, out2 = tmp_path / "s0", tmp_path / "s9"
     main(["verify", "--config", str(torus_cfg_file), "--out", str(out1)])
@@ -229,6 +273,12 @@ def test_cli_verify_zero_n_tau_in_config_is_config_error(tmp_path, capsys):
     ('"h_scale": 7.695298980971054', '"h_scale": 0', "$.construction.surface.h_scale"),
     ('"radius": 0.7905694150420949', '"radius": 0', "$.construction.surface.radius"),
     ('"radius": 0.7905694150420949', '"radius": -1', "$.construction.surface.radius"),
+    ('"a": 2.0', '"a": 1e300', "$.construction.a"),
+    ('"a": 2.0', '"a": 1e-300', "$.construction.a"),
+    ('"tau_max": 1.0', '"tau_max": 1e-300', "$.construction.tau_max"),
+    ('"tau_min": 0.0', '"tau_min": -1e300', "$.construction.tau_min"),
+    ('"tau_min": 0.0, "tau_max": 1.0', '"tau_min": 1.0, "tau_max": 1.000000000001',
+     "$.construction.tau_max"),
 ]])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, old, new, path):
     # The radius cases edit the sphere config, every other case the torus config.

@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 
 from kahlergg import geometry as geo
-from kahlergg.construction import (assemble_J, assemble_metric, christoffel_closed_form,
-                                   fields_v_u_psi_phi, gamma_of_points, tau_field)
+from kahlergg.construction import (CONTROLS, assemble_J, assemble_metric,
+                                   christoffel_closed_form, fields_v_u_psi_phi, gamma_of_points,
+                                   tau_field, with_control)
 from kahlergg.verify import check_oracle_equivalence, subject_from_construction
 
 
@@ -68,6 +69,33 @@ def test_analytic_dg_matches_fd_sphere(sphere_data):
     m = assemble_metric(sphere_data)
     pts = rand_points(sphere_data, 50, seed=2, s_range=(0.2, 0.8))
     assert dg_residual(m, pts) < 1e-8
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+@pytest.mark.parametrize("surface,seed,dg_tol", [("torus_data", 1, 1e-8), ("sphere_data", 2, 2e-8)])
+def test_wrapped_jets_match_fd(request, surface, seed, dg_tol, control):
+    # Each control wraps the clean fields with an analytic jet. The sphere's h varies,
+    # so only there does perturb-beta's (beta^1.01 - beta) dh term show; its bound is
+    # wider because the stencil of break-symmetry's theta-dependent g_tautau reads 1.03e-8.
+    clean = request.getfixturevalue(surface)
+    data = replace(clean, control=control)
+    m, jf = with_control(data, assemble_metric(data), assemble_J(data))
+    pts = rand_points(clean, 50, seed=seed, s_range=(0.2, 0.8))
+    assert dg_residual(m, pts) < dg_tol
+    assert np.max(np.abs(jf.jac(pts) - geo.fd_jet(jf.value, pts, m.steps_at(pts)))) < 3e-8
+
+
+@pytest.mark.parametrize("control", CONTROLS[1:])
+def test_clean_evaluators_ignore_the_control_label(torus_data, control):
+    pts = rand_points(torus_data, 20, seed=14)
+
+    def arrays(data):
+        m, jf = assemble_metric(data), assemble_J(data)
+        return (m.value(pts), m.dvalue(pts), jf.value(pts), jf.jac(pts),
+                christoffel_closed_form(data, pts))
+
+    for clean, labelled in zip(arrays(torus_data), arrays(replace(torus_data, control=control))):
+        assert np.array_equal(clean, labelled)
 
 
 def test_J_structure(torus_data):
@@ -208,10 +236,10 @@ def test_fiberwise_flow_arclength_matches_s(torus_data):
     assert abs(path.arclength[-1, 0] - (s1 - s0)) < 1e-4
 
 
-def test_closed_form_requires_unperturbed(torus_data):
+def test_oracle_equivalence_requires_unperturbed(torus_data):
+    subject = subject_from_construction(replace(torus_data, control="perturb-beta"))
     with pytest.raises(ValueError):
-        christoffel_closed_form(replace(torus_data, control="perturb-beta"),
-                                np.array([[0.1, 0.1, 0.5, 0.0]]))
+        check_oracle_equivalence(subject, 1e-6)
 
 
 def test_gamma_inf_metric_is_product_like(torus_inf_data):

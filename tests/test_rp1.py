@@ -15,7 +15,7 @@ from kahlergg.surfaces import (GammaRangeError, gamma_constant, inv_tau_star_min
 def beta_at(tau: float, tau_star: float, gamma) -> float:
     """The construction's beta = (tau - gamma)/(tau_star - gamma) at one point, gamma constant."""
     data = SimpleNamespace(chart_data=SimpleNamespace(gamma=gamma_constant(gamma)),
-                           tau_star=tau_star, control="none")
+                           tau_star=tau_star)
     return float(_beta(data, np.zeros((1, 2)), np.array([tau]))[0])
 
 
