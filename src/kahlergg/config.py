@@ -17,8 +17,8 @@ import numpy as np
 
 from .construction import CONTROLS, ConstructionData, build_construction
 from .profiles import Interval
-from .surfaces import (GammaRangeError, build_sphere_surface, build_torus_surface,
-                       gamma_constant, gamma_cos, gamma_height, validate_gamma_range)
+from .surfaces import (GammaRangeError, build_surface, gamma_constant, gamma_cos, gamma_height,
+                       validate_gamma_range)
 from .verify import DEFAULT_TOLERANCES, GridSpec
 
 
@@ -92,15 +92,9 @@ def _as_number(x, path: str) -> float:
     return float(x)
 
 
-def _positive(x, path: str) -> float:
-    x = _as_number(x, path)
-    if not x > 0:
-        raise ConfigError(f"{path}: must be positive")
-    return x
-
-
-# The profile's tables overflow or underflow near magnitudes of 1e300 and
-# 1e-300; a, |tau| and the interval length stay well inside.
+# The profile's tables, the surface's connection and the metric overflow or
+# underflow near magnitudes of 1e300 and 1e-300; every number of a
+# construction stays well inside.
 _MAGNITUDE = 1e100
 
 
@@ -108,6 +102,14 @@ def _bounded(x, path: str) -> float:
     x = _as_number(x, path)
     if not abs(x) <= _MAGNITUDE:
         raise ConfigError(f"{path}: must lie in [-1e100, 1e100], got {x!r}")
+    return x
+
+
+def _scale(x, path: str) -> float:
+    """A positive size: a, the torus h_scale or the sphere radius."""
+    x = _as_number(x, path)
+    if not 1.0 / _MAGNITUDE <= x <= _MAGNITUDE:
+        raise ConfigError(f"{path}: must lie in [1e-100, 1e100], got {x!r}")
     return x
 
 
@@ -162,9 +164,7 @@ def parse_config(text: str) -> RunConfig:
         if tau_max - tau_min < max(1.0 / _MAGNITUDE, 1e-6 * max(abs(tau_min), abs(tau_max))):
             raise ConfigError("$.construction.tau_max: tau_max - tau_min must be at least 1e-100 "
                               "and 1e-6 max(|tau_min|, |tau_max|)")
-        a = _positive(con["a"], "$.construction.a")
-        if not 1.0 / _MAGNITUDE <= a <= _MAGNITUDE:
-            raise ConfigError(f"$.construction.a: must lie in [1e-100, 1e100], got {a!r}")
+        a = _scale(con["a"], "$.construction.a")
         qf = con.get("q_factor", {"type": "constant"})
         _require_keys(qf, {"type", "coeffs"}, {"type"}, "$.construction.q_factor")
         if qf["type"] == "constant":
@@ -173,7 +173,7 @@ def parse_config(text: str) -> RunConfig:
             coeffs = qf.get("coeffs", [])
             if not isinstance(coeffs, list):
                 raise ConfigError(f"$.construction.q_factor.coeffs: expected a list, got {coeffs!r}")
-            q_coeffs = tuple(_as_number(c, "$.construction.q_factor.coeffs[]") for c in coeffs)
+            q_coeffs = tuple(_bounded(c, "$.construction.q_factor.coeffs[]") for c in coeffs)
         else:
             raise ConfigError("$.construction.q_factor.type: must be 'constant' or 'poly'")
 
@@ -181,11 +181,11 @@ def parse_config(text: str) -> RunConfig:
         _require_keys(surf, {"type", "h_scale", "radius"}, {"type"}, "$.construction.surface")
         surface_type = surf["type"]
         if surface_type == "torus":
-            surface_params = {"h_scale": _positive(surf.get("h_scale", np.pi * np.sqrt(6.0)),
-                                                   "$.construction.surface.h_scale")}
+            surface_params = {"h_scale": _scale(surf.get("h_scale", np.pi * np.sqrt(6.0)),
+                                                "$.construction.surface.h_scale")}
         elif surface_type == "sphere":
-            surface_params = {"radius": _positive(surf.get("radius", np.sqrt(0.625)),
-                                                  "$.construction.surface.radius")}
+            surface_params = {"radius": _scale(surf.get("radius", np.sqrt(0.625)),
+                                               "$.construction.surface.radius")}
         else:
             raise ConfigError("$.construction.surface.type: must be 'torus' or 'sphere'")
 
@@ -251,12 +251,12 @@ def _gamma_fields(surface_type: str, gamma_spec: dict, surface_params: dict) -> 
     """The gamma field of each chart of the surface, by family."""
     gtype = gamma_spec["type"]
     if gtype in ("cos", "height"):
-        c0, c1 = (_as_number(gamma_spec[k], f"$.construction.gamma.{k}") for k in ("c0", "c1"))
+        c0, c1 = (_bounded(gamma_spec[k], f"$.construction.gamma.{k}") for k in ("c0", "c1"))
         if gtype == "cos":
             return {"torus": gamma_cos(c0, c1)}
         return {w: gamma_height(c0, c1, surface_params["radius"], w) for w in ("south", "north")}
     value = "inf" if gtype == "inf" else gamma_spec["value"]
-    gam = gamma_constant(value if value == "inf" else _as_number(value, "$.construction.gamma.value"))
+    gam = gamma_constant(value if value == "inf" else _bounded(value, "$.construction.gamma.value"))
     return {"torus": gam} if surface_type == "torus" else {"south": gam, "north": gam}
 
 
@@ -270,11 +270,8 @@ def build_from_config(cfg: RunConfig) -> ConstructionData:
         raise ConfigError(f"$.control: '{cfg.control}' is inert where gamma = inf: beta = 1 there, "
                           "so beta^1.01 = beta, and the metric is a local product, on which "
                           "the flipped J is Kahler too")
-    if cfg.surface_type == "torus":
-        surface, a = build_torus_surface(cfg.surface_params["h_scale"], gammas["torus"], interval,
-                                         cfg.a, normalize=cfg.normalize)
-    else:
-        surface, a = build_sphere_surface(cfg.surface_params["radius"], gammas, interval, cfg.a,
-                                          normalize=cfg.normalize)
+    size = cfg.surface_params["h_scale" if cfg.surface_type == "torus" else "radius"]
+    surface, a = build_surface(cfg.surface_type, size, gammas, interval, cfg.a,
+                               normalize=cfg.normalize)
     return build_construction(interval, a, surface, q_interior=cfg.q_coeffs,
                               chart_index=cfg.chart, control=cfg.control)

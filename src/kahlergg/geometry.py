@@ -132,11 +132,15 @@ def levi_civita(metric: MetricField, points: np.ndarray, force_fd: bool = False)
         dg = metric.dvalue(points)
     else:
         dg = fd_jet(metric.value, points, metric.steps_at(points))
-    ginv = np.linalg.inv(g)
+    singular = f"metric '{metric.name}' is numerically singular"
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise NumericalFailure(f"{singular} (not invertible)") from None
     # Cheap infinity-norm condition estimate; SVD per point would dominate runtime.
     cond = _inf_norm(g) * _inf_norm(ginv)
     if np.any(~np.isfinite(cond)) or np.max(cond) > 1e14:
-        raise NumericalFailure(f"metric '{metric.name}' is numerically singular (cond~{np.max(cond):.2e})")
+        raise NumericalFailure(f"{singular} (cond~{np.max(cond):.2e})")
     npts, n = points.shape
     # t[p, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, so Gamma^k_ij = 1/2 g^kl t_lij is one matmul.
     t = dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1)

@@ -23,9 +23,11 @@ an antiderivative in x1 on the torus (with the canonical gauge F(0) = 0),
 and the rotationally symmetric potential A = P(rho)(x dy - y dx) on the
 sphere charts, with P obtained from the radial ODE d/d(rho)[rho^2 P] = rho W.
 Both are cubic Hermite tables with the slopes their ODEs give exactly.
-Line-bundle existence forces integral(Omega) in 2*pi*Z; the Chern integral
-reports the deviation and ``normalize`` can rescale a (or the torus h) to
-land on the nearest integer.
+Line-bundle existence forces integral(Omega) in 2*pi*Z.  By Stokes the
+connections carry that integral: the torus gauge jump, and the sum of the
+sphere charts' loop integrals around the equator.  ``build_surface`` reads
+the Chern number there, warns where it is not an integer, and ``normalize``
+can rescale a (or the torus h) to land on the nearest one.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class GammaRangeError(ValueError):
 
 
 class GaugeInconsistencyWarning(UserWarning):
-    """Periodic curvature data whose total flux is not quantized."""
+    """Curvature data whose total flux is not quantized."""
 
 
 # ----------------------------------------------------------------------------
@@ -342,106 +344,56 @@ class BaseSurfaceData:
     chern_deviation: float = 0.0
 
 
-def chern_integral_torus(chart: SurfaceChart, a: float, tau_star: float,
-                         gamma: GammaField, n: int = 256) -> float:
-    xs = (np.arange(n) + 0.5) / n
-    grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    w = curvature_form(a, tau_star, chart, gamma, grid)
-    return float(np.mean(w))
-
-
-def chern_integral_sphere(radius: float, a: float, tau_star: float,
-                          gammas: dict, charts: dict, n_r: int = 96, n_phi: int = 64) -> float:
-    total = 0.0
-    nodes, wts = np.polynomial.legendre.leggauss(n_r)
-    rho = 0.5 * radius * (nodes + 1.0)
-    wr = 0.5 * radius * wts
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+def _assemble(surface_type: str, size: float, gammas: dict, a: float, tau_star: float) -> tuple:
+    """(chart data, integral(Omega)/2pi), the flux read off the connections by Stokes:
+    the torus seam jump F(1) - F(0), or the sum of the sphere charts' loop
+    integrals of A around the equator |x| = R, 2 pi R A_2(R, 0)."""
+    if surface_type == "torus":
+        chart, gamma = torus_chart(size), gammas["torus"]
+        conn = solve_connection_torus(lambda x: curvature_form(a, tau_star, chart, gamma, x))
+        return [ChartData(chart, gamma, conn)], conn.gauge_jump / (2.0 * np.pi)
+    chart_data, chern = [], 0.0
     for which in ("south", "north"):
-        pp, rr = np.meshgrid(phi, rho, indexing="ij")
-        x = np.column_stack([(rr * np.cos(pp)).ravel(), (rr * np.sin(pp)).ravel()])
-        w = curvature_form(a, tau_star, charts[which], gammas[which], x).reshape(n_phi, n_r)
-        total += float(np.sum(w * rr * wr[None, :]) * (2.0 * np.pi / n_phi))
-    return total
+        chart, gamma = sphere_chart(size, which), gammas[which]
+        conn = solve_connection_radial(
+            lambda x, ch=chart, g=gamma: curvature_form(a, tau_star, ch, g, x),
+            sigma_max=4.0 * size ** 2)
+        chart_data.append(ChartData(chart, gamma, conn))
+        chern += size * float(conn.A(np.array([[size, 0.0]]))[0, 1])   # 2 pi R A_2(R, 0) / 2 pi
+    return chart_data, chern
 
 
-def chern_report(value: float) -> tuple:
-    """(value/2pi, nearest integer, deviation)."""
-    scaled = value / (2.0 * np.pi)
-    nearest = int(round(scaled))
-    return scaled, nearest, abs(scaled - nearest)
+def build_surface(surface_type: str, size: float, gammas: dict, interval: Interval,
+                  a: float, normalize: str = "none") -> tuple:
+    """Returns (BaseSurfaceData, possibly adjusted a).
 
-
-def build_torus_surface(h_scale: float, gamma_spec: GammaField, interval: Interval,
-                        a: float, normalize: str = "none") -> tuple:
-    """Returns (BaseSurfaceData, possibly adjusted a)."""
-    validate_gamma_range(gamma_spec, interval)
-    tau_star = interval.tau_star
-    chart = torus_chart(h_scale)
-    flux = chern_integral_torus(chart, a, tau_star, gamma_spec)
-    scaled, nearest, dev = chern_report(flux)
-    if normalize == "a" and dev > 1e-9 and scaled != 0.0:
-        target = nearest if nearest != 0 else int(math.copysign(1, scaled))
-        a = a * target / scaled
-        flux = chern_integral_torus(chart, a, tau_star, gamma_spec)
-        scaled, nearest, dev = chern_report(flux)
-    elif normalize == "h-scale" and dev > 1e-9 and scaled != 0.0:
-        target = nearest if nearest != 0 else int(math.copysign(1, scaled))
-        chart = torus_chart(h_scale * target / scaled)
-        flux = chern_integral_torus(chart, a, tau_star, gamma_spec)
-        scaled, nearest, dev = chern_report(flux)
-    if dev > 1e-6:
-        warnings.warn(
-            f"torus curvature flux is not quantized (integral/2pi = {scaled:.6g}); "
-            "no line bundle carries this connection globally and verification is "
-            "only meaningful on the single fundamental-domain chart",
-            GaugeInconsistencyWarning, stacklevel=2)
-
-    def w_fn(x, ch=chart):
-        return curvature_form(a, tau_star, ch, gamma_spec, x)
-
-    conn = solve_connection_torus(w_fn)
-    data = BaseSurfaceData(
-        surface_type="torus",
-        charts=[ChartData(chart=chart, gamma=gamma_spec, connection=conn)],
-        params={"h_scale": h_scale},
-        chern=scaled,
-        chern_deviation=dev,
-    )
-    return data, a
-
-
-def build_sphere_surface(radius: float, gamma_specs: dict, interval: Interval,
-                         a: float, normalize: str = "none") -> tuple:
-    for g in gamma_specs.values():
+    ``size`` is the torus h_scale or the sphere radius, and ``gammas`` maps
+    each chart name ("torus", or "south" and "north") to its gamma field.
+    Omega is linear in a and in the torus h, so ``normalize`` ("a" or
+    "h-scale") rescales one of them by (nearest nonzero integer)/chern and
+    assembles once more.
+    """
+    for g in gammas.values():
         validate_gamma_range(g, interval)
-    tau_star = interval.tau_star
-    charts = {w: sphere_chart(radius, w) for w in ("south", "north")}
-    flux = chern_integral_sphere(radius, a, tau_star, gamma_specs, charts)
-    scaled, nearest, dev = chern_report(flux)
-    if normalize == "a" and dev > 1e-9 and scaled != 0.0:
-        target = nearest if nearest != 0 else int(math.copysign(1, scaled))
-        a = a * target / scaled
-        flux = chern_integral_sphere(radius, a, tau_star, gamma_specs, charts)
-        scaled, nearest, dev = chern_report(flux)
-    elif normalize == "h-scale":
+    if normalize == "h-scale" and surface_type != "torus":
         raise ValueError("h-scale normalization is torus-only; rescaling the sphere "
                          "metric re-parametrizes its radius and any height-based gamma")
-
-    chart_data = []
-    for which in ("south", "north"):
-        ch, g = charts[which], gamma_specs[which]
-
-        def w_fn(x, ch=ch, g=g):
-            return curvature_form(a, tau_star, ch, g, x)
-
-        conn = solve_connection_radial(w_fn, sigma_max=4.0 * radius ** 2)
-        chart_data.append(ChartData(chart=ch, gamma=g, connection=conn))
-    data = BaseSurfaceData(
-        surface_type="sphere",
-        charts=chart_data,
-        params={"radius": radius},
-        chern=scaled,
-        chern_deviation=dev,
-    )
-    return data, a
+    tau_star = interval.tau_star
+    chart_data, chern = _assemble(surface_type, size, gammas, a, tau_star)
+    nearest = round(chern)
+    if normalize != "none" and abs(chern - nearest) > 1e-9 and chern != 0.0:
+        target = nearest or int(math.copysign(1, chern))
+        if normalize == "a":
+            a = a * target / chern
+        else:
+            size = size * target / chern
+        chart_data, chern = _assemble(surface_type, size, gammas, a, tau_star)
+    dev = abs(chern - round(chern))
+    if dev > 1e-6:
+        warnings.warn(
+            f"{surface_type} curvature flux is not quantized (integral/2pi = {chern:.6g}); "
+            "no line bundle carries this connection globally and verification is "
+            "only meaningful chart by chart",
+            GaugeInconsistencyWarning, stacklevel=2)
+    params = {"h_scale" if surface_type == "torus" else "radius": size}
+    return BaseSurfaceData(surface_type, chart_data, params, chern, dev), a

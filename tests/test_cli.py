@@ -279,10 +279,19 @@ def test_cli_verify_zero_n_tau_in_config_is_config_error(tmp_path, capsys):
     ('"tau_min": 0.0', '"tau_min": -1e300', "$.construction.tau_min"),
     ('"tau_min": 0.0, "tau_max": 1.0', '"tau_min": 1.0, "tau_max": 1.000000000001',
      "$.construction.tau_max"),
+    ('"h_scale": 7.695298980971054', '"h_scale": 1e300', "$.construction.surface.h_scale"),
+    ('"h_scale": 7.695298980971054', '"h_scale": 1e-300', "$.construction.surface.h_scale"),
+    ('"radius": 0.7905694150420949', '"radius": 1e300', "$.construction.surface.radius"),
+    ('"radius": 0.7905694150420949', '"radius": 1e-300', "$.construction.surface.radius"),
+    ('"c0": 3.0', '"c0": 1e300', "$.construction.gamma.c0"),
+    ('"c1": 0.5', '"c1": -1e300', "$.construction.gamma.c1"),
+    ('"value": 3.0', '"value": 1e300', "$.construction.gamma.value"),
+    ('{"type": "constant"}', '{"type": "poly", "coeffs": [1e300]}',
+     "$.construction.q_factor.coeffs[]"),
 ]])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, old, new, path):
-    # The radius cases edit the sphere config, every other case the torus config.
-    text = SPHERE_CFG.replace("CHART", "0") if "radius" in old else TORUS_CFG
+    # Each case edits the torus config, or the sphere config where only it has the text.
+    text = TORUS_CFG if old in TORUS_CFG else SPHERE_CFG.replace("CHART", "0")
     assert old in text
     cfg = tmp_path / "bad.json"
     cfg.write_text(text.replace(old, new))
@@ -350,7 +359,7 @@ def test_cli_sphere_north_chart_verifies(tmp_path):
 
 
 def test_cli_sphere_h_scale_is_config_error(tmp_path, capsys):
-    # build_sphere_surface rejects it too, but with a ValueError the CLI does not map.
+    # build_surface rejects it too, but with a ValueError the CLI does not map.
     cfg = tmp_path / "sphere_h_scale.json"
     cfg.write_text(SPHERE_CFG.replace('"chart": CHART', '"normalize": "h-scale"'))
     out = tmp_path / "o"

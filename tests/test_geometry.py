@@ -363,11 +363,14 @@ def test_levi_civita_matches_the_reference_contraction(source, torus_subject):
 
 
 def test_levi_civita_rejects_a_singular_metric():
-    g = np.diag([1.0, 1.0, 1.0, 1e-16])[None]
-    metric = geo.MetricField(dim=4, value=lambda p: np.repeat(g, len(p), axis=0),
-                             dvalue=lambda p: np.zeros((len(p), 4, 4, 4)), name="degenerate")
-    with pytest.raises(geo.NumericalFailure, match="numerically singular"):
-        geo.levi_civita(metric, np.zeros((3, 4)))
+    # An ill-conditioned g fails the condition estimate; an exactly singular
+    # one fails the inversion itself.
+    for last in (1e-16, 0.0):
+        g = np.diag([1.0, 1.0, 1.0, last])[None]
+        metric = geo.MetricField(dim=4, value=lambda p, g=g: np.repeat(g, len(p), axis=0),
+                                 dvalue=lambda p: np.zeros((len(p), 4, 4, 4)), name="degenerate")
+        with pytest.raises(geo.NumericalFailure, match="numerically singular"):
+            geo.levi_civita(metric, np.zeros((3, 4)))
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -4,14 +4,59 @@ from scipy.integrate import quad
 
 from kahlergg import geometry as geo
 from kahlergg.profiles import Interval
-from kahlergg.surfaces import (GammaRangeError, SurfaceChart, build_sphere_surface, build_torus_surface,
-                               chern_integral_torus, chern_report, curvature_form,
-                               gamma_constant, gamma_cos, gamma_height,
-                               solve_connection_torus, sphere_chart, torus_chart,
+from kahlergg.surfaces import (GammaRangeError, GaugeInconsistencyWarning, SurfaceChart,
+                               build_surface, curvature_form, gamma_constant, gamma_cos,
+                               gamma_height, solve_connection_torus, sphere_chart, torus_chart,
                                validate_gamma_range)
 
 H_SCALE = float(np.pi * np.sqrt(6.0))
+SPHERE_RADIUS = float(np.sqrt(0.625))
 IV = Interval(0.0, 1.0)
+
+
+def _both(gamma):
+    return {"south": gamma, "north": gamma}
+
+
+def _heights(c0, c1, radius):
+    return {w: gamma_height(c0, c1, radius, w) for w in ("south", "north")}
+
+
+def _quadrature_chern(surface, a, tau_star):
+    """integral(Omega)/2pi by 2-D quadrature, independent of the connection: the
+    midpoint rule over the torus square, polar Gauss-Legendre over each hemisphere."""
+    if surface.surface_type == "torus":
+        xs = (np.arange(256) + 0.5) / 256
+        grid = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+        cd = surface.charts[0]
+        return float(np.mean(curvature_form(a, tau_star, cd.chart, cd.gamma, grid))) / (2 * np.pi)
+    radius, n_phi = surface.params["radius"], 64
+    nodes, wts = np.polynomial.legendre.leggauss(96)
+    rr, pp = np.meshgrid(0.5 * radius * (nodes + 1.0), 2 * np.pi * (np.arange(n_phi) + 0.5) / n_phi)
+    x = np.column_stack([(rr * np.cos(pp)).ravel(), (rr * np.sin(pp)).ravel()])
+    total = 0.0
+    for cd in surface.charts:
+        w = curvature_form(a, tau_star, cd.chart, cd.gamma, x).reshape(rr.shape)
+        total += float(np.sum(w * rr * 0.5 * radius * wts) * (2 * np.pi / n_phi))
+    return total / (2 * np.pi)
+
+
+@pytest.mark.filterwarnings("ignore::kahlergg.surfaces.GaugeInconsistencyWarning")
+@pytest.mark.parametrize("surface_type, size, gammas, normalize, chern", [
+    ("torus", H_SCALE, {"torus": gamma_cos(3.0, 0.5)}, "none", 1.0),
+    ("torus", H_SCALE, {"torus": gamma_constant("inf")}, "none", 0.0),
+    ("sphere", SPHERE_RADIUS, _both(gamma_constant(3.0)), "none", 1.0),
+    ("sphere", SPHERE_RADIUS, _heights(-2.0, 0.5, SPHERE_RADIUS), "none", -1.00846),
+    ("sphere", 2.0, _heights(5.0, 1.0, 2.0), "a", None),
+], ids=["torus-cos", "torus-inf", "sphere-constant", "sphere-height", "sphere-wide-normalize-a"])
+def test_chern_read_off_the_connection_matches_quadrature(surface_type, size, gammas, normalize,
+                                                          chern):
+    surface, a = build_surface(surface_type, size, gammas, IV, 2.0, normalize=normalize)
+    assert surface.chern == pytest.approx(_quadrature_chern(surface, a, IV.tau_star), abs=1e-12)
+    if chern is None:
+        assert surface.chern_deviation < 1e-9 and a != 2.0
+    else:
+        assert surface.chern == pytest.approx(chern, abs=1e-5)
 
 
 def test_torus_chern_is_one_with_cosine_normalization():
@@ -19,42 +64,42 @@ def test_torus_chern_is_one_with_cosine_normalization():
     #        = (a c^2 / 2pi) / sqrt(6); c^2 = pi sqrt(6), a = 2 makes it 1.
     oracle, _ = quad(lambda x: 1.0 / (2.5 + 0.5 * np.cos(2 * np.pi * x)), 0.0, 1.0)
     assert abs(oracle - 1.0 / np.sqrt(6.0)) < 1e-12
-    chart = torus_chart(H_SCALE)
-    flux = chern_integral_torus(chart, 2.0, 0.5, gamma_cos(3.0, 0.5))
-    scaled, nearest, dev = chern_report(flux)
-    assert nearest == 1
-    assert dev < 1e-6
+    surface, _ = build_surface("torus", H_SCALE, {"torus": gamma_cos(3.0, 0.5)}, IV, 2.0)
+    assert round(surface.chern) == 1
+    assert surface.chern_deviation < 1e-12
 
 
 def test_chern_zero_for_infinite_gamma():
-    chart = torus_chart(H_SCALE)
-    flux = chern_integral_torus(chart, 2.0, 0.5, gamma_constant("inf"))
-    assert abs(flux) == 0.0
+    surface, _ = build_surface("torus", H_SCALE, {"torus": gamma_constant("inf")}, IV, 2.0)
+    assert surface.chern == 0.0 and surface.chern_deviation == 0.0
 
 
 def test_generic_data_reports_noninteger_deviation():
-    chart = torus_chart(3.0)
-    flux = chern_integral_torus(chart, 2.0, 0.5, gamma_cos(3.0, 0.5))
-    scaled, nearest, dev = chern_report(flux)
-    assert dev > 1e-3  # no quantization imposed
+    with pytest.warns(GaugeInconsistencyWarning):
+        surface, _ = build_surface("torus", 3.0, {"torus": gamma_cos(3.0, 0.5)}, IV, 2.0)
+    assert surface.chern_deviation > 1e-3  # no quantization imposed
 
 
 def test_normalize_a_hits_integer():
-    surface, a = build_torus_surface(3.0, gamma_cos(3.0, 0.5), IV, 2.0, normalize="a")
+    surface, a = build_surface("torus", 3.0, {"torus": gamma_cos(3.0, 0.5)}, IV, 2.0,
+                               normalize="a")
     assert surface.chern_deviation < 1e-9
-    assert a != 2.0
+    assert a != 2.0 and surface.params["h_scale"] == 3.0
 
 
 def test_normalize_h_scale_hits_integer():
-    surface, a = build_torus_surface(3.0, gamma_cos(3.0, 0.5), IV, 2.0, normalize="h-scale")
+    surface, a = build_surface("torus", 3.0, {"torus": gamma_cos(3.0, 0.5)}, IV, 2.0,
+                               normalize="h-scale")
     assert surface.chern_deviation < 1e-9
     assert a == 2.0
+    # params records the h_scale the chart was built with, not the one asked for.
+    h_scale = surface.charts[0].chart.h(np.zeros((1, 2)))[0, 0, 0]
+    assert surface.params["h_scale"] == h_scale != 3.0
 
 
 def test_sphere_h_scale_normalization_rejected():
-    gammas = {"south": gamma_constant(3.0), "north": gamma_constant(3.0)}
     with pytest.raises(ValueError):
-        build_sphere_surface(1.0, gammas, IV, 2.0, normalize="h-scale")
+        build_surface("sphere", 1.0, _both(gamma_constant(3.0)), IV, 2.0, normalize="h-scale")
 
 
 def test_curvature_form_spot_value():
@@ -195,7 +240,10 @@ def test_x2_dependent_torus_curvature_rejected():
 
 
 def test_nonquantized_flux_warns():
-    import warnings as w
-    from kahlergg.surfaces import GaugeInconsistencyWarning
     with pytest.warns(GaugeInconsistencyWarning):
-        build_torus_surface(3.0, gamma_cos(3.0, 0.5), IV, 2.0, normalize="none")
+        build_surface("torus", 3.0, {"torus": gamma_cos(3.0, 0.5)}, IV, 2.0, normalize="none")
+
+
+def test_nonquantized_sphere_flux_warns():
+    with pytest.warns(GaugeInconsistencyWarning, match="sphere"):
+        build_surface("sphere", SPHERE_RADIUS, _heights(-2.0, 0.5, SPHERE_RADIUS), IV, 2.0)

@@ -6,7 +6,7 @@ import pytest
 
 from kahlergg import geometry as geo
 from kahlergg.construction import build_construction
-from kahlergg.surfaces import build_torus_surface, gamma_cos
+from kahlergg.surfaces import build_surface, gamma_cos
 from kahlergg.verify import (_END_FRAC, CONTROL_EXPECTATIONS, GridSpec, _flow_lengths,
                              _recovered_gamma, check_bochner, check_boundary_limits,
                              check_bracket_identities, check_flow_lengths, check_gamma_recovery,
@@ -213,8 +213,8 @@ def test_flow_lengths_is_scale_free(interval):
     # configs/torus.json with a = 30 and h-scale normalization.  tau -> c tau
     # multiplies a by c; an unscaled t-step of 4.8e-2 puts RK6 stages past
     # tau_max here, where sqrt(Q) is NaN, and 1.6e-2 gives a residual of 2.8e-5.
-    surface, a = build_torus_surface(7.695298980971054, gamma_cos(3.0, 0.5), interval, 30.0,
-                                     normalize="h-scale")
+    surface, a = build_surface("torus", 7.695298980971054, {"torus": gamma_cos(3.0, 0.5)}, interval,
+                               30.0, normalize="h-scale")
     report = check_flow_lengths(subject_from_construction(build_construction(interval, a, surface)),
                                 1e-4)
     assert a == 30.0 and report.passed
