@@ -24,7 +24,7 @@ from .construction import CONTROLS
 from .extract import (FiberInconsistencyError, InconsistentOracleError, NotAFunctionOfTauError,
                       extract_all, oracle_from_construction, oracle_from_fs, round_trip)
 from .fubini import FSChart
-from .geometry import NumericalFailure
+from .geometry import NumericalFailure, levi_civita
 from .profiles import InvalidProfileError, profile_table
 from .verify import (GridSpec, _flow_lengths, resolve_tolerances, run_suite,
                      subject_from_construction, subject_from_fs, suite_passed)
@@ -120,7 +120,7 @@ def cmd_construct(args) -> int:
     data = build_from_config(cfg)
     subject = subject_from_construction(data)
     pts, desc = subject.grid_points(cfg.grid)
-    g = subject.metric.value(pts)
+    g = levi_civita(subject.metric, pts)[0]  # rejects a numerically singular metric
     with (out / "metric_samples.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         idx = [(i, j) for i in range(4) for j in range(i, 4)]

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import MatrixField, MetricField, ScalarField, VectorField
+from .geometry import MatrixField, MetricField, ScalarField
 from .profiles import Interval, MomentumProfile, ReparamMaps, build_reparams, make_profile
 from .surfaces import BaseSurfaceData, ChartData
 
@@ -100,6 +100,9 @@ def assemble_metric(data: ConstructionData) -> MetricField:
     prof, a = data.profile, data.a
     iv = data.interval
     cd = data.chart_data
+    # x-steps shrink with a chart narrower than 1 (a small sphere), so stencils stay in scale.
+    (x1lo, x1hi), _ = cd.chart.bounds
+    x_step = 1.5e-3 * min(1.0, x1hi - x1lo)
 
     def value(P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
@@ -160,7 +163,7 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         return h
 
     return MetricField(dim=4, value=value, dvalue=dvalue, domain=domain,
-                       step=np.array([1.5e-3, 1.5e-3, 3e-4, 1e-2]),
+                       step=np.array([x_step, x_step, 3e-4, 1e-2]),
                        step_limiter=step_limiter,
                        name=f"construction[{data.surface.surface_type}:{cd.chart.name}]")
 
@@ -318,44 +321,6 @@ def tau_field(data: ConstructionData) -> ScalarField:
         return np.zeros((np.asarray(P).shape[0], 4, 4))
 
     return ScalarField(value=value, grad=grad, hess=hess, name="tau")
-
-
-def fields_v_u_psi_phi(data: ConstructionData):
-    """(v, u, psi, phi): gradient field, Killing field, and the two eigenvalues."""
-    prof, a = data.profile, data.a
-
-    def v_value(P):
-        P = np.asarray(P, dtype=float)
-        out = np.zeros((P.shape[0], 4))
-        out[:, 2] = prof.Q(P[:, 2])
-        return out
-
-    def v_jac(P):
-        P = np.asarray(P, dtype=float)
-        out = np.zeros((P.shape[0], 4, 4))
-        out[:, 2, 2] = prof.dQ(P[:, 2])
-        return out
-
-    def u_value(P):
-        P = np.asarray(P, dtype=float)
-        out = np.zeros((P.shape[0], 4))
-        out[:, 3] = a
-        return out
-
-    def u_jac(P):
-        P = np.asarray(P, dtype=float)
-        return np.zeros((P.shape[0], 4, 4))
-
-    def psi(P):
-        return prof.psi(np.asarray(P, dtype=float)[:, 2])
-
-    def phi(P):
-        P = np.asarray(P, dtype=float)
-        return 0.5 * prof.Q(P[:, 2]) * _inv_tau_minus_gamma(data, P[:, :2], P[:, 2])
-
-    v = VectorField(value=v_value, jac=v_jac, name="v")
-    u = VectorField(value=u_value, jac=u_jac, name="u")
-    return v, u, psi, phi
 
 
 def gamma_of_points(data: ConstructionData, P: np.ndarray) -> np.ndarray:

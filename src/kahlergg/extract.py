@@ -38,7 +38,7 @@ both surfaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -90,14 +90,9 @@ def oracle_from_construction(data: ConstructionData, n_x1: int = 24, n_x2: int =
     to 0.6 R, each with n_x2 evenly spaced angles.
     """
     m_full = assemble_metric(data)
-    metric = geo.MetricField(dim=4, value=m_full.value, dvalue=None, domain=m_full.domain,
-                             step=m_full.step, step_limiter=m_full.step_limiter,
-                             name=m_full.name + ":oracle")
-    tau_full = tau_field(data)
-    tau = geo.ScalarField(value=tau_full.value, grad=tau_full.grad, hess=tau_full.hess,
-                          name="tau:oracle")
-    j_full = assemble_J(data)
-    jf = geo.MatrixField(value=j_full.value, jac=None, name="J:oracle")
+    metric = replace(m_full, dvalue=None, name=m_full.name + ":oracle")
+    tau = replace(tau_field(data), name="tau:oracle")
+    jf = replace(assemble_J(data), jac=None, name="J:oracle")
     if data.surface.surface_type == "torus":
         (x1lo, x1hi), (x2lo, x2hi) = data.chart_data.chart.bounds
         b1 = x1lo + (x1hi - x1lo) * np.arange(n_x1) / n_x1
@@ -117,9 +112,7 @@ def oracle_from_construction(data: ConstructionData, n_x1: int = 24, n_x2: int =
 
 def oracle_from_fs(chart: Optional[FSChart] = None, n_seeds: int = 12) -> ExtractionOracle:
     chart = chart or FSChart()
-    metric_full = fs_metric(chart)
-    metric = geo.MetricField(dim=chart.dim, value=metric_full.value, dvalue=None,
-                             step=metric_full.step, name="fubini-study:oracle")
+    metric = replace(fs_metric(chart), dvalue=None, name="fubini-study:oracle")
     dirs = fs_random_directions(chart, n_seeds, np.random.default_rng(11))
     seeds = dirs * np.tan(np.pi / 4.0)  # tau = 1/2 on the default chart
     return ExtractionOracle(name="fubini-study", metric=metric, tau=fs_tau(chart),

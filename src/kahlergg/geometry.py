@@ -12,11 +12,11 @@ Derivatives use 4th-order central stencils.  Steps may vary per point and
 per axis; metric fields can install a limiter so stencils never cross a
 domain boundary (the fiber coordinate of the constructed metrics lives on
 an open interval).  Analytic first derivatives are used whenever a field
-carries them; ``force_fd`` switches the Christoffel computation to pure
-finite differences where an independent route is required.  ``build_frame``
+carries them; a metric without ``dvalue`` is differentiated by a stencil of
+g, which is the independent route where one is required.  ``build_frame``
 gathers g, its derivative and Gamma at a batch of points together with the
-exact first jets of grad tau, of Q = |grad tau|^2 and of J, for callers that
-read many identities off the same points.  Curvature is a contraction of a
+exact first jets of v = grad tau, of Q = |grad tau|^2 and of J, for callers
+that read many identities off the same points.  Curvature is a contraction of a
 Gamma jet the caller takes (``ricci``), so a check can differentiate Gamma on
 the same stencil as the quantities it compares Ricci with.  Richardson
 extrapolation (``richardson_even``) serves only the limits at the fiber ends
@@ -115,20 +115,20 @@ def fd_jet(f: Callable, points: np.ndarray, steps) -> np.ndarray:
     return np.moveaxis(deriv, 0, 1)
 
 
-def christoffel(metric: MetricField, points: np.ndarray, force_fd: bool = False) -> np.ndarray:
+def christoffel(metric: MetricField, points: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols Gamma[p,k,i,j] from g and its (analytic or FD) derivatives."""
-    return levi_civita(metric, points, force_fd=force_fd)[3]
+    return levi_civita(metric, points)[3]
 
 
-def levi_civita(metric: MetricField, points: np.ndarray, force_fd: bool = False):
+def levi_civita(metric: MetricField, points: np.ndarray):
     """(g, dg, g^-1, Gamma) at each point from one evaluation of g and one of its derivative.
 
-    dg is the metric's analytic ``dvalue`` unless it has none or ``force_fd``
-    is set; then it is the stencil of g with the metric's own steps.
+    dg is the metric's analytic ``dvalue`` unless it has none; then it is the
+    stencil of g with the metric's own steps.
     """
     points = np.asarray(points, dtype=float)
     g = metric.value(points)
-    if metric.dvalue is not None and not force_fd:
+    if metric.dvalue is not None:
         dg = metric.dvalue(points)
     else:
         dg = fd_jet(metric.value, points, metric.steps_at(points))
@@ -249,15 +249,15 @@ class Frame:
     """The geometry of a batch of points and the first jet of v = grad tau, built once.
 
     Every array has the point as leading axis.  ``grad = g^-1 dtau`` is the
-    metric's own gradient of tau, with Q = dtau(grad) and the exact jets
+    metric's own gradient of tau, the v of every check, with Q = dtau(grad)
+    and the exact jets
 
         d_a grad = g^-1 (d_a dtau - (d_a g) grad),
         d_a Q    = 2 (d_a dtau)(grad) - g'_a(grad, grad),   g'_a = d_a g,
 
     from g, d g and tau's closed-form partials ``tau.grad`` and ``tau.hess``,
-    computed on first read.  ``v`` and ``dv`` are the supplied field and its
-    jet where one is given, else ``grad`` and ``dgrad``.  ``J`` and ``dJ`` are
-    set when a J is given.
+    computed on first read.  ``J`` and ``dJ`` are set when a J is given, and
+    u = J grad with its jet is ``apply_J(grad, dgrad)``.
     """
 
     points: np.ndarray
@@ -269,26 +269,21 @@ class Frame:
     d2tau: np.ndarray           # (N, a, j) = d_a d_j tau
     grad: np.ndarray            # (N, k) = g^kj d_j tau
     q: np.ndarray               # (N,) = |grad tau|^2
-    v: np.ndarray               # (N, k)
     J: Optional[np.ndarray] = None    # (N, k, j)
     dJ: Optional[np.ndarray] = None   # (N, a, k, j) = d_a J^k_j
 
     @cached_property
     def _dg_grad(self) -> np.ndarray:  # (N, a, i) = (d_a g) grad, shared by dgrad and dq
-        return np.einsum("paij,pj->pai", self.dg, self.grad)
+        npts, n = self.grad.shape
+        return (self.dg.reshape(npts, n * n, n) @ self.grad[..., None]).reshape(npts, n, n)
 
     @cached_property
     def dgrad(self) -> np.ndarray:  # (N, a, k) = d_a grad^k
-        return np.einsum("pki,pai->pak", self.ginv, self.d2tau - self._dg_grad)
+        return (self.ginv[:, None] @ (self.d2tau - self._dg_grad)[..., None])[..., 0]
 
     @cached_property
     def dq(self) -> np.ndarray:  # (N, a) = d_a Q
-        return (2.0 * np.einsum("paj,pj->pa", self.d2tau, self.grad)
-                - np.einsum("pai,pi->pa", self._dg_grad, self.grad))
-
-    @cached_property
-    def dv(self) -> np.ndarray:  # (N, a, k) = d_a v^k; build_frame sets it when v is supplied
-        return self.dgrad
+        return ((2.0 * self.d2tau - self._dg_grad) @ self.grad[..., None])[..., 0]
 
     def hessian(self) -> np.ndarray:
         """The covariant Hessian (nabla d tau)_ij = d_i d_j tau - Gamma^k_ij d_k tau."""
@@ -306,19 +301,16 @@ class Frame:
 
 
 def build_frame(metric: MetricField, tau: ScalarField, points: np.ndarray,
-                v: Optional[VectorField] = None, j: Optional[MatrixField] = None) -> Frame:
-    """The ``Frame`` at the points: one ``levi_civita`` build plus the jets of tau, v and J."""
+                j: Optional[MatrixField] = None) -> Frame:
+    """The ``Frame`` at the points: one ``levi_civita`` build plus the jets of tau and J."""
     points = np.asarray(points, dtype=float)
     g, dg, ginv, gamma = levi_civita(metric, points)
-    h = metric.steps_at(points)
     dtau, d2tau = tau.grad(points), tau.hess(points)
     grad = np.einsum("pkj,pj->pk", ginv, dtau)
     frame = Frame(points=points, g=g, dg=dg, ginv=ginv, gamma=gamma, dtau=dtau, d2tau=d2tau,
-                  grad=grad, q=np.einsum("pj,pj->p", dtau, grad), v=grad)
-    if v is not None:
-        frame.v, frame.dv = v.value(points), field_jet(v, points, h)
+                  grad=grad, q=np.einsum("pj,pj->p", dtau, grad))
     if j is not None:
-        frame.J, frame.dJ = j.value(points), field_jet(j, points, h)
+        frame.J, frame.dJ = j.value(points), field_jet(j, points, metric.steps_at(points))
     return frame
 
 

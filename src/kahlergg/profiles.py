@@ -135,7 +135,8 @@ def make_profile(interval: Interval, a: float, q_interior=()) -> MomentumProfile
     worst = int(np.argmin(q))
     if q[worst] <= slack:
         raise InvalidProfileError(
-            f"q-factor not positive on the interval: q({taus[worst]:.6g}) = {q[worst]:.6g}"
+            f"q-factor not shown positive on the interval: its least sample q({taus[worst]:.6g}) = "
+            f"{q[worst]:.6g} does not exceed the sampling slack max|q'| * dtau = {slack:.6g}"
         )
     return prof
 

@@ -288,6 +288,8 @@ def test_cli_verify_zero_n_tau_in_config_is_config_error(tmp_path, capsys):
     ('"value": 3.0', '"value": 1e300', "$.construction.gamma.value"),
     ('{"type": "constant"}', '{"type": "poly", "coeffs": [1e300]}',
      "$.construction.q_factor.coeffs[]"),
+    # q(0) = 4 > 0, but the sampling slack max|q'| * dtau (~1e96) exceeds it.
+    ('{"type": "constant"}', '{"type": "poly", "coeffs": [1e100]}', "sampling slack"),
 ]])
 def test_cli_bad_config_value_is_config_error(tmp_path, capsys, old, new, path):
     # Each case edits the torus config, or the sphere config where only it has the text.

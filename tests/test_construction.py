@@ -6,9 +6,9 @@ import scipy.linalg
 
 from kahlergg import geometry as geo
 from kahlergg.construction import (CONTROLS, assemble_J, assemble_metric,
-                                   christoffel_closed_form, fields_v_u_psi_phi, gamma_of_points,
-                                   tau_field, with_control)
-from kahlergg.verify import check_oracle_equivalence, subject_from_construction
+                                   christoffel_closed_form, gamma_of_points, tau_field,
+                                   with_control)
+from kahlergg.verify import _psi_phi, check_oracle_equivalence, subject_from_construction
 
 
 def rand_points(data, n, seed=0, s_range=(0.15, 0.85)):
@@ -110,22 +110,27 @@ def test_J_structure(torus_data):
 
 
 def test_J_maps_v_to_u(torus_data):
+    # J (Q d_tau) = a d_theta
     jf = assemble_J(torus_data)
-    v, u, _, _ = fields_v_u_psi_phi(torus_data)
     pts = rand_points(torus_data, 20, seed=4)
-    jv = np.einsum("pij,pj->pi", jf.value(pts), v.value(pts))
-    assert np.max(np.abs(jv - u.value(pts))) < 1e-12
+    v = np.zeros((len(pts), 4))
+    v[:, 2] = torus_data.profile.Q(pts[:, 2])
+    u = np.zeros((len(pts), 4))
+    u[:, 3] = torus_data.a
+    jv = np.einsum("pij,pj->pi", jf.value(pts), v)
+    assert np.max(np.abs(jv - u)) < 1e-12
 
 
 def test_field_norms(torus_data):
-    # g(v,v) = g(u,u) = Q and g(v,u) = 0
+    # g(v,v) = g(u,u) = Q and g(v,u) = 0 for v = Q d_tau and u = a d_theta
     m = assemble_metric(torus_data)
-    v, u, _, _ = fields_v_u_psi_phi(torus_data)
     pts = rand_points(torus_data, 25, seed=5)
     g = m.value(pts)
     q = torus_data.profile.Q(pts[:, 2])
-    vv = v.value(pts)
-    uu = u.value(pts)
+    vv = np.zeros((len(pts), 4))
+    vv[:, 2] = q
+    uu = np.zeros((len(pts), 4))
+    uu[:, 3] = torus_data.a
     assert np.max(np.abs(np.einsum("pij,pi,pj->p", g, vv, vv) - q)) < 1e-12
     assert np.max(np.abs(np.einsum("pij,pi,pj->p", g, uu, uu) - q)) < 1e-12
     assert np.max(np.abs(np.einsum("pij,pi,pj->p", g, vv, uu))) < 1e-12
@@ -133,34 +138,32 @@ def test_field_norms(torus_data):
 
 def test_phi_spot_value(torus_data):
     # phi(x=1/4, tau=1/2) = Q/(2 (tau - gamma)) = 1/(2 (1/2 - 3)) = -0.2
-    _, _, _, phi = fields_v_u_psi_phi(torus_data)
-    val = phi(np.array([[0.25, 0.0, 0.5, 0.0]]))
-    assert val[0] == pytest.approx(-0.2, rel=1e-12)
+    _, phi = _psi_phi(subject_from_construction(torus_data), np.array([[0.25, 0.0, 0.5, 0.0]]))
+    assert phi[0] == pytest.approx(-0.2, rel=1e-12)
 
 
 def test_phi_times_tau_minus_gamma(torus_data):
-    _, _, _, phi = fields_v_u_psi_phi(torus_data)
     pts = rand_points(torus_data, 30, seed=6)
+    _, phi = _psi_phi(subject_from_construction(torus_data), pts)
     gam = gamma_of_points(torus_data, pts)
     q = torus_data.profile.Q(pts[:, 2])
-    assert np.max(np.abs(2 * phi(pts) * (pts[:, 2] - gam) - q)) < 1e-12
+    assert np.max(np.abs(2 * phi * (pts[:, 2] - gam) - q)) < 1e-12
 
 
 def test_directional_rates_closed_form(torus_data):
-    # d_v tau = Q and d_v Q = 2 psi Q hold exactly for the assembled fields
-    v, _, psi, _ = fields_v_u_psi_phi(torus_data)
+    # d_v tau = Q and d_v Q = 2 psi Q, psi = Q'/2, for v = grad tau read off the assembled metric
     pts = rand_points(torus_data, 20, seed=7)
+    frame = geo.build_frame(assemble_metric(torus_data), tau_field(torus_data), pts)
     q = torus_data.profile.Q(pts[:, 2])
-    vv = v.value(pts)
-    assert np.max(np.abs(vv[:, 2] - q)) < 1e-14  # d_v tau = v^tau
-    dq = torus_data.profile.dQ(pts[:, 2])
-    assert np.max(np.abs(vv[:, 2] * dq - 2 * psi(pts) * q)) < 1e-12
+    psi = 0.5 * torus_data.profile.dQ(pts[:, 2])
+    assert np.max(np.abs(frame.grad[:, 2] - q)) < 1e-14  # d_v tau = v^tau
+    assert np.max(np.abs(np.einsum("pa,pa->p", frame.grad, frame.dq) - 2 * psi * q)) < 1e-12
 
 
 def test_oracle_equivalence_torus(torus_data):
     pts = rand_points(torus_data, 120, seed=8)
     g_cf = christoffel_closed_form(torus_data, pts)
-    g_fd = geo.christoffel(assemble_metric(torus_data), pts, force_fd=True)
+    g_fd = geo.christoffel(replace(assemble_metric(torus_data), dvalue=None), pts)
     scale = 1.0 + np.max(np.abs(g_cf))
     assert np.max(np.abs(g_cf - g_fd)) / scale < 1e-6
 
@@ -168,7 +171,7 @@ def test_oracle_equivalence_torus(torus_data):
 def test_oracle_equivalence_sphere(sphere_data):
     pts = rand_points(sphere_data, 120, seed=9)
     g_cf = christoffel_closed_form(sphere_data, pts)
-    g_fd = geo.christoffel(assemble_metric(sphere_data), pts, force_fd=True)
+    g_fd = geo.christoffel(replace(assemble_metric(sphere_data), dvalue=None), pts)
     scale = 1.0 + np.max(np.abs(g_cf))
     assert np.max(np.abs(g_cf - g_fd)) / scale < 1e-6
 
@@ -200,27 +203,31 @@ def test_flat_limit_vertical_block(torus_inf_data):
 
 
 def test_nabla_vv_is_psi_v_in_closed_form(torus_data):
-    # line one of the derivative table is reproduced by the closed-form symbols
-    v, _, psi, _ = fields_v_u_psi_phi(torus_data)
+    # line one of the derivative table is reproduced by the closed-form symbols:
+    # v = Q d_tau, d_tau v^tau = Q' and psi = Q'/2
     pts = rand_points(torus_data, 20, seed=11)
     gam = christoffel_closed_form(torus_data, pts)
-    vv = v.value(pts)
-    dv = v.jac(pts)
-    nvv = np.einsum("pi,pik->pk", vv, np.swapaxes(dv, 1, 2)) + np.einsum(
-        "pkij,pi,pj->pk", gam, vv, vv)
-    assert np.max(np.abs(nvv - psi(pts)[:, None] * vv)) < 1e-10
+    q, dq = torus_data.profile.Q(pts[:, 2]), torus_data.profile.dQ(pts[:, 2])
+    vv = np.zeros((len(pts), 4))
+    vv[:, 2] = q
+    dv = np.zeros((len(pts), 4, 4))
+    dv[:, 2, 2] = dq
+    nvv = np.einsum("pi,pik->pk", vv, dv) + np.einsum("pkij,pi,pj->pk", gam, vv, vv)
+    assert np.max(np.abs(nvv - 0.5 * dq[:, None] * vv)) < 1e-10
 
 
 def test_hessian_eigenvalues_are_psi_psi_phi_phi(torus_data):
+    # psi = Q'/2 and phi = Q/(2 (tau - gamma))
     m = assemble_metric(torus_data)
     tf = tau_field(torus_data)
-    _, _, psi, phi = fields_v_u_psi_phi(torus_data)
     pts = rand_points(torus_data, 12, seed=12)
+    psi = 0.5 * torus_data.profile.dQ(pts[:, 2])
+    phi = torus_data.profile.Q(pts[:, 2]) / (2.0 * (pts[:, 2] - gamma_of_points(torus_data, pts)))
     frame = geo.build_frame(m, tf, pts)
     hess, g = frame.hessian(), frame.g
     for i in range(12):
         eigs = np.sort(scipy.linalg.eigh(hess[i], g[i])[0])
-        expect = np.sort([psi(pts[i:i+1])[0]] * 2 + [phi(pts[i:i+1])[0]] * 2)
+        expect = np.sort([psi[i]] * 2 + [phi[i]] * 2)
         assert np.max(np.abs(eigs - expect)) < 1e-6
 
 

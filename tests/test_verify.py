@@ -57,6 +57,16 @@ def test_negative_controls_fail_designated_checks(torus_data, control):
     assert not suite_passed(reports)
 
 
+@pytest.mark.parametrize("surface", ["torus_data", "sphere_data"])
+def test_break_symmetry_moves_d_v_tau(request, surface):
+    # v = grad tau off the metric: g^tautau = Q/f under break-symmetry, so d_v tau != Q
+    # where f = 1 + 0.1 sin(2 pi x1) sin(theta) != 1, which FAST's theta = 0, pi miss.
+    data = replace(request.getfixturevalue(surface), control="break-symmetry")
+    (report,) = run_suite(subject_from_construction(data), replace(FAST, n_theta=4),
+                          checks=["ode_identities"])
+    assert report.extras["d_v_tau"] > 1e-2
+
+
 def test_controls_leave_other_checks_green(torus_data):
     # perturbing beta does not touch the fiber block: the Killing field and the
     # geodesic-gradient property survive (so those checks must stay green).
@@ -97,10 +107,15 @@ def test_laplacian_spot_value(torus_subject):
 
 
 def test_killing_route_agreement(torus_subject):
+    # The frame's u = J grad tau, which the check reads, is a d_theta on the grid.
     pts, desc = torus_subject.grid_points(FAST)
-    rep = check_killing(torus_subject, torus_subject.frame(pts[:200]), desc, 1e-6)
+    frame = torus_subject.frame(pts[:200])
+    rep = check_killing(torus_subject, frame, desc, 1e-6)
     assert rep.passed
-    assert rep.extras["route_agreement_max"] < 1e-8
+    u = frame.apply_J(frame.grad, frame.dgrad)[0]
+    expect = np.zeros_like(u)
+    expect[:, 3] = torus_subject.a
+    assert np.max(np.abs(u - expect)) < 1e-8
 
 
 def test_wrong_field_is_not_killing(torus_subject):
@@ -284,9 +299,9 @@ def test_fused_checks_evaluate_the_metric_once_per_stencil_point(torus_subject, 
 
 @pytest.mark.parametrize("name", ["torus_data", "sphere_data", "fs"])
 def test_frame_jets_match_finite_differences(request, fs_subject, name):
-    # The frame's exact dQ, dv (closed-form v.jac on the constructions, the
-    # numeric g^-1 (d dtau - dg v) on Fubini-Study) and d(Jv) against stencils
-    # of the pointwise values; 1e-8 is the bound the analytic dg meets.
+    # The frame's exact dQ, d grad = g^-1 (d dtau - dg grad) and d(J grad)
+    # against stencils of the pointwise values; 1e-8 is the bound the
+    # analytic dg meets.
     subject = fs_subject if name == "fs" else subject_from_construction(
         request.getfixturevalue(name))
     pts, _ = subject.grid_points(FAST)
@@ -297,16 +312,15 @@ def test_frame_jets_match_finite_differences(request, fs_subject, name):
         return geo.gradient_and_q(subject.metric, subject.tau, pp)[1]
 
     def v(pp):
-        if subject.v is not None:
-            return subject.v.value(pp)
         return geo.gradient_and_q(subject.metric, subject.tau, pp)[0]
 
     def jv(pp):
         return np.einsum("pij,pj->pi", subject.J.value(pp), v(pp))
 
     assert np.max(np.abs(frame.dq - geo.fd_jet(q, pts, steps))) < 1e-8
-    assert np.max(np.abs(frame.dv - geo.fd_jet(v, pts, steps))) < 1e-8
-    assert np.max(np.abs(frame.apply_J(frame.v, frame.dv)[1] - geo.fd_jet(jv, pts, steps))) < 1e-8
+    assert np.max(np.abs(frame.dgrad - geo.fd_jet(v, pts, steps))) < 1e-8
+    assert np.max(np.abs(frame.apply_J(frame.grad, frame.dgrad)[1]
+                         - geo.fd_jet(jv, pts, steps))) < 1e-8
 
 
 MAIN_GRID_CHECKS = ["kaehler", "killing", "geodesic_gradient", "laplacian", "gamma_recovery",
