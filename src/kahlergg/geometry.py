@@ -17,8 +17,11 @@ g, which is the independent route where one is required.  ``build_frame``
 gathers g, its derivative and Gamma at a batch of points together with the
 exact first jets of v = grad tau, of Q = |grad tau|^2 and of J, for callers
 that read many identities off the same points.  Curvature is a contraction of a
-Gamma jet the caller takes (``ricci``), so a check can differentiate Gamma on
-the same stencil as the quantities it compares Ricci with.  Richardson
+Gamma jet (``ricci``).  ``Frame.second_jets`` gives that jet and the jet of
+nabla v by algebra at the frame's points from a stencil of the exact first
+jets, d g and tau's Hessian, symmetrised into second jets: no frame, inverse
+or solve at a stencil point, and identities between the jets (Bochner's
+formula) hold to roundoff.  Richardson
 extrapolation (``richardson_even``) serves only the limits at the fiber ends
 in the ``boundary_limits`` check.
 """
@@ -298,6 +301,43 @@ class Frame:
         jx = np.einsum("pkj,pj->pk", self.J, x)
         djx = np.einsum("pakj,pj->pak", self.dJ, x) + np.einsum("pkj,paj->pak", self.J, dx)
         return jx, djx
+
+    def second_jets(self, d2g: np.ndarray, d3tau: np.ndarray):
+        """(d_b (nabla grad)^k_i, d_b Gamma^k_ij) at the points: (N, b, k, i), (N, b, k, i, j).
+
+        ``d2g[p,b,a,i,j] = d_b d_a g_ij`` and ``d3tau[p,b,a,j] = d_b d_a d_j tau``
+        are jets of g's and tau's exact partials (e.g. ``fd_jet`` of the metric's
+        ``dvalue`` and of ``tau.hess``).  Both are symmetrised in (b, a) first, so
+        they are second jets of one metric and one function, and identities
+        between the results hold to roundoff.  With v = grad and dv = ``dgrad``,
+
+            d_b d_a v      = g^-1 (d_b d_a dtau - (d_b d_a g) v - (d_a g) d_b v - (d_b g) d_a v),
+            d_b Gamma^k_ij = g^kl (1/2 d_b t_lij - (d_b g)_lm Gamma^m_ij),  t as in levi_civita,
+            d_b (nabla v)^k_i = d_b d_i v^k + (d_b Gamma^k_il) v^l + Gamma^k_il d_b v^l,
+
+        all batched matmuls at the frame's points: no inverse or solve at a
+        stencil point.
+        """
+        npts, n = self.grad.shape
+        shape4 = (npts, n, n, n)
+        d2g = 0.5 * (d2g + np.swapaxes(d2g, 1, 2))
+        d3tau = 0.5 * (d3tau + np.swapaxes(d3tau, 1, 2))
+        v, dv_t = self.grad[..., None], np.swapaxes(self.dgrad, 1, 2)  # dv_t[p,l,b] = d_b v^l
+        # x[p,a,i,b] = (d_a g)_ij d_b v^j gives the two first-order terms of d_b d_a v.
+        x = (self.dg.reshape(npts, n * n, n) @ dv_t).reshape(shape4)
+        rhs = d3tau - (d2g.reshape(npts, n ** 3, n) @ v).reshape(shape4)
+        rhs -= x.transpose(0, 3, 1, 2)
+        rhs -= x.transpose(0, 1, 3, 2)
+        d2v = (rhs.reshape(npts, n * n, n) @ np.swapaxes(self.ginv, 1, 2)).reshape(shape4)
+        dt = d2g.transpose(0, 1, 3, 2, 4) + d2g.transpose(0, 1, 3, 4, 2)
+        dt -= d2g
+        inner = 0.5 * dt.reshape(npts, n, n, n * n)
+        inner -= (self.dg.reshape(npts, n * n, n)
+                  @ self.gamma.reshape(npts, n, n * n)).reshape(npts, n, n, n * n)
+        dgamma = (self.ginv[:, None] @ inner).reshape(npts, n, n, n, n)
+        dnv = np.swapaxes(d2v, 2, 3) + (dgamma.reshape(npts, n ** 3, n) @ v).reshape(shape4)
+        dnv += (self.gamma.reshape(npts, n * n, n) @ dv_t).reshape(shape4).transpose(0, 3, 1, 2)
+        return dnv, dgamma
 
 
 def build_frame(metric: MetricField, tau: ScalarField, points: np.ndarray,

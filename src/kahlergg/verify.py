@@ -9,7 +9,9 @@ per point, and returns a CheckReport whose pass flag is exactly
     1e-5  second-derivative identities: Laplacian, gamma recovery, the
           radial ODE family, bracket identities;
     1e-3  third-derivative (Ricci/Bochner) identities, on a deeper arclength
-          collar with every derivative from one stencil of the frame, and
+          collar from one frame and one stencil of d g and of tau's Hessian
+          (symmetrised second jets, so Bochner's formula holds to roundoff and
+          d Delta tau = -2 Ric(v) keeps only the stencil's h^4 error), and
           boundary limits, by Richardson extrapolation along the fibers
           (finite differences of Christoffel-level poles are hopeless near
           the fiber ends at tighter tolerances);
@@ -461,33 +463,36 @@ def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, des
     return make_report("bracket_identities", desc, points, res, tol, extras)
 
 
+def _bochner_jets(subject: VerificationSubject, points: np.ndarray):
+    """(frame, nabla v, nabla_v v and the jets of those and of Gamma) for ``check_bochner``.
+
+    One frame at the points; at the stencil points only the metric's
+    ``dvalue`` and tau's Hessian, at half the metric's step (at most 2.5e-3),
+    whose 4th-order stencil leaves only h^4 truncation.
+    """
+    m = subject.metric
+    steps = 0.5 * np.minimum(m.steps_at(points), 5e-3)
+    fr = geo.build_frame(m, subject.tau, points)
+    d_gradv, d_gamma = fr.second_jets(geo.fd_jet(m.dvalue, points, steps),
+                                      geo.fd_jet(subject.tau.hess, points, steps))
+    vv, dv = fr.grad, fr.dgrad
+    gv = geo.nabla_vector(dv, vv, fr.gamma)
+    nvv = (gv @ vv[..., None])[..., 0]
+    # d_b (nabla_v v)^k = d_b (nabla v)^k_i v^i + (nabla v)^k_i d_b v^i
+    npts, n = vv.shape
+    d_nvv = (d_gradv.reshape(npts, n * n, n) @ vv[..., None]).reshape(npts, n, n)
+    d_nvv += dv @ np.swapaxes(gv, 1, 2)
+    return fr, gv, nvv, d_gradv, d_nvv, d_gamma
+
+
 def check_bochner(subject: VerificationSubject, points: np.ndarray, desc: str,
                   tol: float) -> CheckReport:
-    """Bochner's formula and d(Delta tau) = -2 Ric(v) for v = grad tau, off one stencil.
+    """Bochner's formula and d(Delta tau) = -2 Ric(v) for v = grad tau, from one stencil of d g.
 
     With v = grad tau, div v = tr nabla v = Delta tau, so d div v = d Delta tau
     is the trace of the jet of nabla v.
     """
-    m = subject.metric
-    steps = np.minimum(m.steps_at(points), 5e-3)
-    n = subject.dim
-
-    def bundle(pp):
-        # The frame, then [nabla v, nabla_v v, Gamma] from it.
-        fr = geo.build_frame(m, subject.tau, pp)
-        gv = geo.nabla_vector(fr.dgrad, fr.grad, fr.gamma)
-        parts = (gv.reshape(-1, n * n), np.einsum("pki,pi->pk", gv, fr.grad),
-                 fr.gamma.reshape(-1, n ** 3))
-        return fr, np.concatenate(parts, axis=1)
-
-    def split(arr):  # (..., n*n + n + n^3) -> nabla v, nabla_v v, Gamma
-        lead = arr.shape[:-1]
-        return (arr[..., :n * n].reshape(lead + (n, n)), arr[..., n * n:n * n + n],
-                arr[..., n * n + n:].reshape(lead + (n, n, n)))
-
-    fr, centre = bundle(points)
-    gv, nvv, _ = split(centre)
-    d_gradv, d_nvv, d_gamma = split(geo.fd_jet(lambda pp: bundle(pp)[1], points, steps))
+    fr, gv, nvv, d_gradv, d_nvv, d_gamma = _bochner_jets(subject, points)
     d_lap = np.einsum("pakk->pa", d_gradv)  # d div v = d Delta tau
     vv = fr.grad
     div_gradv = geo.divergence_endomorphism(d_gradv, gv, fr.gamma)

@@ -7,8 +7,8 @@ import pytest
 from kahlergg import geometry as geo
 from kahlergg.construction import build_construction
 from kahlergg.surfaces import build_surface, gamma_cos
-from kahlergg.verify import (_END_FRAC, CONTROL_EXPECTATIONS, GridSpec, _flow_lengths,
-                             _recovered_gamma, check_bochner, check_boundary_limits,
+from kahlergg.verify import (_END_FRAC, CONTROL_EXPECTATIONS, GridSpec, _bochner_jets,
+                             _flow_lengths, _recovered_gamma, check_bochner, check_boundary_limits,
                              check_bracket_identities, check_flow_lengths, check_gamma_recovery,
                              check_killing, check_laplacian_identity, make_report, run_suite,
                              subject_from_construction, suite_passed)
@@ -264,37 +264,45 @@ def test_coarse_flow_step_still_lands_on_the_target(torus_subject):
     assert abs(flow.arclength[-1, 0] - 0.98 * lam) < 1e-4
 
 
+def _counting_metric_points(subject):
+    """(the subject with its metric's value and dvalue counted, {name: [points per call]})."""
+    seen = {"value": [], "dvalue": []}
+    m = subject.metric
+
+    def value(pp):
+        seen["value"].append(len(pp))
+        return m.value(pp)
+
+    def dvalue(pp):
+        seen["dvalue"].append(len(pp))
+        return m.dvalue(pp)
+
+    return replace(subject, metric=replace(m, value=value, dvalue=dvalue)), seen
+
+
 def test_fused_checks_evaluate_the_metric_once_per_stencil_point(torus_subject, sphere_data):
-    # Per grid point: the frame's one evaluation (bracket identities, whose
-    # jets are exact), and a frame at the centre and at each of the 16 stencil
-    # points (Bochner, which run_suite gives the deep-collar grid).  Ricci
-    # takes dGamma from that same stencil, so its stencil error cancels that
-    # of the other terms: 1e-8 holds at the default grid, where separate
-    # Richardson stencils for Ricci left 5.21e-8 (torus) and 4.94e-8 (sphere).
-    seen = []
-
-    def counted(subject):
-        def value(pp, value0=subject.metric.value):
-            seen.append(len(pp))
-            return value0(pp)
-
-        return replace(subject, metric=replace(subject.metric, value=value))
-
+    # Per grid point: the frame's one evaluation of g and of its derivative
+    # (bracket identities, whose jets are exact); Bochner, which run_suite
+    # gives the deep-collar grid, adds the derivative at each of the 16
+    # stencil points and builds no frame there (34,816 frames on the torus
+    # when every stencil point built one).
     def bracket(subject, pts, desc, tol):
         return check_bracket_identities(subject, subject.frame(pts), desc, tol)
 
     spec = GridSpec()
     deep = replace(spec, collar=spec.deep_collar, n_tau=spec.n_tau // 2)
     for subject in (torus_subject, subject_from_construction(sphere_data)):
-        subject = counted(subject)
-        for check, tol, grid, per_point in ((bracket, 1e-5, FAST, 1),
-                                            (check_bochner, 1e-3, deep, 17)):
+        subject, seen = _counting_metric_points(subject)
+        for check, tol, grid, per_point in ((bracket, 1e-5, FAST, (1, 1)),
+                                            (check_bochner, 1e-3, deep, (1, 17))):
             pts, desc = subject.grid_points(grid)
-            seen.clear()
+            for calls in seen.values():
+                calls.clear()
             report = check(subject, pts, desc, tol)
             assert report.passed
-            assert sum(seen) == per_point * len(pts)
-        assert report.max <= 1e-8
+            counts = (sum(seen["value"]), sum(seen["dvalue"]))
+            assert counts == tuple(k * len(pts) for k in per_point)
+        assert report.max <= 1e-9
 
 
 @pytest.mark.parametrize("name", ["torus_data", "sphere_data", "fs"])
@@ -368,16 +376,87 @@ def test_boundary_limits_read_one_frame(request, name, monkeypatch):
 
 
 def test_fubini_bochner_takes_v_jacobian_from_the_frame(fs_subject):
-    # A frame at the centre and at each of the 16 stencil points; 349 metric
-    # points per grid point when the numeric v had no Jacobian.
-    seen = []
-
-    def value(pp):
-        seen.append(len(pp))
-        return fs_subject.metric.value(pp)
-
-    subject = replace(fs_subject, metric=replace(fs_subject.metric, value=value))
+    # One frame at the centre, the metric's derivative at each of the 16
+    # stencil points; 349 metric points per grid point when the numeric v had
+    # no Jacobian, 17 when each stencil point built a frame.
+    subject, seen = _counting_metric_points(fs_subject)
     spec = GridSpec()
     pts, desc = subject.grid_points(replace(spec, collar=spec.deep_collar, n_tau=spec.n_tau // 2))
     assert check_bochner(subject, pts, desc, 1e-3).passed
-    assert sum(seen) == 17 * len(pts)
+    assert sum(seen["value"]) == len(pts) and sum(seen["dvalue"]) == 17 * len(pts)
+
+
+# The largest bochner residual of each subject when every stencil point built
+# its own frame; the route from one centre frame must stay at or below it.
+BOCHNER_BEFORE = {"torus_data": 1.09e-9, "sphere_data": 1.03e-9, "torus_inf_data": 8.6e-10,
+                  "fs": 3.58e-10}
+
+
+def _deep_subject(request, fs_subject, name):
+    subject = fs_subject if name == "fs" else subject_from_construction(
+        request.getfixturevalue(name))
+    spec = GridSpec()
+    pts, desc = subject.grid_points(replace(spec, collar=spec.deep_collar, n_tau=spec.n_tau // 2))
+    return subject, pts, desc
+
+
+@pytest.mark.parametrize("name", sorted(BOCHNER_BEFORE))
+def test_bochner_formula_holds_to_roundoff(request, fs_subject, name):
+    # The stencils of d g and of tau's Hessian are symmetrised into second
+    # jets of one metric and one function, so Bochner's formula is algebra at
+    # the centre: an index or sign slip in Frame.second_jets breaks it at O(1).
+    # Only d Delta tau = -2 Ric(v) and d_v Delta tau keep a stencil error.
+    subject, pts, desc = _deep_subject(request, fs_subject, name)
+    report = check_bochner(subject, pts, desc, 1e-3)
+    assert report.extras["bochner_max"] <= 1e-12
+    assert report.max <= BOCHNER_BEFORE[name]
+
+
+def test_bochner_stencil_error_is_fourth_order(torus_subject, monkeypatch):
+    # Only d g and tau's Hessian are differenced, so the error of
+    # d Delta tau = -2 Ric(v) is pure h^4 truncation: doubling every stencil
+    # step raises it about 16x: no roundoff floor at this step.
+    spec = GridSpec()
+    pts, desc = torus_subject.grid_points(replace(spec, collar=spec.deep_collar,
+                                                  n_tau=spec.n_tau // 2))
+    base = check_bochner(torus_subject, pts, desc, 1e-3).extras["ddt_max"]
+
+    def doubled(f, points, steps, fd_jet=geo.fd_jet):
+        return fd_jet(f, points, 2.0 * np.asarray(steps))
+
+    monkeypatch.setattr(geo, "fd_jet", doubled)
+    coarse = check_bochner(torus_subject, pts, desc, 1e-3).extras["ddt_max"]
+    assert 10.0 <= coarse / base <= 20.0
+
+
+def _frame_bundle_jets(subject, points):
+    """d Delta tau, Ric(v) and d(nabla_v v) from one stencil of [nabla v, nabla_v v, Gamma].
+
+    The route that built a whole frame at every stencil point, at the full
+    step: independent of ``Frame.second_jets``.
+    """
+    m, n = subject.metric, subject.dim
+    steps = np.minimum(m.steps_at(points), 5e-3)
+
+    def bundle(pp):
+        fr = geo.build_frame(m, subject.tau, pp)
+        gv = geo.nabla_vector(fr.dgrad, fr.grad, fr.gamma)
+        return np.concatenate([gv.reshape(-1, n * n), np.einsum("pki,pi->pk", gv, fr.grad),
+                               fr.gamma.reshape(-1, n ** 3)], axis=1)
+
+    jet = geo.fd_jet(bundle, points, steps)
+    d_gradv = jet[..., :n * n].reshape(-1, n, n, n)
+    d_gamma = jet[..., n * n + n:].reshape(-1, n, n, n, n)
+    fr = geo.build_frame(m, subject.tau, points)
+    ric_v = np.einsum("pij,pj->pi", geo.ricci(d_gamma, fr.gamma), fr.grad)
+    return np.einsum("pakk->pa", d_gradv), ric_v, jet[..., n * n:n * n + n]
+
+
+@pytest.mark.parametrize("name", ["torus_data", "fs"])
+def test_bochner_jets_match_a_stencil_of_whole_frames(request, fs_subject, name):
+    subject, pts, _ = _deep_subject(request, fs_subject, name)
+    fr, _, _, d_gradv, d_nvv, d_gamma = _bochner_jets(subject, pts)
+    ric_v = np.einsum("pij,pj->pi", geo.ricci(d_gamma, fr.gamma), fr.grad)
+    new = (np.einsum("pakk->pa", d_gradv), ric_v, d_nvv)
+    for got, want in zip(new, _frame_bundle_jets(subject, pts)):
+        assert np.max(np.abs(got - want)) <= 1e-7 * (1.0 + np.max(np.abs(want)))
