@@ -213,12 +213,11 @@ def cmd_fubini_check(args) -> int:
     # The classification cross-check: extraction must see a constant gamma.
     oracle = oracle_from_fs()
     ex = extract_all(oracle, with_h=False)
-    angles = [g.to_json() for g in ex.gammas]
-    finite = [g.value for g in ex.gammas if not g.infinite]
-    gamma_std = float(np.std(finite)) if len(finite) == len(ex.gammas) else float("nan")
+    samples = [g.to_json() for g in ex.gammas]
+    gamma_std = float("nan") if "inf" in samples else float(np.std(samples))
     payload = _suite_payload({"oracle": "fubini", "seed": spec.seed}, reports)
     payload["extraction"] = {"interval": [ex.interval.tau_min, ex.interval.tau_max],
-                             "a": ex.a, "gamma_samples": angles, "gamma_std": gamma_std}
+                             "a": ex.a, "gamma_samples": samples, "gamma_std": gamma_std}
     _write_json(out / "fubini_report.json", payload)
     print(f"subject: {subject.name}")
     _print_reports(reports)

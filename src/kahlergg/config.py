@@ -1,10 +1,10 @@
 """Run configuration: JSON schema validation and construction dispatch.
 
 One JSON file drives every pipeline.  Unknown keys are rejected with the
-offending path; gamma families are range-checked against the interval at
-parse time (a gamma meeting the closed interval can never be built).  The
-literal string "inf" denotes the point at infinity wherever an RP1 value
-is accepted.
+offending path; gamma families become kappa = 1/(tau_star - gamma) fields
+and are range-checked against the interval at parse time (a gamma meeting
+the closed interval can never be built).  The literal string "inf" denotes
+the point at infinity wherever an RP1 value is accepted; it is kappa = 0.
 """
 
 from __future__ import annotations
@@ -201,8 +201,10 @@ def parse_config(text: str) -> RunConfig:
         if gtype == "height" and surface_type != "sphere":
             raise ConfigError("$.construction.gamma: 'height' is a sphere family")
         try:
-            for gam in _gamma_fields(surface_type, gamma_spec, surface_params).values():
-                validate_gamma_range(gam, Interval(tau_min, tau_max))
+            interval = Interval(tau_min, tau_max)
+            for kappa in _kappa_fields(surface_type, gamma_spec, surface_params,
+                                       interval.tau_star).values():
+                validate_gamma_range(kappa, interval)
         except GammaRangeError as e:
             raise ConfigError(f"$.construction.gamma: {e}") from None
 
@@ -247,17 +249,20 @@ def parse_config(text: str) -> RunConfig:
                      seed=seed, control=control, oracle=oracle, raw=raw)
 
 
-def _gamma_fields(surface_type: str, gamma_spec: dict, surface_params: dict) -> dict:
-    """The gamma field of each chart of the surface, by family."""
+def _kappa_fields(surface_type: str, gamma_spec: dict, surface_params: dict,
+                  tau_star: float) -> dict:
+    """The kappa = 1/(tau_star - gamma) field of each chart of the surface, by gamma family."""
     gtype = gamma_spec["type"]
     if gtype in ("cos", "height"):
         c0, c1 = (_bounded(gamma_spec[k], f"$.construction.gamma.{k}") for k in ("c0", "c1"))
         if gtype == "cos":
-            return {"torus": gamma_cos(c0, c1)}
-        return {w: gamma_height(c0, c1, surface_params["radius"], w) for w in ("south", "north")}
+            return {"torus": gamma_cos(c0, c1, tau_star)}
+        return {w: gamma_height(c0, c1, surface_params["radius"], w, tau_star)
+                for w in ("south", "north")}
     value = "inf" if gtype == "inf" else gamma_spec["value"]
-    gam = gamma_constant(value if value == "inf" else _bounded(value, "$.construction.gamma.value"))
-    return {"torus": gam} if surface_type == "torus" else {"south": gam, "north": gam}
+    kappa = gamma_constant(value if value == "inf" else _bounded(value, "$.construction.gamma.value"),
+                           tau_star)
+    return {"torus": kappa} if surface_type == "torus" else {"south": kappa, "north": kappa}
 
 
 def build_from_config(cfg: RunConfig) -> ConstructionData:
@@ -265,13 +270,14 @@ def build_from_config(cfg: RunConfig) -> ConstructionData:
         raise ConfigError(f"$.oracle: '{cfg.oracle}' has no construction; construct, flow "
                           "and extract --round-trip need oracle = 'construction'")
     interval = Interval(cfg.tau_min, cfg.tau_max)
-    gammas = _gamma_fields(cfg.surface_type, cfg.gamma_spec, cfg.surface_params)
-    if cfg.control in ("perturb-beta", "perturb-j") and any(g.infinite for g in gammas.values()):
-        raise ConfigError(f"$.control: '{cfg.control}' is inert where gamma = inf: beta = 1 there, "
-                          "so beta^1.01 = beta, and the metric is a local product, on which "
-                          "the flipped J is Kahler too")
+    kappas = _kappa_fields(cfg.surface_type, cfg.gamma_spec, cfg.surface_params, interval.tau_star)
+    if cfg.control in ("perturb-beta", "perturb-j") and any(
+            k.value_range == (0.0, 0.0) for k in kappas.values()):
+        raise ConfigError(f"$.control: '{cfg.control}' is inert where gamma = inf (kappa = 0): "
+                          "beta = 1 there, so beta^1.01 = beta, and the metric is a local "
+                          "product, on which the flipped J is Kahler too")
     size = cfg.surface_params["h_scale" if cfg.surface_type == "torus" else "radius"]
-    surface, a = build_surface(cfg.surface_type, size, gammas, interval, cfg.a,
+    surface, a = build_surface(cfg.surface_type, size, kappas, interval, cfg.a,
                                normalize=cfg.normalize)
     return build_construction(interval, a, surface, q_interior=cfg.q_coeffs,
                               chart_index=cfg.chart, control=cfg.control)

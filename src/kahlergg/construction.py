@@ -8,8 +8,9 @@ runtime formula and gives the block form
 
     g = beta * h + Q^(-1) dtau^2 + a^(-2) Q (dtheta - A)^2,
 
-with beta = (tau - gamma)/(tau_star - gamma) (beta = 1 where gamma = inf)
-and A the chart connection potential with dA = Omega.
+with beta = (tau - gamma)/(tau_star - gamma) = 1 + kappa (tau - tau_star), read
+off the chart's kappa = 1/(tau_star - gamma) field (see ``rp1``; gamma = inf is
+kappa = 0, with no branch), and A the chart connection potential with dA = Omega.
 
 Orientation note: theta rotates so that u = a d_theta = J(grad tau).  With
 that choice the horizontal distribution is ker(dtau) n ker(dtheta - A) and
@@ -23,7 +24,7 @@ assembled metric field (with exact analytic derivatives, differentiable by
 the generic engine), and ``christoffel_closed_form``, reconstructed from
 the covariant-derivative table of the construction (radial/angular fields
 are eigenfields of nabla v; horizontal covariant derivatives reduce to the
-base ones plus phi- and D(gamma)-corrections).  Their agreement at random
+base ones plus phi- and d kappa-corrections).  Their agreement at random
 points is the main oracle-equivalence gate of the test suite.
 
 Neither route knows the documented negative controls.  ``with_control``
@@ -66,33 +67,15 @@ class ConstructionData:
 
 
 def _beta(data: ConstructionData, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """beta = (tau - gamma)/(tau_star - gamma); beta = 1 where gamma = inf."""
-    gamma = data.chart_data.gamma
-    if gamma.infinite:
-        return np.ones(x.shape[0])
-    g = gamma.value(x)
-    return (tau - g) / (data.tau_star - g)
+    """beta = 1 + kappa (tau - tau_star)."""
+    return 1.0 + data.chart_data.kappa.value(x) * (tau - data.tau_star)
 
 
 def _beta_jet(data: ConstructionData, x: np.ndarray, tau: np.ndarray):
-    """``_beta`` and its (d_x1, d_x2, d_tau) derivatives."""
-    gamma = data.chart_data.gamma
-    n = x.shape[0]
-    if gamma.infinite:
-        return np.ones(n), np.zeros((n, 2)), np.zeros(n)
-    g = gamma.value(x)
-    dg = gamma.grad(x)
-    ts = data.tau_star
-    beta = (tau - g) / (ts - g)
-    dbeta_dg = (tau - ts) / (ts - g) ** 2
-    return beta, dbeta_dg[:, None] * dg, 1.0 / (ts - g)
-
-
-def _inv_tau_minus_gamma(data: ConstructionData, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    gamma = data.chart_data.gamma
-    if gamma.infinite:
-        return np.zeros(x.shape[0])
-    return 1.0 / (tau - gamma.value(x))
+    """``_beta`` and its (d_x1, d_x2, d_tau) derivatives: (tau - tau_star) d kappa and kappa."""
+    kappa = data.chart_data.kappa
+    k, dt = kappa.value(x), tau - data.tau_star
+    return 1.0 + k * dt, dt[:, None] * kappa.grad(x), k
 
 
 def assemble_metric(data: ConstructionData) -> MetricField:
@@ -323,33 +306,40 @@ def tau_field(data: ConstructionData) -> ScalarField:
     return ScalarField(value=value, grad=grad, hess=hess, name="tau")
 
 
-def gamma_of_points(data: ConstructionData, P: np.ndarray) -> np.ndarray:
-    """Input gamma at the base points under the given chart points, inf where infinite."""
-    P = np.asarray(P, dtype=float)
-    gam = data.chart_data.gamma
-    return np.full(P.shape[0], np.inf) if gam.infinite else gam.value(P[:, :2])
+def kappa_field(data: ConstructionData) -> ScalarField:
+    """The input kappa = 1/(tau_star - gamma) as a function of the chart point, with its gradient."""
+    kappa = data.chart_data.kappa
+
+    def value(P):
+        return kappa.value(np.asarray(P, dtype=float)[:, :2])
+
+    def grad(P):
+        P = np.asarray(P, dtype=float)
+        out = np.zeros((P.shape[0], 4))
+        out[:, :2] = kappa.grad(P[:, :2])
+        return out
+
+    return ScalarField(value=value, grad=grad, name="kappa")
 
 
 def christoffel_closed_form(data: ConstructionData, P: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols reconstructed from the covariant-derivative table.
 
     Independent of assemble_metric: only the base geometry (h, its
-    Christoffels, J_Sigma), the potential A, gamma, and the profile enter.
+    Christoffels, J_Sigma), the potential A, kappa, and the profile enter.
     """
     P = np.asarray(P, dtype=float)
     x, tau = P[:, :2], P[:, 2]
     n = P.shape[0]
     prof, a = data.profile, data.a
     cd = data.chart_data
-    iv = data.interval
 
     Q = prof.Q(tau)
     if np.any(Q <= 0):
         raise ValueError("closed-form Christoffels need interior points (Q > 0)")
     psi = prof.psi(tau)
-    inv_tg = _inv_tau_minus_gamma(data, x, tau)
-    phi = 0.5 * Q * inv_tg
     beta = _beta(data, x, tau)
+    phi = 0.5 * Q * cd.kappa.value(x) / beta
 
     h = cd.chart.h(x)
     dh = cd.chart.dh(x)
@@ -365,22 +355,14 @@ def christoffel_closed_form(data: ConstructionData, P: np.ndarray) -> np.ndarray
     A = cd.connection.A(x)
     dA = cd.connection.dA(x)
 
-    gam = data.chart_data.gamma
-    if gam.infinite:
-        dgam = np.zeros((n, 2))
-        cphi_over_q = np.zeros(n)
-    else:
-        dgam = gam.grad(x)
-        gv = gam.value(x)
-        cphi_over_q = (tau - iv.tau_star) / (2.0 * (tau - gv) * (iv.tau_star - gv))
-    dgam_up = np.einsum("pkl,pl->pk", hinv, dgam)
-
-    # Effective base-block symbols with the D(gamma) correction.
+    # Effective base-block symbols with the d kappa correction: c = (tau - tau_star)/(2 beta)
+    # times d kappa, which is d(log beta)/2 along the base.
+    c = ((tau - data.tau_star) / (2.0 * beta))[:, None] * cd.kappa.grad(x)
+    c_up = np.einsum("pkl,pl->pk", hinv, c)
     eye = np.eye(2)
-    ghat = gamma_h + cphi_over_q[:, None, None, None] * (
-        dgam[:, None, :, None] * eye[None, :, None, :]
-        + dgam[:, None, None, :] * eye[None, :, :, None]
-        - h[:, None, :, :] * dgam_up[:, :, None, None])
+    ghat = gamma_h + (c[:, None, :, None] * eye[None, :, None, :]
+                      + c[:, None, None, :] * eye[None, :, :, None]
+                      - h[:, None, :, :] * c_up[:, :, None, None])
 
     G = np.zeros((n, 4, 4, 4))
     # Vertical block.

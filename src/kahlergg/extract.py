@@ -20,18 +20,21 @@ The pipeline follows the geometry rather than any stored closed form:
     the interval's quadratic.  A fit residual above 1e-5 max(Q_max, 1) is
     the numerical realization of "Q is not a function of tau" and rejects
     the oracle, as do end slopes that are not +-2a for one a;
-  * gamma comes per base point from tau - Q/(laplacian(tau) - dQ/dtau),
-    with dQ/dtau = 2 Hess tau(grad tau, grad tau)/Q from the same covariant
-    Hessian as the Laplacian (tau's closed-form partials, Christoffels from
-    a stencil of g), averaged along the fiber with a consistency assertion;
+  * gamma comes per base point in the chart kappa = 1/(tau_star - gamma)
+    of RP1 (see ``rp1``): m = (laplacian(tau) - dQ/dtau)/Q = 1/(tau - gamma)
+    and kappa = m/(1 - m (tau - tau_star)), with dQ/dtau = 2 Hess tau(grad
+    tau, grad tau)/Q from the same covariant Hessian as the Laplacian (tau's
+    closed-form partials, Christoffels from a stencil of g), averaged along
+    the fiber with a consistency assertion.  Only ``ExtractedData.gammas``
+    turns kappa back into points of RP1;
   * h is read at each seed: the metric restricted to the orthogonal
     complement of (grad tau, J grad tau) is beta h there, with
-    beta = (tau - gamma)/(tau_star - gamma), so it is divided by beta.
+    beta = 1 + kappa (tau - tau_star), so it is divided by beta.
 
 ``round_trip`` rebuilds a construction from the extracted data and reports
 the max relative metric deviation on a common chart grid.  The oracle's seeds
 lie in rows that share one base coordinate u (x1 on the torus, sigma = |x|^2
-on the sphere); h and gamma are splined over u, so the one rebuild serves
+on the sphere); h and kappa are splined over u, so the one rebuild serves
 both surfaces.
 """
 
@@ -43,15 +46,15 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly, make_interp_spline
 
 from . import geometry as geo
 from .construction import (ConstructionData, assemble_metric, assemble_J,
                            build_construction, tau_field)
 from .fubini import FSChart, fs_J, fs_metric, fs_random_directions, fs_tau
 from .profiles import Interval, MomentumProfile, make_profile
-from .rp1 import INFINITY, RP1Value, recover_gamma, rp1_angle, rp1_distance
-from .surfaces import (BaseSurfaceData, ChartData, GammaField, SurfaceChart, curvature_form,
+from .rp1 import INFINITY, RP1Value, recover_kappa
+from .surfaces import (BaseSurfaceData, ChartData, KappaField, SurfaceChart, curvature_form,
                        solve_connection_radial, solve_connection_torus)
 
 
@@ -64,7 +67,7 @@ class NotAFunctionOfTauError(ValueError):
 
 
 class FiberInconsistencyError(ValueError):
-    """The recovered gamma varies along a single fiber."""
+    """The recovered gamma varies along a single fiber, or lies inside the interval."""
 
 
 @dataclass
@@ -267,7 +270,10 @@ def extract_profile(traces: list):
 
 
 def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: list):
-    """Recovered gamma per seed, averaged along its fiber, with consistency check.
+    """Recovered kappa = 1/(tau_star - gamma) per seed, averaged along its fiber.
+
+    A fiber whose l kappa (l = |I|/2) spreads by more than 1e-3 aborts the
+    recovery.
 
     psi = (dQ/dtau)/2 = Hess tau(grad tau, grad tau) / Q is taken at each of
     five trace points from the covariant Hessian that also gives
@@ -286,26 +292,22 @@ def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: li
     fr = geo.build_frame(oracle.metric, oracle.tau,
                          np.concatenate([tr.points[p] for tr, p in zip(traces, picks)]))
     psi = np.einsum("pi,pij,pj->p", fr.grad, fr.hessian(), fr.grad) / fr.q
-    gam = recover_gamma(np.concatenate([tr.tau[p] for tr, p in zip(traces, picks)]),
-                        np.concatenate([tr.q[p] for tr, p in zip(traces, picks)]),
-                        fr.laplacian(), psi).reshape(len(traces), -1)
-    spreads = np.max(rp1_distance(gam[:, :, None], gam[:, None, :]), axis=(1, 2))
-    worst = float(np.max(spreads))
-    if worst > 1e-3:
+    kappa = recover_kappa(np.concatenate([tr.tau[p] for tr, p in zip(traces, picks)]),
+                          iv.tau_star, np.concatenate([tr.q[p] for tr, p in zip(traces, picks)]),
+                          fr.laplacian(), psi).reshape(len(traces), -1)
+    worst = 0.5 * iv.length * float(np.max(np.ptp(kappa, axis=1)))
+    if not worst <= 1e-3:
         raise FiberInconsistencyError(
-            f"gamma varies by {worst:.3e} along one fiber; recovery aborted")
-    gammas = [INFINITY if abs(abs(m) - 0.5 * math.pi) < 1e-9 else RP1Value(math.tan(m))
-              for m in np.mean(rp1_angle(gam), axis=1)]
-    return gammas, {"fiber_spread_max": worst}
+            f"gamma varies by {worst:.3e} (l kappa) along one fiber; recovery aborted")
+    return np.mean(kappa, axis=1), {"fiber_spread_max": worst}
 
 
-def extract_h(oracle: ExtractionOracle, interval: Interval, gammas: list) -> np.ndarray:
+def extract_h(oracle: ExtractionOracle, interval: Interval, kappas: np.ndarray) -> np.ndarray:
     """h at the seed base points, read at the seeds.
 
     The horizontal block of g is beta h at every point of a fiber, with
-    beta = (tau - gamma)/(tau_star - gamma), or 1 where gamma is infinite.
-    So h is the metric restricted to the orthogonal complement of
-    (grad tau, J grad tau) at each seed, times (tau_star - gamma)/(tau_seed - gamma).
+    beta = 1 + kappa (tau - tau_star).  So h is the metric restricted to the
+    orthogonal complement of (grad tau, J grad tau) at each seed, divided by beta there.
     """
     p = oracle.seeds
     g = oracle.metric.value(p)
@@ -322,10 +324,12 @@ def extract_h(oracle: ExtractionOracle, interval: Interval, gammas: list) -> np.
     e[:, [0, 1], list(oracle.base_axes)] = 1.0
     e -= dot(e, ev)[..., None] * ev[:, None] + dot(e, eu)[..., None] * eu[:, None]
     hm = np.einsum("pri,pij,pcj->prc", e, g, e)
-    factor = np.array([1.0 if gam.infinite
-                       else (interval.tau_star - gam.value) / (t - gam.value)
-                       for gam, t in zip(gammas, oracle.tau.value(p))])
-    return factor[:, None, None] * hm
+    beta = 1.0 + kappas * (oracle.tau.value(p) - interval.tau_star)
+    return hm / beta[:, None, None]
+
+
+# |kappa| l at or below which a recovered gamma is reported as the point at infinity.
+_AT_INFINITY = 1e-9
 
 
 @dataclass
@@ -334,9 +338,16 @@ class ExtractedData:
     a: float
     profile: MomentumProfile
     q_samples: np.ndarray
-    gammas: list
+    kappas: np.ndarray            # kappa = 1/(tau_star - gamma) per seed
     h_samples: np.ndarray
     diagnostics: dict
+
+    @property
+    def gammas(self) -> list:
+        """The recovered gamma per seed as points of RP1: tau_star - 1/kappa, or inf."""
+        iv = self.interval
+        return [INFINITY if abs(k) * 0.5 * iv.length <= _AT_INFINITY
+                else RP1Value(iv.tau_star - 1.0 / k) for k in self.kappas]
 
     def to_dict(self) -> dict:
         return {
@@ -358,31 +369,26 @@ def extract_all(oracle: ExtractionOracle, with_h: bool = True) -> ExtractedData:
     tgrid = np.linspace(interval.tau_min + 0.05 * interval.length,
                         interval.tau_max - 0.05 * interval.length, 33)
     samples = np.column_stack([tgrid, profile.Q(tgrid)])
-    gammas, diag_g = extract_gamma(oracle, profile, traces)
+    kappas, diag_g = extract_gamma(oracle, profile, traces)
     diag.update(diag_g)
     if with_h and oracle.base_axes:
-        h_samples = extract_h(oracle, interval, gammas)
+        h_samples = extract_h(oracle, interval, kappas)
     else:
         h_samples = np.empty((0, 2, 2))
-    gamma_angles = [rp1_angle(g) for g in gammas]
-    diag["gamma_range"] = [float(np.min(gamma_angles)), float(np.max(gamma_angles))]
+    diag["kappa_range"] = [float(np.min(kappas)), float(np.max(kappas))]
     # On a compact total space gamma never enters the open interval.  Values at
     # the endpoints are legitimate (the constant-gamma special branch, e.g. the
-    # projective-space oracle), so only a strict interior hit is an error.
-    margin = 1e-3 * interval.length
-    on_boundary = False
-    for g in gammas:
-        if g.infinite:
-            continue
-        depth = min(g.value - interval.tau_min, interval.tau_max - g.value)
-        if depth > margin:
-            raise FiberInconsistencyError(
-                f"recovered gamma {g.value:.6g} lies inside the recovered interval")
-        if depth > -margin:
-            on_boundary = True
-    diag["gamma_on_interval_boundary"] = on_boundary
+    # projective-space oracle), so only a strict interior hit is an error: gamma lies
+    # 1/|kappa| from tau_star, and a depth of -+2e-3 l in I is |kappa| l = 1/(1 +- 2e-3).
+    reach = np.abs(kappas) * 0.5 * interval.length
+    inside = reach * (1.0 - 2e-3) > 1.0
+    if np.any(inside):
+        raise FiberInconsistencyError(
+            f"recovered gamma {interval.tau_star - 1.0 / kappas[inside][0]:.6g} lies inside "
+            "the recovered interval")
+    diag["gamma_on_interval_boundary"] = bool(np.any(reach * (1.0 + 2e-3) > 1.0))
     return ExtractedData(interval=interval, a=a, profile=profile, q_samples=samples,
-                         gammas=gammas, h_samples=h_samples, diagnostics=diag)
+                         kappas=kappas, h_samples=h_samples, diagnostics=diag)
 
 
 # ----------------------------------------------------------------------------
@@ -394,9 +400,11 @@ def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
 
     u is x1 on the torus and sigma = |x|^2 on the sphere, whose chart reaches
     out to the outer ring.  Each row's h is averaged to its isotropic part and
-    its gamma to one RP1 angle; both are splined over u, periodic on the torus
-    and not-a-knot on the sphere, du/dx chains their slopes into dh and
-    d gamma, and the connection comes from the surface's own solver.
+    its kappa to its mean; both are splined over u by quintic interpolating
+    splines, periodic on the torus and not-a-knot on the sphere (kappa is
+    rational in u: a cubic spline of it put the torus round trip at 1.9e-6),
+    du/dx chains their slopes into dh and d kappa, and the connection comes
+    from the surface's own solver.
     """
     torus = oracle.meta["surface"] == "torus"
 
@@ -411,18 +419,17 @@ def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
 
     rows = oracle.meta["n_x1"]
     u = coord(oracle.seeds.reshape(rows, -1, oracle.dim)[:, 0, list(oracle.base_axes)])[0]
-    g_row = np.tan(np.mean(np.reshape([rp1_angle(g) for g in ex.gammas], (rows, -1)), axis=1))
+    k_row = ex.kappas.reshape(rows, -1).mean(axis=1)
     h_row = ex.h_samples.reshape(rows, -1, 2, 2).mean(axis=1)
     h_iso = 0.5 * (h_row[:, 0, 0] + h_row[:, 1, 1])
     if torus:  # one period closes each spline
-        u, g_row, h_iso = (np.append(u, u[0] + 1.0), np.append(g_row, g_row[0]),
+        u, k_row, h_iso = (np.append(u, u[0] + 1.0), np.append(k_row, k_row[0]),
                            np.append(h_iso, h_iso[0]))
     bc = "periodic" if torus else "not-a-knot"
-    gam_spline, h_spline = (CubicSpline(u, v, bc_type=bc) for v in (g_row, h_iso))
-    gam_field = GammaField(infinite=all(g.infinite for g in ex.gammas),
-                           value=lambda x: gam_spline(coord(x)[0]),
-                           grad=lambda x: grad(gam_spline, x),
-                           value_range=(float(np.min(g_row)), float(np.max(g_row))))
+    k_spline, h_spline = (PPoly.from_spline(make_interp_spline(u, v, k=5, bc_type=bc))
+                          for v in (k_row, h_iso))
+    kappa = KappaField(value=lambda x: k_spline(coord(x)[0]), grad=lambda x: grad(k_spline, x),
+                       value_range=(float(np.min(k_row)), float(np.max(k_row))))
     half = 0.7 * math.sqrt(u[-1])  # the sphere's square inside its outer ring
     chart = SurfaceChart(name=f"{oracle.meta['surface']}-rebuilt",
                          h=lambda x: h_spline(coord(x)[0])[:, None, None] * np.eye(2),
@@ -431,11 +438,11 @@ def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
                          bounds=((0.0, 1.0),) * 2 if torus else ((-half, half),) * 2)
 
     def w_fn(x):
-        return curvature_form(ex.a, ex.interval.tau_star, chart, gam_field, x)
+        return curvature_form(ex.a, chart, kappa, x)
 
     conn = solve_connection_torus(w_fn) if torus else solve_connection_radial(w_fn, sigma_max=u[-1])
     surface = BaseSurfaceData(surface_type=oracle.meta["surface"],
-                              charts=[ChartData(chart=chart, gamma=gam_field, connection=conn)],
+                              charts=[ChartData(chart=chart, kappa=kappa, connection=conn)],
                               params={"rebuilt": True})
     return build_construction(ex.interval, ex.a, surface, profile=ex.profile)
 

@@ -192,23 +192,6 @@ def field_jet(x: "VectorField | MatrixField", points: np.ndarray, steps) -> np.n
     return x.jac(points) if x.jac is not None else fd_jet(x.value, points, steps)
 
 
-def fd_directional(f: Callable, points: np.ndarray, direction: np.ndarray, steps) -> np.ndarray:
-    """df(direction) at each point from the 4-point stencil of f along the direction.
-
-    The stencil parameter h is the largest that moves no coordinate by more
-    than its step in ``steps`` (broadcastable to (N, n)) per offset, so no
-    coordinate moves farther than in the axis stencils of ``fd_jet``.
-    """
-    points = np.asarray(points, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    npts, n = points.shape
-    h = np.min(np.broadcast_to(np.asarray(steps, dtype=float), (npts, n))
-               / np.maximum(np.abs(d), 1e-300), axis=1)
-    moved = points[None] + (_OFFSETS4[:, None] * h)[:, :, None] * d[None]
-    vals = np.asarray(f(moved.reshape(-1, n)))
-    return _stencil4(vals.reshape((4, npts) + vals.shape[1:]), h)
-
-
 def nabla_vector(dx: np.ndarray, xv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(nabla X)[p,k,i] from dx[p,i,k] = d_i X^k, X and Gamma at the points."""
     return np.swapaxes(dx, 1, 2) + np.einsum("pkil,pl->pki", gamma, xv)
@@ -444,7 +427,7 @@ def flow_step(a: float) -> float:
 
     Near an end sqrt(Q) ~ a u shrinks by exp(-a h) per step h, and tau -> c tau
     multiplies a by c, so a h is held at most at its value 0.096 for a = 2.
-    An a that is zero, negative, infinite or NaN measures no end, and gives
+    An a that is zero, negative, inf or NaN measures no end, and gives
     FLOW_STEP.
     """
     if not (0.0 < a < math.inf):

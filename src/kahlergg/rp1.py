@@ -1,16 +1,21 @@
-"""Points of the real projective line RP1 = R u {inf}, their chart angle and distance.
+"""gamma in the chart kappa = 1/(tau_star - gamma) of RP1, and RP1Value, gamma's I/O type.
 
-The classification invariant gamma takes values in RP1, and several
-construction formulas divide by quantities that may legitimately be zero
-or infinite there.  The conventions in force throughout the package:
+The classification invariant gamma maps the surface into RP1 minus the
+profile interval I.  The package carries it as kappa = 1/(tau_star - gamma),
+an affine chart of RP1 in which the point at infinity is kappa = 0 and every
+formula of the construction is affine, with no branch:
 
-    q / inf = 0,        q / 0 = inf   (q != 0),        p + inf = inf.
+    beta = (tau - gamma)/(tau_star - gamma) = 1 + kappa (tau - tau_star),
+    phi  = Q/(2 (tau - gamma)) = Q kappa / (2 beta),
+    Omega = -a kappa omega_h.
 
-Infinity is a tagged value rather than a floating-point ``inf`` so that
-branch logic ("set the gradient to zero where gamma is infinite") stays
-explicit and serialization round-trips exactly.  Arrays of gamma samples are
-the exception: there ``inf`` stands for the point at infinity, which the
-chart angle arctan(inf) = pi/2 handles without a branch.
+With l = |I|/2, gamma avoids the closed interval exactly when |kappa| l < 1,
+so RP1 minus I is the open interval (-1/l, 1/l) of kappa.
+
+``RP1Value`` is a point of RP1 as configs and reports write it: a finite
+real or the point at infinity, the literal string "inf".  It converts to
+kappa once, where a config gamma becomes a kappa field; extraction turns the
+recovered kappa back into RP1Values for its reports.
 """
 
 from __future__ import annotations
@@ -48,6 +53,13 @@ class RP1Value:
             return RP1Value(float(x))
         return RP1Value(float(x))
 
+    def kappa(self, tau_star: float) -> float:
+        """kappa = 1/(tau_star - gamma): 0 at infinity, and inf at gamma = tau_star."""
+        if self.infinite:
+            return 0.0
+        d = tau_star - self.value
+        return 1.0 / d if d else math.inf
+
     def to_json(self) -> "float | str":
         """Serialize as a plain number, or the literal string "inf"."""
         return "inf" if self.infinite else self.value
@@ -59,31 +71,12 @@ class RP1Value:
 INFINITY = RP1Value(infinite=True)
 
 
-def rp1_angle(g: "RP1Value | float | np.ndarray") -> "float | np.ndarray":
-    """Arctangent chart angle in (-pi/2, pi/2], with inf at pi/2; elementwise on arrays."""
-    if isinstance(g, RP1Value):
-        g = math.inf if g.infinite else g.value
-    return np.arctan(g)
-
-
-def rp1_distance(g1: "RP1Value | float | np.ndarray",
-                 g2: "RP1Value | float | np.ndarray") -> "float | np.ndarray":
-    """Chordal distance on RP1: angle difference modulo pi; elementwise on arrays.
-
-    The point at infinity is a regular point of this metric, so residuals
-    of gamma-recovery remain meaningful when gamma = inf.
-    """
-    d = np.abs(rp1_angle(g1) - rp1_angle(g2))
-    return np.minimum(d, np.pi - d)
-
-
-def recover_gamma(tau: np.ndarray, q: np.ndarray, lap: np.ndarray,
+def recover_kappa(tau: np.ndarray, tau_star: float, q: np.ndarray, lap: np.ndarray,
                   psi: np.ndarray) -> np.ndarray:
-    """gamma = tau - Q / (Delta tau - 2 psi) at each point, inf where the denominator vanishes.
+    """kappa at each point from Delta tau = 2 (psi + phi), with phi = Q/(2 (tau - gamma)).
 
-    The denominator counts as zero below 1e-8 (1 + Q), so the point at
-    infinity is recovered as inf rather than as a large finite value.
+    m = (Delta tau - 2 psi)/Q = 1/(tau - gamma), and kappa = m/(1 - m (tau - tau_star)),
+    whose denominator is 1/beta > 0: no point of RP1 is singular.
     """
-    denom = np.asarray(lap - 2.0 * psi, dtype=float)
-    infinite = np.abs(denom) < 1e-8 * (1.0 + q)
-    return np.where(infinite, np.inf, tau - q / np.where(infinite, 1.0, denom))
+    m = (lap - 2.0 * psi) / q
+    return m / (1.0 - m * (tau - tau_star))

@@ -1,4 +1,4 @@
-"""Base surfaces (Sigma, h), the gamma field, and unitary connection data.
+"""Base surfaces (Sigma, h), the kappa field, and unitary connection data.
 
 Two built-ins cover the needs of the suite:
 
@@ -9,14 +9,15 @@ Two built-ins cover the needs of the suite:
   * the round sphere of radius R in two stereographic charts with the
     holomorphic transition w = R^2 / z, h = (2R^2/(R^2+|z|^2))^2 * euclidean.
 
-gamma maps the surface into RP1 minus the profile interval; the supported
-families keep a single branch (entirely finite or identically infinite),
-so the h-gradient dichotomy "D gamma = 0 on the infinity locus" never has
-to mix branches on a connected chart.
+gamma maps the surface into RP1 minus the profile interval, and is carried
+as kappa = 1/(tau_star - gamma) (see ``rp1``): gamma = inf is kappa = 0, and
+gamma avoids the closed interval exactly when |kappa| |I|/2 < 1.  The
+families ``gamma_constant``, ``gamma_cos`` and ``gamma_height`` are where a
+config's gamma becomes a kappa field, once; nothing downstream sees gamma.
 
 The prescribed curvature 2-form is
 
-    Omega = -a (tau_star - gamma)^(-1) omega_h,      Omega = 0 where gamma = inf,
+    Omega = -a kappa omega_h,
 
 and connection potentials A with dA = Omega are produced per chart:
 an antiderivative in x1 on the torus (with the canonical gauge F(0) = 0),
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -160,60 +161,70 @@ def sphere_height_grad(radius: float, which: str, x: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# gamma fields
+# kappa fields
 # ----------------------------------------------------------------------------
 
 @dataclass
-class GammaField:
-    """Chart-local RP1-valued map; a single branch (all finite or all infinite)."""
+class KappaField:
+    """Chart-local kappa = 1/(tau_star - gamma), its coordinate differential and its range."""
 
-    infinite: bool
-    value: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None   # coordinate differential d gamma
-    value_range: tuple = (0.0, 0.0)
-
-
-def gamma_constant(value: "float | RP1Value | str") -> GammaField:
-    v = RP1Value.of(value)
-    if v.infinite:
-        return GammaField(infinite=True)
-    c = v.value
-    return GammaField(
-        infinite=False,
-        value=lambda x, c=c: np.full(x.shape[0], c),
-        grad=lambda x: np.zeros((x.shape[0], 2)),
-        value_range=(c, c),
-    )
+    value: Callable[[np.ndarray], np.ndarray]
+    grad: Callable[[np.ndarray], np.ndarray]   # (N,2) -> (N,2), d kappa
+    value_range: tuple
 
 
-def gamma_cos(c0: float, c1: float) -> GammaField:
-    """c0 + c1 cos(2 pi x1) on the torus chart."""
-    return GammaField(
-        infinite=False,
-        value=lambda x: c0 + c1 * np.cos(2.0 * np.pi * x[:, 0]),
-        grad=lambda x: np.column_stack(
+def gamma_constant(value: "float | RP1Value | str", tau_star: float) -> KappaField:
+    """A constant gamma, "inf" included (kappa = 0)."""
+    k = RP1Value.of(value).kappa(tau_star)
+    return KappaField(value=lambda x: np.full(x.shape[0], k),
+                      grad=lambda x: np.zeros((x.shape[0], 2)),
+                      value_range=(k, k))
+
+
+def _kappa_family(gamma: Callable, dgamma: Callable, lo: float, hi: float,
+                  tau_star: float) -> KappaField:
+    """kappa = 1/(tau_star - gamma) and d kappa = kappa^2 d gamma, for a finite gamma in [lo, hi].
+
+    Where [lo, hi] holds tau_star, kappa passes through infinity and its
+    range is the whole line: both its end values may satisfy |kappa| l < 1,
+    but gamma crosses the interval in between.
+    """
+    if lo <= tau_star <= hi:
+        kappa_range = (-math.inf, math.inf)
+    else:
+        kappa_range = tuple(sorted((1.0 / (tau_star - lo), 1.0 / (tau_star - hi))))
+
+    def value(x):
+        return 1.0 / (tau_star - gamma(x))
+
+    return KappaField(value=value, grad=lambda x: (value(x) ** 2)[:, None] * dgamma(x),
+                      value_range=kappa_range)
+
+
+def gamma_cos(c0: float, c1: float, tau_star: float) -> KappaField:
+    """gamma = c0 + c1 cos(2 pi x1) on the torus chart."""
+    return _kappa_family(
+        lambda x: c0 + c1 * np.cos(2.0 * np.pi * x[:, 0]),
+        lambda x: np.column_stack(
             [-2.0 * np.pi * c1 * np.sin(2.0 * np.pi * x[:, 0]), np.zeros(x.shape[0])]),
-        value_range=(c0 - abs(c1), c0 + abs(c1)),
-    )
+        c0 - abs(c1), c0 + abs(c1), tau_star)
 
 
-def gamma_height(c0: float, c1: float, radius: float, which: str) -> GammaField:
-    """c0 + c1 * (embedding height) on a sphere chart."""
-    return GammaField(
-        infinite=False,
-        value=lambda x: c0 + c1 * sphere_height(radius, which, x),
-        grad=lambda x: c1 * sphere_height_grad(radius, which, x),
-        value_range=(c0 - abs(c1) * radius, c0 + abs(c1) * radius),
-    )
+def gamma_height(c0: float, c1: float, radius: float, which: str, tau_star: float) -> KappaField:
+    """gamma = c0 + c1 * (embedding height) on a sphere chart."""
+    return _kappa_family(lambda x: c0 + c1 * sphere_height(radius, which, x),
+                         lambda x: c1 * sphere_height_grad(radius, which, x),
+                         c0 - abs(c1) * radius, c0 + abs(c1) * radius, tau_star)
 
 
-def validate_gamma_range(gamma: GammaField, interval: Interval) -> None:
-    if gamma.infinite:
-        return
-    lo, hi = gamma.value_range
-    if not (hi < interval.tau_min or lo > interval.tau_max):
+def validate_gamma_range(kappa: KappaField, interval: Interval) -> None:
+    """gamma must avoid the closed interval: |kappa| l < 1 over kappa's range, l = |I|/2."""
+    lo, hi = kappa.value_range
+    reach = max(-lo, hi) * 0.5 * interval.length
+    if not reach < 1.0:
         raise GammaRangeError(
-            f"gamma range [{lo}, {hi}] intersects the interval "
+            f"kappa = 1/(tau_star - gamma) ranges over [{lo}, {hi}], so |kappa| |I|/2 reaches "
+            f"{reach:.6g} >= 1: the gamma range intersects the interval "
             f"[{interval.tau_min}, {interval.tau_max}]; the construction requires "
             "gamma to avoid the closed interval")
 
@@ -222,17 +233,9 @@ def validate_gamma_range(gamma: GammaField, interval: Interval) -> None:
 # Curvature form and connection potentials
 # ----------------------------------------------------------------------------
 
-def inv_tau_star_minus_gamma(tau_star: float, gamma: GammaField, x: np.ndarray) -> np.ndarray:
-    """1/(tau_star - gamma) with the RP1 convention q/inf = 0."""
-    if gamma.infinite:
-        return np.zeros(x.shape[0])
-    return 1.0 / (tau_star - gamma.value(x))
-
-
-def curvature_form(a: float, tau_star: float, chart: SurfaceChart, gamma: GammaField,
-                   x: np.ndarray) -> np.ndarray:
-    """Coefficient W(p) with Omega = W dx1 ^ dx2 = -a (tau_star-gamma)^(-1) omega_h."""
-    return -a * inv_tau_star_minus_gamma(tau_star, gamma, x) * chart.area_form(x)
+def curvature_form(a: float, chart: SurfaceChart, kappa: KappaField, x: np.ndarray) -> np.ndarray:
+    """Coefficient W(p) with Omega = W dx1 ^ dx2 = -a kappa omega_h."""
+    return -a * kappa.value(x) * chart.area_form(x)
 
 
 @dataclass
@@ -331,7 +334,7 @@ def solve_connection_radial(w_fn: Callable, sigma_max: float) -> ConnectionForm:
 @dataclass
 class ChartData:
     chart: SurfaceChart
-    gamma: GammaField
+    kappa: KappaField
     connection: ConnectionForm
 
 
@@ -344,42 +347,41 @@ class BaseSurfaceData:
     chern_deviation: float = 0.0
 
 
-def _assemble(surface_type: str, size: float, gammas: dict, a: float, tau_star: float) -> tuple:
+def _assemble(surface_type: str, size: float, kappas: dict, a: float) -> tuple:
     """(chart data, integral(Omega)/2pi), the flux read off the connections by Stokes:
     the torus seam jump F(1) - F(0), or the sum of the sphere charts' loop
     integrals of A around the equator |x| = R, 2 pi R A_2(R, 0)."""
     if surface_type == "torus":
-        chart, gamma = torus_chart(size), gammas["torus"]
-        conn = solve_connection_torus(lambda x: curvature_form(a, tau_star, chart, gamma, x))
-        return [ChartData(chart, gamma, conn)], conn.gauge_jump / (2.0 * np.pi)
+        chart, kappa = torus_chart(size), kappas["torus"]
+        conn = solve_connection_torus(lambda x: curvature_form(a, chart, kappa, x))
+        return [ChartData(chart, kappa, conn)], conn.gauge_jump / (2.0 * np.pi)
     chart_data, chern = [], 0.0
     for which in ("south", "north"):
-        chart, gamma = sphere_chart(size, which), gammas[which]
+        chart, kappa = sphere_chart(size, which), kappas[which]
         conn = solve_connection_radial(
-            lambda x, ch=chart, g=gamma: curvature_form(a, tau_star, ch, g, x),
+            lambda x, ch=chart, k=kappa: curvature_form(a, ch, k, x),
             sigma_max=4.0 * size ** 2)
-        chart_data.append(ChartData(chart, gamma, conn))
+        chart_data.append(ChartData(chart, kappa, conn))
         chern += size * float(conn.A(np.array([[size, 0.0]]))[0, 1])   # 2 pi R A_2(R, 0) / 2 pi
     return chart_data, chern
 
 
-def build_surface(surface_type: str, size: float, gammas: dict, interval: Interval,
+def build_surface(surface_type: str, size: float, kappas: dict, interval: Interval,
                   a: float, normalize: str = "none") -> tuple:
     """Returns (BaseSurfaceData, possibly adjusted a).
 
-    ``size`` is the torus h_scale or the sphere radius, and ``gammas`` maps
-    each chart name ("torus", or "south" and "north") to its gamma field.
+    ``size`` is the torus h_scale or the sphere radius, and ``kappas`` maps
+    each chart name ("torus", or "south" and "north") to its kappa field.
     Omega is linear in a and in the torus h, so ``normalize`` ("a" or
     "h-scale") rescales one of them by (nearest nonzero integer)/chern and
     assembles once more.
     """
-    for g in gammas.values():
-        validate_gamma_range(g, interval)
+    for k in kappas.values():
+        validate_gamma_range(k, interval)
     if normalize == "h-scale" and surface_type != "torus":
         raise ValueError("h-scale normalization is torus-only; rescaling the sphere "
                          "metric re-parametrizes its radius and any height-based gamma")
-    tau_star = interval.tau_star
-    chart_data, chern = _assemble(surface_type, size, gammas, a, tau_star)
+    chart_data, chern = _assemble(surface_type, size, kappas, a)
     nearest = round(chern)
     if normalize != "none" and abs(chern - nearest) > 1e-9 and chern != 0.0:
         target = nearest or int(math.copysign(1, chern))
@@ -387,7 +389,7 @@ def build_surface(surface_type: str, size: float, gammas: dict, interval: Interv
             a = a * target / chern
         else:
             size = size * target / chern
-        chart_data, chern = _assemble(surface_type, size, gammas, a, tau_star)
+        chart_data, chern = _assemble(surface_type, size, kappas, a)
     dev = abs(chern - round(chern))
     if dev > 1e-6:
         warnings.warn(

@@ -21,6 +21,9 @@ Default grid: 8x8 base points x 16 tau-values (Chebyshev-spaced in the
 arclength coordinate s, clear of the ends by a 0.02-lambda collar) x 4
 theta-values.  All scalars of the construction are theta-independent, so
 the sparse theta sampling guards the implementation rather than the math.
+The seven main-grid checks read one frame of exact jets and take no stencil:
+gamma enters as kappa = 1/(tau_star - gamma) (see ``rp1``), whose closed-form
+gradient makes d phi exact, with one formula for every gamma, inf included.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ import scipy.linalg
 
 from . import geometry as geo
 from .construction import (ConstructionData, assemble_J, assemble_metric,
-                           christoffel_closed_form, fiber_point, gamma_of_points, tau_field,
+                           christoffel_closed_form, fiber_point, kappa_field, tau_field,
                            with_control)
 from .fubini import (FSChart, fs_J, fs_metric, fs_profile, fs_random_directions,
                      fs_ray_point, fs_tau)
 from .profiles import Interval, MomentumProfile, ReparamMaps
-from .rp1 import recover_gamma, rp1_angle, rp1_distance
+from .rp1 import recover_kappa
 from .surfaces import curvature_form
 
 DEFAULT_TOLERANCES = {
@@ -156,7 +159,7 @@ class VerificationSubject:
     a: float
     profile: MomentumProfile
     maps: ReparamMaps
-    gamma_expected: Optional[Callable] = None    # points -> gamma array, inf for infinity
+    kappa_expected: Optional[geo.ScalarField] = None  # 1/(tau_star - gamma), with its gradient
     lift_fields: Optional[tuple] = None          # (w1, w2) horizontal lifts
     omega12: Optional[Callable] = None           # Omega(d_1, d_2) at points
     fiber_point: Optional[Callable] = None       # (base, s, theta) -> chart point
@@ -175,7 +178,7 @@ def subject_from_construction(data: ConstructionData) -> VerificationSubject:
     metric, jf = with_control(data, assemble_metric(data), assemble_J(data))
     tau = tau_field(data)
     cd = data.chart_data
-    chart, conn, gam = cd.chart, cd.connection, cd.gamma
+    chart, conn = cd.chart, cd.connection
     lam = data.maps.lam
 
     def lift(i: int) -> geo.VectorField:
@@ -197,7 +200,7 @@ def subject_from_construction(data: ConstructionData) -> VerificationSubject:
         return geo.VectorField(value=val, jac=jac, name=f"lift-{i}")
 
     def omega12(pp):
-        return curvature_form(data.a, data.tau_star, chart, gam, np.asarray(pp, dtype=float)[:, :2])
+        return curvature_form(data.a, chart, cd.kappa, np.asarray(pp, dtype=float)[:, :2])
 
     (x1lo, x1hi), (x2lo, x2hi) = chart.bounds
 
@@ -228,7 +231,7 @@ def subject_from_construction(data: ConstructionData) -> VerificationSubject:
              + ("" if data.control == "none" else f"+{data.control}"),
         metric=metric, J=jf, tau=tau, dim=4,
         interval=data.interval, a=data.a, profile=data.profile, maps=data.maps,
-        gamma_expected=lambda pp: gamma_of_points(data, pp),
+        kappa_expected=kappa_field(data),
         lift_fields=(lift(0), lift(1)),
         omega12=omega12,
         fiber_point=lambda base, s, theta=0.0: fiber_point(data, base, s, theta),
@@ -245,20 +248,16 @@ def subject_from_fs(chart: Optional[FSChart] = None) -> VerificationSubject:
     chart = chart or FSChart()
     metric, tau, jf = fs_metric(chart), fs_tau(chart), fs_J(chart)
     prof, maps = fs_profile()
+    # gamma = 0 (k = 0) or 1 (l = 0) is kappa = 1/(1/2 - gamma) = 2 or -2, an end of (-1/l, 1/l).
     if chart.k == 0:
-        gamma_const: Optional[float] = 0.0
-        expect_min, expect_max = (2.0, 2.0, 2.0, 2.0), (-2.0, -2.0, 0.0, 0.0)
+        kappa, expect_min, expect_max = 2.0, (2.0, 2.0, 2.0, 2.0), (-2.0, -2.0, 0.0, 0.0)
     elif chart.l == 0:
-        gamma_const = 1.0
-        expect_min, expect_max = (2.0, 2.0, 0.0, 0.0), (-2.0, -2.0, -2.0, -2.0)
+        kappa, expect_min, expect_max = -2.0, (2.0, 2.0, 0.0, 0.0), (-2.0, -2.0, -2.0, -2.0)
     else:
-        gamma_const = None
-        expect_min = expect_max = ()
-
-    gamma_expected = None
-    if gamma_const is not None:
-        def gamma_expected(pp):  # noqa: F811 - deliberate conditional definition
-            return np.full(np.asarray(pp).shape[0], gamma_const)
+        kappa, expect_min, expect_max = None, (), ()
+    kappa_expected = None if kappa is None else geo.ScalarField(
+        value=lambda pp: np.full(len(pp), kappa), grad=lambda pp: np.zeros(np.shape(pp)),
+        name="kappa")
 
     rng_dirs = fs_random_directions(chart, 3, np.random.default_rng(7))
 
@@ -282,7 +281,7 @@ def subject_from_fs(chart: Optional[FSChart] = None) -> VerificationSubject:
         name=f"fubini-study[m={chart.m},(k,l)=({chart.k},{chart.l})]",
         metric=metric, J=jf, tau=tau, dim=chart.dim,
         interval=Interval(0.0, 1.0), a=2.0, profile=prof, maps=maps,
-        gamma_expected=gamma_expected,
+        kappa_expected=kappa_expected,
         lift_fields=None, omega12=None,
         fiber_point=(lambda base, s, theta=0.0: fs_ray_point(chart, base, s)[0]) if can_ray else None,
         fiber_bases=[d for d in rng_dirs] if can_ray else [],
@@ -297,16 +296,28 @@ def subject_from_fs(chart: Optional[FSChart] = None) -> VerificationSubject:
 # ----------------------------------------------------------------------------
 
 def _psi_phi(subject: VerificationSubject, points: np.ndarray):
-    """The eigenvalues (psi, phi) of nabla v at the points, from the profile and gamma.
+    """The eigenvalues (psi, phi) of nabla v at the points and the exact differential d phi.
 
-    psi = Q'(tau)/2 and phi = Q(tau)/(2 (tau - gamma)), which is 0 where
-    gamma = inf and where the subject has no gamma.
+    psi = Q'(tau)/2 from the profile, and phi = Q kappa/(2 beta), beta = 1 + kappa (tau - tau_star),
+    from the expected kappa (phi = 0 where the subject has none), with
+
+        d phi = [(Q' kappa d tau + Q d kappa) - 2 phi d beta] / (2 beta),
+        d beta = kappa d tau + (tau - tau_star) d kappa,
+
+    from the closed-form gradients of tau and kappa.
     """
-    tau = subject.tau.value(points)
-    psi = subject.profile.psi(tau)
-    if subject.gamma_expected is None:
-        return psi, np.zeros(points.shape[0])
-    return psi, subject.profile.Q(tau) / (2.0 * (tau - subject.gamma_expected(points)))
+    tau, dtau = subject.tau.value(points), subject.tau.grad(points)
+    prof = subject.profile
+    psi = prof.psi(tau)
+    if subject.kappa_expected is None:
+        return psi, np.zeros(points.shape[0]), np.zeros(points.shape)
+    k, dk = subject.kappa_expected.value(points), subject.kappa_expected.grad(points)
+    q, dt = prof.Q(tau), tau - subject.interval.tau_star
+    beta = 1.0 + k * dt
+    phi = 0.5 * q * k / beta
+    dbeta = k[:, None] * dtau + dt[:, None] * dk
+    dphi = ((prof.dQ(tau) * k)[:, None] * dtau + q[:, None] * dk - 2.0 * phi[:, None] * dbeta)
+    return psi, phi, dphi / (2.0 * beta)[:, None]
 
 
 def check_kaehler(subject: VerificationSubject, frame: geo.Frame, desc: str,
@@ -357,23 +368,31 @@ def check_geodesic_gradient(subject: VerificationSubject, frame: geo.Frame, desc
 def check_laplacian_identity(subject: VerificationSubject, frame: geo.Frame, desc: str,
                              tol: float) -> CheckReport:
     lap = frame.laplacian()
-    target = 2.0 * sum(_psi_phi(subject, frame.points))
+    psi, phi, _ = _psi_phi(subject, frame.points)
+    target = 2.0 * (psi + phi)
     res = np.abs(lap - target) / (1.0 + np.abs(lap))
     return make_report("laplacian", desc, frame.points, res, tol,
                        {"max_abs_laplacian": float(np.max(np.abs(lap)))})
 
 
-def _recovered_gamma(subject: VerificationSubject, frame: geo.Frame) -> np.ndarray:
+def _recovered_kappa(subject: VerificationSubject, frame: geo.Frame) -> np.ndarray:
     pts = frame.points
-    return recover_gamma(subject.tau.value(pts), frame.q, frame.laplacian(),
-                         _psi_phi(subject, pts)[0])
+    tau = subject.tau.value(pts)
+    return recover_kappa(tau, subject.interval.tau_star, frame.q, frame.laplacian(),
+                         subject.profile.psi(tau))
 
 
 def check_gamma_recovery(subject: VerificationSubject, frame: geo.Frame, desc: str,
                          tol: float) -> CheckReport:
-    if subject.gamma_expected is None:
+    """l |kappa - kappa_expected| for kappa recovered from Delta tau, l = |I|/2.
+
+    |kappa| l < 1 is RP1 minus I, so the residual is a distance on it, regular at gamma = inf.
+    """
+    if subject.kappa_expected is None:
         raise ValueError("subject provides no expected gamma")
-    res = rp1_distance(_recovered_gamma(subject, frame), subject.gamma_expected(frame.points))
+    ell = 0.5 * subject.interval.length
+    kappa = _recovered_kappa(subject, frame)
+    res = ell * np.abs(kappa - subject.kappa_expected.value(frame.points))
     extras = {}
     # Fiber constancy: sweep tau and theta over the first base point.
     if subject.fiber_point is not None and subject.fiber_bases:
@@ -381,8 +400,8 @@ def check_gamma_recovery(subject: VerificationSubject, frame: geo.Frame, desc: s
         sweep = [subject.fiber_point(subject.fiber_bases[0], s, th)
                  for s in np.linspace(0.15 * lam, 0.85 * lam, 7)
                  for th in (0.0, 1.7, 3.9)]
-        angles = rp1_angle(_recovered_gamma(subject, subject.frame(np.array(sweep))))
-        extras["fiber_spread"] = float(np.ptp(angles))
+        extras["fiber_spread"] = ell * float(np.ptp(_recovered_kappa(
+            subject, subject.frame(np.array(sweep)))))
     return make_report("gamma_recovery", desc, frame.points, res, tol, extras)
 
 
@@ -390,12 +409,11 @@ def check_ode_identities(subject: VerificationSubject, frame: geo.Frame, desc: s
                          tol: float) -> CheckReport:
     points, vv = frame.points, frame.grad
     q_prof = subject.profile.Q(subject.tau.value(points))
-    psi, phi = _psi_phi(subject, points)
+    psi, phi, dphi = _psi_phi(subject, points)
     r1 = np.abs(np.einsum("pi,pi->p", vv, frame.dtau) - q_prof) / (1.0 + q_prof)
     r2 = (np.abs(np.einsum("pi,pi->p", vv, frame.dq) - 2.0 * psi * q_prof)
           / (1.0 + np.abs(psi) * q_prof))
-    dv_phi = geo.fd_directional(lambda pp: _psi_phi(subject, pp)[1], points, vv,
-                                subject.metric.steps_at(points))
+    dv_phi = np.einsum("pa,pa->p", vv, dphi)
     r3 = np.abs(dv_phi - 2.0 * (psi - phi) * phi) / (1.0 + np.abs(psi * phi) + phi ** 2)
     lap = frame.laplacian()
     r4 = np.abs(lap - 2.0 * (psi + phi)) / (1.0 + np.abs(lap))
@@ -428,7 +446,7 @@ def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, des
     uv = np.einsum("pkj,pj->pk", frame.J, vv)  # u = J grad tau
     c_v = np.einsum("pij,pi,pj->p", g, bracket, vv) / q
     c_u = np.einsum("pij,pi,pj->p", g, bracket, uv) / q
-    phi = _psi_phi(subject, points)[1]
+    _, phi, dphi = _psi_phi(subject, points)
     jw1 = np.einsum("pij,pj->pi", frame.J, wv[0])
     g_jw_w = np.einsum("pij,pi,pj->p", g, jw1, wv[1])
     scale = 1.0 + np.abs(phi * g_jw_w)
@@ -441,11 +459,10 @@ def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, des
         extras["vertical_vs_curvature_max"] = float(np.max(res_curv))
         res = np.maximum(res, res_curv)
 
-    # d_X [phi g(w_a, w_b) / Q] along X = v and X = u for every lift pair, with
-    # the jets of g, Q and the lifts exact and d_X phi a stencil along X.
+    # d_X [phi g(w_a, w_b) / Q] along X = v and X = u for every lift pair, every jet exact.
     r_dvq = np.zeros(points.shape[0])
     for vec in (vv, uv):
-        d_phi = geo.fd_directional(lambda pp: _psi_phi(subject, pp)[1], points, vec, steps)
+        d_phi = np.einsum("pa,pa->p", vec, dphi)
         d_q = np.einsum("pa,pa->p", vec, frame.dq)
         d_g = np.einsum("pa,paij->pij", vec, frame.dg)
         d_w = [np.einsum("pa,pak->pk", vec, jet) for jet in dw]
@@ -645,7 +662,7 @@ def run_suite(subject: VerificationSubject, spec: Optional[GridSpec] = None,
         ("killing", check_killing, True),
         ("geodesic_gradient", check_geodesic_gradient, True),
         ("laplacian", check_laplacian_identity, True),
-        ("gamma_recovery", check_gamma_recovery, subject.gamma_expected is not None),
+        ("gamma_recovery", check_gamma_recovery, subject.kappa_expected is not None),
         ("ode_identities", check_ode_identities, True),
         ("bracket_identities", check_bracket_identities, subject.lift_fields is not None),
     ) if applies and want(name)]

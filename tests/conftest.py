@@ -33,15 +33,22 @@ def interval():
     return Interval(0.0, 1.0)
 
 
+def _cos_torus(interval, a, **kwargs):
+    """The torus surface with gamma = 3 + 0.5 cos(2 pi x1), and its a."""
+    return build_surface("torus", H_SCALE, {"torus": gamma_cos(3.0, 0.5, interval.tau_star)},
+                         interval, a, **kwargs)
+
+
 @pytest.fixture(scope="session")
 def torus_data(interval):
-    surface, a = build_surface("torus", H_SCALE, {"torus": gamma_cos(3.0, 0.5)}, interval, 2.0)
+    surface, a = _cos_torus(interval, 2.0)
     return build_construction(interval, a, surface)
 
 
 @pytest.fixture(scope="session")
 def torus_inf_data(interval):
-    surface, a = build_surface("torus", H_SCALE, {"torus": gamma_constant("inf")}, interval, 2.0)
+    kappas = {"torus": gamma_constant("inf", interval.tau_star)}
+    surface, a = build_surface("torus", H_SCALE, kappas, interval, 2.0)
     return build_construction(interval, a, surface)
 
 
@@ -49,15 +56,13 @@ def torus_inf_data(interval):
 def poly_profile_data():
     # A non-canonical profile on a shifted interval.
     interval = Interval(-0.5, 1.7)
-    surface, a = build_surface("torus", H_SCALE, {"torus": gamma_cos(3.0, 0.5)}, interval, 3.0,
-                               normalize="h-scale")
+    surface, a = _cos_torus(interval, 3.0, normalize="h-scale")
     return build_construction(interval, a, surface, q_interior=(0.4, -0.3, 0.2))
 
 
 @pytest.fixture(scope="session")
 def steep_torus_data(interval):
-    surface, a = build_surface("torus", H_SCALE, {"torus": gamma_cos(3.0, 0.5)}, interval, 30.0,
-                               normalize="h-scale")
+    surface, a = _cos_torus(interval, 30.0, normalize="h-scale")
     return build_construction(interval, a, surface)
 
 
@@ -65,8 +70,7 @@ def steep_torus_data(interval):
 def dipped_steep_torus_data(interval):
     # The steep torus with a q-factor that dips to 0.375 of its end value
     # mid-interval, so Q(tau) is flatter there than any parabola with Q's end slopes.
-    surface, a = build_surface("torus", H_SCALE, {"torus": gamma_cos(3.0, 0.5)}, interval, 30.0,
-                               normalize="h-scale")
+    surface, a = _cos_torus(interval, 30.0, normalize="h-scale")
     return build_construction(interval, a, surface, q_interior=(-150.0,))
 
 
@@ -74,20 +78,19 @@ def dipped_steep_torus_data(interval):
 def dipped_steeper_torus_data(interval):
     # a = 100 with the q-factor at 0.3 of its end value mid-interval: past tau_max
     # Q vanishes again, and a stage of the base t-step lands where g is singular.
-    surface, a = build_surface("torus", H_SCALE, {"torus": gamma_cos(3.0, 0.5)}, interval, 100.0,
-                               normalize="h-scale")
+    surface, a = _cos_torus(interval, 100.0, normalize="h-scale")
     return build_construction(interval, a, surface, q_interior=(-560.0,))
 
 
 @pytest.fixture(scope="session")
 def sphere_data(interval):
-    gammas = {"south": gamma_constant(3.0), "north": gamma_constant(3.0)}
+    gammas = {w: gamma_constant(3.0, interval.tau_star) for w in ("south", "north")}
     surface, a = build_surface("sphere", SPHERE_RADIUS, gammas, interval, 2.0)
     return build_construction(interval, a, surface)
 
 
 def _height_sphere(interval, radius, c0, c1, chart_index=0, q_interior=(), normalize="none"):
-    gammas = {w: gamma_height(c0, c1, radius, w) for w in ("south", "north")}
+    gammas = {w: gamma_height(c0, c1, radius, w, interval.tau_star) for w in ("south", "north")}
     surface, a = build_surface("sphere", radius, gammas, interval, 2.0, normalize=normalize)
     return build_construction(interval, a, surface, q_interior=q_interior, chart_index=chart_index)
 

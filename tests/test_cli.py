@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kahlergg import cli
 from kahlergg.cli import main
@@ -369,3 +375,41 @@ def test_cli_sphere_h_scale_is_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err["kind"] == "config" and "$.construction.normalize" in err["message"]
     assert not out.exists()
+
+
+# Gamma parameters the fuzz draws: huge, near the interval [0, 1], inside it, ordinary,
+# and not numbers at all (JSON has no NaN, but Python's json reads it).
+_GAMMA_VALUES = st.one_of(
+    st.sampled_from([1e300, -1e300, 1e100, -1e100, 1e99, 1.0, 0.0, 0.5, 1.0 + 1e-15, -1e-15,
+                     1.0 + 1e-9, -1e-9, float("nan"), float("inf")]),
+    st.floats(-3.0, 4.0), st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10, 10), st.text(max_size=3), st.none(), st.booleans(),
+    st.lists(st.integers(), max_size=2))
+_GAMMA_SPECS = st.one_of(
+    st.fixed_dictionaries({"type": st.just("constant"), "value": _GAMMA_VALUES}),
+    st.fixed_dictionaries({"type": st.sampled_from(["cos", "height"]),
+                           "c0": _GAMMA_VALUES, "c1": _GAMMA_VALUES}),
+    st.just({"type": "inf"}),
+    st.just({"type": "constant", "value": "inf"}))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(gamma=_GAMMA_SPECS, surface=st.sampled_from(["torus", "sphere"]))
+def test_construct_fuzz_gamma_specs(gamma, surface):
+    # Any gamma spec, on either surface, ends in a documented exit code, and every
+    # failure prints a JSON error rather than a traceback.
+    cfg = {"construction": {"tau_min": 0.0, "tau_max": 1.0, "a": 2.0,
+                            "surface": {"type": surface}, "gamma": gamma},
+           "grid": {"base": [2, 2], "n_tau": 2, "n_theta": 1}}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = main(["construct", "--config", path, "--out", os.path.join(tmp, "o")])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert set(json.loads(err.getvalue().strip().splitlines()[-1])) == {"error"}

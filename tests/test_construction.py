@@ -6,9 +6,14 @@ import scipy.linalg
 
 from kahlergg import geometry as geo
 from kahlergg.construction import (CONTROLS, assemble_J, assemble_metric,
-                                   christoffel_closed_form, gamma_of_points, tau_field,
+                                   christoffel_closed_form, tau_field,
                                    with_control)
 from kahlergg.verify import _psi_phi, check_oracle_equivalence, subject_from_construction
+
+
+def torus_gamma(pts):
+    """The torus fixture's input gamma = 3 + 0.5 cos(2 pi x1)."""
+    return 3.0 + 0.5 * np.cos(2 * np.pi * pts[:, 0])
 
 
 def rand_points(data, n, seed=0, s_range=(0.15, 0.85)):
@@ -138,16 +143,15 @@ def test_field_norms(torus_data):
 
 def test_phi_spot_value(torus_data):
     # phi(x=1/4, tau=1/2) = Q/(2 (tau - gamma)) = 1/(2 (1/2 - 3)) = -0.2
-    _, phi = _psi_phi(subject_from_construction(torus_data), np.array([[0.25, 0.0, 0.5, 0.0]]))
+    _, phi, _ = _psi_phi(subject_from_construction(torus_data), np.array([[0.25, 0.0, 0.5, 0.0]]))
     assert phi[0] == pytest.approx(-0.2, rel=1e-12)
 
 
 def test_phi_times_tau_minus_gamma(torus_data):
     pts = rand_points(torus_data, 30, seed=6)
-    _, phi = _psi_phi(subject_from_construction(torus_data), pts)
-    gam = gamma_of_points(torus_data, pts)
+    _, phi, _ = _psi_phi(subject_from_construction(torus_data), pts)
     q = torus_data.profile.Q(pts[:, 2])
-    assert np.max(np.abs(2 * phi * (pts[:, 2] - gam) - q)) < 1e-12
+    assert np.max(np.abs(2 * phi * (pts[:, 2] - torus_gamma(pts)) - q)) < 1e-12
 
 
 def test_directional_rates_closed_form(torus_data):
@@ -222,7 +226,7 @@ def test_hessian_eigenvalues_are_psi_psi_phi_phi(torus_data):
     tf = tau_field(torus_data)
     pts = rand_points(torus_data, 12, seed=12)
     psi = 0.5 * torus_data.profile.dQ(pts[:, 2])
-    phi = torus_data.profile.Q(pts[:, 2]) / (2.0 * (pts[:, 2] - gamma_of_points(torus_data, pts)))
+    phi = torus_data.profile.Q(pts[:, 2]) / (2.0 * (pts[:, 2] - torus_gamma(pts)))
     frame = geo.build_frame(m, tf, pts)
     hess, g = frame.hessian(), frame.g
     for i in range(12):

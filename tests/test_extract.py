@@ -42,18 +42,17 @@ def test_profile_recovery(torus_extraction):
 
 def test_gamma_recovery_matches_input(torus_extraction):
     oracle, profile, _, traces = torus_extraction
-    gammas, diag = extract_gamma(oracle, profile, traces)
+    kappas, diag = extract_gamma(oracle, profile, traces)
     x1 = oracle.seeds[:, 0]
     expect = 3.0 + 0.5 * np.cos(2 * np.pi * x1)
-    got = np.array([g.value for g in gammas])
-    assert np.max(np.abs(got - expect)) < 1e-4
+    assert np.max(np.abs(kappas - 1.0 / (0.5 - expect))) < 1e-5
     assert diag["fiber_spread_max"] < 1e-6
 
 
 def test_h_recovery_matches_input(torus_extraction):
     oracle, profile, _, traces = torus_extraction
-    gammas, _ = extract_gamma(oracle, profile, traces)
-    h_samples = extract_h(oracle, profile.interval, gammas)
+    kappas, _ = extract_gamma(oracle, profile, traces)
+    h_samples = extract_h(oracle, profile.interval, kappas)
     c2 = float(np.pi * np.sqrt(6.0))
     assert np.max(np.abs(h_samples - c2 * np.eye(2))) < 1e-12 * c2
 
@@ -62,10 +61,10 @@ def test_h_recovery_matches_input(torus_extraction):
 def test_h_recovery_off_tau_star(torus_extraction, tau):
     # Away from tau_star the horizontal block is beta h with beta != 1.
     oracle, profile, _, traces = torus_extraction
-    gammas, _ = extract_gamma(oracle, profile, traces)
+    kappas, _ = extract_gamma(oracle, profile, traces)
     seeds = oracle.seeds.copy()
     seeds[:, 2] = tau
-    h_samples = extract_h(replace(oracle, seeds=seeds), profile.interval, gammas)
+    h_samples = extract_h(replace(oracle, seeds=seeds), profile.interval, kappas)
     c2 = float(np.pi * np.sqrt(6.0))
     assert np.max(np.abs(h_samples - c2 * np.eye(2))) < 1e-11 * c2
 

@@ -7,21 +7,22 @@ from hypothesis import given, strategies as st
 
 from kahlergg.construction import _beta
 from kahlergg.profiles import Interval
-from kahlergg.rp1 import INFINITY, RP1Value, rp1_angle, rp1_distance
-from kahlergg.surfaces import (GammaRangeError, gamma_constant, inv_tau_star_minus_gamma,
-                               validate_gamma_range)
+from kahlergg.rp1 import INFINITY, RP1Value, recover_kappa
+from kahlergg.surfaces import GammaRangeError, gamma_constant, validate_gamma_range
 
 
-def beta_at(tau: float, tau_star: float, gamma) -> float:
-    """The construction's beta = (tau - gamma)/(tau_star - gamma) at one point, gamma constant."""
-    data = SimpleNamespace(chart_data=SimpleNamespace(gamma=gamma_constant(gamma)),
-                           tau_star=tau_star)
+def beta_at(tau: float, tau_star: float, kappa: float) -> float:
+    """The construction's beta = 1 + kappa (tau - tau_star) at one point, kappa constant."""
+    field = SimpleNamespace(value=lambda x: np.full(x.shape[0], kappa))
+    data = SimpleNamespace(chart_data=SimpleNamespace(kappa=field), tau_star=tau_star)
     return float(_beta(data, np.zeros((1, 2)), np.array([tau]))[0])
 
 
 def test_div_by_infinity_is_zero():
-    # The convention q / inf = 0, where the construction divides by tau_star - gamma.
-    assert np.all(inv_tau_star_minus_gamma(0.5, gamma_constant("inf"), np.zeros((3, 2))) == 0.0)
+    # gamma = inf is kappa = 1/(tau_star - inf) = 0, in the config family and in RP1Value.
+    assert INFINITY.kappa(0.5) == 0.0
+    assert np.all(gamma_constant("inf", 0.5).value(np.zeros((3, 2))) == 0.0)
+    assert RP1Value(3.0).kappa(0.5) == pytest.approx(-0.4)
 
 
 def test_equality_is_tag_and_value():
@@ -44,40 +45,49 @@ def test_serialization_round_trip():
 
 def test_beta_at_base_point_is_one():
     for gamma in (RP1Value(3.0), RP1Value(-7.0), INFINITY):
-        assert beta_at(0.5, 0.5, gamma) == pytest.approx(1.0)
+        assert beta_at(0.5, 0.5, gamma.kappa(0.5)) == 1.0
 
 
 def test_beta_infinite_gamma_is_one():
-    assert beta_at(0.2, 0.5, INFINITY) == 1.0
+    # kappa = 0 makes beta = 1 at every tau: one formula, no branch at gamma = inf.
+    for tau in (0.0, 0.2, 0.9, 1.0):
+        assert beta_at(tau, 0.5, 0.0) == 1.0
 
 
 def test_beta_direct_arithmetic():
-    assert beta_at(0.0, 0.5, RP1Value(3.0)) == pytest.approx(1.2)
+    # gamma = 3: kappa = 1/(1/2 - 3) = -0.4, and beta(0) = (0 - 3)/(1/2 - 3) = 1.2
+    assert beta_at(0.0, 0.5, RP1Value(3.0).kappa(0.5)) == pytest.approx(1.2)
 
 
 def test_beta_singular_cases():
     # beta degenerates where gamma meets the segment between tau and tau_star; the
     # construction rejects every gamma that meets the closed interval.
-    for gamma in (0.3, 0.4):
+    for gamma in (0.3, 0.4, 0.5, 1.0):
         with pytest.raises(GammaRangeError):
-            validate_gamma_range(gamma_constant(gamma), Interval(0.0, 1.0))
+            validate_gamma_range(gamma_constant(gamma, 0.5), Interval(0.0, 1.0))
 
 
-@given(tau=st.floats(0.0, 1.0), tau_star=st.floats(0.0, 1.0),
-       gamma=st.one_of(st.floats(min_value=1.5, max_value=100.0),
-                       st.floats(min_value=-100.0, max_value=-0.5)))
-def test_beta_positive_off_segment(tau, tau_star, gamma):
-    assert beta_at(tau, tau_star, RP1Value(gamma)) > 0.0
+@given(t=st.floats(0.0, 1.0), kl=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+       tau_min=st.floats(-10.0, 10.0), length=st.floats(1e-3, 10.0))
+def test_beta_positive_off_segment(t, kl, tau_min, length):
+    # |kappa| l < 1 with l = |I|/2 is gamma off the closed interval: beta > 0 on all of I.
+    iv = Interval(tau_min, tau_min + length)
+    tau = iv.tau_min + t * iv.length
+    assert beta_at(tau, iv.tau_star, kl / (0.5 * iv.length)) > 0.0
 
 
-def test_distance_regular_at_infinity():
-    assert rp1_distance(INFINITY, INFINITY) == 0.0
-    big = rp1_distance(1e9, INFINITY)
-    assert 0.0 < big < 1e-8
-    assert rp1_distance(0.0, INFINITY) == pytest.approx(math.pi / 2)
+def test_recovery_regular_at_infinity():
+    # m = (Delta tau - 2 psi)/Q = 1/(tau - gamma) is 0 at gamma = inf, and so is kappa.
+    tau = np.array([0.1, 0.5, 0.9])
+    q, psi = np.ones(3), np.zeros(3)
+    assert np.all(recover_kappa(tau, 0.5, q, 2.0 * psi, psi) == 0.0)
 
 
-def test_angle_chart():
-    assert rp1_angle(0.0) == 0.0
-    assert rp1_angle(INFINITY) == pytest.approx(math.pi / 2)
-    assert rp1_angle(1.0) == pytest.approx(math.pi / 4)
+@pytest.mark.parametrize("gamma", [3.0, -7.0, 1.0 + 1e-9, -1e-9])
+def test_recovery_inverts_phi(gamma):
+    # Delta tau = 2 (psi + phi) with phi = Q/(2 (tau - gamma)) gives back 1/(tau_star - gamma).
+    tau = np.array([0.05, 0.3, 0.5, 0.8, 0.95])
+    q, psi = 4.0 * tau * (1.0 - tau), 2.0 - 4.0 * tau
+    lap = 2.0 * (psi + q / (2.0 * (tau - gamma)))
+    kappa = recover_kappa(tau, 0.5, q, lap, psi)
+    assert np.max(np.abs(kappa * (0.5 - gamma) - 1.0)) < 1e-12

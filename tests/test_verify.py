@@ -8,7 +8,7 @@ from kahlergg import geometry as geo
 from kahlergg.construction import build_construction
 from kahlergg.surfaces import build_surface, gamma_cos
 from kahlergg.verify import (_END_FRAC, CONTROL_EXPECTATIONS, GridSpec, _bochner_jets,
-                             _flow_lengths, _recovered_gamma, check_bochner, check_boundary_limits,
+                             _flow_lengths, _psi_phi, _recovered_kappa, check_bochner, check_boundary_limits,
                              check_bracket_identities, check_flow_lengths, check_gamma_recovery,
                              check_killing, check_laplacian_identity, make_report, run_suite,
                              subject_from_construction, suite_passed)
@@ -43,7 +43,8 @@ def test_gamma_inf_suite_and_infinite_recovery(torus_inf_data):
     reports = run_suite(subject, FAST)
     assert suite_passed(reports), failures(reports)
     pts, _ = subject.grid_points(FAST)
-    assert np.all(_recovered_gamma(subject, subject.frame(pts[:40])) == np.inf)
+    # gamma = inf is kappa = 0: the recovery has no singular point there.
+    assert np.max(np.abs(_recovered_kappa(subject, subject.frame(pts[:40])))) <= 1e-12
 
 
 @pytest.mark.parametrize("control", sorted(CONTROL_EXPECTATIONS))
@@ -228,8 +229,9 @@ def test_flow_lengths_is_scale_free(interval):
     # configs/torus.json with a = 30 and h-scale normalization.  tau -> c tau
     # multiplies a by c; an unscaled t-step of 4.8e-2 puts RK6 stages past
     # tau_max here, where sqrt(Q) is NaN, and 1.6e-2 gives a residual of 2.8e-5.
-    surface, a = build_surface("torus", 7.695298980971054, {"torus": gamma_cos(3.0, 0.5)}, interval,
-                               30.0, normalize="h-scale")
+    kappas = {"torus": gamma_cos(3.0, 0.5, interval.tau_star)}
+    surface, a = build_surface("torus", 7.695298980971054, kappas, interval, 30.0,
+                               normalize="h-scale")
     report = check_flow_lengths(subject_from_construction(build_construction(interval, a, surface)),
                                 1e-4)
     assert a == 30.0 and report.passed
@@ -356,6 +358,25 @@ def test_main_grid_checks_share_one_frame(torus_subject, monkeypatch):
     assert suite_passed(reports) and [r.check for r in reports] == MAIN_GRID_CHECKS
     assert sum(seen) <= 2 * len(pts)
     assert builds.count(len(pts)) == 1
+
+
+@pytest.mark.parametrize("name", ["torus_data", "sphere_data", "fs"])
+def test_exact_dphi_matches_a_stencil(request, fs_subject, name):
+    # d phi = [(Q' kappa d tau + Q d kappa) - 2 phi d beta]/(2 beta) from the closed-form
+    # gradients of tau and kappa, against fd_jet of phi along each axis, contracted with
+    # v = grad tau and u = J grad tau: the stencil is the independent reference.  v and
+    # u have no base components on the constructions, so the whole jet is compared too
+    # (the torus' d kappa / d x1 reads 4.0e-10 off the stencil, the largest gap).
+    subject = fs_subject if name == "fs" else subject_from_construction(
+        request.getfixturevalue(name))
+    pts, _ = subject.grid_points(FAST)
+    frame = subject.frame(pts)
+    dphi = _psi_phi(subject, pts)[2]
+    jet = geo.fd_jet(lambda pp: _psi_phi(subject, pp)[1], pts, subject.metric.steps_at(pts))
+    assert np.max(np.abs(jet)) > 0.1 and np.max(np.abs(dphi - jet)) <= 1e-8
+    for vec in (frame.grad, frame.apply_J(frame.grad, frame.dgrad)[0]):
+        exact, fd = np.einsum("pa,pa->p", vec, dphi), np.einsum("pa,pa->p", vec, jet)
+        assert np.max(np.abs(exact - fd)) <= 1e-8
 
 
 @pytest.mark.parametrize("name", ["torus_data", "sphere_data", "torus_inf_data"])
