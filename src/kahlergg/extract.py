@@ -11,9 +11,9 @@ The pipeline follows the geometry rather than any stored closed form:
 
   * gradient-flow traces through each seed sweep out a fiber, stepping
     fixed increments of the flow parameter t (so the arclength steps shrink
-    geometrically toward the ends), sized by the end slope of Q(tau) read
-    at the seeds and cut by three while a step goes past a fiber's end; tau
-    and Q = |d tau|^2 are exact oracle values at every sample;
+    geometrically toward the ends), cut by three while a step goes past a
+    fiber's end; tau and Q = |d tau|^2 are exact oracle values at every
+    sample;
   * one polynomial fit of Q(tau) over the samples of all traces gives the
     rest of the 1-D data: the interval is where it vanishes, a is half its
     slope there, and the profile's rho is what remains after dividing out
@@ -142,70 +142,38 @@ class FiberTrace:
     points: np.ndarray
 
 
-# How far in tau the seed end slope is read on either side of each seed.
-_SLOPE_PROBE = 2e-3
-
-
-def _seed_end_slope(oracle: ExtractionOracle) -> float:
-    """The largest a-hat over the seeds: half the end slope of Q(tau)'s local parabola.
-
-    At each seed, Q is read there and at seed -+ eps grad tau / Q (tau moves
-    by about -+eps, eps = ``_SLOPE_PROBE``); the parabola through the three
-    (tau, Q) has end slopes +-sqrt(Q'^2 - 2 Q Q''), so a-hat is half that, or
-    |Q'|/2 where Q is convex.  It is exact where Q is quadratic in tau.  It
-    reads high where Q bulges above that parabola between the seeds and the
-    ends, and low where Q dips below it, down to 0 where Q at a mid-interval
-    seed is half or less of the parabola's value with the true end slopes.
-    Seeds with no finite reading are skipped; with none left it is 0.
-    """
-    x = oracle.seeds
-    grad, q = geo.gradient_and_q(oracle.metric, oracle.tau, x)
-    dx = _SLOPE_PROBE * grad / q[:, None]
-    side = np.concatenate([x - dx, x + dx])
-    _, q_side = geo.gradient_and_q(oracle.metric, oracle.tau, side)
-    qm, qp = np.split(q_side, 2)
-    tm, tp = np.split(oracle.tau.value(side), 2)
-    t0 = oracle.tau.value(x)
-    d0, d1 = (q - qm) / (t0 - tm), (qp - q) / (tp - t0)
-    half_q2 = (d1 - d0) / (tp - tm)  # Q''/2
-    q1 = d0 + half_q2 * (t0 - tm)    # Q' at the seed
-    a_hat = 0.5 * np.sqrt(np.maximum(q1 * q1 - 4.0 * q * half_q2, q1 * q1))
-    return float(np.max(a_hat, initial=0.0, where=np.isfinite(a_hat)))
-
-
 # Fiber ends that mean a step went past the end of its fiber, and how many times
-# trace_fibers retraces at a third of the step when one occurs.
+# trace_fibers retraces at a third of the step when one occurs: 3^-210 FLOW_STEP
+# is the step of the steepest a a config admits, 1e100.
 _OVERSHOT = frozenset({"non-finite", "left-domain"})
-_RETRACES = 4
+_RETRACES = 210
 
 
 def trace_fibers(oracle: ExtractionOracle) -> list:
     """One merged FiberTrace per seed, in order of tau: both flows in one batch.
 
-    Both flows step ``geometry.flow_step(a_hat)`` in the flow parameter t, with
-    a_hat the seeds' end slope read by ``_seed_end_slope``, and stop once
-    sqrt(Q) falls below 0.04 of its largest value; t is bounded by 60 in each
-    direction.  a_hat can read far below a, and then a step goes past the end
-    of a fiber: a fiber that ends "non-finite" or "left-domain", or a stage
+    Both flows step ``geometry.FLOW_STEP`` in the flow parameter t, with t
+    bounded by 60 in each direction, and end by the integrator's one stop
+    rule.  Toward the end of a fiber with a large end slope a step can go
+    past it: a fiber that ends "non-finite" or "left-domain", or a stage
     whose metric is singular, makes every seed retrace at a third of the
     step, up to ``_RETRACES`` times, after which InconsistentOracleError is
-    raised.  tau and Q are exact oracle
-    values at every sample, wherever the step put it.
+    raised.  A metric singular at the seeds is a NumericalFailure of its
+    own.  tau and Q are exact oracle values at every sample, wherever the
+    step put it.
     """
-    def stop(sq, ref):
-        return sq < 0.04 * ref
-
     n = len(oracle.seeds)
-    step = geo.flow_step(_seed_end_slope(oracle))
+    geo.gradient_and_q(oracle.metric, oracle.tau, oracle.seeds)  # singular here: NumericalFailure
+    step = geo.FLOW_STEP
     for _ in range(_RETRACES + 1):
         try:
             flow = geo.integrate_gradient_flow(oracle.metric, oracle.tau,
                                                np.concatenate([oracle.seeds, oracle.seeds]),
-                                               np.repeat([-1.0, 1.0], n), stop=stop, step=step,
+                                               np.repeat([-1.0, 1.0], n), step=step,
                                                max_steps=int(60.0 / step))
             if not _OVERSHOT.intersection(flow.status):
                 break
-        except np.linalg.LinAlgError:  # a stage far past a fiber's end met a singular metric
+        except geo.NumericalFailure:  # a stage past a fiber's end met a singular metric
             pass
         step /= 3.0
     else:

@@ -28,7 +28,6 @@ in the ``boundary_limits`` check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -169,9 +168,13 @@ def _differential(metric: MetricField, f: ScalarField, points: np.ndarray):
     return fd_jet(f.value, points, metric.steps_at(points))
 
 
-def _solve(g: np.ndarray, df: np.ndarray) -> np.ndarray:
+def _solve(metric: MetricField, g: np.ndarray, df: np.ndarray) -> np.ndarray:
     """g^-1 df per point by a batched solve (the trailing axis makes df a stack of columns)."""
-    return np.linalg.solve(g, df[..., None])[..., 0]
+    try:
+        return np.linalg.solve(g, df[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise NumericalFailure(f"metric '{metric.name}' is numerically singular "
+                               "(not invertible)") from None
 
 
 def gradient_and_q(metric: MetricField, f: ScalarField, points: np.ndarray,
@@ -183,7 +186,7 @@ def gradient_and_q(metric: MetricField, f: ScalarField, points: np.ndarray,
     if g is None:
         g = metric.value(points)
     df = _differential(metric, f, points)
-    grad = _solve(g, df)
+    grad = _solve(metric, g, df)
     return grad, np.einsum("pi,pi->p", df, grad)  # g(grad f, grad f) = df(grad f)
 
 
@@ -379,8 +382,7 @@ class FlowResult:
     arclength: np.ndarray       # (M, N) cumulative g-arclength
     values: np.ndarray          # (M, N) f along the curves
     q: np.ndarray               # (M, N) Q = |grad f|^2 along the curves
-    status: list                # per fiber: target, stop, stationary, left-domain, non-finite,
-                                # max-steps
+    status: list                # per fiber: stop, stationary, left-domain, non-finite, max-steps
     last: np.ndarray            # (N,) row of each fiber's final sample
 
     def fiber(self, i: int) -> PathResult:
@@ -418,27 +420,15 @@ def _rk6(rates: Callable, x0: np.ndarray, first: tuple, h: np.ndarray) -> tuple:
     return (x0 + h[:, None] * sums[0],) + tuple(h * s for s in sums[1:])
 
 
-# The t-step of fiber tracing at an unknown end slope, and the base of ``flow_step``.
+# The largest t-step of a flow (near an end with Hessian constant a, sqrt(Q)
+# shrinks by exp(-a h) per step h: a h = 0.096 at a = 2), and the fraction of
+# its largest sqrt(Q) so far below which a fiber ends.
 FLOW_STEP = 4.8e-2
-
-
-def flow_step(a: float) -> float:
-    """The t-step min(FLOW_STEP, 2 FLOW_STEP / a) toward an end with Hessian constant a.
-
-    Near an end sqrt(Q) ~ a u shrinks by exp(-a h) per step h, and tau -> c tau
-    multiplies a by c, so a h is held at most at its value 0.096 for a = 2.
-    An a that is zero, negative, inf or NaN measures no end, and gives
-    FLOW_STEP.
-    """
-    if not (0.0 < a < math.inf):
-        return FLOW_STEP
-    return min(FLOW_STEP, 2.0 * FLOW_STEP / a)
+FLOW_END = 0.04
 
 
 def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarray,
                             direction: "float | np.ndarray" = 1.0, *,
-                            target_value: Optional[float] = None,
-                            stop: Optional[Callable] = None,
                             step: float, max_steps: int = 200000) -> FlowResult:
     """RK6 integral curves of xdot = direction * grad f for a batch of seeds (N, n).
 
@@ -451,19 +441,15 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
 
     A step evaluates the metric at its six stages after the first and at its
     end point, which is the next step's first stage and gives Q = |grad f|^2
-    there: 7 calls.  A step that crosses ``target_value`` is redone from its
-    start as one RK6 step with f as the clock, from f to the target (Henon's
-    trick, Physica D 5 (1982) 412): dx/df = grad f / Q, dt/df = 1/(direction Q)
-    and |ds/df| = 1/sqrt(Q).  That costs six more calls for all crossing
-    fibers together, and the end lands on the target to roundoff.  A fiber
-    stops, and is frozen with its own status, when it reaches the target
-    ("target"), when ``stop(sqrt(Q), max sqrt(Q) so far)`` fires after a step
-    ("stop"), at a zero gradient ("stationary"), when a step leaves the
-    metric's domain ("left-domain", the last inside point is kept), when a
-    stage or the end of a step reads a Q that is negative or not finite
+    there: 7 calls.  A fiber stops, and is frozen with its own status, once
+    sqrt(Q) falls below ``FLOW_END`` of its largest value so far ("stop"),
+    at a zero gradient ("stationary"), when a step leaves the metric's
+    domain ("left-domain", the last inside point is kept), when a stage or
+    the end of a step reads a Q that is negative or not finite
     ("non-finite": the step went past a critical level, where sqrt(Q) is
     NaN; the start of the step is kept), or after ``max_steps`` steps
-    ("max-steps").
+    ("max-steps").  A metric that is singular at a seed or a stage raises
+    NumericalFailure.
     """
     n = metric.dim
     x = np.array(seeds, dtype=float).reshape(-1, n)
@@ -474,10 +460,6 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
         grad, q = gradient_and_q(metric, f, pp)
         with np.errstate(invalid="ignore"):
             return sign[idx, None] * grad, np.sqrt(q), q
-
-    def by_f(k_, sp_, q_, idx):  # the rates with f as the clock: (dx/df, dt/df, |ds/df|)
-        dt_df = 1.0 / (sign[idx] * q_)
-        return k_ * dt_df[:, None], dt_df, 1.0 / sp_
 
     k, sp, q = field(x, np.arange(nf))
     fv = np.array(f.value(x), dtype=float)
@@ -502,40 +484,24 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        x0 = x[idx]
-        h = np.full(idx.size, step)
-        xn, seg = _rk6(lambda pp: field(pp, idx)[:2], x0, (k[idx], sp[idx]), h)
+        xn, seg = _rk6(lambda pp: field(pp, idx)[:2], x[idx], (k[idx], sp[idx]),
+                       np.full(idx.size, step))
         if metric.domain is not None:
-            idx, x0, h, xn, seg = sift(np.asarray(metric.domain(xn), dtype=bool), "left-domain",
-                                       idx, x0, h, xn, seg)
+            idx, xn, seg = sift(np.asarray(metric.domain(xn), dtype=bool), "left-domain",
+                                idx, xn, seg)
             if idx.size == 0:
                 break
-        fn = np.array(f.value(xn), dtype=float)  # a copy: f.value may return a view of xn
-        hit = np.zeros(idx.size, dtype=bool)
-        if target_value is not None:
-            f0 = fv[idx]
-            hit = ((fn - target_value) * (f0 - target_value) <= 0.0) & (f0 != target_value)
-        if np.any(hit):
-            c = np.flatnonzero(hit)
-            ic = idx[c]
-            xn[c], h[c], ds = _rk6(lambda pp: by_f(*field(pp, ic), ic), x0[c],
-                                   by_f(k[ic], sp[ic], q[ic], ic), target_value - f0[c])
-            seg[c] = np.abs(ds)
-            fn[c] = f.value(xn[c])
         kn, spn, qn = field(xn, idx)
-        idx, h, xn, seg, fn, hit, kn, spn, qn = sift(np.isfinite(seg) & np.isfinite(spn),
-                                                     "non-finite", idx, h, xn, seg, fn, hit,
-                                                     kn, spn, qn)
-        x[idx], k[idx], q[idx], sp[idx], fv[idx] = xn, kn, qn, spn, fn
-        t[idx] += h
+        idx, xn, seg, kn, spn, qn = sift(np.isfinite(seg) & np.isfinite(spn), "non-finite",
+                                         idx, xn, seg, kn, spn, qn)
+        x[idx], k[idx], q[idx], sp[idx] = xn, kn, qn, spn
+        fv[idx] = f.value(xn)
+        t[idx] += step
         arc[idx] += seg
         last[idx] = len(rows)
         rows.append((x.copy(), t.copy(), arc.copy(), fv.copy(), q.copy()))
-        freeze(idx[hit], "target")
         ref[idx] = np.maximum(ref[idx], spn)
-        if stop is not None:
-            live = idx[~hit]
-            freeze(live[np.asarray(stop(sp[live], ref[live]), dtype=bool)], "stop")
+        freeze(idx[spn < FLOW_END * ref[idx]], "stop")
     pts, params, arcs, vals, qs = (np.array(col) for col in zip(*rows))
     return FlowResult(points=pts, params=params, arclength=arcs, values=vals, q=qs,
                       status=status, last=last)

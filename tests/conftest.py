@@ -67,6 +67,13 @@ def steep_torus_data(interval):
 
 
 @pytest.fixture(scope="session")
+def steepest_torus_data(interval):
+    # a = 1e4: the trace retraces six times, to a t-step of 3^-6 FLOW_STEP.
+    surface, a = _cos_torus(interval, 1e4, normalize="h-scale")
+    return build_construction(interval, a, surface)
+
+
+@pytest.fixture(scope="session")
 def dipped_steep_torus_data(interval):
     # The steep torus with a q-factor that dips to 0.375 of its end value
     # mid-interval, so Q(tau) is flatter there than any parabola with Q's end slopes.

@@ -331,6 +331,18 @@ def test_cli_error_taxonomy(torus_cfg_file, tmp_path, capsys, monkeypatch, exc):
     assert json.loads(capsys.readouterr().err.strip())["error"] == {"kind": kind, "message": "boom"}
 
 
+@pytest.mark.parametrize("command", [["flow"], ["extract", "--round-trip"]],
+                         ids=["flow", "extract --round-trip"])
+def test_cli_flow_on_a_singular_metric_is_numerical(tmp_path, capsys, command):
+    # At a = 1e20 with h-scale normalization g is singular at the seeds: exit 3
+    # with a JSON error, as verify and construct do, not a traceback.
+    cfg = tmp_path / "torus_a1e20.json"
+    cfg.write_text(TORUS_CFG.replace('"a": 2.0', '"a": 1e20').replace('"none"', '"h-scale"'))
+    assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "numerical" and "numerically singular" in err["message"]
+
+
 SPHERE_CFG = """
 {
   "construction": {

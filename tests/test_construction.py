@@ -236,15 +236,16 @@ def test_hessian_eigenvalues_are_psi_psi_phi_phi(torus_data):
 
 
 def test_fiberwise_flow_arclength_matches_s(torus_data):
-    # gradient flow of tau from tau = 0.05 to tau = 0.95: arclength = s(0.95) - s(0.05)
+    # gradient flow of tau from tau = 0.05 until it stops near tau_max:
+    # arclength = s(tau) - s(0.05) at every sample
     m = assemble_metric(torus_data)
     tf = tau_field(torus_data)
     s0 = float(torus_data.maps.s_of_tau(0.05))
-    s1 = float(torus_data.maps.s_of_tau(0.95))
     p0 = np.array([[0.2, 0.7, 0.05, 0.3]])
-    path = geo.integrate_gradient_flow(m, tf, p0, target_value=0.95, step=2e-3)
-    assert path.status[0] == "target"
-    assert abs(path.arclength[-1, 0] - (s1 - s0)) < 1e-4
+    path = geo.integrate_gradient_flow(m, tf, p0, step=2e-3).fiber(0)
+    assert path.status == "stop" and path.values[-1] > 0.99
+    s = np.asarray(torus_data.maps.s_of_tau(path.values), dtype=float)
+    assert np.max(np.abs(path.arclength - (s - s0))) < 1e-4
 
 
 def test_oracle_equivalence_requires_unperturbed(torus_data):

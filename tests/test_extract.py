@@ -6,9 +6,8 @@ import pytest
 
 from kahlergg import extract, geometry as geo
 from kahlergg.extract import (ExtractionOracle, InconsistentOracleError, NotAFunctionOfTauError,
-                              _seed_end_slope, extract_all, extract_gamma, extract_h,
-                              extract_profile, oracle_from_construction, oracle_from_fs,
-                              round_trip, trace_fibers)
+                              extract_all, extract_gamma, extract_h, extract_profile,
+                              oracle_from_construction, oracle_from_fs, round_trip, trace_fibers)
 
 
 @pytest.fixture(scope="module")
@@ -187,15 +186,16 @@ def test_distorted_tau_is_inconsistent():
         extract_profile(traces)
 
 
-@pytest.mark.parametrize("data, bound", [("torus_data", 1e-6), ("sphere_data", 1e-6),
+@pytest.mark.parametrize("data, bound", [("torus_data", 1e-7), ("sphere_data", 3e-8),
                                          ("torus_inf_data", 1e-12),
-                                         ("poly_profile_data", 5e-6),
-                                         ("steep_torus_data", 2e-6),
-                                         ("dipped_steep_torus_data", 2e-6),
-                                         ("dipped_steeper_torus_data", 2e-6),
-                                         ("height_sphere_data", 1e-6),
-                                         ("height_sphere_north_data", 1e-6),
-                                         ("wide_sphere_data", 1e-6)])
+                                         ("poly_profile_data", 5e-7),
+                                         ("steep_torus_data", 1e-7),
+                                         ("steepest_torus_data", 1e-7),
+                                         ("dipped_steep_torus_data", 1e-7),
+                                         ("dipped_steeper_torus_data", 1e-7),
+                                         ("height_sphere_data", 3e-8),
+                                         ("height_sphere_north_data", 3e-8),
+                                         ("wide_sphere_data", 3e-8)])
 def test_round_trip_deviation_bounds(data, bound, request):
     # Interval, a and rho come from one fit of the exact Q(tau) samples.  What is
     # left is the rebuild's splines of h and gamma over the 24 seed rows: x1 on the
@@ -213,48 +213,62 @@ def test_round_trip_deviation_bounds(data, bound, request):
     assert np.allclose(rho, data.profile.rho_coeffs, rtol=1e-9, atol=0.0)
 
 
-@pytest.mark.parametrize("data, reading", [("fs", "exact"), ("torus_data", "exact"),
-                                           ("steep_torus_data", "exact"),
-                                           ("poly_profile_data", "high"),
-                                           ("dipped_steep_torus_data", "low")])
-def test_seed_end_slope(request, data, reading):
-    if data == "fs":
-        oracle, a = oracle_from_fs(), 2.0
-    else:
-        data = request.getfixturevalue(data)
-        oracle, a = oracle_from_construction(data), data.a
-    a_hat = _seed_end_slope(oracle)
-    if reading == "exact":  # Q is quadratic in tau
-        assert abs(a_hat - a) <= 1e-9
-    elif reading == "high":  # Q bulges above its end parabola mid-interval: 3.56 for a = 3
-        assert a_hat >= a
-    else:  # Q dips below its end parabola mid-interval: 0 for a = 30
-        assert a_hat < 0.5 * a
-
-
-def test_trace_fibers_retraces_past_a_low_end_slope(dipped_steep_torus_data, monkeypatch):
-    # a-hat reads 0 here, so the first trace steps FLOW_STEP, 1.5 times the t-step
-    # at which RK6 stages pass tau_max at a = 30; the retrace at a third of it ends
-    # every fiber by the stop rule, with every sample inside the interval.
-    oracle = oracle_from_construction(dipped_steep_torus_data)
+@pytest.mark.parametrize("data, steps", [
+    ("steep_torus_data", ((geo.FLOW_STEP, "non-finite"), (geo.FLOW_STEP / 3.0, "stop"))),
+    ("dipped_steep_torus_data", ((geo.FLOW_STEP, "non-finite"), (geo.FLOW_STEP / 3.0, "stop"))),
+    ("dipped_steeper_torus_data", ((geo.FLOW_STEP, "singular"), (geo.FLOW_STEP / 3.0, "non-finite"),
+                                   (geo.FLOW_STEP / 9.0, "stop")))],
+    ids=["steep", "dipped-steep", "dipped-steeper"])
+def test_trace_fibers_retraces_at_a_third_of_the_step(request, data, steps, monkeypatch):
+    # At a = 30, FLOW_STEP is 1.5 times the t-step at which RK6 stages pass tau_max,
+    # so every fiber ends "non-finite"; at a = 100 with a dipped q-factor a stage of
+    # FLOW_STEP lands where g is singular.  The trace retraces at a third of the step
+    # until every fiber ends by the stop rule, with every sample inside the interval.
+    oracle = oracle_from_construction(request.getfixturevalue(data))
     runs, integrate = [], geo.integrate_gradient_flow
 
     def spy(*args, **kwargs):
-        flow = integrate(*args, **kwargs)
-        runs.append((kwargs["step"], set(flow.status)))
+        try:
+            flow = integrate(*args, **kwargs)
+        except geo.NumericalFailure:
+            runs.append((kwargs["step"], "singular"))
+            raise
+        runs.append((kwargs["step"], "/".join(sorted(set(flow.status)))))
         return flow
 
     monkeypatch.setattr(geo, "integrate_gradient_flow", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traces = trace_fibers(oracle)
-    assert runs == [(geo.FLOW_STEP, {"non-finite"}), (geo.FLOW_STEP / 3.0, {"stop"})]
+    assert runs == list(steps)
     for tr in traces:
         assert np.all(tr.q > 0.0) and np.all(np.isfinite(tr.points))
         assert 0.0 < tr.tau.min() < 0.01 and 0.99 < tr.tau.max() < 1.0
     monkeypatch.setattr(extract, "_RETRACES", 0)
     with pytest.raises(InconsistentOracleError):
         trace_fibers(oracle)
+
+
+def test_retraces_reach_the_step_of_the_steepest_a_a_config_admits():
+    # Near an end sqrt(Q) shrinks by exp(-a h) per t-step h; the last retrace holds
+    # a h at or below its value 0.096 for FLOW_STEP at a = 2, up to a = 1e100.
+    assert 1e100 * geo.FLOW_STEP * 3.0 ** -extract._RETRACES <= 2.0 * geo.FLOW_STEP
+
+
+def test_trace_fibers_on_a_metric_singular_at_the_seeds():
+    # A metric singular at the seeds is a numerical failure that names it, not a
+    # step to retrace.
+    base = oracle_from_fs(n_seeds=4)
+    calls = []
+
+    def value(p):
+        calls.append(len(p))
+        return np.zeros((len(p), base.dim, base.dim))
+
+    oracle = replace(base, metric=replace(base.metric, value=value, name="zero"))
+    with pytest.raises(geo.NumericalFailure, match="metric 'zero' is numerically singular"):
+        trace_fibers(oracle)
+    assert calls == [4]
 
 
 def test_fubini_gamma_is_sampling_free():

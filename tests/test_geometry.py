@@ -176,33 +176,42 @@ def test_bochner_identity_flat_linear_field():
 
 
 def test_gradient_flow_reaches_target():
+    # f = x (2 - x) on the flat plane: x' = 2 (1 - x), so 1 - x = 0.7 exp(-2 t) from
+    # x = 0.3, and the fiber ends at the first sample with sqrt(Q) = 2 (1 - x) below
+    # FLOW_END of its start value 1.4, next to the critical level x = 1.
     m = flat_metric(2)
-    f = geo.ScalarField(value=lambda p: p[:, 0], grad=lambda p: np.column_stack(
-        [np.ones(p.shape[0]), np.zeros(p.shape[0])]))
-    path = geo.integrate_gradient_flow(m, f, [[0.0, 0.3]], target_value=0.7, step=1e-2)
-    assert path.status[0] == "target"
-    assert abs(path.points[-1, 0, 0] - 0.7) < 1e-10
-    assert abs(path.arclength[-1, 0] - 0.7) < 1e-8
+    f = geo.ScalarField(value=lambda p: p[:, 0] * (2.0 - p[:, 0]), grad=lambda p: np.column_stack(
+        [2.0 - 2.0 * p[:, 0], np.zeros(p.shape[0])]))
+    path = geo.integrate_gradient_flow(m, f, [[0.3, 0.3]], step=1e-2).fiber(0)
+    assert path.status == "stop"
+    end = 1.0 - 0.7 * np.exp(-2.0 * path.params[-1])
+    assert abs(path.points[-1, 0] - end) < 1e-12 and path.points[-1, 1] == 0.3
+    assert abs(path.arclength[-1] - (end - 0.3)) < 1e-12
+    sq = np.sqrt(path.q)
+    assert sq[-1] < geo.FLOW_END * 1.4 <= sq[-2]
 
 
 def _flow_cases():
+    # f = x - x^3/3 on the sphere chart: its gradient (1 - x^2)/h vanishes on the
+    # critical lines x = -+1, which the ascending and descending flows approach.
     m = chart_metric(sphere_chart(1.0, "south"))
-    f = geo.ScalarField(value=lambda p: p[:, 0] + 0.3 * p[:, 1] ** 2,
-                        grad=lambda p: np.column_stack([np.ones(p.shape[0]), 0.6 * p[:, 1]]))
+    f = geo.ScalarField(value=lambda p: p[:, 0] - p[:, 0] ** 3 / 3.0,
+                        grad=lambda p: np.column_stack([1.0 - p[:, 0] ** 2, np.zeros(p.shape[0])]))
     seeds = np.array([[-0.4, 0.2], [0.1, -0.5], [-0.7, 0.0]])
-    plain = dict(direction=1.0, target_value=0.45, step=1e-2)
-    stopped = dict(direction=np.array([1.0, -1.0, 1.0]), step=1e-2,
-                   stop=lambda sq, ref: sq > 0.7, max_steps=400)
-    return m, f, seeds, (plain, stopped)
+    left = dict(direction=1.0, step=5e-2, max_steps=400)
+    stopped = dict(direction=np.array([1.0, -1.0, 1.0]), step=5e-2, max_steps=400)
+    return m, f, seeds, (left, stopped)
 
 
-@pytest.mark.parametrize("mode", [0, 1], ids=["plain-target", "plain-stop"])
+@pytest.mark.parametrize("mode", [0, 1], ids=["plain-left-domain", "plain-stop"])
 def test_gradient_flow_batch_matches_single_seeds(mode):
     m, f, seeds, cases = _flow_cases()
+    if mode == 0:  # the fibers leave the domain at x = 0.8 before they can stop
+        m = replace(m, domain=lambda p: p[:, 0] < 0.8)
     kw = dict(cases[mode])
     direction = np.broadcast_to(kw.pop("direction"), (len(seeds),))
     batch = geo.integrate_gradient_flow(m, f, seeds, direction, **kw)
-    assert len(set(batch.status)) == 1 and batch.status[0] in ("target", "stop")
+    assert set(batch.status) == {("left-domain", "stop")[mode]}
     assert len(set(batch.last)) > 1  # the fibers stop at different steps
     for i, seed in enumerate(seeds):
         alone = geo.integrate_gradient_flow(m, f, seed[None, :], direction[i], **kw).fiber(0)
@@ -214,44 +223,49 @@ def test_gradient_flow_batch_matches_single_seeds(mode):
 
 
 def test_plain_flow_evaluates_the_metric_seven_times_per_step():
-    m, f, seeds, (plain, _) = _flow_cases()
+    m, f, seeds, (_, stopped) = _flow_cases()
     points = []
 
     def value(p, value0=m.value):
         points.append(len(p))
         return value0(p)
 
-    path = geo.integrate_gradient_flow(replace(m, value=value), f, seeds, **plain)
-    assert path.status == ["target"] * len(seeds)
+    path = geo.integrate_gradient_flow(replace(m, value=value), f, seeds, **stopped)
+    assert path.status == ["stop"] * len(seeds)
     # One evaluation per seed to start, seven per fiber and step (the RK6
-    # stages after the first, then the endpoint), six per target crossing
-    # (the stages after the first of the end step in f).
-    assert sum(points) == len(seeds) + 7 * int(path.last.sum()) + 6 * len(seeds)
-    # The steps are fixed in t; only the crossing step is cut short.
+    # stages after the first, then the endpoint).
+    assert sum(points) == len(seeds) + 7 * int(path.last.sum())
+    # Every step is the same step in t, the last one included.
     dt = np.diff(path.fiber(0).params)
-    assert np.allclose(dt[:-1], plain["step"], rtol=0, atol=1e-15) and dt[-1] <= plain["step"]
-
-
-@pytest.mark.parametrize("a", [0.0, -1.0, np.inf, np.nan])
-def test_flow_step_of_a_degenerate_end_slope(a):
-    # A flat Q at the seeds reads a-hat = 0, a seed on a critical set NaN: no end to scale to.
-    assert geo.flow_step(a) == geo.FLOW_STEP
+    assert np.allclose(dt, stopped["step"], rtol=0, atol=1e-14)
 
 
 def test_gradient_flow_freezes_each_fiber_with_its_own_status():
+    # f = -(x - 0.7)^2 / 2 on the flat plane cut at x = 1: fiber 0 ascends toward
+    # the critical level x = 0.7 and stops, fiber 1 descends from 0.8 out of the
+    # domain, and fiber 2 descends from 0 forever, 0.7 - x = 0.7 exp(t).
     m = geo.MetricField(dim=2, value=flat_metric(2).value, domain=lambda p: p[:, 0] < 1.0)
-    f = geo.ScalarField(value=lambda p: p[:, 0], grad=lambda p: np.column_stack(
-        [np.ones(p.shape[0]), np.zeros(p.shape[0])]))
-    seeds = np.array([[0.0, 0.3], [0.8, 0.0], [-50.0, 0.0]])
-    path = geo.integrate_gradient_flow(m, f, seeds, target_value=0.7, step=1e-2, max_steps=200)
-    assert path.status == ["target", "left-domain", "max-steps"]
-    assert len(path.points) == 201 and path.last[2] == 200
-    assert abs(path.points[-1, 0, 0] - 0.7) < 1e-12
+    f = geo.ScalarField(value=lambda p: -0.5 * (p[:, 0] - 0.7) ** 2, grad=lambda p: np.column_stack(
+        [0.7 - p[:, 0], np.zeros(p.shape[0])]))
+    seeds = np.array([[0.0, 0.3], [0.8, 0.0], [0.0, 0.0]])
+    path = geo.integrate_gradient_flow(m, f, seeds, np.array([1.0, -1.0, -1.0]), step=1e-2,
+                                       max_steps=400)
+    assert path.status == ["stop", "left-domain", "max-steps"]
+    assert len(path.points) == 401 and path.last[2] == 400
+    assert abs(path.points[-1, 0, 0] - (0.7 - 0.7 * np.exp(-path.params[-1, 0]))) < 1e-12
     assert 0.99 <= path.points[-1, 1, 0] < 1.0
-    assert abs(path.arclength[-1, 2] - 2.0) < 1e-9
+    assert abs(path.arclength[-1, 2] - 0.7 * (np.exp(4.0) - 1.0)) < 1e-9
     for i in range(len(seeds)):  # frozen rows repeat the fiber's final sample
         assert np.all(path.points[path.last[i]:, i] == path.points[-1, i])
         assert np.all(path.arclength[path.last[i]:, i] == path.arclength[-1, i])
+
+
+def test_metric_singular_in_a_flow_is_a_numerical_failure():
+    m = geo.MetricField(dim=2, value=lambda p: np.zeros((len(p), 2, 2)), name="zero")
+    f = geo.ScalarField(value=lambda p: p[:, 0], grad=lambda p: np.column_stack(
+        [np.ones(p.shape[0]), np.zeros(p.shape[0])]))
+    with pytest.raises(geo.NumericalFailure, match="metric 'zero' is numerically singular"):
+        geo.integrate_gradient_flow(m, f, [[0.0, 0.0]], step=1e-2)
 
 
 def test_trace_fibers_pins_the_stop_rule():
@@ -274,8 +288,8 @@ def test_trace_fibers_metric_evaluations():
 
     traces = trace_fibers(replace(oracle, metric=replace(oracle.metric, value=value)))
     assert len(traces) == 12
-    # 2 for the seeds' end slope, 1 to start, 7 per RK6 step; RK4 at a third
-    # of the step took 493 calls, unit-speed traces at ds = 1e-3 took 3,065.
+    # 1 to check the seeds, 1 to start, 7 per RK6 step; RK4 at a third of the
+    # step took 493 calls, unit-speed traces at ds = 1e-3 took 3,065.
     assert len(calls) <= 300
 
 

@@ -7,7 +7,7 @@ import pytest
 from kahlergg import geometry as geo
 from kahlergg.construction import build_construction
 from kahlergg.surfaces import build_surface, gamma_cos
-from kahlergg.verify import (_END_FRAC, CONTROL_EXPECTATIONS, GridSpec, _bochner_jets,
+from kahlergg.verify import (CONTROL_EXPECTATIONS, GridSpec, _bochner_jets,
                              _flow_lengths, _psi_phi, _recovered_kappa, check_bochner, check_boundary_limits,
                              check_bracket_identities, check_flow_lengths, check_gamma_recovery,
                              check_killing, check_laplacian_identity, make_report, run_suite,
@@ -190,7 +190,9 @@ def test_flow_lengths_reports_every_failing_fiber(torus_subject):
 
 
 @pytest.mark.parametrize("data, bound", [("torus_data", 1e-8), ("sphere_data", 1e-8),
-                                         ("torus_inf_data", 1e-8), ("fs", 1e-9)])
+                                         ("torus_inf_data", 1e-8), ("fs", 1e-9),
+                                         ("steep_torus_data", 1e-8),
+                                         ("steepest_torus_data", 1e-8)])
 def test_flow_lengths_steps_and_residual(request, fs_subject, data, bound):
     subject = fs_subject if data == "fs" else subject_from_construction(
         request.getfixturevalue(data))
@@ -202,16 +204,17 @@ def test_flow_lengths_steps_and_residual(request, fs_subject, data, bound):
 
     metric = replace(subject.metric, value=value)
     report, flow = _flow_lengths(replace(subject, metric=metric), 1e-4)
+    # The t-step min(FLOW_STEP, 2 FLOW_STEP / a) holds a h at its value for a = 2,
+    # so the tori at a = 30 and 1e4 take as many steps as the rest.
     steps = len(flow.points) - 1
     assert steps <= 90
-    assert len(calls) <= 620  # 1 to start, 7 per RK6 step, 6 more for the end step in f
+    assert len(calls) <= 600  # 1 to start, 7 per RK6 step
     assert report.passed and report.max <= bound
-    # The end step in f lands on the target level.
-    lam = subject.maps.lam
-    target = float(subject.maps.tau_of_s((1.0 - _END_FRAC) * lam))
-    assert flow.status == ["target"] * len(flow.last)
-    assert np.max(np.abs(subject.tau.value(flow.points[-1]) - target)) <= 1e-12
-    assert np.max(np.abs(flow.values[-1] - target)) <= 1e-12
+    # Each fiber ends at its first sample below FLOW_END of its largest sqrt(Q).
+    assert flow.status == ["stop"] * len(flow.last)
+    for i in range(len(flow.last)):
+        sq = np.sqrt(flow.fiber(i).q)
+        assert sq[-1] < geo.FLOW_END * np.max(sq) <= sq[-2]
 
 
 @pytest.mark.parametrize("data", ["torus_data", "fs"])
@@ -243,12 +246,10 @@ def test_flow_freezes_a_fiber_stepped_past_the_critical_level(steep_torus_data):
     subject = subject_from_construction(steep_torus_data)
     lam = subject.maps.lam
     seeds = np.array([subject.fiber_point(base, 0.01 * lam) for base in subject.fiber_bases[:2]])
-    target = float(subject.maps.tau_of_s(0.99 * lam))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         flow = geo.integrate_gradient_flow(subject.metric, subject.tau, seeds,
-                                           target_value=target, step=geo.FLOW_STEP,
-                                           max_steps=100)
+                                           step=geo.FLOW_STEP, max_steps=100)
     assert flow.status == ["non-finite", "non-finite"] and len(flow.points) < 10
     assert np.all(flow.q > 0.0) and np.all(np.isfinite(flow.arclength))
 
@@ -256,14 +257,14 @@ def test_flow_freezes_a_fiber_stepped_past_the_critical_level(steep_torus_data):
 def test_coarse_flow_step_still_lands_on_the_target(torus_subject):
     # A t-step of 0.1 covers up to 0.1 of arclength mid-fiber, but the steps
     # shrink with |grad tau| toward the critical set, so no stage point jumps
-    # past tau_max.
+    # past tau_max and the fiber ends by the stop rule, on s to 1e-4.
     lam = torus_subject.maps.lam
     seed = torus_subject.fiber_point(torus_subject.fiber_bases[0], 0.01 * lam)[None, :]
-    target = float(torus_subject.maps.tau_of_s(0.99 * lam))
     flow = geo.integrate_gradient_flow(torus_subject.metric, torus_subject.tau, seed,
-                                       target_value=target, step=0.1, max_steps=200)
-    assert flow.status == ["target"] and len(flow.points) < 60
-    assert abs(flow.arclength[-1, 0] - 0.98 * lam) < 1e-4
+                                       step=0.1, max_steps=200)
+    assert flow.status == ["stop"] and len(flow.points) < 60
+    s_end = float(torus_subject.maps.s_of_tau(flow.values[-1, 0]))
+    assert abs(s_end - (0.01 * lam + flow.arclength[-1, 0])) < 1e-4
 
 
 def _counting_metric_points(subject):
