@@ -46,12 +46,12 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import PPoly, make_interp_spline
 
 from . import geometry as geo
 from .construction import (ConstructionData, assemble_metric, assemble_J,
                            build_construction, tau_field)
 from .fubini import FSChart, fs_J, fs_metric, fs_random_directions, fs_tau
+from .piecewise import quintic_spline
 from .profiles import Interval, MomentumProfile, make_profile
 from .rp1 import INFINITY, RP1Value, recover_kappa
 from .surfaces import (BaseSurfaceData, ChartData, KappaField, SurfaceChart, curvature_form,
@@ -375,34 +375,35 @@ def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
     from the surface's own solver.
     """
     torus = oracle.meta["surface"] == "torus"
+    rows = oracle.meta["n_x1"]
+    base = oracle.seeds.reshape(rows, -1, oracle.dim)[:, 0, list(oracle.base_axes)]
+    u = base[:, 0] if torus else np.sum(base * base, axis=1)
 
-    def coord(x):  # u and du/dx at chart points x
+    def coord(x):  # u and du/dx at chart points x; on the torus u is x1 wrapped into [u0, u0 + 1)
         if torus:
-            return np.mod(x[:, 0], 1.0), np.broadcast_to([1.0, 0.0], x.shape)
+            return u[0] + np.mod(x[:, 0] - u[0], 1.0), np.broadcast_to([1.0, 0.0], x.shape)
         return np.sum(x * x, axis=1), 2.0 * x
 
-    def grad(spline, x):  # the coordinate differential of spline(u)
-        u_x, du_dx = coord(x)
-        return spline.derivative()(u_x)[:, None] * du_dx
-
-    rows = oracle.meta["n_x1"]
-    u = coord(oracle.seeds.reshape(rows, -1, oracle.dim)[:, 0, list(oracle.base_axes)])[0]
     k_row = ex.kappas.reshape(rows, -1).mean(axis=1)
     h_row = ex.h_samples.reshape(rows, -1, 2, 2).mean(axis=1)
     h_iso = 0.5 * (h_row[:, 0, 0] + h_row[:, 1, 1])
     if torus:  # one period closes each spline
         u, k_row, h_iso = (np.append(u, u[0] + 1.0), np.append(k_row, k_row[0]),
                            np.append(h_iso, h_iso[0]))
-    bc = "periodic" if torus else "not-a-knot"
-    k_spline, h_spline = (PPoly.from_spline(make_interp_spline(u, v, k=5, bc_type=bc))
-                          for v in (k_row, h_iso))
-    kappa = KappaField(value=lambda x: k_spline(coord(x)[0]), grad=lambda x: grad(k_spline, x),
+    k_spline, h_spline = (quintic_spline(u, v, periodic=torus) for v in (k_row, h_iso))
+    dk_spline, dh_spline = k_spline.derivative(), h_spline.derivative()
+
+    def grad(dspline, x):  # the coordinate differential of spline(u), from its derivative table
+        u_x, du_dx = coord(x)
+        return dspline(u_x)[:, None] * du_dx
+
+    kappa = KappaField(value=lambda x: k_spline(coord(x)[0]), grad=lambda x: grad(dk_spline, x),
                        value_range=(float(np.min(k_row)), float(np.max(k_row))))
     half = 0.7 * math.sqrt(u[-1])  # the sphere's square inside its outer ring
     chart = SurfaceChart(name=f"{oracle.meta['surface']}-rebuilt",
                          h=lambda x: h_spline(coord(x)[0])[:, None, None] * np.eye(2),
-                         dh=lambda x: grad(h_spline, x)[:, :, None, None] * np.eye(2),
-                         domain=lambda x: coord(x)[0] < u[-1],  # on the torus, u < 1 = u[-1]
+                         dh=lambda x: grad(dh_spline, x)[:, :, None, None] * np.eye(2),
+                         domain=lambda x: coord(x)[0] < u[-1],  # on the torus, u < u0 + 1 = u[-1]
                          bounds=((0.0, 1.0),) * 2 if torus else ((-half, half),) * 2)
 
     def w_fn(x):

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicHermiteSpline
+
+from .piecewise import PiecewisePoly, hermite_table
 
 
 class InvalidProfileError(ValueError):
@@ -165,11 +166,11 @@ class ReparamMaps:
     interval: Interval
     a: float
     lam: float
-    _s_left: CubicHermiteSpline = field(repr=False)
-    _s_right: CubicHermiteSpline = field(repr=False)
-    _tau_of_s: CubicHermiteSpline = field(repr=False)
-    _logr_of_tau: CubicHermiteSpline = field(repr=False)
-    _tau_of_logr: CubicHermiteSpline = field(repr=False)
+    _s_left: PiecewisePoly = field(repr=False)
+    _s_right: PiecewisePoly = field(repr=False)
+    _tau_of_s: PiecewisePoly = field(repr=False)
+    _logr_of_tau: PiecewisePoly = field(repr=False)
+    _tau_of_logr: PiecewisePoly = field(repr=False)
 
     def s_of_tau(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -222,8 +223,7 @@ def build_reparams(profile: MomentumProfile) -> ReparamMaps:
 
     tau_nodes = np.concatenate([iv.tau_min + xi * xi, (iv.tau_max - xi * xi)[::-1][1:]])
     s_nodes = np.concatenate([s_left, (lam - s_right)[::-1][1:]])
-    tau_of_s = CubicHermiteSpline(s_nodes, tau_nodes, np.sqrt(profile.Q(tau_nodes)),
-                                  extrapolate=False)
+    tau_of_s = hermite_table(s_nodes, tau_nodes, np.sqrt(profile.Q(tau_nodes)))
 
     # log r on an s-uniform interior grid; cumulative quadrature of a/Q in tau.
     s_cut = 2e-4 * lam  # log r diverges at both ends
@@ -246,11 +246,11 @@ def build_reparams(profile: MomentumProfile) -> ReparamMaps:
         interval=iv,
         a=a,
         lam=lam,
-        _s_left=CubicHermiteSpline(xi, s_left, integrand_left(xi), extrapolate=False),
-        _s_right=CubicHermiteSpline(xi, s_right, integrand_right(xi), extrapolate=False),
+        _s_left=hermite_table(xi, s_left, integrand_left(xi)),
+        _s_right=hermite_table(xi, s_right, integrand_right(xi)),
         _tau_of_s=tau_of_s,
-        _logr_of_tau=CubicHermiteSpline(tau_grid, logr, a / q_grid, extrapolate=False),
-        _tau_of_logr=CubicHermiteSpline(logr, tau_grid, q_grid / a, extrapolate=False),
+        _logr_of_tau=hermite_table(tau_grid, logr, a / q_grid),
+        _tau_of_logr=hermite_table(logr, tau_grid, q_grid / a),
     )
 
 

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
+from .piecewise import hermite_table
 from .profiles import Interval, _cumulative_gl
 from .rp1 import RP1Value
 
@@ -269,7 +269,7 @@ def solve_connection_torus(w_fn: Callable) -> ConnectionForm:
     grid = np.linspace(0.0, 1.0, 4097)
     f_vals = _cumulative_gl(w_of_x1, grid)
     jump = float(f_vals[-1])
-    f_interp = CubicHermiteSpline(grid, f_vals, w_of_x1(grid), extrapolate=False)
+    f_interp = hermite_table(grid, f_vals, w_of_x1(grid))
 
     def f_eval(t):
         t = np.asarray(t, dtype=float)
@@ -306,7 +306,7 @@ def solve_connection_radial(w_fn: Callable, sigma_max: float) -> ConnectionForm:
     u = _cumulative_gl(lambda r: r * w_of_rho(r), rho)  # rho^2 P
     p = np.concatenate([[0.5 * w[0]], u[1:] / rho[1:] ** 2])
     slope = np.concatenate([[0.0], (w[1:] - 2.0 * p[1:]) / rho[1:]])
-    p_table = CubicHermiteSpline(rho, p, slope, extrapolate=False)
+    p_table = hermite_table(rho, p, slope)
 
     def a_fn(x):
         p = p_table(np.hypot(x[:, 0], x[:, 1]))

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry as geo
 from .construction import (ConstructionData, assemble_J, assemble_metric,
@@ -551,11 +550,12 @@ def check_boundary_limits(subject: VerificationSubject, tol: float) -> CheckRepo
     pts = np.array([subject.fiber_point(base, s if end == "min" else lam - s)
                     for base, end, _ in ends for s in svals])
     fr = geo.build_frame(subject.metric, subject.tau, pts)
-    hess, g = fr.hessian(), fr.g
-    eigs = np.array([np.sort(scipy.linalg.eigh(hp, gp)[0])[::-1] for hp, gp in zip(hess, g)])
-    # one-jet E in an orthonormal frame
-    lt = np.swapaxes(np.linalg.cholesky(g), 1, 2)
-    ef = lt @ geo.nabla_vector(fr.dgrad, fr.grad, fr.gamma) @ np.linalg.inv(lt)
+    # With g = L L^T, the eigenvalues of Hess tau relative to g are those of
+    # L^-1 Hess L^-T, and L^T E L^-T is the one-jet E in an orthonormal frame.
+    lt = np.swapaxes(np.linalg.cholesky(fr.g), 1, 2)
+    lt_inv = np.linalg.inv(lt)
+    eigs = np.linalg.eigvalsh(np.swapaxes(lt_inv, 1, 2) @ fr.hessian() @ lt_inv)[:, ::-1]
+    ef = lt @ geo.nabla_vector(fr.dgrad, fr.grad, fr.gamma) @ lt_inv
     sign = np.array([sg for _, _, sg in ends])
     e2 = np.max(np.abs(ef @ ef - (a * np.repeat(sign, 3))[:, None, None] * ef), axis=(1, 2))
     slopes = np.einsum("pa,pa->p", fr.dq, fr.grad) / fr.q

@@ -389,6 +389,22 @@ def test_cli_sphere_h_scale_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _assert_construct_exits_documented(cfg: dict) -> None:
+    """``construct`` on cfg exits 0-3, and every failure prints a JSON error, not a traceback."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = main(["construct", "--config", path, "--out", os.path.join(tmp, "o")])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert set(json.loads(err.getvalue().strip().splitlines()[-1])) == {"error"}
+
+
 # Gamma parameters the fuzz draws: huge, near the interval [0, 1], inside it, ordinary,
 # and not numbers at all (JSON has no NaN, but Python's json reads it).
 _GAMMA_VALUES = st.one_of(
@@ -413,15 +429,45 @@ def test_construct_fuzz_gamma_specs(gamma, surface):
     cfg = {"construction": {"tau_min": 0.0, "tau_max": 1.0, "a": 2.0,
                             "surface": {"type": surface}, "gamma": gamma},
            "grid": {"base": [2, 2], "n_tau": 2, "n_theta": 1}}
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        path = os.path.join(tmp, "cfg.json")
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        code = main(["construct", "--config", path, "--out", os.path.join(tmp, "o")])
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    if code:
-        assert set(json.loads(err.getvalue().strip().splitlines()[-1])) == {"error"}
+    _assert_construct_exits_documented(cfg)
+
+
+# Numbers the config fuzz draws for every numeric field of a construction: the
+# bounds of the config's magnitude checks and just past them, zero, near-zero,
+# the interval ends, ordinary sizes, and any finite float.
+_NUMBERS = st.one_of(
+    st.sampled_from([1e100, -1e100, 1.0000001e100, 1e-100, 9.9e-101, 1e-300, 0.0, -0.0,
+                     1e-15, 1.0, -1.0, 0.5, 2.0, 3.0, 30.0, 1e4, 1e20]),
+    st.floats(-5.0, 5.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _numeric_constructions(draw):
+    """A valid torus or sphere construction with one or two numeric fields fuzzed."""
+    surface = draw(st.sampled_from(["torus", "sphere"]))
+    fuzzed = draw(st.sets(st.sampled_from(["tau_min", "tau_max", "a", "size", "c0", "c1",
+                                           "coeffs"]), min_size=1, max_size=2))
+
+    def num(name, default):
+        return draw(_NUMBERS) if name in fuzzed else default
+
+    gamma = {"type": "cos" if surface == "torus" else "height", "c0": num("c0", 3.0),
+             "c1": num("c1", 0.5)}
+    if draw(st.booleans()):
+        gamma = {"type": "constant", "value": gamma["c0"]}
+    coeffs = draw(st.lists(_NUMBERS, min_size=1, max_size=2)) if "coeffs" in fuzzed else []
+    return {"tau_min": num("tau_min", 0.0), "tau_max": num("tau_max", 1.0), "a": num("a", 2.0),
+            "q_factor": {"type": "poly", "coeffs": coeffs},
+            "surface": {"type": surface, {"torus": "h_scale", "sphere": "radius"}[surface]:
+                        num("size", 1.0)},
+            "gamma": gamma, "normalize": draw(st.sampled_from(
+                ["none", "a", "h-scale"] if surface == "torus" else ["none", "a"]))}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(construction=_numeric_constructions())
+def test_construct_fuzz_numeric_fields(construction):
+    # Any numbers in a construction, the profile and connection tables they build
+    # included, end in a documented exit code with a JSON error, never a traceback.
+    cfg = {"construction": construction, "grid": {"base": [2, 2], "n_tau": 2, "n_theta": 1}}
+    _assert_construct_exits_documented(cfg)
