@@ -11,6 +11,9 @@ runtime formula and gives the block form
 with beta = (tau - gamma)/(tau_star - gamma) = 1 + kappa (tau - tau_star), read
 off the chart's kappa = 1/(tau_star - gamma) field (see ``rp1``; gamma = inf is
 kappa = 0, with no branch), and A the chart connection potential with dA = Omega.
+Base charts are isothermal (see ``surfaces``): h = lam2 * delta, so the
+horizontal block is beta lam2 delta + a^(-2) Q A (x) A, and the lifted J_Sigma
+is the constant rotation ``J_SIGMA``.  Nothing here inverts a matrix.
 
 Orientation note: theta rotates so that u = a d_theta = J(grad tau).  With
 that choice the horizontal distribution is ker(dtau) n ker(dtheta - A) and
@@ -23,9 +26,10 @@ Two independent routes to the Levi-Civita connection are exposed: the
 assembled metric field (with exact analytic derivatives, differentiable by
 the generic engine), and ``christoffel_closed_form``, reconstructed from
 the covariant-derivative table of the construction (radial/angular fields
-are eigenfields of nabla v; horizontal covariant derivatives reduce to the
-base ones plus phi- and d kappa-corrections).  Their agreement at random
-points is the main oracle-equivalence gate of the test suite.
+are eigenfields of nabla v; horizontal covariant derivatives reduce to
+those of the conformally flat base block beta lam2 delta plus
+phi-corrections).  Their agreement at random points is the main
+oracle-equivalence gate of the test suite.
 
 Neither route knows the documented negative controls.  ``with_control``
 wraps the clean metric and J in the perturbation that ``data.control``
@@ -42,9 +46,11 @@ import numpy as np
 
 from .geometry import MatrixField, MetricField, ScalarField
 from .profiles import Interval, MomentumProfile, ReparamMaps, build_reparams, make_profile
-from .surfaces import BaseSurfaceData, ChartData
+from .surfaces import J_SIGMA, BaseSurfaceData, ChartData
 
 CONTROLS = ("none", "perturb-beta", "perturb-j", "break-symmetry")
+
+_EYE2 = np.eye(2)
 
 
 @dataclass
@@ -91,13 +97,13 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         P = np.asarray(P, dtype=float)
         x, tau = P[:, :2], P[:, 2]
         n = P.shape[0]
-        h = cd.chart.h(x)
         A = cd.connection.A(x)
         Q = prof.Q(tau)
         beta = _beta(data, x, tau)
         B = Q / a ** 2
         g = np.zeros((n, 4, 4))
-        g[:, :2, :2] = beta[:, None, None] * h + B[:, None, None] * A[:, :, None] * A[:, None, :]
+        g[:, :2, :2] = ((beta * cd.chart.lam2(x))[:, None, None] * _EYE2
+                        + B[:, None, None] * A[:, :, None] * A[:, None, :])
         g[:, :2, 3] = -B[:, None] * A
         g[:, 3, :2] = g[:, :2, 3]
         g[:, 3, 3] = B
@@ -108,8 +114,7 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         P = np.asarray(P, dtype=float)
         x, tau = P[:, :2], P[:, 2]
         n = P.shape[0]
-        h = cd.chart.h(x)
-        dh = cd.chart.dh(x)
+        lam2 = cd.chart.lam2(x)
         A = cd.connection.A(x)
         dA = cd.connection.dA(x)
         Q = prof.Q(tau)
@@ -118,14 +123,14 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         B = Q / a ** 2
         dB = dQ / a ** 2
         out = np.zeros((n, 4, 4, 4))
-        for ax in range(2):
-            blk = (dbeta_dx[:, ax, None, None] * h + beta[:, None, None] * dh[:, ax]
-                   + B[:, None, None] * (dA[:, ax, :, None] * A[:, None, :]
-                                         + A[:, :, None] * dA[:, ax, None, :]))
-            out[:, ax, :2, :2] = blk
-            out[:, ax, :2, 3] = -B[:, None] * dA[:, ax]
-            out[:, ax, 3, :2] = out[:, ax, :2, 3]
-        out[:, 2, :2, :2] = (dbeta_dtau[:, None, None] * h
+        # d_a (beta lam2) = (d_a beta) lam2 + beta d_a lam2 on the diagonal of the base block.
+        dbl = dbeta_dx * lam2[:, None] + beta[:, None] * cd.chart.dlam2(x)
+        dAA = dA[:, :, :, None] * A[:, None, None, :]  # [a,i,j] = d_a A_i A_j
+        out[:, :2, :2, :2] = (dbl[:, :, None, None] * _EYE2
+                              + B[:, None, None, None] * (dAA + np.swapaxes(dAA, 2, 3)))
+        out[:, :2, :2, 3] = -B[:, None, None] * dA
+        out[:, :2, 3, :2] = out[:, :2, :2, 3]
+        out[:, 2, :2, :2] = ((dbeta_dtau * lam2)[:, None, None] * _EYE2
                              + dB[:, None, None] * A[:, :, None] * A[:, None, :])
         out[:, 2, :2, 3] = -dB[:, None] * A
         out[:, 2, 3, :2] = out[:, 2, :2, 3]
@@ -152,7 +157,10 @@ def assemble_metric(data: ConstructionData) -> MetricField:
 
 
 def assemble_J(data: ConstructionData) -> MatrixField:
-    """Fiber rotation plus the lifted base complex structure, with analytic dJ."""
+    """Fiber rotation plus the lifted base complex structure, with analytic dJ.
+
+    J_Sigma is the constant ``J_SIGMA``, so only A and Q vary along the jet.
+    """
     prof, a = data.profile, data.a
     cd = data.chart_data
 
@@ -160,13 +168,12 @@ def assemble_J(data: ConstructionData) -> MatrixField:
         P = np.asarray(P, dtype=float)
         x, tau = P[:, :2], P[:, 2]
         n = P.shape[0]
-        js = cd.chart.complex_structure(x)
         A = cd.connection.A(x)
         Q = prof.Q(tau)
         J = np.zeros((n, 4, 4))
-        J[:, :2, :2] = js
+        J[:, :2, :2] = J_SIGMA
         J[:, 2, :2] = (Q / a)[:, None] * A
-        J[:, 3, :2] = np.einsum("pk,pki->pi", A, js)
+        J[:, 3, :2] = A @ J_SIGMA
         J[:, 3, 2] = a / Q
         J[:, 2, 3] = -Q / a
         return J
@@ -175,24 +182,13 @@ def assemble_J(data: ConstructionData) -> MatrixField:
         P = np.asarray(P, dtype=float)
         x, tau = P[:, :2], P[:, 2]
         n = P.shape[0]
-        h = cd.chart.h(x)
-        dh = cd.chart.dh(x)
-        hinv = np.linalg.inv(h)
-        js = cd.chart.complex_structure(x)
         A = cd.connection.A(x)
         dA = cd.connection.dA(x)
         Q = prof.Q(tau)
         dQ = prof.dQ(tau)
         out = np.zeros((n, 4, 4, 4))
-        # d_a J_Sigma = -h^(-1) (d_a h) J_Sigma + (1/2) tr(h^(-1) d_a h) J_Sigma
-        for ax in range(2):
-            tr = np.einsum("pij,pji->p", hinv, dh[:, ax])
-            djs = (-np.einsum("pkl,plm,pmj->pkj", hinv, dh[:, ax], js)
-                   + 0.5 * tr[:, None, None] * js)
-            out[:, ax, :2, :2] = djs
-            out[:, ax, 2, :2] = (Q / a)[:, None] * dA[:, ax]
-            out[:, ax, 3, :2] = (np.einsum("pk,pki->pi", dA[:, ax], js)
-                                 + np.einsum("pk,pki->pi", A, djs))
+        out[:, :2, 2, :2] = (Q / a)[:, None, None] * dA
+        out[:, :2, 3, :2] = dA @ J_SIGMA
         out[:, 2, 2, :2] = (dQ / a)[:, None] * A
         out[:, 2, 3, 2] = -a * dQ / Q ** 2
         out[:, 2, 2, 3] = -dQ / a
@@ -264,7 +260,7 @@ def _break_symmetry(data: ConstructionData, metric: MetricField):
 
 
 def _perturb_beta(data: ConstructionData, metric: MetricField):
-    """perturb-beta: beta -> beta^1.01 in the horizontal block, i.e. + (beta^1.01 - beta) h."""
+    """perturb-beta: beta -> beta^1.01 in the horizontal block: + (beta^1.01 - beta) lam2 delta."""
     chart = data.chart_data.chart
 
     def value(P):
@@ -272,19 +268,20 @@ def _perturb_beta(data: ConstructionData, metric: MetricField):
         x = P[:, :2]
         beta = _beta(data, x, P[:, 2])
         g = metric.value(P)
-        g[:, :2, :2] += (beta ** 1.01 - beta)[:, None, None] * chart.h(x)
+        g[:, :2, :2] += ((beta ** 1.01 - beta) * chart.lam2(x))[:, None, None] * _EYE2
         return g
 
     def dvalue(P):
         P = np.asarray(P, dtype=float)
         x = P[:, :2]
         beta, dbeta_dx, dbeta_dtau = _beta_jet(data, x, P[:, 2])
-        h = chart.h(x)
+        lam2 = chart.lam2(x)
         fac = 1.01 * beta ** 0.01 - 1.0
         dg = metric.dvalue(P)
-        dg[:, :2, :2, :2] += ((fac[:, None] * dbeta_dx)[:, :, None, None] * h[:, None]
-                              + (beta ** 1.01 - beta)[:, None, None, None] * chart.dh(x))
-        dg[:, 2, :2, :2] += (fac * dbeta_dtau)[:, None, None] * h
+        ddx = ((fac[:, None] * dbeta_dx) * lam2[:, None]
+               + (beta ** 1.01 - beta)[:, None] * chart.dlam2(x))
+        dg[:, :2, :2, :2] += ddx[:, :, None, None] * _EYE2
+        dg[:, 2, :2, :2] += (fac * dbeta_dtau * lam2)[:, None, None] * _EYE2
         return dg
 
     return value, dvalue
@@ -325,8 +322,11 @@ def kappa_field(data: ConstructionData) -> ScalarField:
 def christoffel_closed_form(data: ConstructionData, P: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols reconstructed from the covariant-derivative table.
 
-    Independent of assemble_metric: only the base geometry (h, its
-    Christoffels, J_Sigma), the potential A, kappa, and the profile enter.
+    Independent of assemble_metric: only the base geometry (lam2, J_Sigma),
+    the potential A, kappa, and the profile enter.  The base block
+    beta lam2 delta is conformally flat: with w = log(beta lam2)/2 its symbols
+    are delta^k_i d_j w + delta^k_j d_i w - delta_ij d_k w, and along the base
+    d w = d lam2/(2 lam2) + (tau - tau_star) d kappa/(2 beta).
     """
     P = np.asarray(P, dtype=float)
     x, tau = P[:, :2], P[:, 2]
@@ -340,29 +340,15 @@ def christoffel_closed_form(data: ConstructionData, P: np.ndarray) -> np.ndarray
     psi = prof.psi(tau)
     beta = _beta(data, x, tau)
     phi = 0.5 * Q * cd.kappa.value(x) / beta
-
-    h = cd.chart.h(x)
-    dh = cd.chart.dh(x)
-    hinv = np.linalg.inv(h)
-    t = dh + np.swapaxes(dh, 1, 2) - dh.transpose(0, 2, 3, 1)
-    gamma_h = 0.5 * np.einsum("pkl,pijl->pkij", hinv, t)
-    js = cd.chart.complex_structure(x)
-    w_area = cd.chart.area_form(x)
-    omega = np.zeros((n, 2, 2))
-    omega[:, 0, 1] = w_area
-    omega[:, 1, 0] = -w_area
-
+    lam2 = cd.chart.lam2(x)
     A = cd.connection.A(x)
     dA = cd.connection.dA(x)
 
-    # Effective base-block symbols with the d kappa correction: c = (tau - tau_star)/(2 beta)
-    # times d kappa, which is d(log beta)/2 along the base.
-    c = ((tau - data.tau_star) / (2.0 * beta))[:, None] * cd.kappa.grad(x)
-    c_up = np.einsum("pkl,pl->pk", hinv, c)
-    eye = np.eye(2)
-    ghat = gamma_h + (c[:, None, :, None] * eye[None, :, None, :]
-                      + c[:, None, None, :] * eye[None, :, :, None]
-                      - h[:, None, :, :] * c_up[:, :, None, None])
+    dw = (0.5 * cd.chart.dlam2(x) / lam2[:, None]
+          + ((tau - data.tau_star) / (2.0 * beta))[:, None] * cd.kappa.grad(x))
+    ghat = (_EYE2[None, :, :, None] * dw[:, None, None, :]
+            + _EYE2[None, :, None, :] * dw[:, None, :, None]
+            - _EYE2[None, None, :, :] * dw[:, :, None, None])
 
     G = np.zeros((n, 4, 4, 4))
     # Vertical block.
@@ -374,24 +360,20 @@ def christoffel_closed_form(data: ConstructionData, P: np.ndarray) -> np.ndarray
         G[:, i, 2, i] = G[:, i, i, 2] = phi / Q
         G[:, 3, 2, i] = G[:, 3, i, 2] = (phi - psi) * A[:, i] / Q
     # theta-base mixed.
-    aj = np.einsum("pk,pki->pi", A, js)  # (A . J_Sigma)_i
-    for i in range(2):
-        for k in range(2):
-            G[:, k, 3, i] = G[:, k, i, 3] = (phi / a) * js[:, k, i]
-        G[:, 2, 3, i] = G[:, 2, i, 3] = psi * Q * A[:, i] / a ** 2
-        G[:, 3, 3, i] = G[:, 3, i, 3] = (phi / a) * aj[:, i]
+    G[:, :2, 3, :2] = G[:, :2, :2, 3] = (phi / a)[:, None, None] * J_SIGMA
+    G[:, 2, 3, :2] = G[:, 2, :2, 3] = (psi * Q)[:, None] * A / a ** 2
+    G[:, 3, 3, :2] = G[:, 3, :2, 3] = (phi / a)[:, None] * (A @ J_SIGMA)
     # Base-base.
-    cross = np.einsum("pj,pki->pkij", A, js)  # cross[p,k,i,j] = A_j J_Sigma^k_i
-    G[:, :2, :2, :2] = (ghat
-                        - (phi / a)[:, None, None, None] * (cross + np.swapaxes(cross, 2, 3)))
-    G[:, 2, :2, :2] = (-(phi * beta)[:, None, None] * h
+    cross = J_SIGMA[None, :, :, None] * A[:, None, None, :]  # cross[p,k,i,j] = A_j J_Sigma^k_i
+    cross = cross + np.swapaxes(cross, 2, 3)
+    G[:, :2, :2, :2] = ghat - (phi / a)[:, None, None, None] * cross
+    G[:, 2, :2, :2] = (-(phi * beta * lam2)[:, None, None] * _EYE2
                        - (psi * Q / a ** 2)[:, None, None] * A[:, :, None] * A[:, None, :])
-    theta_ij = (np.einsum("pkij,pk->pij", ghat, A)
-                - (a * phi * beta / Q)[:, None, None] * omega
-                - dA[:, :2, :2]
-                - (phi / a)[:, None, None] * np.einsum("pkij,pk->pij",
-                                                       cross + np.swapaxes(cross, 2, 3), A))
-    G[:, 3, :2, :2] = theta_ij
+    # omega_h = lam2 dx1 ^ dx2 is -lam2 J_SIGMA as a matrix.
+    G[:, 3, :2, :2] = (np.einsum("pkij,pk->pij", ghat, A)
+                       + (a * phi * beta / Q * lam2)[:, None, None] * J_SIGMA
+                       - dA
+                       - (phi / a)[:, None, None] * np.einsum("pkij,pk->pij", cross, A))
     return G
 
 

@@ -367,12 +367,13 @@ def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
     """The construction from the extracted data, splined over each seed row's coordinate u.
 
     u is x1 on the torus and sigma = |x|^2 on the sphere, whose chart reaches
-    out to the outer ring.  Each row's h is averaged to its isotropic part and
-    its kappa to its mean; both are splined over u by quintic interpolating
-    splines, periodic on the torus and not-a-knot on the sphere (kappa is
-    rational in u: a cubic spline of it put the torus round trip at 1.9e-6),
-    du/dx chains their slopes into dh and d kappa, and the connection comes
-    from the surface's own solver.
+    out to the outer ring.  Each row's h is averaged to its isotropic part,
+    the conformal factor lam2 of an isothermal chart, and its kappa to its
+    mean; both are splined over u by quintic interpolating splines, periodic
+    on the torus and not-a-knot on the sphere (kappa is rational in u: a
+    cubic spline of it put the torus round trip at 1.9e-6), du/dx chains
+    their slopes into d lam2 and d kappa, and the connection comes from the
+    surface's own solver.
     """
     torus = oracle.meta["surface"] == "torus"
     rows = oracle.meta["n_x1"]
@@ -386,12 +387,12 @@ def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
 
     k_row = ex.kappas.reshape(rows, -1).mean(axis=1)
     h_row = ex.h_samples.reshape(rows, -1, 2, 2).mean(axis=1)
-    h_iso = 0.5 * (h_row[:, 0, 0] + h_row[:, 1, 1])
+    lam2_row = 0.5 * (h_row[:, 0, 0] + h_row[:, 1, 1])
     if torus:  # one period closes each spline
-        u, k_row, h_iso = (np.append(u, u[0] + 1.0), np.append(k_row, k_row[0]),
-                           np.append(h_iso, h_iso[0]))
-    k_spline, h_spline = (quintic_spline(u, v, periodic=torus) for v in (k_row, h_iso))
-    dk_spline, dh_spline = k_spline.derivative(), h_spline.derivative()
+        u, k_row, lam2_row = (np.append(u, u[0] + 1.0), np.append(k_row, k_row[0]),
+                              np.append(lam2_row, lam2_row[0]))
+    k_spline, lam2_spline = (quintic_spline(u, v, periodic=torus) for v in (k_row, lam2_row))
+    dk_spline, dlam2_spline = k_spline.derivative(), lam2_spline.derivative()
 
     def grad(dspline, x):  # the coordinate differential of spline(u), from its derivative table
         u_x, du_dx = coord(x)
@@ -401,8 +402,8 @@ def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
                        value_range=(float(np.min(k_row)), float(np.max(k_row))))
     half = 0.7 * math.sqrt(u[-1])  # the sphere's square inside its outer ring
     chart = SurfaceChart(name=f"{oracle.meta['surface']}-rebuilt",
-                         h=lambda x: h_spline(coord(x)[0])[:, None, None] * np.eye(2),
-                         dh=lambda x: grad(dh_spline, x)[:, :, None, None] * np.eye(2),
+                         lam2=lambda x: lam2_spline(coord(x)[0]),
+                         dlam2=lambda x: grad(dlam2_spline, x),
                          domain=lambda x: coord(x)[0] < u[-1],  # on the torus, u < u0 + 1 = u[-1]
                          bounds=((0.0, 1.0),) * 2 if torus else ((-half, half),) * 2)
 

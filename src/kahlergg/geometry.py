@@ -67,7 +67,7 @@ class MetricField:
 @dataclass
 class ScalarField:
     value: Callable[[np.ndarray], np.ndarray]
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    grad: Callable[[np.ndarray], np.ndarray]                    # (N, j) = d_j f
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None  # (N, a, j) = d_a d_j f
     name: str = ""
 
@@ -162,12 +162,6 @@ def _inf_norm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _differential(metric: MetricField, f: ScalarField, points: np.ndarray):
-    if f.grad is not None:
-        return f.grad(points)
-    return fd_jet(f.value, points, metric.steps_at(points))
-
-
 def _solve(metric: MetricField, g: np.ndarray, df: np.ndarray) -> np.ndarray:
     """g^-1 df per point by a batched solve (the trailing axis makes df a stack of columns)."""
     try:
@@ -185,14 +179,9 @@ def gradient_and_q(metric: MetricField, f: ScalarField, points: np.ndarray,
     """
     if g is None:
         g = metric.value(points)
-    df = _differential(metric, f, points)
+    df = f.grad(points)
     grad = _solve(metric, g, df)
     return grad, np.einsum("pi,pi->p", df, grad)  # g(grad f, grad f) = df(grad f)
-
-
-def field_jet(x: "VectorField | MatrixField", points: np.ndarray, steps) -> np.ndarray:
-    """The jet d_a X of a vector or matrix field: its ``jac``, else a stencil of its values."""
-    return x.jac(points) if x.jac is not None else fd_jet(x.value, points, steps)
 
 
 def nabla_vector(dx: np.ndarray, xv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -336,7 +325,7 @@ def build_frame(metric: MetricField, tau: ScalarField, points: np.ndarray,
     frame = Frame(points=points, g=g, dg=dg, ginv=ginv, gamma=gamma, dtau=dtau, d2tau=d2tau,
                   grad=grad, q=np.einsum("pj,pj->p", dtau, grad))
     if j is not None:
-        frame.J, frame.dJ = j.value(points), field_jet(j, points, metric.steps_at(points))
+        frame.J, frame.dJ = j.value(points), j.jac(points)
     return frame
 
 

@@ -1,6 +1,10 @@
 """Base surfaces (Sigma, h), the kappa field, and unitary connection data.
 
-Two built-ins cover the needs of the suite:
+Every chart is isothermal: a holomorphic coordinate, which every Riemann
+surface admits, puts h = lam2 * euclidean, so a chart carries only the
+conformal factor lam2 and its gradient, omega_h = lam2 dx1 ^ dx2, and J_Sigma
+is multiplication by i, the constant rotation ``J_SIGMA``.  Two built-ins
+cover the needs of the suite:
 
   * the flat torus R^2/Z^2 with h = c^2 * euclidean, a single periodic chart
     (all fields are evaluated on the universal cover, so stencils never
@@ -57,54 +61,27 @@ class GaugeInconsistencyWarning(UserWarning):
 # Charts
 # ----------------------------------------------------------------------------
 
+# J_Sigma in an isothermal chart: multiplication by i, the rotation by +90 degrees.
+J_SIGMA = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
 @dataclass
 class SurfaceChart:
+    """An isothermal chart, h = lam2 * euclidean: omega_h = lam2 dx1 ^ dx2 and J_Sigma = J_SIGMA."""
+
     name: str
-    h: Callable[[np.ndarray], np.ndarray]            # (N,2) -> (N,2,2)
-    dh: Callable[[np.ndarray], np.ndarray]           # (N,2) -> (N,2,2,2), [a,i,j] = d_a h_ij
+    lam2: Callable[[np.ndarray], np.ndarray]         # (N,2) -> (N,)
+    dlam2: Callable[[np.ndarray], np.ndarray]        # (N,2) -> (N,2), [a] = d_a lam2
     domain: Callable[[np.ndarray], np.ndarray]
     bounds: tuple                                    # sampling box ((x1lo,x1hi),(x2lo,x2hi))
-    orientation: int = 1
-
-    def sqrt_det_h(self, x: np.ndarray) -> np.ndarray:
-        h = self.h(x)
-        return np.sqrt(h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] ** 2)
-
-    def area_form(self, x: np.ndarray) -> np.ndarray:
-        """Coefficient W with omega_h = W dx1 ^ dx2 on the oriented chart."""
-        return self.orientation * self.sqrt_det_h(x)
-
-    def complex_structure(self, x: np.ndarray) -> np.ndarray:
-        """J_Sigma[k,j] with h(Jw, w') = omega_h(w, w') (rotation by +90 deg).
-
-        In closed form J = h^-1 omega^T = (orientation / sqrt(det h)) [[-h01, -h11], [h00, h01]].
-        """
-        h = self.h(x)
-        c = self.orientation / np.sqrt(h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] ** 2)
-        out = np.empty_like(h)
-        out[:, 0, 0] = -c * h[:, 0, 1]
-        out[:, 0, 1] = -c * h[:, 1, 1]
-        out[:, 1, 0] = c * h[:, 0, 0]
-        out[:, 1, 1] = c * h[:, 0, 1]
-        return out
 
 
 def torus_chart(h_scale: float) -> SurfaceChart:
     c2 = float(h_scale)
-
-    def h(x):
-        out = np.zeros((x.shape[0], 2, 2))
-        out[:, 0, 0] = c2
-        out[:, 1, 1] = c2
-        return out
-
-    def dh(x):
-        return np.zeros((x.shape[0], 2, 2, 2))
-
     return SurfaceChart(
         name="torus",
-        h=h,
-        dh=dh,
+        lam2=lambda x: np.full(x.shape[0], c2),
+        dlam2=lambda x: np.zeros((x.shape[0], 2)),
         domain=lambda x: np.ones(x.shape[0], dtype=bool),
         bounds=((0.0, 1.0), (0.0, 1.0)),
     )
@@ -118,27 +95,16 @@ def sphere_chart(radius: float, which: str) -> SurfaceChart:
         sig = np.sum(x * x, axis=1)
         return (2.0 * r2 / (r2 + sig)) ** 2
 
-    def h(x):
-        out = np.zeros((x.shape[0], 2, 2))
-        l2 = lam2(x)
-        out[:, 0, 0] = l2
-        out[:, 1, 1] = l2
-        return out
-
-    def dh(x):
+    def dlam2(x):
         sig = np.sum(x * x, axis=1)
         dl2_dsig = -2.0 * (2.0 * r2 / (r2 + sig)) ** 2 / (r2 + sig)
-        out = np.zeros((x.shape[0], 2, 2, 2))
-        for a in range(2):
-            out[:, a, 0, 0] = dl2_dsig * 2.0 * x[:, a]
-            out[:, a, 1, 1] = out[:, a, 0, 0]
-        return out
+        return (dl2_dsig * 2.0)[:, None] * x
 
     half = 0.75 * float(radius)
     return SurfaceChart(
         name=f"sphere-{which}",
-        h=h,
-        dh=dh,
+        lam2=lam2,
+        dlam2=dlam2,
         domain=lambda x: np.sum(x * x, axis=1) < rho_max2,
         bounds=((-half, half), (-half, half)),
     )
@@ -234,8 +200,8 @@ def validate_gamma_range(kappa: KappaField, interval: Interval) -> None:
 # ----------------------------------------------------------------------------
 
 def curvature_form(a: float, chart: SurfaceChart, kappa: KappaField, x: np.ndarray) -> np.ndarray:
-    """Coefficient W(p) with Omega = W dx1 ^ dx2 = -a kappa omega_h."""
-    return -a * kappa.value(x) * chart.area_form(x)
+    """Coefficient W(p) with Omega = W dx1 ^ dx2 = -a kappa omega_h = -a kappa lam2 dx1 ^ dx2."""
+    return -a * kappa.value(x) * chart.lam2(x)
 
 
 @dataclass

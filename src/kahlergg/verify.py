@@ -400,7 +400,7 @@ def check_gamma_recovery(subject: VerificationSubject, frame: geo.Frame, desc: s
                  for s in np.linspace(0.15 * lam, 0.85 * lam, 7)
                  for th in (0.0, 1.7, 3.9)]
         extras["fiber_spread"] = ell * float(np.ptp(_recovered_kappa(
-            subject, subject.frame(np.array(sweep)))))
+            subject, geo.build_frame(subject.metric, subject.tau, np.array(sweep)))))
     return make_report("gamma_recovery", desc, frame.points, res, tol, extras)
 
 
@@ -436,10 +436,9 @@ def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, des
     if subject.lift_fields is None:
         raise ValueError("subject provides no horizontal lifts")
     points, g, q, vv = frame.points, frame.g, frame.q, frame.grad
-    steps = subject.metric.steps_at(points)
     w1, w2 = subject.lift_fields
     wv = (w1.value(points), w2.value(points))
-    dw = (geo.field_jet(w1, points, steps), geo.field_jet(w2, points, steps))
+    dw = (w1.jac(points), w2.jac(points))
     # [w1, w2]^k = w1^j d_j w2^k - w2^j d_j w1^k
     bracket = np.einsum("pj,pjk->pk", wv[0], dw[1]) - np.einsum("pj,pjk->pk", wv[1], dw[0])
     uv = np.einsum("pkj,pj->pk", frame.J, vv)  # u = J grad tau

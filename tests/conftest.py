@@ -120,6 +120,23 @@ def wide_sphere_data(interval):
     return _height_sphere(interval, 2.0, 5.0, 1.0, q_interior=(0.4, -0.3), normalize="a")
 
 
+def _rebuilt(data):
+    """The construction rebuilt from what extraction reads off ``data``: splined lam2 and kappa."""
+    from kahlergg.extract import _rebuild, extract_all, oracle_from_construction
+    oracle = oracle_from_construction(data)
+    return _rebuild(extract_all(oracle), oracle)
+
+
+@pytest.fixture(scope="session")
+def rebuilt_torus_data(torus_data):
+    return _rebuilt(torus_data)
+
+
+@pytest.fixture(scope="session")
+def rebuilt_sphere_data(sphere_data):
+    return _rebuilt(sphere_data)
+
+
 @pytest.fixture(scope="session")
 def torus_subject(torus_data):
     from kahlergg.verify import subject_from_construction

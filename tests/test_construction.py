@@ -32,7 +32,7 @@ def test_metric_spot_values(torus_data):
     g = assemble_metric(torus_data).value(np.array([[0.25, 0.0, 0.5, 0.0]]))[0]
     assert g[2, 2] == pytest.approx(1.0)
     assert g[3, 3] == pytest.approx(0.25)
-    h = torus_data.chart_data.chart.h(np.array([[0.25, 0.0]]))[0]
+    h = torus_data.chart_data.chart.lam2(np.array([[0.25, 0.0]]))[0] * np.eye(2)
     a_pot = torus_data.chart_data.connection.A(np.array([[0.25, 0.0]]))[0]
     expect = h + 0.25 * np.outer(a_pot, a_pot)
     assert np.allclose(g[:2, :2], expect, rtol=1e-12)
@@ -77,11 +77,15 @@ def test_analytic_dg_matches_fd_sphere(sphere_data):
 
 
 @pytest.mark.parametrize("control", CONTROLS)
-@pytest.mark.parametrize("surface,seed,dg_tol", [("torus_data", 1, 1e-8), ("sphere_data", 2, 2e-8)])
+@pytest.mark.parametrize("surface,seed,dg_tol", [("torus_data", 1, 1e-8), ("sphere_data", 2, 2e-8),
+                                                  ("rebuilt_torus_data", 1, 1e-8),
+                                                  ("rebuilt_sphere_data", 2, 2e-8)])
 def test_wrapped_jets_match_fd(request, surface, seed, dg_tol, control):
-    # Each control wraps the clean fields with an analytic jet. The sphere's h varies,
-    # so only there does perturb-beta's (beta^1.01 - beta) dh term show; its bound is
+    # Each control wraps the clean fields with an analytic jet. The sphere's lam2 varies,
+    # so only there does perturb-beta's (beta^1.01 - beta) d lam2 term show; its bound is
     # wider because the stencil of break-symmetry's theta-dependent g_tautau reads 1.03e-8.
+    # The rebuilt charts pin the jets of the rebuild's splines: d lam2 on the sphere,
+    # d kappa on the torus.
     clean = request.getfixturevalue(surface)
     data = replace(clean, control=control)
     m, jf = with_control(data, assemble_metric(data), assemble_J(data))
@@ -258,6 +262,6 @@ def test_gamma_inf_metric_is_product_like(torus_inf_data):
     m = assemble_metric(torus_inf_data)
     pts = rand_points(torus_inf_data, 10, seed=13)
     g = m.value(pts)
-    h = torus_inf_data.chart_data.chart.h(pts[:, :2])
+    h = torus_inf_data.chart_data.chart.lam2(pts[:, :2])[:, None, None] * np.eye(2)
     assert np.max(np.abs(g[:, :2, :2] - h)) < 1e-14  # beta = 1, A = 0
     assert np.max(np.abs(g[:, :2, 3])) < 1e-14

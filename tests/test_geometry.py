@@ -15,8 +15,10 @@ def flat_metric(n):
 
 
 def chart_metric(chart):
-    return geo.MetricField(dim=2, value=chart.h, dvalue=chart.dh, step=1e-3,
-                           name=chart.name)
+    """The base metric h = lam2 delta of an isothermal chart, with its analytic jet."""
+    return geo.MetricField(dim=2, value=lambda x: chart.lam2(x)[:, None, None] * np.eye(2),
+                           dvalue=lambda x: chart.dlam2(x)[:, :, None, None] * np.eye(2),
+                           step=1e-3, name=chart.name)
 
 
 def test_flat_christoffels_vanish():
@@ -97,7 +99,7 @@ def test_flat_hessian_and_laplacian():
 
 def _nabla(m, x, pts):
     """(nabla X)[p,k,i] of a vector field, its jet a stencil of its values."""
-    return geo.nabla_vector(geo.field_jet(x, pts, m.steps_at(pts)), x.value(pts),
+    return geo.nabla_vector(geo.fd_jet(x.value, pts, m.steps_at(pts)), x.value(pts),
                             geo.christoffel(m, pts))
 
 
@@ -139,7 +141,7 @@ def test_nabla_J_flat_standard():
     j0 = np.array([[0.0, -1.0], [1.0, 0.0]])
     jf = geo.MatrixField(value=lambda p: np.broadcast_to(j0, (p.shape[0], 2, 2)).copy())
     pts = np.random.default_rng(9).normal(size=(6, 2))
-    dj = geo.field_jet(jf, pts, m.steps_at(pts))
+    dj = geo.fd_jet(jf.value, pts, m.steps_at(pts))
     assert np.max(np.abs(geo.nabla_J(dj, jf.value(pts), geo.christoffel(m, pts)))) < 1e-11
 
 
@@ -394,9 +396,10 @@ def test_condition_estimate_is_the_row_sum_norm_bitwise(n):
 
 
 def test_default_torus_suite_inverts_few_matrices(torus_subject, monkeypatch):
-    # Gradients are solves; only Levi-Civita builds, J's closed-form jet (h^-1)
-    # and boundary_limits form an inverse (514,677 matrices before solves
-    # replaced inverses, 127,328 before the main grid shared one frame).
+    # Gradients are solves; only Levi-Civita builds and boundary_limits form an
+    # inverse, and J's jet forms none since J_Sigma is a constant rotation
+    # (514,677 matrices before solves replaced inverses, 127,328 before the main
+    # grid shared one frame, 10,574 before the charts became isothermal).
     inv, seen = np.linalg.inv, []
 
     def counted(a, *args, **kwargs):
@@ -405,4 +408,4 @@ def test_default_torus_suite_inverts_few_matrices(torus_subject, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", counted)
     assert suite_passed(run_suite(torus_subject, GridSpec()))
-    assert sum(seen) <= 95_000
+    assert sum(seen) <= 6_400

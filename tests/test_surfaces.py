@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from kahlergg import geometry as geo
 from kahlergg.profiles import Interval
-from kahlergg.surfaces import (GammaRangeError, GaugeInconsistencyWarning, SurfaceChart,
+from kahlergg.surfaces import (J_SIGMA, GammaRangeError, GaugeInconsistencyWarning,
                                build_surface, curvature_form, gamma_constant, gamma_cos,
                                gamma_height, solve_connection_torus, sphere_chart, torus_chart,
                                validate_gamma_range)
@@ -94,7 +94,7 @@ def test_normalize_h_scale_hits_integer():
     assert surface.chern_deviation < 1e-9
     assert a == 2.0
     # params records the h_scale the chart was built with, not the one asked for.
-    h_scale = surface.charts[0].chart.h(np.zeros((1, 2)))[0, 0, 0]
+    h_scale = surface.charts[0].chart.lam2(np.zeros((1, 2)))[0]
     assert surface.params["h_scale"] == h_scale != 3.0
 
 
@@ -120,7 +120,7 @@ def test_curvature_constant_multiple_for_constant_gamma():
     chart = sphere_chart(1.0, "south")
     gam = gamma_constant(3.0, TS)
     pts = np.random.default_rng(0).uniform(-0.5, 0.5, size=(20, 2))
-    ratio = curvature_form(2.0, chart, gam, pts) / chart.area_form(pts)
+    ratio = curvature_form(2.0, chart, gam, pts) / chart.lam2(pts)  # omega_h = lam2 dx1 ^ dx2
     assert np.ptp(ratio) < 1e-14
 
 
@@ -196,49 +196,32 @@ def test_height_gamma_range_uses_radius():
 
 
 def test_area_form_orthonormal_frame_property():
-    # omega_h(e1, e2) = 1 for an oriented h-orthonormal frame
+    # omega_h(e1, e2) = 1 for an oriented h-orthonormal frame, with h = lam2 delta
+    # and omega_h = lam2 dx1 ^ dx2.
     chart = sphere_chart(1.2, "south")
     pts = np.random.default_rng(4).uniform(-0.4, 0.4, (10, 2))
-    h = chart.h(pts)
-    w = chart.area_form(pts)
+    h = chart.lam2(pts)[:, None, None] * np.eye(2)
+    w = chart.lam2(pts)
     lam = np.sqrt(h[:, 0, 0])
     e1 = np.column_stack([1.0 / lam, np.zeros(10)])
     e2 = np.column_stack([np.zeros(10), 1.0 / lam])
+    assert np.max(np.abs(np.einsum("pi,pij,pj->p", e1, h, e2))) < 1e-15
     pairing = w * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     assert np.max(np.abs(pairing - 1.0)) < 1e-12
 
 
 def test_complex_structure_squares_to_minus_id():
+    # J_Sigma is the rotation by +90 degrees: J^2 = -1, h-hermitian for h = lam2 delta,
+    # and h(J w, w') = omega_h(w, w') with omega_h = lam2 dx1 ^ dx2.
     chart = sphere_chart(0.9, "north")
     pts = np.random.default_rng(5).uniform(-0.4, 0.4, (15, 2))
-    js = chart.complex_structure(pts)
-    assert np.max(np.abs(np.einsum("pij,pjk->pik", js, js) + np.eye(2))) < 1e-12
-    h = chart.h(pts)
-    herm = np.einsum("pki,pkl,plj->pij", js, h, js) - h
+    assert np.array_equal(J_SIGMA @ J_SIGMA, -np.eye(2))
+    lam2 = chart.lam2(pts)
+    h = lam2[:, None, None] * np.eye(2)
+    herm = np.einsum("ki,pkl,lj->pij", J_SIGMA, h, J_SIGMA) - h
     assert np.max(np.abs(herm)) < 1e-12
-
-
-@pytest.mark.parametrize("orientation", [1, -1])
-def test_complex_structure_closed_form_equals_h_inverse_omega(orientation):
-    # A non-diagonal h, so every entry of the closed form is exercised.
-    def h(x):
-        out = np.empty((len(x), 2, 2))
-        out[:, 0, 0] = 2.0 + x[:, 0] ** 2
-        out[:, 1, 1] = 1.5 + np.sin(x[:, 1]) ** 2
-        out[:, 0, 1] = out[:, 1, 0] = 0.7 * np.cos(x[:, 0] - x[:, 1])
-        return out
-
-    chart = SurfaceChart(name="skew", h=h, dh=None, domain=None, bounds=((-1, 1), (-1, 1)),
-                         orientation=orientation)
-    pts = np.random.default_rng(6).uniform(-1.0, 1.0, (25, 2))
-    hh = h(pts)
-    omega = np.zeros_like(hh)
-    omega[:, 0, 1] = chart.area_form(pts)
-    omega[:, 1, 0] = -omega[:, 0, 1]
-    js = chart.complex_structure(pts)
-    # J^k_j = h^ki omega_ji, i.e. h(J w, w') = omega(w, w')
-    assert np.max(np.abs(js - np.einsum("pki,pji->pkj", np.linalg.inv(hh), omega))) < 1e-14
-    assert np.max(np.abs(np.swapaxes(js, 1, 2) @ hh - omega)) < 1e-14
+    omega = lam2[:, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.max(np.abs(J_SIGMA.T @ h - omega)) < 1e-12
 
 
 def test_x2_dependent_torus_curvature_rejected():

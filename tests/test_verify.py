@@ -125,7 +125,7 @@ def test_wrong_field_is_not_killing(torus_subject):
         [0.0, 0.0, 1.0, 0.0], (p.shape[0], 4)).copy())
     pts, _ = torus_subject.grid_points(FAST)
     frame = torus_subject.frame(pts[:50])
-    dbad = geo.field_jet(bad, pts[:50], torus_subject.metric.steps_at(pts[:50]))
+    dbad = geo.fd_jet(bad.value, pts[:50], torus_subject.metric.steps_at(pts[:50]))
     lie = geo.lie_derivative_metric(frame.g, geo.nabla_vector(dbad, bad.value(pts[:50]), frame.gamma))
     assert np.max(np.abs(lie)) > 1.0
 
