@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ConfigError, RunConfig, build_from_config, grid_count, parse_config,
-                     positive_number)
+from .config import (ConfigError, RunConfig, build_from_config, check_grid_size, grid_count,
+                     parse_config, positive_number)
 from .construction import CONTROLS
 from .extract import (FiberInconsistencyError, InconsistentOracleError, NotAFunctionOfTauError,
                       extract_all, oracle_from_construction, oracle_from_fs, round_trip)
@@ -57,7 +57,8 @@ def _load_config(args) -> RunConfig:
         if len(parts) != 4:
             raise ConfigError("--grid expects 'bx,by,n_tau,n_theta'")
         bx, by, n_tau, n_theta = (grid_count(p, f"--grid[{i}]") for i, p in enumerate(parts))
-        cfg.grid = replace(cfg.grid, base=(bx, by), n_tau=n_tau, n_theta=n_theta)
+        cfg.grid = check_grid_size(replace(cfg.grid, base=(bx, by), n_tau=n_tau, n_theta=n_theta),
+                                   "--grid")
     if getattr(args, "control", None):
         cfg.control = args.control
     if cfg.control != "none" and cfg.oracle != "construction":
@@ -187,14 +188,14 @@ def cmd_flow(args) -> int:
     data = build_from_config(cfg)
     subject = subject_from_construction(data)
     tol = resolve_tolerances(cfg.tolerances, cfg.tol_scale)["flow_lengths"]
-    report, flow = _flow_lengths(subject, tol)
-    # Trajectory dump for the first fiber.
-    path = flow.fiber(0)
+    report, traces = _flow_lengths(subject, tol)
+    # Trajectory dump for the first fiber, both halves; t and arclength are signed from its seed.
+    path = traces[0]
     with (out / "trajectory.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "arclength", "x1", "x2", "tau", "theta", "s_of_tau"])
         s_vals = np.asarray(data.maps.s_of_tau(path.points[:, 2]), dtype=float)
-        for t, arc, p, s in zip(path.params, path.arclength, path.points, s_vals):
+        for t, arc, p, s in zip(path.t, path.s, path.points, s_vals):
             w.writerow([repr(float(t)), repr(float(arc))] + [repr(float(c)) for c in p]
                        + [repr(float(s))])
     payload = _suite_payload(_config_digest(cfg), [report])

@@ -63,6 +63,17 @@ def grid_count(x, path: str, least: int = 1) -> int:
     return x
 
 
+MAX_GRID_POINTS = 2 ** 20  # a verify keeps about 6 KB per grid point
+
+
+def check_grid_size(grid: GridSpec, path: str) -> GridSpec:
+    """The grid, unless n_random or bx by max(n_tau, 6) n_theta (bochner's deep grid) is too large."""
+    n = max(math.prod(grid.base) * max(grid.n_tau, 6) * grid.n_theta, grid.n_random)
+    if n > MAX_GRID_POINTS:
+        raise ConfigError(f"{path}: {n} points in a grid or the random sample, at most {MAX_GRID_POINTS}")
+    return grid
+
+
 def positive_number(x, path: str) -> float:
     """A tolerance or tolerance scale: a finite number > 0, or (``--tol-scale``) its text."""
     if isinstance(x, str):
@@ -152,7 +163,7 @@ def parse_config(text: str) -> RunConfig:
     surface_type, surface_params = "torus", {"h_scale": float(np.pi * np.sqrt(6.0))}
     gamma_spec = {"type": "cos", "c0": 3.0, "c1": 0.5}
     normalize, chart = "none", 0
-    if con:
+    if "construction" in raw:
         _require_keys(con, {"tau_min", "tau_max", "a", "q_factor", "surface", "gamma",
                             "normalize", "chart"},
                       {"tau_min", "tau_max", "a", "surface", "gamma"}, "$.construction")
@@ -234,6 +245,7 @@ def parse_config(text: str) -> RunConfig:
                     seed=seed,
                     n_random=grid_count(grid_raw.get("n_random", 128), "$.grid.n_random"),
                     **collars)
+    check_grid_size(grid, "$.grid")
 
     tol_raw = raw.get("tolerances", {})
     _require_keys(tol_raw, set(DEFAULT_TOLERANCES), set(), "$.tolerances")

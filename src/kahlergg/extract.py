@@ -127,21 +127,6 @@ def oracle_from_fs(chart: Optional[FSChart] = None, n_seeds: int = 12) -> Extrac
 # Fiber traces
 # ----------------------------------------------------------------------------
 
-@dataclass
-class FiberTrace:
-    """One seed's gradient-flow record, both directions merged, in order of tau.
-
-    s is the arclength along the trace, 0 at the seed.  The samples are fixed
-    steps of the flow parameter apart, so their s-steps shrink geometrically
-    toward both ends, where sqrt(Q) vanishes linearly.
-    """
-
-    s: np.ndarray
-    tau: np.ndarray
-    q: np.ndarray
-    points: np.ndarray
-
-
 # Fiber ends that mean a step went past the end of its fiber, and how many times
 # trace_fibers retraces at a third of the step when one occurs: 3^-210 FLOW_STEP
 # is the step of the steepest a a config admits, 1e100.
@@ -150,44 +135,32 @@ _RETRACES = 210
 
 
 def trace_fibers(oracle: ExtractionOracle) -> list:
-    """One merged FiberTrace per seed, in order of tau: both flows in one batch.
+    """One ``geometry.FiberTrace`` per seed, in order of tau: ``geometry.flow_both_ways``.
 
-    Both flows step ``geometry.FLOW_STEP`` in the flow parameter t, with t
+    Both halves step ``geometry.FLOW_STEP`` in the flow parameter t, with t
     bounded by 60 in each direction, and end by the integrator's one stop
-    rule.  Toward the end of a fiber with a large end slope a step can go
-    past it: a fiber that ends "non-finite" or "left-domain", or a stage
-    whose metric is singular, makes every seed retrace at a third of the
-    step, up to ``_RETRACES`` times, after which InconsistentOracleError is
-    raised.  A metric singular at the seeds is a NumericalFailure of its
-    own.  tau and Q are exact oracle values at every sample, wherever the
-    step put it.
+    rule.  The samples are fixed t-steps apart, so their arclength steps
+    shrink geometrically toward both ends, where sqrt(Q) vanishes linearly.
+    Toward the end of a fiber with a large end slope a step can go past it:
+    a fiber that ends "non-finite" or "left-domain", or a stage whose metric
+    is singular, makes every seed retrace at a third of the step, up to
+    ``_RETRACES`` times, after which InconsistentOracleError is raised.  A
+    metric singular at the seeds is a NumericalFailure of its own.  tau and
+    Q are exact oracle values at every sample, wherever the step put it.
     """
-    n = len(oracle.seeds)
     geo.gradient_and_q(oracle.metric, oracle.tau, oracle.seeds)  # singular here: NumericalFailure
     step = geo.FLOW_STEP
     for _ in range(_RETRACES + 1):
         try:
-            flow = geo.integrate_gradient_flow(oracle.metric, oracle.tau,
-                                               np.concatenate([oracle.seeds, oracle.seeds]),
-                                               np.repeat([-1.0, 1.0], n), step=step,
-                                               max_steps=int(60.0 / step))
-            if not _OVERSHOT.intersection(flow.status):
-                break
+            traces = geo.flow_both_ways(oracle.metric, oracle.tau, oracle.seeds, step=step,
+                                        max_steps=int(60.0 / step))
+            if not any(_OVERSHOT.intersection(tr.status) for tr in traces):
+                return traces
         except geo.NumericalFailure:  # a stage past a fiber's end met a singular metric
             pass
         step /= 3.0
-    else:
-        raise InconsistentOracleError(
-            f"gradient-flow traces still step past the ends of their fibers at t-step {3.0 * step:.3g}")
-    traces = []
-    for i in range(n):
-        down, up = flow.fiber(i), flow.fiber(n + i)
-        traces.append(FiberTrace(
-            s=np.concatenate([-down.arclength[::-1], up.arclength[1:]]),
-            tau=np.concatenate([down.values[::-1], up.values[1:]]),
-            q=np.concatenate([down.q[::-1], up.q[1:]]),
-            points=np.concatenate([down.points[::-1], up.points[1:]])))
-    return traces
+    raise InconsistentOracleError(
+        f"gradient-flow traces still step past the ends of their fibers at t-step {3.0 * step:.3g}")
 
 
 def extract_profile(traces: list):
@@ -201,7 +174,7 @@ def extract_profile(traces: list):
     divided twice by w = (tau - tau_min)(tau_max - tau), as polynomials in
     t = (tau - tau_min)/L, with 2a/L taken off between the divisions.
     """
-    tau = np.concatenate([tr.tau for tr in traces])
+    tau = np.concatenate([tr.values for tr in traces])
     q = np.concatenate([tr.q for tr in traces])
     scale = max(float(np.max(q)), 1.0)
     for degree in range(2, 9):
@@ -255,12 +228,12 @@ def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: li
     hi = iv.tau_min + 0.75 * iv.length
     picks = []
     for tr in traces:
-        idx = np.where((tr.tau > lo) & (tr.tau < hi))[0]
+        idx = np.where((tr.values > lo) & (tr.values < hi))[0]
         picks.append(idx[np.linspace(0, idx.size - 1, 5).astype(int)])
     fr = geo.build_frame(oracle.metric, oracle.tau,
                          np.concatenate([tr.points[p] for tr, p in zip(traces, picks)]))
     psi = np.einsum("pi,pij,pj->p", fr.grad, fr.hessian(), fr.grad) / fr.q
-    kappa = recover_kappa(np.concatenate([tr.tau[p] for tr, p in zip(traces, picks)]),
+    kappa = recover_kappa(np.concatenate([tr.values[p] for tr, p in zip(traces, picks)]),
                           iv.tau_star, np.concatenate([tr.q[p] for tr, p in zip(traces, picks)]),
                           fr.laplacian(), psi).reshape(len(traces), -1)
     worst = 0.5 * iv.length * float(np.max(np.ptp(kappa, axis=1)))

@@ -438,7 +438,8 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
     ("non-finite": the step went past a critical level, where sqrt(Q) is
     NaN; the start of the step is kept), or after ``max_steps`` steps
     ("max-steps").  A metric that is singular at a seed or a stage raises
-    NumericalFailure.
+    NumericalFailure.  A batch is as deep as its longest fiber: ``flow_both_ways``
+    flows both halves from mid-fiber, half the steps of a flow from one end.
     """
     n = metric.dim
     x = np.array(seeds, dtype=float).reshape(-1, n)
@@ -494,6 +495,39 @@ def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarr
     pts, params, arcs, vals, qs = (np.array(col) for col in zip(*rows))
     return FlowResult(points=pts, params=params, arclength=arcs, values=vals, q=qs,
                       status=status, last=last)
+
+
+@dataclass
+class FiberTrace:
+    """One seed's two-way flow: the descending half reversed, then the ascending one.
+
+    The samples are in order of f, the seed once; s and t are the arclength
+    and the flow parameter from the seed, negative on the descending half.
+    """
+
+    s: np.ndarray
+    t: np.ndarray
+    values: np.ndarray
+    q: np.ndarray
+    points: np.ndarray
+    status: tuple               # (descending half, ascending half)
+
+
+def flow_both_ways(metric: MetricField, f: ScalarField, seeds: np.ndarray, *,
+                   step: float, max_steps: int = 200000) -> list:
+    """One FiberTrace per seed, from one ``integrate_gradient_flow`` batch of both halves."""
+    n = len(seeds)
+    flow = integrate_gradient_flow(metric, f, np.concatenate([seeds, seeds]),
+                                   np.repeat([-1.0, 1.0], n), step=step, max_steps=max_steps)
+
+    def merged(down: PathResult, up: PathResult) -> FiberTrace:
+        def cat(name, sign=1.0):  # the descending half reversed, then the ascending one past the seed
+            return np.concatenate([sign * getattr(down, name)[::-1], getattr(up, name)[1:]])
+
+        return FiberTrace(s=cat("arclength", -1.0), t=cat("params", -1.0), values=cat("values"),
+                          q=cat("q"), points=cat("points"), status=(down.status, up.status))
+
+    return [merged(flow.fiber(i), flow.fiber(n + i)) for i in range(n)]
 
 
 def richardson_even(values: np.ndarray) -> np.ndarray:

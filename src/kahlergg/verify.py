@@ -526,7 +526,7 @@ def check_bochner(subject: VerificationSubject, points: np.ndarray, desc: str,
     return make_report("bochner", desc, points, res, tol, extras)
 
 
-# Fiber-end offset of the boundary-limit and flow-length checks, in units of lambda.
+# Fiber-end offset of the boundary-limit check, in units of lambda.
 _END_FRAC = 0.01
 
 
@@ -577,41 +577,40 @@ def check_flow_lengths(subject: VerificationSubject, tol: float,
 
 
 def _flow_lengths(subject: VerificationSubject, tol: float,
-                  n_fibers: int = 2) -> "tuple[CheckReport, geo.FlowResult]":
-    """``check_flow_lengths`` plus the flow it integrated, fiber 0 first.
+                  n_fibers: int = 2) -> "tuple[CheckReport, list]":
+    """``check_flow_lengths`` plus its ``geometry.FiberTrace`` per fiber, fiber 0 first.
 
-    Each fiber is seeded at s = delta and flows until it stops (sqrt(Q) below
-    ``geometry.FLOW_END`` of its largest value), in t-steps
+    Each fiber is seeded at its middle, s0 = lambda/2, and flows down and up
+    from there in one ``geometry.flow_both_ways`` batch until each half stops
+    (sqrt(Q) below ``geometry.FLOW_END`` of its largest value), in t-steps
     min(FLOW_STEP, 2 FLOW_STEP / a), which hold a h at most at its value for
-    a = 2 (tau -> c tau multiplies a by c).  The residual is
-    |s(tau) - (delta + arclength)| at every sample.
+    a = 2 (tau -> c tau multiplies a by c).  A fiber's residual is
+    |s(tau) - (s0 + arclength)| over the samples of both halves, with the
+    arclength signed from the seed; a half that does not stop makes it inf.
     """
     if subject.fiber_point is None or not subject.fiber_bases:
         raise ValueError("subject provides no fiber structure")
-    delta = _END_FRAC * subject.maps.lam
-    seeds = np.array([subject.fiber_point(base, delta) for base in subject.fiber_bases[:n_fibers]])
-    flow = geo.integrate_gradient_flow(subject.metric, subject.tau, seeds,
-                                       step=min(geo.FLOW_STEP, 2.0 * geo.FLOW_STEP / subject.a))
+    s0 = 0.5 * subject.maps.lam
+    seeds = np.array([subject.fiber_point(base, s0) for base in subject.fiber_bases[:n_fibers]])
+    traces = geo.flow_both_ways(subject.metric, subject.tau, seeds,
+                                step=min(geo.FLOW_STEP, 2.0 * geo.FLOW_STEP / subject.a))
     rows, failed = [], []
     drift_max = 0.0
-    for i in range(len(seeds)):
-        path = flow.fiber(i)
-        if path.status != "stop":
+    for i, tr in enumerate(traces):
+        if tr.status != ("stop", "stop"):
             rows.append(np.inf)
-            failed.append({"fiber": i, "status": path.status})
+            failed.append({"fiber": i, "descending": tr.status[0], "ascending": tr.status[1]})
             continue
-        s_along = np.asarray(subject.maps.s_of_tau(path.values), dtype=float)
-        rows.append(float(np.max(np.abs(s_along - (delta + path.arclength)))))
+        s_along = np.asarray(subject.maps.s_of_tau(tr.values), dtype=float)
+        rows.append(float(np.max(np.abs(s_along - (s0 + tr.s)))))
         if subject.construction is not None:
-            ref = path.points[0]
-            drift = np.max(np.abs(path.points[:, [0, 1, 3]] - ref[[0, 1, 3]]))
-            drift_max = max(drift_max, float(drift))
+            drift_max = max(drift_max, float(np.max(np.abs(tr.points[:, [0, 1, 3]] - seeds[i, [0, 1, 3]]))))
     extras = {"fiber_drift_max": drift_max}
     if failed:
         extras["failed_fibers"] = failed
-    desc = (f"{len(rows)} trajectories from s={_END_FRAC} lambda to "
+    desc = (f"{len(rows)} trajectories from s = lambda/2 both ways to "
             f"sqrt(Q) < {geo.FLOW_END} max sqrt(Q)")
-    return make_report("flow_lengths", desc, seeds, np.array(rows), tol, extras), flow
+    return make_report("flow_lengths", desc, seeds, np.array(rows), tol, extras), traces
 
 
 def check_oracle_equivalence(subject: VerificationSubject, tol: float,

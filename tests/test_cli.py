@@ -50,6 +50,13 @@ def test_unknown_key_rejected():
                      '"q_factor": {"type": "constant", "typo": 1}}}')
 
 
+@pytest.mark.parametrize("construction", ["{}", "[]", "0", '""', "null"])
+def test_empty_construction_rejected(construction):
+    # An empty or non-object construction used to build the default torus silently.
+    with pytest.raises(ConfigError, match=r"\$\.construction"):
+        parse_config(f'{{"construction": {construction}}}')
+
+
 def test_gamma_range_rejected_at_parse():
     with pytest.raises(ConfigError, match="intersects the interval"):
         parse_config('{"construction": {"tau_min": 0, "tau_max": 1, "a": 2,'
@@ -133,6 +140,12 @@ def test_cli_flow(torus_cfg_file, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "arclength", "x1", "x2", "tau", "theta", "s_of_tau"]
     assert len(rows) > 50
+    # Fiber 0 flows both ways from its middle, so its rows reach both ends.
+    lam = build_from_config(parse_config(TORUS_CFG)).maps.lam
+    s_of_tau = [float(r[6]) for r in rows[1:]]
+    assert min(s_of_tau) < 0.05 * lam and max(s_of_tau) > 0.95 * lam
+    t = [float(r[0]) for r in rows[1:]]
+    assert t == sorted(t) and t.count(0.0) == 1 and t[0] < 0.0 < t[-1]
 
 
 @pytest.mark.parametrize("argv", [["construct"], ["flow"], ["extract", "--round-trip"],
@@ -240,13 +253,33 @@ def test_cli_fubini_check_non_numeric_option_is_config_error(tmp_path, capsys, f
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("grid", ["a,b,c,d", "2,2,0,2", "2,2,-1,2"])
+@pytest.mark.parametrize("grid", ["a,b,c,d", "2,2,0,2", "2,2,-1,2",
+                                  # past 2^20 points, counting bochner's deep grid of >= 6 tau values
+                                  "1024,1024,1,1", "9223372036854775808,2,2,1",
+                                  "2,2,1000000000000000000000000000000,1"])
 def test_cli_verify_bad_grid_is_config_error(torus_cfg_file, tmp_path, capsys, grid):
     code = main(["verify", "--config", str(torus_cfg_file), "--out", str(tmp_path / "o"),
                  "--grid", grid])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err["kind"] == "config" and "--grid" in err["message"]
+
+
+def _with_grid(**grid) -> str:
+    cfg = json.loads(TORUS_CFG)
+    cfg["grid"].update(grid)
+    return json.dumps(cfg)
+
+
+@pytest.mark.parametrize("grid", [{"base": [2 ** 63, 2]}, {"n_tau": 10 ** 30},
+                                  {"base": [512, 512], "n_tau": 1, "n_theta": 1},
+                                  {"n_random": 2 ** 20 + 1}])
+def test_grid_past_its_bound_is_config_error(grid):
+    # A grid is allocated whole: past 2^20 points (bochner's deep grid takes at
+    # least 6 tau values) it used to end in a ValueError or MemoryError traceback.
+    with pytest.raises(ConfigError, match=r"\$\.grid: .* at most 1048576"):
+        parse_config(_with_grid(**grid))
+    assert parse_config(_with_grid(base=[128, 128], n_tau=16, n_theta=4, n_random=2 ** 20))
 
 
 def test_cli_verify_zero_n_tau_in_config_is_config_error(tmp_path, capsys):
@@ -470,4 +503,67 @@ def test_construct_fuzz_numeric_fields(construction):
     # Any numbers in a construction, the profile and connection tables they build
     # included, end in a documented exit code with a JSON error, never a traceback.
     cfg = {"construction": construction, "grid": {"base": [2, 2], "n_tau": 2, "n_theta": 1}}
+    _assert_construct_exits_documented(cfg)
+
+
+# JSON values the structural fuzz puts anywhere in a config: counts past any grid
+# bound, scalars of every JSON type, and small lists and objects of them.  The counts
+# are small or huge, never a grid large enough to be slow to build.
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 8), st.floats(-10.0, 10.0),
+                     st.sampled_from([float("nan"), float("inf"), -0.0, 0.5, "inf", "none",
+                                      "torus", "sphere", "poly", "fubini", "perturb-j"]),
+                     st.text(max_size=3))
+_JSON_VALUES = st.one_of(
+    st.sampled_from([2 ** 20 + 1, 10 ** 30, 2 ** 63, 1e30]), _SCALARS,
+    st.recursive(_SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=5), inner, max_size=2)),
+        max_leaves=4))
+
+
+def _config_paths(node, prefix=()):
+    """Every key and list index path in a JSON tree, children first and the root () last."""
+    if isinstance(node, (dict, list)):
+        for k, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _config_paths(v, prefix + (k,))
+    yield prefix
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A complete valid config with one to three of its values replaced, deleted or joined by a stranger."""
+    surface = draw(st.sampled_from(["torus", "sphere"]))
+    cfg = {"construction": {"tau_min": 0.0, "tau_max": 1.0, "a": 2.0,
+                            "q_factor": {"type": "poly", "coeffs": [0.4]},
+                            "surface": {"type": surface},
+                            "gamma": {"type": "constant", "value": 3.0},
+                            "normalize": "none", "chart": 0},
+           "grid": {"base": [2, 2], "n_tau": 2, "n_theta": 1, "collar": 0.02,
+                    "deep_collar": 0.2, "n_random": 4},
+           "tolerances": {"kaehler": 1e-6}, "tol_scale": 1.0, "seed": 0,
+           "control": "none", "oracle": "construction"}
+    rnd = draw(st.randoms(use_true_random=False))  # uniform picks: sampled_from favours early items
+    for _ in range(draw(st.integers(1, 3))):
+        path = rnd.choice(list(_config_paths(cfg)))
+        if not path:
+            return draw(_JSON_VALUES)
+        parent = cfg
+        for k in path[:-1]:
+            parent = parent[k]
+        action = rnd.choice(["replace", "replace", "delete", "stranger"])
+        if action == "replace":
+            parent[path[-1]] = draw(_JSON_VALUES)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.text(max_size=5))] = draw(_JSON_VALUES)
+    return cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cfg=_mutated_configs())
+def test_construct_fuzz_config_structure(cfg):
+    # Any value of a config, the config itself included, replaced by any JSON
+    # value, deleted, or joined by an unknown key ends in a documented exit code
+    # with a JSON error, never a traceback; a grid count past the grid bound is
+    # a config error, not an allocation that fails.
     _assert_construct_exits_documented(cfg)

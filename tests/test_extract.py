@@ -243,7 +243,7 @@ def test_trace_fibers_retraces_at_a_third_of_the_step(request, data, steps, monk
     assert runs == list(steps)
     for tr in traces:
         assert np.all(tr.q > 0.0) and np.all(np.isfinite(tr.points))
-        assert 0.0 < tr.tau.min() < 0.01 and 0.99 < tr.tau.max() < 1.0
+        assert 0.0 < tr.values.min() < 0.01 and 0.99 < tr.values.max() < 1.0
     monkeypatch.setattr(extract, "_RETRACES", 0)
     with pytest.raises(InconsistentOracleError):
         trace_fibers(oracle)
@@ -280,6 +280,6 @@ def test_fubini_gamma_is_sampling_free():
 def test_traces_cover_interval(torus_oracle):
     traces = trace_fibers(torus_oracle)
     for tr in traces:
-        assert tr.tau.min() < 0.01 and tr.tau.max() > 0.99
+        assert tr.values.min() < 0.01 and tr.values.max() > 0.99
         # base coordinates and theta never drift along a fiber
         assert np.max(np.abs(tr.points[:, [0, 1, 3]] - tr.points[0, [0, 1, 3]])) < 1e-8

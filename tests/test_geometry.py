@@ -280,6 +280,26 @@ def test_trace_fibers_pins_the_stop_rule():
         assert np.all(np.diff(tr.s) > 0)
 
 
+def test_trace_fibers_matches_a_direct_two_way_flow():
+    # The shared two-way helper is one integrate_gradient_flow batch of both halves
+    # and a merge; the extraction's samples are exactly that batch's.
+    oracle = oracle_from_fs()
+    traces = trace_fibers(oracle)
+    n = len(oracle.seeds)
+    flow = geo.integrate_gradient_flow(oracle.metric, oracle.tau,
+                                       np.concatenate([oracle.seeds, oracle.seeds]),
+                                       np.repeat([-1.0, 1.0], n), step=geo.FLOW_STEP,
+                                       max_steps=int(60.0 / geo.FLOW_STEP))
+    for i, tr in enumerate(traces):
+        down, up = flow.fiber(i), flow.fiber(n + i)
+        assert tr.status == (down.status, up.status) == ("stop", "stop")
+        for got, name, sign in ((tr.s, "arclength", -1.0), (tr.t, "params", -1.0),
+                                (tr.values, "values", 1.0), (tr.q, "q", 1.0),
+                                (tr.points, "points", 1.0)):
+            want = np.concatenate([sign * getattr(down, name)[::-1], getattr(up, name)[1:]])
+            assert got.tobytes() == want.tobytes()
+
+
 def test_trace_fibers_metric_evaluations():
     oracle = oracle_from_fs()
     calls = []

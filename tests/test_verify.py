@@ -178,14 +178,16 @@ def test_laplacian_check_on_perturbed_beta_fails(torus_data):
 
 def test_flow_lengths_reports_every_failing_fiber(torus_subject):
     assert "failed_fibers" not in check_flow_lengths(torus_subject, 1e-4, n_fibers=3).extras
-    # Cut the domain at tau = 0.5 over x1 > 0.3: the fibers at x1 = 0.61 and
-    # 0.83 leave it, the one at x1 = 0.17 still reaches its target.
+    # Cut the domain at tau = 0.75 over x1 > 0.3: the ascending halves of the
+    # fibers at x1 = 0.61 and 0.83 leave it, their descending halves from the
+    # seeds at tau = 0.5 still stop, and the fiber at x1 = 0.17 ends both ways.
     metric = replace(torus_subject.metric,
-                     domain=lambda p: (p[:, 0] < 0.3) | (p[:, 2] < 0.5))
+                     domain=lambda p: (p[:, 0] < 0.3) | (p[:, 2] < 0.75))
     report = check_flow_lengths(replace(torus_subject, metric=metric), 1e-4, n_fibers=3)
     assert not report.passed
-    assert report.extras["failed_fibers"] == [{"fiber": 1, "status": "left-domain"},
-                                              {"fiber": 2, "status": "left-domain"}]
+    assert report.extras["failed_fibers"] == [
+        {"fiber": 1, "descending": "stop", "ascending": "left-domain"},
+        {"fiber": 2, "descending": "stop", "ascending": "left-domain"}]
     assert [o["residual"] for o in report.offenders][2] < 1e-4
 
 
@@ -203,18 +205,20 @@ def test_flow_lengths_steps_and_residual(request, fs_subject, data, bound):
         return value0(p)
 
     metric = replace(subject.metric, value=value)
-    report, flow = _flow_lengths(replace(subject, metric=metric), 1e-4)
+    report, traces = _flow_lengths(replace(subject, metric=metric), 1e-4)
     # The t-step min(FLOW_STEP, 2 FLOW_STEP / a) holds a h at its value for a = 2,
-    # so the tori at a = 30 and 1e4 take as many steps as the rest.
-    steps = len(flow.points) - 1
-    assert steps <= 90
-    assert len(calls) <= 600  # 1 to start, 7 per RK6 step
+    # so the tori at a = 30 and 1e4 take as many steps as the rest.  Seeded at
+    # the middle, each half covers half a fiber: 85 steps and 596 calls from s = 0.01 lambda.
+    steps = max(max(np.count_nonzero(tr.t < 0), np.count_nonzero(tr.t > 0)) for tr in traces)
+    assert steps <= 45
+    assert len(calls) <= 300  # 1 to start, 7 per RK6 step
     assert report.passed and report.max <= bound
-    # Each fiber ends at its first sample below FLOW_END of its largest sqrt(Q).
-    assert flow.status == ["stop"] * len(flow.last)
-    for i in range(len(flow.last)):
-        sq = np.sqrt(flow.fiber(i).q)
-        assert sq[-1] < geo.FLOW_END * np.max(sq) <= sq[-2]
+    # Each half ends at its first sample below FLOW_END of its largest sqrt(Q).
+    for tr in traces:
+        assert tr.status == ("stop", "stop")
+        sq = np.sqrt(tr.q)
+        for half in (sq[tr.t <= 0][::-1], sq[tr.t >= 0]):
+            assert half[-1] < geo.FLOW_END * np.max(half) <= half[-2]
 
 
 @pytest.mark.parametrize("data", ["torus_data", "fs"])
