@@ -34,7 +34,8 @@ The pipeline follows the geometry rather than any stored closed form:
 ``round_trip`` rebuilds a construction from the extracted data and reports
 the max relative metric deviation on a common chart grid.  The oracle's seeds
 lie in rows that share one base coordinate u (x1 on the torus, sigma = |x|^2
-on the sphere); h and kappa are splined over u, so the one rebuild serves
+on the sphere); h and kappa are interpolated over u, trigonometrically on the
+torus and by a Chebyshev polynomial on the sphere, so the one rebuild serves
 both surfaces.
 """
 
@@ -51,7 +52,7 @@ from . import geometry as geo
 from .construction import (ConstructionData, assemble_metric, assemble_J,
                            build_construction, tau_field)
 from .fubini import FSChart, fs_J, fs_metric, fs_random_directions, fs_tau
-from .piecewise import quintic_spline
+from .piecewise import chebyshev_interpolant, lobatto_nodes, trig_interpolant
 from .profiles import Interval, MomentumProfile, make_profile
 from .rp1 import INFINITY, RP1Value, recover_kappa
 from .surfaces import (BaseSurfaceData, ChartData, KappaField, SurfaceChart, curvature_form,
@@ -87,10 +88,11 @@ def oracle_from_construction(data: ConstructionData, n_x1: int = 24, n_x2: int =
     """Value-only wrapper around an assembled construction, seeded at tau_star.
 
     The seeds are n_x1 rows of n_x2.  The seeds of a row share one base
-    coordinate u, which the rebuild splines over: x1 on the torus, where the
-    rows are evenly spaced columns of the chart, and sigma = |x|^2 on the
-    sphere, where they are rings evenly spaced in |x| from the chart centre out
-    to 0.6 R, each with n_x2 evenly spaced angles.
+    coordinate u, which the rebuild interpolates over: x1 on the torus, where
+    the rows are evenly spaced columns of the chart, and sigma = |x|^2 on the
+    sphere, where they are rings at the Chebyshev-Lobatto nodes of sigma in
+    [0, (0.6 R)^2], from the chart centre out, each with n_x2 evenly spaced
+    angles.
     """
     m_full = assemble_metric(data)
     metric = replace(m_full, dvalue=None, name=m_full.name + ":oracle")
@@ -102,7 +104,7 @@ def oracle_from_construction(data: ConstructionData, n_x1: int = 24, n_x2: int =
         b2 = x2lo + (x2hi - x2lo) * (np.arange(n_x2) + 0.5) / n_x2
         g1, g2 = np.meshgrid(b1, b2, indexing="ij")
     else:
-        rho = np.linspace(0.0, 0.6 * data.surface.params["radius"], n_x1)
+        rho = np.sqrt(lobatto_nodes(n_x1, (0.6 * data.surface.params["radius"]) ** 2))
         angles = 2.0 * np.pi * (np.arange(n_x2) + 0.5) / n_x2
         rr, aa = np.meshgrid(rho, angles, indexing="ij")
         g1, g2 = rr * np.cos(aa), rr * np.sin(aa)
@@ -337,53 +339,56 @@ def extract_all(oracle: ExtractionOracle, with_h: bool = True) -> ExtractedData:
 # ----------------------------------------------------------------------------
 
 def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
-    """The construction from the extracted data, splined over each seed row's coordinate u.
+    """The construction from the extracted data, interpolated over each seed row's coordinate u.
 
     u is x1 on the torus and sigma = |x|^2 on the sphere, whose chart reaches
     out to the outer ring.  Each row's h is averaged to its isotropic part,
     the conformal factor lam2 of an isothermal chart, and its kappa to its
-    mean; both are splined over u by quintic interpolating splines, periodic
-    on the torus and not-a-knot on the sphere (kappa is rational in u: a
-    cubic spline of it put the torus round trip at 1.9e-6), du/dx chains
-    their slopes into d lam2 and d kappa, and the connection comes from the
-    surface's own solver.
+    mean.  Both are analytic in u, so spectral interpolants converge
+    geometrically: the trigonometric interpolant over the torus rows, which
+    are evenly spaced in one period, and the Chebyshev interpolant over the
+    sphere rings, which sit at the Lobatto nodes of sigma.  du/dx chains
+    their u-derivatives into d lam2 and d kappa, and the connection comes
+    from the surface's own solver.
     """
     torus = oracle.meta["surface"] == "torus"
     rows = oracle.meta["n_x1"]
     base = oracle.seeds.reshape(rows, -1, oracle.dim)[:, 0, list(oracle.base_axes)]
-    u = base[:, 0] if torus else np.sum(base * base, axis=1)
-
-    def coord(x):  # u and du/dx at chart points x; on the torus u is x1 wrapped into [u0, u0 + 1)
-        if torus:
-            return u[0] + np.mod(x[:, 0] - u[0], 1.0), np.broadcast_to([1.0, 0.0], x.shape)
-        return np.sum(x * x, axis=1), 2.0 * x
-
     k_row = ex.kappas.reshape(rows, -1).mean(axis=1)
     h_row = ex.h_samples.reshape(rows, -1, 2, 2).mean(axis=1)
     lam2_row = 0.5 * (h_row[:, 0, 0] + h_row[:, 1, 1])
-    if torus:  # one period closes each spline
-        u, k_row, lam2_row = (np.append(u, u[0] + 1.0), np.append(k_row, k_row[0]),
-                              np.append(lam2_row, lam2_row[0]))
-    k_spline, lam2_spline = (quintic_spline(u, v, periodic=torus) for v in (k_row, lam2_row))
-    dk_spline, dlam2_spline = k_spline.derivative(), lam2_spline.derivative()
+    if torus:
+        k_fit, lam2_fit = (trig_interpolant(v, base[0, 0]) for v in (k_row, lam2_row))
 
-    def grad(dspline, x):  # the coordinate differential of spline(u), from its derivative table
+        def coord(x):  # u and du/dx at chart points x
+            return x[:, 0], np.broadcast_to([1.0, 0.0], x.shape)
+
+        domain, bounds = (lambda x: np.ones(x.shape[0], dtype=bool)), ((0.0, 1.0),) * 2
+    else:
+        sigma_max = float(np.sum(base[-1] ** 2))  # the outer ring
+        k_fit, lam2_fit = (chebyshev_interpolant(v, sigma_max) for v in (k_row, lam2_row))
+
+        def coord(x):
+            return np.sum(x * x, axis=1), 2.0 * x
+
+        half = 0.7 * math.sqrt(sigma_max)  # the sphere's square inside its outer ring
+        domain, bounds = (lambda x: coord(x)[0] < sigma_max), ((-half, half),) * 2
+
+    def grad(fit_of_u, x):  # the coordinate differential of fit_of_u(u), from its u-derivative
         u_x, du_dx = coord(x)
-        return dspline(u_x)[:, None] * du_dx
+        return fit_of_u(u_x)[1][:, None] * du_dx
 
-    kappa = KappaField(value=lambda x: k_spline(coord(x)[0]), grad=lambda x: grad(dk_spline, x),
+    kappa = KappaField(value=lambda x: k_fit(coord(x)[0])[0], grad=lambda x: grad(k_fit, x),
                        value_range=(float(np.min(k_row)), float(np.max(k_row))))
-    half = 0.7 * math.sqrt(u[-1])  # the sphere's square inside its outer ring
     chart = SurfaceChart(name=f"{oracle.meta['surface']}-rebuilt",
-                         lam2=lambda x: lam2_spline(coord(x)[0]),
-                         dlam2=lambda x: grad(dlam2_spline, x),
-                         domain=lambda x: coord(x)[0] < u[-1],  # on the torus, u < u0 + 1 = u[-1]
-                         bounds=((0.0, 1.0),) * 2 if torus else ((-half, half),) * 2)
+                         lam2=lambda x: lam2_fit(coord(x)[0])[0],
+                         dlam2=lambda x: grad(lam2_fit, x), domain=domain, bounds=bounds)
 
     def w_fn(x):
         return curvature_form(ex.a, chart, kappa, x)
 
-    conn = solve_connection_torus(w_fn) if torus else solve_connection_radial(w_fn, sigma_max=u[-1])
+    conn = (solve_connection_torus(w_fn) if torus
+            else solve_connection_radial(w_fn, sigma_max=sigma_max))
     surface = BaseSurfaceData(surface_type=oracle.meta["surface"],
                               charts=[ChartData(chart=chart, kappa=kappa, connection=conn)],
                               params={"rebuilt": True})

@@ -1,28 +1,21 @@
-"""Piecewise-polynomial tables: cubic Hermite interpolants and quintic splines.
+"""Interpolants of tabulated data: cubic Hermite tables and two spectral interpolants.
 
 A :class:`PiecewisePoly` stores, per interval [x_i, x_{i+1}], the power-basis
 coefficients of its polynomial in (t - x_i), highest power first, and
 evaluates by an index lookup and Horner's rule.  On uniform nodes the index
-is arithmetic; otherwise it is a binary search.  A table either is NaN
-outside [x_0, x_n] and at NaN, or extrapolates: its end intervals'
-polynomials continue past the ends (and NaN stays NaN).
+is arithmetic; otherwise it is a binary search.  It is NaN outside
+[x_0, x_n] and at NaN.  ``hermite_table`` builds every such table.
 
-Two constructors build every table of the package:
-
-  * ``hermite_table(x, y, dydx)``: the cubic with the given node values and
-    slopes on each interval (NaN outside);
-  * ``quintic_spline(x, y, periodic)``: the C^4 quintic interpolating spline
-    with knots at the nodes, periodic (y[-1] closes the period) or
-    not-a-knot (a continuous fifth derivative at the two nodes next to each
-    end), which extrapolates.  Its coefficients come from one dense solve of
-    the interpolation and continuity conditions, with the data on the
-    right-hand side only: no divided differences, so graded nodes such as
-    sigma = rho^2 lose no digits to cancellation.
+The round trip's rebuild uses ``trig_interpolant`` (periodic data at evenly
+spaced nodes) and ``chebyshev_interpolant`` (data at Chebyshev-Lobatto
+nodes): closed forms whose coefficients come from one ``np.fft.rfft``, with
+no linear solve, each returning a function t -> (value, t-derivative).
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 
 def _checked(x, *values) -> tuple:
@@ -39,38 +32,29 @@ def _checked(x, *values) -> tuple:
 
 
 class PiecewisePoly:
-    """Polynomials c[i] in (t - x[i]) on [x[i], x[i+1]], highest power first."""
+    """Polynomials c[i] in (t - x[i]) on [x[i], x[i+1]], highest power first; NaN outside."""
 
-    def __init__(self, x: np.ndarray, c: np.ndarray, extrapolate: bool) -> None:
+    def __init__(self, x: np.ndarray, c: np.ndarray) -> None:
         self.x = x
-        self.c = c
-        self.extrapolate = extrapolate
         self._rows = np.column_stack([x[:-1], c])      # one gather gives x[i] and c[i]
         n = x.size - 1
         step = (x[-1] - x[0]) / n
         uniform = np.max(np.abs(x - (x[0] + step * np.arange(n + 1)))) <= 1e-12 * (x[-1] - x[0])
         # np.interp(t, xp, fp) is t's fractional interval index: from the two end
         # nodes alone on uniform nodes (arithmetic), by binary search otherwise.
-        # It is NaN at NaN, and outside [x0, xn] for a table that does not extrapolate.
+        # It is NaN at NaN and outside [x0, xn].
         self._xp, self._fp = ((x[[0, -1]], np.array([0.0, n])) if uniform
                               else (x, np.arange(n + 1.0)))
-        self._outside = None if extrapolate else np.nan
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        s = np.interp(t, self._xp, self._fp, left=self._outside, right=self._outside)
+        s = np.interp(t, self._xp, self._fp, left=np.nan, right=np.nan)
         row = self._rows.take(np.fmin(s, self._rows.shape[0] - 1).astype(np.intp), axis=0)
-        dt = t - row[..., 0]
-        if not self.extrapolate:
-            dt = dt + 0.0 * s                          # NaN wherever s is
+        dt = t - row[..., 0] + 0.0 * s                 # NaN wherever s is
         out = row[..., 1]
         for j in range(2, row.shape[-1]):
             out = out * dt + row[..., j]
         return out
-
-    def derivative(self) -> "PiecewisePoly":
-        deg = self.c.shape[1] - 1
-        return PiecewisePoly(self.x, self.c[:, :-1] * np.arange(deg, 0, -1), self.extrapolate)
 
 
 def hermite_table(x, y, dydx) -> PiecewisePoly:
@@ -80,48 +64,51 @@ def hermite_table(x, y, dydx) -> PiecewisePoly:
     slope = np.diff(y) / h
     t = (dydx[:-1] + dydx[1:] - 2.0 * slope) / h
     c = np.column_stack([t / h, (slope - dydx[:-1]) / h - t, dydx[:-1], y[:-1]])
-    return PiecewisePoly(x, c, extrapolate=False)
+    return PiecewisePoly(x, c)
 
 
-def _derivative_rows(z: float) -> np.ndarray:
-    """Row j: the j-th derivative at z of sum_k a_k z^k (k <= 5), as a row acting on a."""
-    k = np.arange(6)
-    return np.array([np.prod(k[:, None] - np.arange(j), axis=1) * z ** np.maximum(k - j, 0)
-                     for j in range(6)])             # k!/(k - j)! z^(k - j), 0 for k < j
+def trig_interpolant(y, u0: float):
+    """t -> (p(t), p'(t)) for the trigonometric interpolant p of y at u0 + k/n, period 1.
 
-
-def quintic_spline(x, y, periodic: bool) -> PiecewisePoly:
-    """The C^4 quintic spline through (x, y), periodic or not-a-knot; it extrapolates.
-
-    Periodic: y[-1] must equal y[0], and x[-1] - x[0] is the period.  The
-    unknowns are each interval's coefficients in z = (t - x_i)/h_i, with h_i
-    in units of the mean spacing, so every row of the solve is O(1).
+    p(t) = sum_j a_j cos(2 pi j (t - u0)) + b_j sin(2 pi j (t - u0)) over
+    j <= n/2, with the coefficients read off rfft(y)/n; the j = 0 term, and
+    for an even n the Nyquist term, count once rather than twice.
     """
-    x, (y,) = _checked(x, y)
-    if x.size < 6:
-        raise ValueError("a quintic spline needs at least six nodes")
-    if periodic and y[-1] != y[0]:
-        raise ValueError("a periodic spline needs y[-1] == y[0]")
-    m = x.size - 1                                      # intervals
-    unit = (x[-1] - x[0]) / m
-    h = np.diff(x) / unit
-    at0, at1 = _derivative_rows(0.0), _derivative_rows(1.0)
+    y = np.asarray(y, dtype=float)
+    f = np.fft.rfft(y) / y.size
+    a, b = 2.0 * f.real, -2.0 * f.imag
+    a[0] *= 0.5
+    if y.size % 2 == 0:
+        a[-1] *= 0.5
+    freq = 2.0 * np.pi * np.arange(f.size)
 
-    def jump(node: int, order: int) -> np.ndarray:
-        """Left minus right order-th derivative at a node, as a row over the coefficients."""
-        row = np.zeros((m, 6))
-        row[(node - 1) % m] = at1[order] / h[(node - 1) % m] ** order
-        row[node % m] -= at0[order] / h[node % m] ** order
-        return row.ravel()
+    def evaluate(t):
+        phase = freq * (np.asarray(t, dtype=float)[..., None] - u0)
+        c, s = np.cos(phase), np.sin(phase)
+        return np.sum(a * c + b * s, axis=-1), np.sum(freq * (b * c - a * s), axis=-1)
 
-    nodes = range(m) if periodic else range(1, m)
-    jumps = [(k, order) for k in nodes for order in (1, 2, 3, 4)]
-    if not periodic:
-        jumps += [(k, 5) for k in (1, 2, m - 2, m - 1)]
-    rows = np.vstack([np.kron(np.eye(m), at0[0]),     # p_i(x_i) = y_i
-                      np.kron(np.eye(m), at1[0]),     # p_i(x_{i+1}) = y_{i+1}
-                      [jump(k, order) for k, order in jumps]])
-    rhs = np.concatenate([y[:-1], y[1:], np.zeros(len(jumps))])
-    a = np.linalg.solve(rows, rhs).reshape(m, 6)
-    c = a / (h * unit)[:, None] ** np.arange(6)
-    return PiecewisePoly(x, np.ascontiguousarray(c[:, ::-1]), extrapolate=True)
+    return evaluate
+
+
+def lobatto_nodes(n: int, x_max: float) -> np.ndarray:
+    """The n Chebyshev-Lobatto nodes x_max (1 - cos(pi k/(n - 1)))/2 of [0, x_max], increasing."""
+    return 0.5 * x_max * (1.0 - np.cos(np.pi * np.arange(n) / (n - 1)))
+
+
+def chebyshev_interpolant(y, x_max: float):
+    """t -> (p(t), p'(t)) for the polynomial p through y at ``lobatto_nodes(y.size, x_max)``.
+
+    p's Chebyshev coefficients in z = 2 t/x_max - 1 are the DCT-I of y,
+    taken as the rfft of its even extension, with the two end ones halved.
+    """
+    y = np.asarray(y, dtype=float)
+    m = y.size - 1
+    c = np.fft.rfft(np.concatenate([y[::-1], y[1:-1]])).real / m  # y[::-1] sits at cos(pi k/m)
+    c[[0, -1]] *= 0.5
+    dc = chebyshev.chebder(c) * (2.0 / x_max)
+
+    def evaluate(t):
+        z = 2.0 * np.asarray(t, dtype=float) / x_max - 1.0
+        return chebyshev.chebval(z, c), chebyshev.chebval(z, dc)
+
+    return evaluate

@@ -121,7 +121,7 @@ def wide_sphere_data(interval):
 
 
 def _rebuilt(data):
-    """The construction rebuilt from what extraction reads off ``data``: splined lam2 and kappa."""
+    """``data`` rebuilt from what extraction reads off it: interpolated lam2 and kappa."""
     from kahlergg.extract import _rebuild, extract_all, oracle_from_construction
     oracle = oracle_from_construction(data)
     return _rebuild(extract_all(oracle), oracle)

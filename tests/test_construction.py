@@ -84,8 +84,9 @@ def test_wrapped_jets_match_fd(request, surface, seed, dg_tol, control):
     # Each control wraps the clean fields with an analytic jet. The sphere's lam2 varies,
     # so only there does perturb-beta's (beta^1.01 - beta) d lam2 term show; its bound is
     # wider because the stencil of break-symmetry's theta-dependent g_tautau reads 1.03e-8.
-    # The rebuilt charts pin the jets of the rebuild's splines: d lam2 on the sphere,
-    # d kappa on the torus.
+    # The rebuilt charts pin the jets of the rebuild's interpolants: d lam2 of the
+    # Chebyshev interpolant in sigma on the sphere, d kappa of the trigonometric one
+    # on the torus.
     clean = request.getfixturevalue(surface)
     data = replace(clean, control=control)
     m, jf = with_control(data, assemble_metric(data), assemble_J(data))

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from kahlergg import extract, geometry as geo
 from kahlergg.extract import (ExtractionOracle, InconsistentOracleError, NotAFunctionOfTauError,
                               extract_all, extract_gamma, extract_h, extract_profile,
                               oracle_from_construction, oracle_from_fs, round_trip, trace_fibers)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -186,20 +192,21 @@ def test_distorted_tau_is_inconsistent():
         extract_profile(traces)
 
 
-@pytest.mark.parametrize("data, bound", [("torus_data", 1e-7), ("sphere_data", 3e-8),
+@pytest.mark.parametrize("data, bound", [("torus_data", 1e-11), ("sphere_data", 2e-12),
                                          ("torus_inf_data", 1e-12),
-                                         ("poly_profile_data", 5e-7),
-                                         ("steep_torus_data", 1e-7),
-                                         ("steepest_torus_data", 1e-7),
-                                         ("dipped_steep_torus_data", 1e-7),
-                                         ("dipped_steeper_torus_data", 1e-7),
-                                         ("height_sphere_data", 3e-8),
-                                         ("height_sphere_north_data", 3e-8),
-                                         ("wide_sphere_data", 3e-8)])
+                                         ("poly_profile_data", 5e-12),
+                                         ("steep_torus_data", 5e-11),
+                                         ("steepest_torus_data", 1e-8),
+                                         ("dipped_steep_torus_data", 2e-12),
+                                         ("dipped_steeper_torus_data", 5e-12),
+                                         ("height_sphere_data", 1e-12),
+                                         ("height_sphere_north_data", 1e-12),
+                                         ("wide_sphere_data", 3e-12)])
 def test_round_trip_deviation_bounds(data, bound, request):
     # Interval, a and rho come from one fit of the exact Q(tau) samples.  What is
-    # left is the rebuild's splines of h and gamma over the 24 seed rows: x1 on the
-    # torus, sigma = |x|^2 on the sphere, where a non-constant gamma is splined too.
+    # left is the rebuild's interpolation of lam2 and kappa over the 24 seed rows:
+    # trigonometric in x1 on the torus, Chebyshev in sigma = |x|^2 on the sphere,
+    # whose rings sit at the Lobatto nodes of sigma.
     data = request.getfixturevalue(data)
     rep = round_trip(data)
     assert rep["max_rel_metric_dev"] <= bound
@@ -211,6 +218,30 @@ def test_round_trip_deviation_bounds(data, bound, request):
     rho = rep["extracted"]["q_factor_coeffs"]
     assert len(rho) == len(data.profile.rho_coeffs)
     assert np.allclose(rho, data.profile.rho_coeffs, rtol=1e-9, atol=0.0)
+
+
+ROUND_TRIP_DEV = """
+import sys
+from kahlergg.config import build_from_config, parse_config
+from kahlergg.extract import round_trip
+for path in sys.argv[1:]:
+    print(repr(round_trip(build_from_config(parse_config(open(path).read())))["max_rel_metric_dev"]))
+"""
+
+
+def test_round_trip_does_not_depend_on_the_blas_thread_count():
+    # The rebuild's interpolants make no BLAS call, so the round trips of the torus
+    # and sphere configs (the sphere is sphere_data) read the same bits at one and
+    # two BLAS threads.
+    def devs(threads):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", ROUND_TRIP_DEV, "configs/torus.json",
+                              "configs/sphere.json"], cwd=ROOT, env=env, capture_output=True,
+                             text=True, timeout=300, check=True).stdout.split()
+        assert len(out) == 2
+        return out
+
+    assert devs("1") == devs("2")
 
 
 @pytest.mark.parametrize("data, steps", [

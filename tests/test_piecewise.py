@@ -1,10 +1,11 @@
-"""The package's piecewise-polynomial tables against scipy's, as an independent reference."""
+"""The Hermite tables against scipy's, and the spectral interpolants against closed forms."""
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline, PPoly, make_interp_spline
+from scipy.interpolate import CubicHermiteSpline
 
-from kahlergg.piecewise import hermite_table, quintic_spline
+from kahlergg.piecewise import (chebyshev_interpolant, hermite_table, lobatto_nodes,
+                                trig_interpolant)
 
 NODES = {
     "uniform": np.linspace(-0.3, 1.2, 4097),
@@ -37,37 +38,40 @@ def test_hermite_table_matches_cubic_hermite_spline(nodes):
     assert ours(np.reshape(t[:6], (2, 3))).shape == (2, 3)
 
 
-@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "not-a-knot"])
-def test_quintic_spline_matches_make_interp_spline(periodic):
-    # The torus rebuild's nodes (25, the period closing them; here not starting at 0)
-    # and the sphere's (sigma = rho^2 for 24 evenly spaced rho).
-    if periodic:
-        u = np.linspace(0.1, 1.1, 25)
-        y = 1.0 / (3.0 + np.cos(2.0 * np.pi * u))
-        y[-1] = y[0]
-        t = np.linspace(u[0], u[-1], 2001)
-    else:
-        u = np.linspace(0.0, 0.6, 24) ** 2
-        y = np.exp(u) * np.cos(5.0 * u)
-        t = np.linspace(u[0], u[-1] + (u[-1] - u[-2]), 2001)   # one interval past the end
-    ref = PPoly.from_spline(make_interp_spline(u, y, k=5,
-                                               bc_type="periodic" if periodic else "not-a-knot"))
-    ours = quintic_spline(u, y, periodic=periodic)
-    assert np.max(np.abs(ours(t) - ref(t))) <= 1e-12
-    assert np.max(np.abs(ours.derivative()(t) - ref.derivative()(t))) <= 1e-12
-    assert np.max(np.abs(ours(u) - y)) <= 1e-14
+def test_trig_interpolant_matches_closed_form():
+    # The torus rebuild's nodes: 24 evenly spaced in one unit period, here from u0 = 0.1.
+    u0 = 0.1
+    u = u0 + np.arange(24) / 24.0
+
+    def f(t):
+        c = 3.0 + np.cos(2.0 * np.pi * t)
+        return 1.0 / c, 2.0 * np.pi * np.sin(2.0 * np.pi * t) / c ** 2
+
+    fit = trig_interpolant(f(u)[0], u0)
+    t = np.random.default_rng(5).uniform(-0.5, 1.5, 2001)   # two periods, off the nodes
+    (value, slope), (want, want_slope) = fit(t), f(t)
+    # The poles of f at cos(2 pi t) = -3 bound the error by about exp(-1.76 n/2).
+    assert np.max(np.abs(value - want)) <= 1e-9
+    assert np.max(np.abs(slope - want_slope)) <= 1e-7
+    assert np.max(np.abs(fit(u)[0] - f(u)[0])) <= 1e-14
+    assert np.ndim(fit(0.3)[0]) == 0
 
 
-def test_quintic_spline_is_c4_and_periodic():
-    u = np.linspace(0.0, 1.0, 25)
-    y = np.sin(2.0 * np.pi * u) + 0.3 * np.cos(4.0 * np.pi * u)
-    y[-1] = y[0]
-    table = quintic_spline(u, y, periodic=True)
-    for _ in range(5):
-        left = np.array([np.polyval(c, h) for c, h in zip(table.c, np.diff(u))])
-        right = table.c[:, -1]
-        assert np.max(np.abs(left - np.roll(right, -1))) <= 1e-9 * (1.0 + np.max(np.abs(right)))
-        table = table.derivative()
+def test_chebyshev_interpolant_matches_closed_form():
+    # The sphere rebuild's nodes: 24 Chebyshev-Lobatto nodes of sigma in [0, 0.6^2].
+    s_max = 0.36
+    s = lobatto_nodes(24, s_max)
+    assert s[0] == 0.0 and s[-1] == s_max and np.all(np.diff(s) > 0)
+
+    def f(t):
+        return np.exp(t) * np.cos(5.0 * t), np.exp(t) * (np.cos(5.0 * t) - 5.0 * np.sin(5.0 * t))
+
+    fit = chebyshev_interpolant(f(s)[0], s_max)
+    t = np.linspace(0.0, s_max, 2003)[1:-1]        # off the nodes
+    (value, slope), (want, want_slope) = fit(t), f(t)
+    assert np.max(np.abs(value - want)) <= 1e-14
+    assert np.max(np.abs(slope - want_slope)) <= 5e-12
+    assert np.max(np.abs(fit(s)[0] - f(s)[0])) <= 1e-14
 
 
 BAD_TABLES = {
@@ -84,19 +88,3 @@ BAD_TABLES = {
 def test_hermite_table_rejects_bad_nodes(case):
     with pytest.raises(ValueError):
         hermite_table(*BAD_TABLES[case])
-
-
-@pytest.mark.parametrize("case", ["nan value", "repeated node", "too few nodes", "open period"])
-def test_quintic_spline_rejects_bad_nodes(case):
-    u, y, periodic = np.linspace(0.0, 1.0, 9), np.cos(2.0 * np.pi * np.linspace(0.0, 1.0, 9)), True
-    if case == "nan value":
-        y[3] = np.nan
-    elif case == "repeated node":
-        u[4] = u[3]
-    elif case == "too few nodes":
-        u, y = u[:5], y[:5]
-        periodic = False
-    else:
-        y[-1] += 1e-12
-    with pytest.raises(ValueError):
-        quintic_spline(u, y, periodic=periodic)
