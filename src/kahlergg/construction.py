@@ -23,8 +23,8 @@ curvature sign close up with the Kahler condition (the torsion check in the
 closed-form Christoffels cancels exactly iff dA = Omega).
 
 Two independent routes to the Levi-Civita connection are exposed: the
-assembled metric field (with exact analytic derivatives, differentiable by
-the generic engine), and ``christoffel_closed_form``, reconstructed from
+assembled metric field (with exact analytic first and second derivatives,
+differentiable by the generic engine), and ``christoffel_closed_form``, reconstructed from
 the covariant-derivative table of the construction (radial/angular fields
 are eigenfields of nabla v; horizontal covariant derivatives reduce to
 those of the conformally flat base block beta lam2 delta plus
@@ -33,7 +33,7 @@ oracle-equivalence gate of the test suite.
 
 Neither route knows the documented negative controls.  ``with_control``
 wraps the clean metric and J in the perturbation that ``data.control``
-names, each wrapper with its own analytic jet, and the verification subject
+names, each wrapper with its own analytic jets, and the verification subject
 is its only caller; the closed-form Christoffels describe the clean metric.
 """
 
@@ -84,8 +84,31 @@ def _beta_jet(data: ConstructionData, x: np.ndarray, tau: np.ndarray):
     return 1.0 + k * dt, dt[:, None] * kappa.grad(x), k
 
 
+def _beta_hess(data: ConstructionData, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """d d beta over (x1, x2, tau): (tau - tau_star) d d kappa, d kappa across, 0 along tau."""
+    kappa = data.chart_data.kappa
+    out = np.zeros((tau.shape[0], 3, 3))
+    out[:, :2, :2] = (tau - data.tau_star)[:, None, None] * kappa.hess(x)
+    out[:, :2, 2] = out[:, 2, :2] = kappa.grad(x)
+    return out
+
+
+def _lam2_jets(chart, x: np.ndarray):
+    """lam2's gradient and Hessian over (x1, x2, tau): (N, 3) and (N, 3, 3), 0 along tau."""
+    n = x.shape[0]
+    dl, d2l = np.zeros((n, 3)), np.zeros((n, 3, 3))
+    dl[:, :2], d2l[:, :2, :2] = chart.dlam2(x), chart.d2lam2(x)
+    return dl, d2l
+
+
+def _sym_outer(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u (x) w + w (x) u per point, exactly symmetric: (N, k), (N, k) -> (N, k, k)."""
+    c = u[:, :, None] * w[:, None, :]
+    return c + np.swapaxes(c, 1, 2)
+
+
 def assemble_metric(data: ConstructionData) -> MetricField:
-    """The coordinate metric with exact analytic first derivatives."""
+    """The coordinate metric with exact analytic first and second derivatives."""
     prof, a = data.profile, data.a
     iv = data.interval
     cd = data.chart_data
@@ -138,6 +161,44 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         out[:, 2, 2, 2] = -dQ / Q ** 2
         return out
 
+    def d2value(P: np.ndarray) -> np.ndarray:
+        # Every factor depends on (x1, x2, tau) alone, so only those derivatives are
+        # nonzero: F = beta lam2 on the base diagonal, B = Q/a^2 along tau, A along the base.
+        P = np.asarray(P, dtype=float)
+        x, tau = P[:, :2], P[:, 2]
+        n = P.shape[0]
+        lam2 = cd.chart.lam2(x)
+        A, dA, d2A = cd.connection.A(x), cd.connection.dA(x), cd.connection.d2A(x)
+        Q, dQ, d2Q = prof.Q(tau), prof.dQ(tau), prof.d2Q(tau)
+        beta, dbeta_dx, dbeta_dtau = _beta_jet(data, x, tau)
+        dbeta = np.column_stack([dbeta_dx, dbeta_dtau])
+        dl, d2l = _lam2_jets(cd.chart, x)
+        d2f = (lam2[:, None, None] * _beta_hess(data, x, tau) + _sym_outer(dbeta, dl)
+               + beta[:, None, None] * d2l)
+        B, dB, d2B = Q / a ** 2, dQ / a ** 2, d2Q / a ** 2
+        AA = A[:, :, None] * A[:, None, :]
+        dAA = dA[:, :, :, None] * A[:, None, None, :]  # [a,i,j] = d_a A_i A_j
+        dAA = dAA + np.swapaxes(dAA, 2, 3)
+        d2AA = d2A[:, :, :, :, None] * A[:, None, None, None, :]  # [b,a,i,j] = d_b d_a A_i A_j
+        cross = dA[:, None, :, :, None] * dA[:, :, None, None, :]  # [b,a,i,j] = d_a A_i d_b A_j
+        d2AA = (d2AA + np.swapaxes(d2AA, 3, 4)) + (cross + np.swapaxes(cross, 1, 2))
+        out = np.zeros((n, 4, 4, 4, 4))
+        # Over (x1, x2, tau): d_b d_a of B A_i A_j + F delta_ij in the base block, of -B A_i
+        # in the mixed one.
+        base, mixed = out[:, :3, :3, :2, :2], out[:, :3, :3, :2, 3]
+        base[:, :2, :2] = B[:, None, None, None, None] * d2AA
+        base[:, :2, 2] = base[:, 2, :2] = dB[:, None, None, None] * dAA
+        base[:, 2, 2] = d2B[:, None, None] * AA
+        base[..., 0, 0] += d2f
+        base[..., 1, 1] += d2f
+        mixed[:, :2, :2] = -B[:, None, None, None] * d2A
+        mixed[:, :2, 2] = mixed[:, 2, :2] = -dB[:, None, None] * dA
+        mixed[:, 2, 2] = -d2B[:, None] * A
+        out[:, :3, :3, 3, :2] = mixed
+        out[:, 2, 2, 3, 3] = d2B
+        out[:, 2, 2, 2, 2] = 2.0 * dQ ** 2 / Q ** 3 - d2Q / Q ** 2
+        return out
+
     def domain(P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
         return iv.contains(P[:, 2]) & cd.chart.domain(P[:, :2])
@@ -150,7 +211,7 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         h[:, 2] = 0.2 * gap
         return h
 
-    return MetricField(dim=4, value=value, dvalue=dvalue, domain=domain,
+    return MetricField(dim=4, value=value, dvalue=dvalue, d2value=d2value, domain=domain,
                        step=np.array([x_step, x_step, 3e-4, 1e-2]),
                        step_limiter=step_limiter,
                        name=f"construction[{data.surface.surface_type}:{cd.chart.name}]")
@@ -200,7 +261,7 @@ def assemble_J(data: ConstructionData) -> MatrixField:
 def with_control(data: ConstructionData, metric: MetricField, J: MatrixField):
     """The (metric, J) pair of ``data.control``: the clean pair itself for "none".
 
-    Each negative control wraps the clean fields and keeps an analytic jet,
+    Each negative control wraps the clean fields and keeps analytic jets,
     so the clean evaluators carry no control code.
     """
     if data.control == "none":
@@ -208,8 +269,9 @@ def with_control(data: ConstructionData, metric: MetricField, J: MatrixField):
     if data.control == "perturb-j":
         return metric, _flip_j(J)
     wrap = {"perturb-beta": _perturb_beta, "break-symmetry": _break_symmetry}[data.control]
-    value, dvalue = wrap(data, metric)
-    return replace(metric, value=value, dvalue=dvalue, name=f"{metric.name}+{data.control}"), J
+    value, dvalue, d2value = wrap(data, metric)
+    return replace(metric, value=value, dvalue=dvalue, d2value=d2value,
+                   name=f"{metric.name}+{data.control}"), J
 
 
 # Rows (x1, x2, theta) x columns (x1, x2): the entries of J and of its jet
@@ -256,7 +318,25 @@ def _break_symmetry(data: ConstructionData, metric: MetricField):
         dg[:, 3, 2, 2] += gtt * _BREAK_AMP * s1 * ct
         return dg
 
-    return value, dvalue
+    def d2value(P):
+        # d d (g f) = (d d g) f + (d g (x) d f + d f (x) d g) + g d d f for g = g_tautau.
+        P = np.asarray(P, dtype=float)
+        gtt, dgtt = metric.value(P)[:, 2, 2], metric.dvalue(P)[:, :, 2, 2]
+        d2g = metric.d2value(P)
+        w = 2.0 * np.pi
+        s1, c1 = np.sin(w * P[:, 0]), np.cos(w * P[:, 0])
+        st, ct = np.sin(P[:, 3]), np.cos(P[:, 3])
+        df = np.zeros((P.shape[0], 4))
+        df[:, 0], df[:, 3] = _BREAK_AMP * w * c1 * st, _BREAK_AMP * s1 * ct
+        d2f = np.zeros((P.shape[0], 4, 4))
+        d2f[:, 0, 0] = -_BREAK_AMP * w * w * s1 * st
+        d2f[:, 0, 3] = d2f[:, 3, 0] = _BREAK_AMP * w * c1 * ct
+        d2f[:, 3, 3] = -_BREAK_AMP * s1 * st
+        d2g[:, :, :, 2, 2] = ((1.0 + _BREAK_AMP * s1 * st)[:, None, None] * d2g[:, :, :, 2, 2]
+                              + _sym_outer(dgtt, df) + gtt[:, None, None] * d2f)
+        return d2g
+
+    return value, dvalue, d2value
 
 
 def _perturb_beta(data: ConstructionData, metric: MetricField):
@@ -284,7 +364,25 @@ def _perturb_beta(data: ConstructionData, metric: MetricField):
         dg[:, 2, :2, :2] += (fac * dbeta_dtau * lam2)[:, None, None] * _EYE2
         return dg
 
-    return value, dvalue
+    def d2value(P):
+        # d d (phi(beta) lam2), phi = beta^1.01 - beta, over (x1, x2, tau).
+        P = np.asarray(P, dtype=float)
+        x = P[:, :2]
+        beta, dbeta_dx, dbeta_dtau = _beta_jet(data, x, P[:, 2])
+        dbeta = np.column_stack([dbeta_dx, dbeta_dtau])
+        lam2 = chart.lam2(x)
+        dl, d2l = _lam2_jets(chart, x)
+        fac = 1.01 * beta ** 0.01 - 1.0
+        d2phi = (1.01 * 0.01) * beta ** -0.99
+        d2 = ((d2phi * lam2)[:, None, None] * (dbeta[:, :, None] * dbeta[:, None, :])
+              + (fac * lam2)[:, None, None] * _beta_hess(data, x, P[:, 2])
+              + fac[:, None, None] * _sym_outer(dbeta, dl)
+              + (beta ** 1.01 - beta)[:, None, None] * d2l)
+        d2g = metric.d2value(P)
+        d2g[:, :3, :3, :2, :2] += d2[:, :, :, None, None] * _EYE2
+        return d2g
+
+    return value, dvalue, d2value
 
 
 def tau_field(data: ConstructionData) -> ScalarField:

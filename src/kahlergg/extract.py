@@ -56,7 +56,8 @@ from .piecewise import chebyshev_interpolant, lobatto_nodes, trig_interpolant
 from .profiles import Interval, MomentumProfile, make_profile
 from .rp1 import INFINITY, RP1Value, recover_kappa
 from .surfaces import (BaseSurfaceData, ChartData, KappaField, SurfaceChart, curvature_form,
-                       solve_connection_radial, solve_connection_torus)
+                       curvature_grad, curvature_hess, solve_connection_radial,
+                       solve_connection_torus)
 
 
 class InconsistentOracleError(ValueError):
@@ -95,7 +96,7 @@ def oracle_from_construction(data: ConstructionData, n_x1: int = 24, n_x2: int =
     angles.
     """
     m_full = assemble_metric(data)
-    metric = replace(m_full, dvalue=None, name=m_full.name + ":oracle")
+    metric = replace(m_full, dvalue=None, d2value=None, name=m_full.name + ":oracle")
     tau = replace(tau_field(data), name="tau:oracle")
     jf = replace(assemble_J(data), jac=None, name="J:oracle")
     if data.surface.surface_type == "torus":
@@ -117,7 +118,7 @@ def oracle_from_construction(data: ConstructionData, n_x1: int = 24, n_x2: int =
 
 def oracle_from_fs(chart: Optional[FSChart] = None, n_seeds: int = 12) -> ExtractionOracle:
     chart = chart or FSChart()
-    metric = replace(fs_metric(chart), dvalue=None, name="fubini-study:oracle")
+    metric = replace(fs_metric(chart), dvalue=None, d2value=None, name="fubini-study:oracle")
     dirs = fs_random_directions(chart, n_seeds, np.random.default_rng(11))
     seeds = dirs * np.tan(np.pi / 4.0)  # tau = 1/2 on the default chart
     return ExtractionOracle(name="fubini-study", metric=metric, tau=fs_tau(chart),
@@ -347,9 +348,9 @@ def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
     mean.  Both are analytic in u, so spectral interpolants converge
     geometrically: the trigonometric interpolant over the torus rows, which
     are evenly spaced in one period, and the Chebyshev interpolant over the
-    sphere rings, which sit at the Lobatto nodes of sigma.  du/dx chains
-    their u-derivatives into d lam2 and d kappa, and the connection comes
-    from the surface's own solver.
+    sphere rings, which sit at the Lobatto nodes of sigma.  du/dx and its
+    jet chain their u-derivatives into the first and second jets of lam2 and
+    kappa, and the connection comes from the surface's own solver.
     """
     torus = oracle.meta["surface"] == "torus"
     rows = oracle.meta["n_x1"]
@@ -360,8 +361,8 @@ def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
     if torus:
         k_fit, lam2_fit = (trig_interpolant(v, base[0, 0]) for v in (k_row, lam2_row))
 
-        def coord(x):  # u and du/dx at chart points x
-            return x[:, 0], np.broadcast_to([1.0, 0.0], x.shape)
+        def coord(x):  # u, du/dx and d du/dx dx at chart points x
+            return x[:, 0], np.broadcast_to([1.0, 0.0], x.shape), np.zeros((x.shape[0], 2, 2))
 
         domain, bounds = (lambda x: np.ones(x.shape[0], dtype=bool)), ((0.0, 1.0),) * 2
     else:
@@ -369,26 +370,39 @@ def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
         k_fit, lam2_fit = (chebyshev_interpolant(v, sigma_max) for v in (k_row, lam2_row))
 
         def coord(x):
-            return np.sum(x * x, axis=1), 2.0 * x
+            return np.sum(x * x, axis=1), 2.0 * x, np.broadcast_to(2.0 * np.eye(2), (len(x), 2, 2))
 
         half = 0.7 * math.sqrt(sigma_max)  # the sphere's square inside its outer ring
         domain, bounds = (lambda x: coord(x)[0] < sigma_max), ((-half, half),) * 2
 
     def grad(fit_of_u, x):  # the coordinate differential of fit_of_u(u), from its u-derivative
-        u_x, du_dx = coord(x)
+        u_x, du_dx, _ = coord(x)
         return fit_of_u(u_x)[1][:, None] * du_dx
 
+    def hess(fit_of_u, x):  # p'' du (x) du + p' d du
+        u_x, du_dx, d2u = coord(x)
+        _, p1, p2 = fit_of_u(u_x)
+        return p2[:, None, None] * (du_dx[:, :, None] * du_dx[:, None, :]) + p1[:, None, None] * d2u
+
     kappa = KappaField(value=lambda x: k_fit(coord(x)[0])[0], grad=lambda x: grad(k_fit, x),
+                       hess=lambda x: hess(k_fit, x),
                        value_range=(float(np.min(k_row)), float(np.max(k_row))))
     chart = SurfaceChart(name=f"{oracle.meta['surface']}-rebuilt",
                          lam2=lambda x: lam2_fit(coord(x)[0])[0],
-                         dlam2=lambda x: grad(lam2_fit, x), domain=domain, bounds=bounds)
+                         dlam2=lambda x: grad(lam2_fit, x), d2lam2=lambda x: hess(lam2_fit, x),
+                         domain=domain, bounds=bounds)
 
     def w_fn(x):
         return curvature_form(ex.a, chart, kappa, x)
 
-    conn = (solve_connection_torus(w_fn) if torus
-            else solve_connection_radial(w_fn, sigma_max=sigma_max))
+    def dw_fn(x):
+        return curvature_grad(ex.a, chart, kappa, x)
+
+    def d2w_fn(x):
+        return curvature_hess(ex.a, chart, kappa, x)
+
+    conn = (solve_connection_torus(w_fn, dw_fn) if torus
+            else solve_connection_radial(w_fn, dw_fn, d2w_fn, sigma_max=sigma_max))
     surface = BaseSurfaceData(surface_type=oracle.meta["surface"],
                               charts=[ChartData(chart=chart, kappa=kappa, connection=conn)],
                               params={"rebuilt": True})

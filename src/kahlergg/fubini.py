@@ -55,14 +55,17 @@ def _to_complex(p: np.ndarray, m: int) -> np.ndarray:
 
 
 def _hermitian_to_real(h: np.ndarray) -> np.ndarray:
-    """Real symmetric metric of the Hermitian form: ds^2 = 2 Re(h_ab w^a conj(w^b))."""
-    n, m, _ = h.shape
-    out = np.empty((n, 2 * m, 2 * m))
+    """Real symmetric metric of the Hermitian form: ds^2 = 2 Re(h_ab w^a conj(w^b)).
+
+    The last two axes of h are (a, b); any leading axes are kept.
+    """
+    m = h.shape[-1]
+    out = np.empty(h.shape[:-2] + (2 * m, 2 * m))
     re, im = 2.0 * h.real, 2.0 * h.imag
-    out[:, 0::2, 0::2] = re
-    out[:, 1::2, 1::2] = re
-    out[:, 0::2, 1::2] = im
-    out[:, 1::2, 0::2] = -im
+    out[..., 0::2, 0::2] = re
+    out[..., 1::2, 1::2] = re
+    out[..., 0::2, 1::2] = im
+    out[..., 1::2, 0::2] = -im
     return out
 
 
@@ -107,7 +110,32 @@ def fs_metric(chart: FSChart) -> MetricField:
             out[:, r] = _hermitian_to_real(dh[:, r])
         return out
 
-    return MetricField(dim=2 * m, value=value, dvalue=dvalue,
+    def d2value(p: np.ndarray) -> np.ndarray:
+        # h = (delta/d - wbar (x) w/d^2)/2, with d_r d = 2 p_r and d_s d_r d = 2 delta_rs:
+        # d_s d_r (1/d) = -2 delta_rs/d^2 + 8 p_r p_s/d^3, d_r (1/d^2) = -4 p_r/d^3 and
+        # d_s d_r (1/d^2) = -4 delta_rs/d^3 + 24 p_r p_s/d^4.
+        p = np.asarray(p, dtype=float)
+        # d_s d_r (wbar_a w_b) = conj(e[r,a]) e[s,b] + conj(e[s,a]) e[r,b], constant in p.
+        d2outer = np.conj(e)[:, None, :, None] * e[None, :, None, :]
+        d2outer = d2outer + np.swapaxes(d2outer, 0, 1)
+        eye2m = np.eye(2 * m)
+        w = _to_complex(p, m)
+        d = 1.0 + np.sum(p * p, axis=1)
+        wbar = np.conj(w)
+        outer = wbar[:, :, None] * w[:, None, :]
+        douter = (np.conj(e)[None, :, :, None] * w[:, None, None, :]
+                  + wbar[:, None, :, None] * e[None, :, None, :])       # [r,a,b]
+        pp = p[:, :, None] * p[:, None, :]
+        dd_inv = -2.0 * eye2m / d[:, None, None] ** 2 + 8.0 * pp / d[:, None, None] ** 3
+        dd_inv2 = -4.0 * eye2m / d[:, None, None] ** 3 + 24.0 * pp / d[:, None, None] ** 4
+        cross = douter[:, :, None] * (-4.0 * p / d[:, None] ** 3)[:, None, :, None, None]
+        d2h = 0.5 * (np.eye(m) * dd_inv[..., None, None]
+                     - (d2outer / d[:, None, None, None, None] ** 2
+                        + (cross + np.swapaxes(cross, 1, 2))
+                        + outer[:, None, None] * dd_inv2[..., None, None]))
+        return _hermitian_to_real(d2h)
+
+    return MetricField(dim=2 * m, value=value, dvalue=dvalue, d2value=d2value,
                        domain=lambda p: np.ones(p.shape[0], dtype=bool),
                        step=3e-3, name=f"fubini-study[m={m}]")
 

@@ -18,12 +18,12 @@ gathers g, its derivative and Gamma at a batch of points together with the
 exact first jets of v = grad tau, of Q = |grad tau|^2 and of J, for callers
 that read many identities off the same points.  Curvature is a contraction of a
 Gamma jet (``ricci``).  ``Frame.second_jets`` gives that jet and the jet of
-nabla v by algebra at the frame's points from a stencil of the exact first
-jets, d g and tau's Hessian, symmetrised into second jets: no frame, inverse
-or solve at a stencil point, and identities between the jets (Bochner's
-formula) hold to roundoff.  Richardson
-extrapolation (``richardson_even``) serves only the limits at the fiber ends
-in the ``boundary_limits`` check.
+nabla v by algebra at the frame's points from the metric's exact second
+derivatives ``d2value`` and a jet of tau's Hessian, the one stencil left
+(symmetrised into a third jet): no frame, inverse or solve at a stencil
+point, and identities between the jets (Bochner's formula) hold to roundoff.
+Richardson extrapolation (``richardson_even``) serves only the limits at the
+fiber ends in the ``boundary_limits`` check.
 """
 
 from __future__ import annotations
@@ -47,11 +47,16 @@ DEFAULT_STEP = 5e-3
 
 @dataclass
 class MetricField:
-    """A metric given by a pointwise evaluator, with optional analytic d(g)."""
+    """A metric given by a pointwise evaluator, with optional analytic first and second derivatives.
+
+    ``dvalue`` is (N, a, i, j) = d_a g_ij and ``d2value`` (N, b, a, i, j) =
+    d_b d_a g_ij, exactly symmetric in (b, a).
+    """
 
     dim: int
     value: Callable[[np.ndarray], np.ndarray]
     dvalue: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    d2value: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain: Optional[Callable[[np.ndarray], np.ndarray]] = None
     step: "float | np.ndarray" = DEFAULT_STEP
     step_limiter: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -280,11 +285,11 @@ class Frame:
     def second_jets(self, d2g: np.ndarray, d3tau: np.ndarray):
         """(d_b (nabla grad)^k_i, d_b Gamma^k_ij) at the points: (N, b, k, i), (N, b, k, i, j).
 
-        ``d2g[p,b,a,i,j] = d_b d_a g_ij`` and ``d3tau[p,b,a,j] = d_b d_a d_j tau``
-        are jets of g's and tau's exact partials (e.g. ``fd_jet`` of the metric's
-        ``dvalue`` and of ``tau.hess``).  Both are symmetrised in (b, a) first, so
-        they are second jets of one metric and one function, and identities
-        between the results hold to roundoff.  With v = grad and dv = ``dgrad``,
+        ``d2g[p,b,a,i,j] = d_b d_a g_ij`` is the metric's exact ``d2value``,
+        symmetric in (b, a).  ``d3tau[p,b,a,j] = d_b d_a d_j tau`` is a jet of
+        tau's exact Hessian (``fd_jet`` of ``tau.hess``), symmetrised in (b, a)
+        here, so it is a third jet of one function and identities between the
+        results hold to roundoff.  With v = grad and dv = ``dgrad``,
 
             d_b d_a v      = g^-1 (d_b d_a dtau - (d_b d_a g) v - (d_a g) d_b v - (d_b g) d_a v),
             d_b Gamma^k_ij = g^kl (1/2 d_b t_lij - (d_b g)_lm Gamma^m_ij),  t as in levi_civita,
@@ -295,7 +300,6 @@ class Frame:
         """
         npts, n = self.grad.shape
         shape4 = (npts, n, n, n)
-        d2g = 0.5 * (d2g + np.swapaxes(d2g, 1, 2))
         d3tau = 0.5 * (d3tau + np.swapaxes(d3tau, 1, 2))
         v, dv_t = self.grad[..., None], np.swapaxes(self.dgrad, 1, 2)  # dv_t[p,l,b] = d_b v^l
         # x[p,a,i,b] = (d_a g)_ij d_b v^j gives the two first-order terms of d_b d_a v.

@@ -9,7 +9,8 @@ is arithmetic; otherwise it is a binary search.  It is NaN outside
 The round trip's rebuild uses ``trig_interpolant`` (periodic data at evenly
 spaced nodes) and ``chebyshev_interpolant`` (data at Chebyshev-Lobatto
 nodes): closed forms whose coefficients come from one ``np.fft.rfft``, with
-no linear solve, each returning a function t -> (value, t-derivative).
+no linear solve, each returning a function t -> (value, first and second
+t-derivatives).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def hermite_table(x, y, dydx) -> PiecewisePoly:
 
 
 def trig_interpolant(y, u0: float):
-    """t -> (p(t), p'(t)) for the trigonometric interpolant p of y at u0 + k/n, period 1.
+    """t -> (p(t), p'(t), p''(t)) for the trigonometric interpolant p of y at u0 + k/n, period 1.
 
     p(t) = sum_j a_j cos(2 pi j (t - u0)) + b_j sin(2 pi j (t - u0)) over
     j <= n/2, with the coefficients read off rfft(y)/n; the j = 0 term, and
@@ -85,7 +86,9 @@ def trig_interpolant(y, u0: float):
     def evaluate(t):
         phase = freq * (np.asarray(t, dtype=float)[..., None] - u0)
         c, s = np.cos(phase), np.sin(phase)
-        return np.sum(a * c + b * s, axis=-1), np.sum(freq * (b * c - a * s), axis=-1)
+        p = a * c + b * s
+        return (np.sum(p, axis=-1), np.sum(freq * (b * c - a * s), axis=-1),
+                np.sum(-freq * freq * p, axis=-1))
 
     return evaluate
 
@@ -96,7 +99,7 @@ def lobatto_nodes(n: int, x_max: float) -> np.ndarray:
 
 
 def chebyshev_interpolant(y, x_max: float):
-    """t -> (p(t), p'(t)) for the polynomial p through y at ``lobatto_nodes(y.size, x_max)``.
+    """t -> (p(t), p'(t), p''(t)), p the polynomial through y at ``lobatto_nodes(y.size, x_max)``.
 
     p's Chebyshev coefficients in z = 2 t/x_max - 1 are the DCT-I of y,
     taken as the rfft of its even extension, with the two end ones halved.
@@ -106,9 +109,10 @@ def chebyshev_interpolant(y, x_max: float):
     c = np.fft.rfft(np.concatenate([y[::-1], y[1:-1]])).real / m  # y[::-1] sits at cos(pi k/m)
     c[[0, -1]] *= 0.5
     dc = chebyshev.chebder(c) * (2.0 / x_max)
+    d2c = chebyshev.chebder(dc) * (2.0 / x_max)
 
     def evaluate(t):
         z = 2.0 * np.asarray(t, dtype=float) / x_max - 1.0
-        return chebyshev.chebval(z, c), chebyshev.chebval(z, dc)
+        return chebyshev.chebval(z, c), chebyshev.chebval(z, dc), chebyshev.chebval(z, d2c)
 
     return evaluate

@@ -106,6 +106,17 @@ class MomentumProfile:
         dw = self.interval.tau_min + self.interval.tau_max - 2.0 * tau
         return dw * npoly.polyval(t, c) + w * npoly.polyval(t, npoly.polyder(c)) / self.interval.length
 
+    def d2q_factor(self, tau):
+        tau = np.asarray(tau, dtype=float)
+        if not self.rho_coeffs:
+            return np.zeros(tau.shape)
+        c = np.asarray(self.rho_coeffs)
+        t = self._t(tau)
+        L = self.interval.length
+        dw = self.interval.tau_min + self.interval.tau_max - 2.0 * tau
+        return (-2.0 * npoly.polyval(t, c) + 2.0 * dw * npoly.polyval(t, npoly.polyder(c)) / L
+                + self._w(tau) * npoly.polyval(t, npoly.polyder(c, 2)) / L ** 2)
+
     def Q(self, tau):
         return self._w(tau) * self.q_factor(tau)
 
@@ -113,6 +124,13 @@ class MomentumProfile:
         tau = np.asarray(tau, dtype=float)
         dw = self.interval.tau_min + self.interval.tau_max - 2.0 * tau
         return dw * self.q_factor(tau) + self._w(tau) * self.dq_factor(tau)
+
+    def d2Q(self, tau):
+        """Q'' = w'' q + 2 w' q' + w q'' with w'' = -2."""
+        tau = np.asarray(tau, dtype=float)
+        dw = self.interval.tau_min + self.interval.tau_max - 2.0 * tau
+        return (-2.0 * self.q_factor(tau) + 2.0 * dw * self.dq_factor(tau)
+                + self._w(tau) * self.d2q_factor(tau))
 
     def psi(self, tau):
         """Half the slope of Q: the vertical Hessian eigenvalue as a function of tau."""

@@ -3,7 +3,9 @@
 Every chart is isothermal: a holomorphic coordinate, which every Riemann
 surface admits, puts h = lam2 * euclidean, so a chart carries only the
 conformal factor lam2 and its gradient, omega_h = lam2 dx1 ^ dx2, and J_Sigma
-is multiplication by i, the constant rotation ``J_SIGMA``.  Two built-ins
+is multiplication by i, the constant rotation ``J_SIGMA``.  Charts, kappa
+fields and connections carry their second jets too (``d2lam2``, ``hess``,
+``d2A``), which the metric's exact second derivatives are built from.  Two built-ins
 cover the needs of the suite:
 
   * the flat torus R^2/Z^2 with h = c^2 * euclidean, a single periodic chart
@@ -27,7 +29,9 @@ and connection potentials A with dA = Omega are produced per chart:
 an antiderivative in x1 on the torus (with the canonical gauge F(0) = 0),
 and the rotationally symmetric potential A = P(rho)(x dy - y dx) on the
 sphere charts, with P obtained from the radial ODE d/d(rho)[rho^2 P] = rho W.
-Both are cubic Hermite tables with the slopes their ODEs give exactly.
+Both are cubic Hermite tables with the slopes their ODEs give exactly; the
+sphere adds a table of D = (W - 2P)/rho^2 = P'/rho, which the second jet of
+A needs and which is 0/0 at the chart centre as a quotient.
 Line-bundle existence forces integral(Omega) in 2*pi*Z.  By Stokes the
 connections carry that integral: the torus gauge jump, and the sum of the
 sphere charts' loop integrals around the equator.  ``build_surface`` reads
@@ -63,6 +67,7 @@ class GaugeInconsistencyWarning(UserWarning):
 
 # J_Sigma in an isothermal chart: multiplication by i, the rotation by +90 degrees.
 J_SIGMA = np.array([[0.0, -1.0], [1.0, 0.0]])
+_EYE2 = np.eye(2)
 
 
 @dataclass
@@ -72,6 +77,7 @@ class SurfaceChart:
     name: str
     lam2: Callable[[np.ndarray], np.ndarray]         # (N,2) -> (N,)
     dlam2: Callable[[np.ndarray], np.ndarray]        # (N,2) -> (N,2), [a] = d_a lam2
+    d2lam2: Callable[[np.ndarray], np.ndarray]       # (N,2) -> (N,2,2), [b,a] = d_b d_a lam2
     domain: Callable[[np.ndarray], np.ndarray]
     bounds: tuple                                    # sampling box ((x1lo,x1hi),(x2lo,x2hi))
 
@@ -82,6 +88,7 @@ def torus_chart(h_scale: float) -> SurfaceChart:
         name="torus",
         lam2=lambda x: np.full(x.shape[0], c2),
         dlam2=lambda x: np.zeros((x.shape[0], 2)),
+        d2lam2=lambda x: np.zeros((x.shape[0], 2, 2)),
         domain=lambda x: np.ones(x.shape[0], dtype=bool),
         bounds=((0.0, 1.0), (0.0, 1.0)),
     )
@@ -100,14 +107,31 @@ def sphere_chart(radius: float, which: str) -> SurfaceChart:
         dl2_dsig = -2.0 * (2.0 * r2 / (r2 + sig)) ** 2 / (r2 + sig)
         return (dl2_dsig * 2.0)[:, None] * x
 
+    def d2lam2(x):
+        # lam2 of sigma = |x|^2: lam2' = -2 lam2/(R^2 + sigma), lam2'' = 6 lam2/(R^2 + sigma)^2.
+        sig = np.sum(x * x, axis=1)
+        l2 = (2.0 * r2 / (r2 + sig)) ** 2
+        return _radial_hess(x / (r2 + sig)[:, None], -2.0 * l2 / (r2 + sig), 6.0 * l2)
+
     half = 0.75 * float(radius)
     return SurfaceChart(
         name=f"sphere-{which}",
         lam2=lam2,
         dlam2=dlam2,
+        d2lam2=d2lam2,
         domain=lambda x: np.sum(x * x, axis=1) < rho_max2,
         bounds=((-half, half), (-half, half)),
     )
+
+
+def _radial_hess(y: np.ndarray, f1: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """d_b d_a f(|x|^2) = 2 delta_ab f' + 4 x_a x_b f'' per point: (N, 2, 2).
+
+    Takes f', y = x/(R^2 + |x|^2) and c = (R^2 + |x|^2)^2 f'', so that no
+    factor overflows on a tiny chart (f'' alone is about 1/R^4).
+    """
+    yy = y[:, :, None] * y[:, None, :]
+    return (2.0 * f1)[:, None, None] * _EYE2 + (4.0 * c)[:, None, None] * yy
 
 
 def sphere_height(radius: float, which: str, x: np.ndarray) -> np.ndarray:
@@ -126,16 +150,25 @@ def sphere_height_grad(radius: float, which: str, x: np.ndarray) -> np.ndarray:
     return g if which == "south" else -g
 
 
+def sphere_height_hess(radius: float, which: str, x: np.ndarray) -> np.ndarray:
+    r2 = radius ** 2
+    sig = np.sum(x * x, axis=1)
+    h = _radial_hess(x / (sig + r2)[:, None], 2.0 * radius * r2 / (sig + r2) ** 2,
+                     -4.0 * radius * r2 / (sig + r2))
+    return h if which == "south" else -h
+
+
 # ----------------------------------------------------------------------------
 # kappa fields
 # ----------------------------------------------------------------------------
 
 @dataclass
 class KappaField:
-    """Chart-local kappa = 1/(tau_star - gamma), its coordinate differential and its range."""
+    """Chart-local kappa = 1/(tau_star - gamma), its first two coordinate jets and its range."""
 
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]   # (N,2) -> (N,2), d kappa
+    hess: Callable[[np.ndarray], np.ndarray]   # (N,2) -> (N,2,2), d d kappa
     value_range: tuple
 
 
@@ -144,12 +177,14 @@ def gamma_constant(value: "float | RP1Value | str", tau_star: float) -> KappaFie
     k = RP1Value.of(value).kappa(tau_star)
     return KappaField(value=lambda x: np.full(x.shape[0], k),
                       grad=lambda x: np.zeros((x.shape[0], 2)),
+                      hess=lambda x: np.zeros((x.shape[0], 2, 2)),
                       value_range=(k, k))
 
 
-def _kappa_family(gamma: Callable, dgamma: Callable, lo: float, hi: float,
+def _kappa_family(gamma: Callable, dgamma: Callable, d2gamma: Callable, lo: float, hi: float,
                   tau_star: float) -> KappaField:
-    """kappa = 1/(tau_star - gamma) and d kappa = kappa^2 d gamma, for a finite gamma in [lo, hi].
+    """kappa = 1/(tau_star - gamma), d kappa = kappa^2 d gamma and
+    d d kappa = 2 kappa^3 d gamma (x) d gamma + kappa^2 d d gamma, for a finite gamma in [lo, hi].
 
     Where [lo, hi] holds tau_star, kappa passes through infinity and its
     range is the whole line: both its end values may satisfy |kappa| l < 1,
@@ -163,23 +198,36 @@ def _kappa_family(gamma: Callable, dgamma: Callable, lo: float, hi: float,
     def value(x):
         return 1.0 / (tau_star - gamma(x))
 
+    def hess(x):
+        k, dg = value(x), dgamma(x)
+        k2 = k * k
+        return ((2.0 * k2 * k)[:, None, None] * (dg[:, :, None] * dg[:, None, :])
+                + k2[:, None, None] * d2gamma(x))
+
     return KappaField(value=value, grad=lambda x: (value(x) ** 2)[:, None] * dgamma(x),
-                      value_range=kappa_range)
+                      hess=hess, value_range=kappa_range)
 
 
 def gamma_cos(c0: float, c1: float, tau_star: float) -> KappaField:
     """gamma = c0 + c1 cos(2 pi x1) on the torus chart."""
+    w = 2.0 * np.pi
+
+    def d2gamma(x):
+        out = np.zeros((x.shape[0], 2, 2))
+        out[:, 0, 0] = -w * w * c1 * np.cos(w * x[:, 0])
+        return out
+
     return _kappa_family(
-        lambda x: c0 + c1 * np.cos(2.0 * np.pi * x[:, 0]),
-        lambda x: np.column_stack(
-            [-2.0 * np.pi * c1 * np.sin(2.0 * np.pi * x[:, 0]), np.zeros(x.shape[0])]),
-        c0 - abs(c1), c0 + abs(c1), tau_star)
+        lambda x: c0 + c1 * np.cos(w * x[:, 0]),
+        lambda x: np.column_stack([-w * c1 * np.sin(w * x[:, 0]), np.zeros(x.shape[0])]),
+        d2gamma, c0 - abs(c1), c0 + abs(c1), tau_star)
 
 
 def gamma_height(c0: float, c1: float, radius: float, which: str, tau_star: float) -> KappaField:
     """gamma = c0 + c1 * (embedding height) on a sphere chart."""
     return _kappa_family(lambda x: c0 + c1 * sphere_height(radius, which, x),
                          lambda x: c1 * sphere_height_grad(radius, which, x),
+                         lambda x: c1 * sphere_height_hess(radius, which, x),
                          c0 - abs(c1) * radius, c0 + abs(c1) * radius, tau_star)
 
 
@@ -204,20 +252,34 @@ def curvature_form(a: float, chart: SurfaceChart, kappa: KappaField, x: np.ndarr
     return -a * kappa.value(x) * chart.lam2(x)
 
 
+def curvature_grad(a: float, chart: SurfaceChart, kappa: KappaField, x: np.ndarray) -> np.ndarray:
+    """d W of ``curvature_form``'s W = -a kappa lam2: (N, 2)."""
+    return -a * (kappa.grad(x) * chart.lam2(x)[:, None] + kappa.value(x)[:, None] * chart.dlam2(x))
+
+
+def curvature_hess(a: float, chart: SurfaceChart, kappa: KappaField, x: np.ndarray) -> np.ndarray:
+    """d d W of ``curvature_form``'s W = -a kappa lam2: (N, 2, 2)."""
+    cross = kappa.grad(x)[:, :, None] * chart.dlam2(x)[:, None, :]
+    return -a * (chart.lam2(x)[:, None, None] * kappa.hess(x) + (cross + np.swapaxes(cross, 1, 2))
+                 + kappa.value(x)[:, None, None] * chart.d2lam2(x))
+
+
 @dataclass
 class ConnectionForm:
     """Chart potential A = A_1 dx1 + A_2 dx2 with dA = Omega, plus gauge data."""
 
     A: Callable[[np.ndarray], np.ndarray]            # (N,2) -> (N,2)
     dA: Callable[[np.ndarray], np.ndarray]           # (N,2) -> (N,2,2), [a,i] = d_a A_i
+    d2A: Callable[[np.ndarray], np.ndarray]          # (N,2) -> (N,2,2,2), [b,a,i] = d_b d_a A_i
     gauge_jump: float = 0.0                          # torus seam jump F(1) - F(0)
 
 
-def solve_connection_torus(w_fn: Callable) -> ConnectionForm:
+def solve_connection_torus(w_fn: Callable, dw_fn: Callable) -> ConnectionForm:
     """A = F(x1) dx2 with F' = W and F(0) = 0, for Omega = W(x1) dx1 ^ dx2.
 
     W must not depend on x2 (checked by sampling); the gauge jump across the
-    periodic seam is the full flux integral(W) over one period.
+    periodic seam is the full flux integral(W) over one period.  ``dw_fn``
+    gives d W at chart points: d_1 d_1 A_2 = F'' = d_1 W.
     """
     probe = np.linspace(0.0, 1.0, 17)
 
@@ -252,10 +314,16 @@ def solve_connection_torus(w_fn: Callable) -> ConnectionForm:
         out[:, 0, 1] = w_of_x1(x[:, 0])
         return out
 
-    return ConnectionForm(A=a_fn, dA=da_fn, gauge_jump=jump)
+    def d2a_fn(x):
+        out = np.zeros((x.shape[0], 2, 2, 2))
+        out[:, 0, 0, 1] = dw_fn(x)[:, 0]
+        return out
+
+    return ConnectionForm(A=a_fn, dA=da_fn, d2A=d2a_fn, gauge_jump=jump)
 
 
-def solve_connection_radial(w_fn: Callable, sigma_max: float) -> ConnectionForm:
+def solve_connection_radial(w_fn: Callable, dw_fn: Callable, d2w_fn: Callable,
+                            sigma_max: float) -> ConnectionForm:
     """Rotationally symmetric potential A = P(rho)(x dy - y dx), rho = |x|.
 
     dA = W dx ^ dy is the ODE d/d(rho)[rho^2 P] = rho W for a radial W, so
@@ -263,9 +331,23 @@ def solve_connection_radial(w_fn: Callable, sigma_max: float) -> ConnectionForm:
     smooth in rho and is tabulated against it up to rho^2 = sigma_max, with
     those slopes.  dA comes from the ODE, not the table's slope: with
     x^perp = (-y, x), d_a A_i = P d_a x^perp_i + (x_a x^perp_i / sigma)(W - 2P).
+
+    The second jet needs d_a P = D x_a with D = (W - 2P)/rho^2, even and
+    smooth in rho.  As a quotient D is 0/0 at the centre, so it has a table of
+    its own: integrating by parts, rho^4 D = int_0^rho r^2 W'(r) dr, with no
+    cancellation, D(0) = (d_1 d_1 W)(0)/4 and D' = (W'/rho - 4 D)/rho (0 at
+    rho = 0).  Then, with sigma D_sigma = W_sigma - 2 D and 2 W_sigma = x.dW/sigma,
+
+        d_b d_a A_i = D (x_a d_b x^perp_i + x_b d_a x^perp_i + delta_ab x^perp_i)
+                      + (x.dW/sigma - 4 D)(x_a x_b/sigma) x^perp_i.
+
+    ``dw_fn`` and ``d2w_fn`` give d W and d d W at chart points.
     """
     def w_of_rho(rho):
         return w_fn(np.column_stack([rho, np.zeros(rho.size)]))
+
+    def dw_of_rho(rho):  # W'(rho) = d_1 W on the x1-axis
+        return dw_fn(np.column_stack([rho, np.zeros(rho.size)]))[:, 0]
 
     rho = np.linspace(0.0, math.sqrt(sigma_max), 4097)
     w = w_of_rho(rho)
@@ -273,24 +355,48 @@ def solve_connection_radial(w_fn: Callable, sigma_max: float) -> ConnectionForm:
     p = np.concatenate([[0.5 * w[0]], u[1:] / rho[1:] ** 2])
     slope = np.concatenate([[0.0], (w[1:] - 2.0 * p[1:]) / rho[1:]])
     p_table = hermite_table(rho, p, slope)
+    # D is tabulated as rho_max^2 D against rho/rho_max, in range on a tiny chart.
+    rho_max = rho[-1]
+    v = _cumulative_gl(lambda r: r * r * dw_of_rho(r), rho)  # rho^4 D
+    d = np.concatenate([[0.25 * d2w_fn(np.zeros((1, 2)))[0, 0, 0]],
+                        v[1:] / rho[1:] ** 2 / rho[1:] ** 2])
+    d_slope = np.concatenate([[0.0], (dw_of_rho(rho[1:]) / rho[1:] - 4.0 * d[1:]) / rho[1:]])
+    d_table = hermite_table(rho / rho_max, d * rho_max ** 2, d_slope * rho_max ** 3)
 
     def a_fn(x):
         p = p_table(np.hypot(x[:, 0], x[:, 1]))
         return np.column_stack([-x[:, 1] * p, x[:, 0] * p])
 
+    def quotient(num, sig):  # num/sigma, taken as 0 at sigma = 0
+        return np.divide(num, sig, out=np.zeros(num.shape), where=sig > 0)
+
     def da_fn(x):
         sig = np.sum(x * x, axis=1)
         p = p_table(np.sqrt(sig))
         # (x_a x_b / sigma)(W - 2P), the quotient taken as 0 at sigma = 0.
-        xx = np.divide(x[:, :, None] * x[:, None, :], sig[:, None, None],
-                       out=np.zeros((x.shape[0], 2, 2)), where=sig[:, None, None] > 0)
+        xx = quotient(x[:, :, None] * x[:, None, :], sig[:, None, None])
         m = xx * (w_fn(x) - 2.0 * p)[:, None, None]
         out = np.stack([-m[:, :, 1], m[:, :, 0]], axis=2)     # x^perp_i d_a P, then P d_a x^perp_i
         out[:, 1, 0] -= p
         out[:, 0, 1] += p
         return out
 
-    return ConnectionForm(A=a_fn, dA=da_fn)
+    def d2a_fn(x):
+        sig = np.sum(x * x, axis=1)
+        d = d_table(np.sqrt(sig) / rho_max) / rho_max ** 2
+        xp = np.column_stack([-x[:, 1], x[:, 0]])
+        # e[a,i] = d_a x^perp_i, and s[b,a,i] = x_b e[a,i] + x_a e[b,i] + delta_ab x^perp_i.
+        xe = x[:, :, None, None] * _DXPERP[None, None]
+        s = xe + np.swapaxes(xe, 1, 2) + _EYE2[None, :, :, None] * xp[:, None, None, :]
+        radial = ((quotient(np.einsum("pa,pa->p", x, dw_fn(x)), sig) - 4.0 * d)[:, None, None]
+                  * quotient(x[:, :, None] * x[:, None, :], sig[:, None, None]))
+        return d[:, None, None, None] * s + radial[:, :, :, None] * xp[:, None, None, :]
+
+    return ConnectionForm(A=a_fn, dA=da_fn, d2A=d2a_fn)
+
+
+# d_a x^perp_i for x^perp = (-x2, x1).
+_DXPERP = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 # ----------------------------------------------------------------------------
@@ -319,13 +425,16 @@ def _assemble(surface_type: str, size: float, kappas: dict, a: float) -> tuple:
     integrals of A around the equator |x| = R, 2 pi R A_2(R, 0)."""
     if surface_type == "torus":
         chart, kappa = torus_chart(size), kappas["torus"]
-        conn = solve_connection_torus(lambda x: curvature_form(a, chart, kappa, x))
+        conn = solve_connection_torus(lambda x: curvature_form(a, chart, kappa, x),
+                                      lambda x: curvature_grad(a, chart, kappa, x))
         return [ChartData(chart, kappa, conn)], conn.gauge_jump / (2.0 * np.pi)
     chart_data, chern = [], 0.0
     for which in ("south", "north"):
         chart, kappa = sphere_chart(size, which), kappas[which]
         conn = solve_connection_radial(
             lambda x, ch=chart, k=kappa: curvature_form(a, ch, k, x),
+            lambda x, ch=chart, k=kappa: curvature_grad(a, ch, k, x),
+            lambda x, ch=chart, k=kappa: curvature_hess(a, ch, k, x),
             sigma_max=4.0 * size ** 2)
         chart_data.append(ChartData(chart, kappa, conn))
         chern += size * float(conn.A(np.array([[size, 0.0]]))[0, 1])   # 2 pi R A_2(R, 0) / 2 pi

@@ -9,12 +9,14 @@ per point, and returns a CheckReport whose pass flag is exactly
     1e-5  second-derivative identities: Laplacian, gamma recovery, the
           radial ODE family, bracket identities;
     1e-3  third-derivative (Ricci/Bochner) identities, on a deeper arclength
-          collar from one frame and one stencil of d g and of tau's Hessian
-          (symmetrised second jets, so Bochner's formula holds to roundoff and
-          d Delta tau = -2 Ric(v) keeps only the stencil's h^4 error), and
-          boundary limits, by Richardson extrapolation along the fibers
-          (finite differences of Christoffel-level poles are hopeless near
-          the fiber ends at tighter tolerances);
+          collar from one frame, the metric's exact second derivatives and a
+          stencil of tau's Hessian, the only quantity still differenced
+          (Bochner's formula holds to roundoff; d Delta tau = -2 Ric(v) keeps
+          that stencil's h^4 error, which is 0 where tau is a coordinate, as
+          on the constructions), and boundary limits, by Richardson
+          extrapolation along the fibers (finite differences of
+          Christoffel-level poles are hopeless near the fiber ends at
+          tighter tolerances);
     1e-4  flow arclength consistency.
 
 Default grid: 8x8 base points x 16 tau-values (Chebyshev-spaced in the
@@ -481,14 +483,15 @@ def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, des
 def _bochner_jets(subject: VerificationSubject, points: np.ndarray):
     """(frame, nabla v, nabla_v v and the jets of those and of Gamma) for ``check_bochner``.
 
-    One frame at the points; at the stencil points only the metric's
-    ``dvalue`` and tau's Hessian, at half the metric's step (at most 2.5e-3),
-    whose 4th-order stencil leaves only h^4 truncation.
+    One frame and the metric's exact ``d2value`` at the points.  Only tau's
+    Hessian is differenced, at half the metric's step (at most 2.5e-3), whose
+    4th-order stencil leaves h^4 truncation (none where tau is a coordinate,
+    as on the constructions).
     """
     m = subject.metric
     steps = 0.5 * np.minimum(m.steps_at(points), 5e-3)
     fr = geo.build_frame(m, subject.tau, points)
-    d_gradv, d_gamma = fr.second_jets(geo.fd_jet(m.dvalue, points, steps),
+    d_gradv, d_gamma = fr.second_jets(m.d2value(points),
                                       geo.fd_jet(subject.tau.hess, points, steps))
     vv, dv = fr.grad, fr.dgrad
     gv = geo.nabla_vector(dv, vv, fr.gamma)
@@ -502,7 +505,7 @@ def _bochner_jets(subject: VerificationSubject, points: np.ndarray):
 
 def check_bochner(subject: VerificationSubject, points: np.ndarray, desc: str,
                   tol: float) -> CheckReport:
-    """Bochner's formula and d(Delta tau) = -2 Ric(v) for v = grad tau, from one stencil of d g.
+    """Bochner's formula and d(Delta tau) = -2 Ric(v) for v = grad tau, from exact second jets of g.
 
     With v = grad tau, div v = tr nabla v = Delta tau, so d div v = d Delta tau
     is the trace of the jet of nabla v.

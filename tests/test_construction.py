@@ -8,6 +8,7 @@ from kahlergg import geometry as geo
 from kahlergg.construction import (CONTROLS, assemble_J, assemble_metric,
                                    christoffel_closed_form, tau_field,
                                    with_control)
+from kahlergg.fubini import FSChart, fs_metric
 from kahlergg.verify import _psi_phi, check_oracle_equivalence, subject_from_construction
 
 
@@ -74,6 +75,42 @@ def test_analytic_dg_matches_fd_sphere(sphere_data):
     m = assemble_metric(sphere_data)
     pts = rand_points(sphere_data, 50, seed=2, s_range=(0.2, 0.8))
     assert dg_residual(m, pts) < 1e-8
+
+
+def d2g_residual(m, pts):
+    """Max deviation of the analytic d d g from a stencil of the analytic d g, per entry
+    relative to 1 + |d d g|, at bochner's half step; d d g must be exactly symmetric."""
+    d2 = m.d2value(pts)
+    assert np.array_equal(d2, np.swapaxes(d2, 1, 2))
+    fd = geo.fd_jet(m.dvalue, pts, 0.5 * np.minimum(m.steps_at(pts), 5e-3))
+    return np.max(np.abs(d2 - fd) / (1.0 + np.abs(d2)))
+
+
+D2G_SURFACES = ["torus_data", "poly_profile_data", "sphere_data", "height_sphere_data",
+                "rebuilt_torus_data", "rebuilt_sphere_data"]
+
+
+@pytest.mark.parametrize("surface,control",
+                         [(s, c) for s in D2G_SURFACES for c in CONTROLS] + [("fs", "none")])
+def test_analytic_d2g_matches_fd(request, surface, control):
+    # d2value is the chain rule through beta, lam2, B = Q/a^2, 1/Q and A (each control
+    # with its own; the polynomial profile's Q'' has a q-factor term), or Fubini-Study's
+    # closed form.  The stencil's h^4 truncation reads
+    # 3.6e-8 on the 1/Q entry, about 540; per entry the largest gap is 9.9e-10.  The
+    # sphere points include the chart centre and points within 1e-6 R of it, where
+    # d d A reads its table of (W - 2P)/rho^2.
+    if surface == "fs":
+        m = fs_metric(FSChart())
+        pts = 0.7 * np.random.default_rng(3).normal(size=(50, 4))
+    else:
+        clean = request.getfixturevalue(surface)
+        data = replace(clean, control=control)
+        m, _ = with_control(data, assemble_metric(data), assemble_J(data))
+        pts = rand_points(clean, 50, seed=1, s_range=(0.2, 0.8))
+        if clean.surface.surface_type == "sphere":  # every sphere fixture has radius sqrt(0.625)
+            pts[:4, :2] = np.sqrt(0.625) * np.array([[0.0, 0.0], [1e-9, 0.0], [0.0, 1e-6],
+                                                      [7e-7, -7e-7]])
+    assert d2g_residual(m, pts) < 3e-9
 
 
 @pytest.mark.parametrize("control", CONTROLS)

@@ -44,15 +44,17 @@ def test_trig_interpolant_matches_closed_form():
     u = u0 + np.arange(24) / 24.0
 
     def f(t):
-        c = 3.0 + np.cos(2.0 * np.pi * t)
-        return 1.0 / c, 2.0 * np.pi * np.sin(2.0 * np.pi * t) / c ** 2
+        w = 2.0 * np.pi
+        c, s = 3.0 + np.cos(w * t), np.sin(w * t)
+        return 1.0 / c, w * s / c ** 2, w * w * (np.cos(w * t) / c ** 2 + 2.0 * s * s / c ** 3)
 
     fit = trig_interpolant(f(u)[0], u0)
     t = np.random.default_rng(5).uniform(-0.5, 1.5, 2001)   # two periods, off the nodes
-    (value, slope), (want, want_slope) = fit(t), f(t)
+    (value, slope, curve), (want, want_slope, want_curve) = fit(t), f(t)
     # The poles of f at cos(2 pi t) = -3 bound the error by about exp(-1.76 n/2).
     assert np.max(np.abs(value - want)) <= 1e-9
     assert np.max(np.abs(slope - want_slope)) <= 1e-7
+    assert np.max(np.abs(curve - want_curve)) <= 5e-6
     assert np.max(np.abs(fit(u)[0] - f(u)[0])) <= 1e-14
     assert np.ndim(fit(0.3)[0]) == 0
 
@@ -64,13 +66,15 @@ def test_chebyshev_interpolant_matches_closed_form():
     assert s[0] == 0.0 and s[-1] == s_max and np.all(np.diff(s) > 0)
 
     def f(t):
-        return np.exp(t) * np.cos(5.0 * t), np.exp(t) * (np.cos(5.0 * t) - 5.0 * np.sin(5.0 * t))
+        e, c, s = np.exp(t), np.cos(5.0 * t), np.sin(5.0 * t)
+        return e * c, e * (c - 5.0 * s), e * (-24.0 * c - 10.0 * s)
 
     fit = chebyshev_interpolant(f(s)[0], s_max)
     t = np.linspace(0.0, s_max, 2003)[1:-1]        # off the nodes
-    (value, slope), (want, want_slope) = fit(t), f(t)
+    (value, slope, curve), (want, want_slope, want_curve) = fit(t), f(t)
     assert np.max(np.abs(value - want)) <= 1e-14
     assert np.max(np.abs(slope - want_slope)) <= 5e-12
+    assert np.max(np.abs(curve - want_curve)) <= 2e-9
     assert np.max(np.abs(fit(s)[0] - f(s)[0])) <= 1e-14
 
 

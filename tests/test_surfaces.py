@@ -125,7 +125,8 @@ def test_curvature_constant_multiple_for_constant_gamma():
 
 
 def test_flat_curvature_gives_zero_potential():
-    conn = solve_connection_torus(lambda x: np.zeros(x.shape[0]))
+    conn = solve_connection_torus(lambda x: np.zeros(x.shape[0]),
+                                  lambda x: np.zeros((x.shape[0], 2)))
     pts = np.random.default_rng(1).uniform(0, 1, (10, 2))
     assert np.max(np.abs(conn.A(pts))) < 1e-14
     assert conn.gauge_jump == pytest.approx(0.0, abs=1e-15)
@@ -158,7 +159,8 @@ def test_sphere_connection_da_equals_omega(sphere_data):
 @pytest.mark.parametrize("chart", [0, 1])
 def test_sphere_connection_at_and_near_the_chart_centre(sphere_data, chart):
     # One formula from x = 0 outward: the analytic dA must match the
-    # potential's own derivatives at, next to and away from the centre.
+    # potential's own derivatives at, next to and away from the centre, and
+    # d dA, from the table of (W - 2P)/rho^2, the derivatives of dA.
     cd = sphere_data.surface.charts[chart]
     radius = np.sqrt(0.625)
     rho = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1.5e-4, 2e-4, 1e-3, 0.1, 0.5 * radius])
@@ -166,6 +168,9 @@ def test_sphere_connection_at_and_near_the_chart_centre(sphere_data, chart):
     pts = (rho[:, None, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)[None]).reshape(-1, 2)
     dA = cd.connection.dA(pts)
     assert np.max(np.abs(dA - geo.fd_jet(cd.connection.A, pts, 1e-4))) < 1e-10
+    d2A = cd.connection.d2A(pts)
+    assert np.array_equal(d2A, np.swapaxes(d2A, 1, 2))
+    assert np.max(np.abs(d2A - geo.fd_jet(cd.connection.dA, pts, 1e-4))) < 1e-10
     omega = curvature_form(2.0, cd.chart, cd.kappa, pts)
     assert np.max(np.abs(dA[:, 0, 1] - dA[:, 1, 0] - omega)) < 1e-12
 
@@ -226,7 +231,9 @@ def test_complex_structure_squares_to_minus_id():
 
 def test_x2_dependent_torus_curvature_rejected():
     with pytest.raises(ValueError):
-        solve_connection_torus(lambda x: np.sin(2 * np.pi * x[:, 1]))
+        solve_connection_torus(lambda x: np.sin(2 * np.pi * x[:, 1]),
+                               lambda x: np.column_stack([np.zeros(x.shape[0]),
+                                                          2 * np.pi * np.cos(2 * np.pi * x[:, 1])]))
 
 
 def test_nonquantized_flux_warns():

@@ -272,8 +272,8 @@ def test_coarse_flow_step_still_lands_on_the_target(torus_subject):
 
 
 def _counting_metric_points(subject):
-    """(the subject with its metric's value and dvalue counted, {name: [points per call]})."""
-    seen = {"value": [], "dvalue": []}
+    """(the subject with its metric's value, dvalue and d2value counted, {name: [points/call]})."""
+    seen = {"value": [], "dvalue": [], "d2value": []}
     m = subject.metric
 
     def value(pp):
@@ -284,15 +284,20 @@ def _counting_metric_points(subject):
         seen["dvalue"].append(len(pp))
         return m.dvalue(pp)
 
-    return replace(subject, metric=replace(m, value=value, dvalue=dvalue)), seen
+    def d2value(pp):
+        seen["d2value"].append(len(pp))
+        return m.d2value(pp)
+
+    return replace(subject, metric=replace(m, value=value, dvalue=dvalue, d2value=d2value)), seen
 
 
 def test_fused_checks_evaluate_the_metric_once_per_stencil_point(torus_subject, sphere_data):
     # Per grid point: the frame's one evaluation of g and of its derivative
     # (bracket identities, whose jets are exact); Bochner, which run_suite
-    # gives the deep-collar grid, adds the derivative at each of the 16
-    # stencil points and builds no frame there (34,816 frames on the torus
-    # when every stencil point built one).
+    # gives the deep-collar grid, adds one exact second derivative and
+    # evaluates the metric at no stencil point (16 derivatives per point with
+    # a stencil of d g, 34,816 frames on the torus when every stencil point
+    # built one).
     def bracket(subject, pts, desc, tol):
         return check_bracket_identities(subject, subject.frame(pts), desc, tol)
 
@@ -300,14 +305,14 @@ def test_fused_checks_evaluate_the_metric_once_per_stencil_point(torus_subject, 
     deep = replace(spec, collar=spec.deep_collar, n_tau=spec.n_tau // 2)
     for subject in (torus_subject, subject_from_construction(sphere_data)):
         subject, seen = _counting_metric_points(subject)
-        for check, tol, grid, per_point in ((bracket, 1e-5, FAST, (1, 1)),
-                                            (check_bochner, 1e-3, deep, (1, 17))):
+        for check, tol, grid, per_point in ((bracket, 1e-5, FAST, (1, 1, 0)),
+                                            (check_bochner, 1e-3, deep, (1, 1, 1))):
             pts, desc = subject.grid_points(grid)
             for calls in seen.values():
                 calls.clear()
             report = check(subject, pts, desc, tol)
             assert report.passed
-            counts = (sum(seen["value"]), sum(seen["dvalue"]))
+            counts = (sum(seen["value"]), sum(seen["dvalue"]), sum(seen["d2value"]))
             assert counts == tuple(k * len(pts) for k in per_point)
         assert report.max <= 1e-9
 
@@ -402,20 +407,25 @@ def test_boundary_limits_read_one_frame(request, name, monkeypatch):
 
 
 def test_fubini_bochner_takes_v_jacobian_from_the_frame(fs_subject):
-    # One frame at the centre, the metric's derivative at each of the 16
-    # stencil points; 349 metric points per grid point when the numeric v had
-    # no Jacobian, 17 when each stencil point built a frame.
+    # One frame and one exact second derivative of g per grid point; 349 metric
+    # points per grid point when the numeric v had no Jacobian, 17 when each
+    # stencil point built a frame or took the metric's derivative.
     subject, seen = _counting_metric_points(fs_subject)
     spec = GridSpec()
     pts, desc = subject.grid_points(replace(spec, collar=spec.deep_collar, n_tau=spec.n_tau // 2))
     assert check_bochner(subject, pts, desc, 1e-3).passed
-    assert sum(seen["value"]) == len(pts) and sum(seen["dvalue"]) == 17 * len(pts)
+    assert [sum(seen[k]) for k in ("value", "dvalue", "d2value")] == [len(pts)] * 3
 
 
 # The largest bochner residual of each subject when every stencil point built
 # its own frame; the route from one centre frame must stay at or below it.
 BOCHNER_BEFORE = {"torus_data": 1.09e-9, "sphere_data": 1.03e-9, "torus_inf_data": 8.6e-10,
                   "fs": 3.58e-10}
+# With the metric's exact second derivatives the constructions' residual is
+# roundoff (1.1e-15 at most); Fubini-Study keeps the h^4 error of tau's
+# Hessian stencil, 5.7e-11, where the stencil of d g left 8.0e-11.
+BOCHNER_EXACT_D2G = {"torus_data": 1e-14, "sphere_data": 1e-14, "torus_inf_data": 1e-14,
+                     "fs": 8.0e-11}
 
 
 def _deep_subject(request, fs_subject, name):
@@ -428,30 +438,33 @@ def _deep_subject(request, fs_subject, name):
 
 @pytest.mark.parametrize("name", sorted(BOCHNER_BEFORE))
 def test_bochner_formula_holds_to_roundoff(request, fs_subject, name):
-    # The stencils of d g and of tau's Hessian are symmetrised into second
-    # jets of one metric and one function, so Bochner's formula is algebra at
-    # the centre: an index or sign slip in Frame.second_jets breaks it at O(1).
-    # Only d Delta tau = -2 Ric(v) and d_v Delta tau keep a stencil error.
+    # d g's second jet is exact and the stencil of tau's Hessian is symmetrised
+    # into a third jet of one function, so Bochner's formula is algebra at the
+    # centre: an index or sign slip in Frame.second_jets breaks it at O(1).
+    # Only d Delta tau = -2 Ric(v) and d_v Delta tau keep a stencil error, which
+    # is 0 on the constructions, where tau is a coordinate.
     subject, pts, desc = _deep_subject(request, fs_subject, name)
     report = check_bochner(subject, pts, desc, 1e-3)
     assert report.extras["bochner_max"] <= 1e-12
-    assert report.max <= BOCHNER_BEFORE[name]
+    assert report.max <= min(BOCHNER_BEFORE[name], BOCHNER_EXACT_D2G[name])
 
 
-def test_bochner_stencil_error_is_fourth_order(torus_subject, monkeypatch):
-    # Only d g and tau's Hessian are differenced, so the error of
-    # d Delta tau = -2 Ric(v) is pure h^4 truncation: doubling every stencil
-    # step raises it about 16x: no roundoff floor at this step.
+def test_bochner_stencil_error_is_fourth_order(fs_subject, monkeypatch):
+    # Only tau's Hessian is differenced, so on Fubini-Study, where tau is not a
+    # coordinate, the error of d Delta tau = -2 Ric(v) is pure h^4 truncation:
+    # doubling its stencil step raises it about 16x, with no roundoff floor at
+    # this step.  (On the constructions that stencil is exact and ddt_max is
+    # roundoff: test_bochner_formula_holds_to_roundoff.)
     spec = GridSpec()
-    pts, desc = torus_subject.grid_points(replace(spec, collar=spec.deep_collar,
-                                                  n_tau=spec.n_tau // 2))
-    base = check_bochner(torus_subject, pts, desc, 1e-3).extras["ddt_max"]
+    pts, desc = fs_subject.grid_points(replace(spec, collar=spec.deep_collar,
+                                               n_tau=spec.n_tau // 2))
+    base = check_bochner(fs_subject, pts, desc, 1e-3).extras["ddt_max"]
 
     def doubled(f, points, steps, fd_jet=geo.fd_jet):
         return fd_jet(f, points, 2.0 * np.asarray(steps))
 
     monkeypatch.setattr(geo, "fd_jet", doubled)
-    coarse = check_bochner(torus_subject, pts, desc, 1e-3).extras["ddt_max"]
+    coarse = check_bochner(fs_subject, pts, desc, 1e-3).extras["ddt_max"]
     assert 10.0 <= coarse / base <= 20.0
 
 
