@@ -232,13 +232,22 @@ def gamma_height(c0: float, c1: float, radius: float, which: str, tau_star: floa
 
 
 def validate_gamma_range(kappa: KappaField, interval: Interval) -> None:
-    """gamma must avoid the closed interval: |kappa| l < 1 over kappa's range, l = |I|/2."""
+    """gamma must avoid the closed interval: |kappa| l < 1 over kappa's range, l = |I|/2.
+
+    1 - |kappa| l is the least beta = 1 + kappa (tau - tau_star) on I, and it
+    must also clear the roundoff of that sum, 4 eps (|kappa| |tau_star| + 1):
+    tau_star - tau_min is differenced from floats of size |tau_star|, so a
+    gamma within roundoff of an end of I gives beta <= 0 there in floats.
+    """
     lo, hi = kappa.value_range
-    reach = max(-lo, hi) * 0.5 * interval.length
-    if not reach < 1.0:
+    k = max(-lo, hi)
+    reach = k * 0.5 * interval.length
+    roundoff = 4.0 * np.finfo(float).eps * (k * abs(interval.tau_star) + 1.0)
+    if not reach < 1.0 - roundoff:
         raise GammaRangeError(
             f"kappa = 1/(tau_star - gamma) ranges over [{lo}, {hi}], so |kappa| |I|/2 reaches "
-            f"{reach:.6g} >= 1: the gamma range intersects the interval "
+            f"{reach:.6g}, not below 1 by the roundoff {roundoff:.2g} of beta: the gamma range "
+            "intersects the interval "
             f"[{interval.tau_min}, {interval.tau_max}]; the construction requires "
             "gamma to avoid the closed interval")
 

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kahlergg.construction import _beta
 from kahlergg.profiles import Interval
@@ -69,11 +69,22 @@ def test_beta_singular_cases():
 
 @given(t=st.floats(0.0, 1.0), kl=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
        tau_min=st.floats(-10.0, 10.0), length=st.floats(1e-3, 10.0))
+@example(t=0.0, kl=0.9999999999999998, tau_min=4.0, length=0.001)  # beta = -8.9e-13 in floats
+@example(t=0.0, kl=0.9999999999999998, tau_min=0.9999999999999998, length=2.0)  # beta = 0.0
+@example(t=0.0, kl=1.0 - 1e-10, tau_min=10.0, length=0.001)
+@example(t=1.0, kl=-(1.0 - 1e-10), tau_min=-10.0, length=0.001)
 def test_beta_positive_off_segment(t, kl, tau_min, length):
-    # |kappa| l < 1 with l = |I|/2 is gamma off the closed interval: beta > 0 on all of I.
+    # |kappa| l < 1 with l = |I|/2 is gamma off the closed interval: beta > 0 on all of I,
+    # for every kappa the construction accepts. It refuses only a roundoff band below 1.
     iv = Interval(tau_min, tau_min + length)
     tau = iv.tau_min + t * iv.length
-    assert beta_at(tau, iv.tau_star, kl / (0.5 * iv.length)) > 0.0
+    kappa = kl / (0.5 * iv.length)
+    try:
+        validate_gamma_range(SimpleNamespace(value_range=(kappa, kappa)), iv)
+    except GammaRangeError:
+        assert 1.0 - abs(kl) < 1e-10
+        return
+    assert beta_at(tau, iv.tau_star, kappa) > 0.0
 
 
 def test_recovery_regular_at_infinity():
