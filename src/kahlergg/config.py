@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .construction import CONTROLS, ConstructionData, build_construction
-from .profiles import Interval
+from .profiles import MAX_Q_DEGREE, Interval
 from .surfaces import (GammaRangeError, build_surface, gamma_constant, gamma_cos, gamma_height,
                        validate_gamma_range)
 from .verify import DEFAULT_TOLERANCES, GridSpec
@@ -67,8 +67,8 @@ MAX_GRID_POINTS = 2 ** 20  # a verify keeps about 6 KB per grid point
 
 
 def check_grid_size(grid: GridSpec, path: str) -> GridSpec:
-    """The grid, unless n_random or bx by max(n_tau, 6) n_theta (bochner's deep grid) is too large."""
-    n = max(math.prod(grid.base) * max(grid.n_tau, 6) * grid.n_theta, grid.n_random)
+    """The grid, unless n_random or bx by n_tau n_theta is too large."""
+    n = max(math.prod(grid.base) * grid.n_tau * grid.n_theta, grid.n_random)
     if n > MAX_GRID_POINTS:
         raise ConfigError(f"{path}: {n} points in a grid or the random sample, at most {MAX_GRID_POINTS}")
     return grid
@@ -184,6 +184,10 @@ def parse_config(text: str) -> RunConfig:
             coeffs = qf.get("coeffs", [])
             if not isinstance(coeffs, list):
                 raise ConfigError(f"$.construction.q_factor.coeffs: expected a list, got {coeffs!r}")
+            if len(coeffs) > MAX_Q_DEGREE - 3:
+                raise ConfigError(f"$.construction.q_factor.coeffs: at most {MAX_Q_DEGREE - 3} "
+                                  f"coefficients (Q of degree {MAX_Q_DEGREE}, the highest "
+                                  f"extraction fits), got {len(coeffs)}")
             q_coeffs = tuple(_bounded(c, "$.construction.q_factor.coeffs[]") for c in coeffs)
         else:
             raise ConfigError("$.construction.q_factor.type: must be 'constant' or 'poly'")
@@ -228,23 +232,19 @@ def parse_config(text: str) -> RunConfig:
         chart = _chart_index(con.get("chart", 0), surface_type)
 
     grid_raw = raw.get("grid", {})
-    _require_keys(grid_raw, {"base", "n_tau", "n_theta", "collar", "deep_collar", "n_random"},
-                  set(), "$.grid")
+    _require_keys(grid_raw, {"base", "n_tau", "n_theta", "collar", "n_random"}, set(), "$.grid")
     base = grid_raw.get("base", (8, 8))
     if not isinstance(base, (list, tuple)) or len(base) != 2:
         raise ConfigError("$.grid.base: expected two positive integers")
     seed = grid_count(raw.get("seed", 0), "$.seed", 0)
-    collars = {k: _as_number(grid_raw.get(k, d), f"$.grid.{k}")
-               for k, d in (("collar", 0.02), ("deep_collar", 0.2))}
-    for k, c in collars.items():
-        if not 0.0 < c < 0.5:
-            raise ConfigError(f"$.grid.{k}: must lie in (0, 0.5)")
+    collar = _as_number(grid_raw.get("collar", 0.02), "$.grid.collar")
+    if not 0.0 < collar < 0.5:
+        raise ConfigError("$.grid.collar: must lie in (0, 0.5)")
     grid = GridSpec(base=tuple(grid_count(b, f"$.grid.base[{i}]") for i, b in enumerate(base)),
                     n_tau=grid_count(grid_raw.get("n_tau", 16), "$.grid.n_tau"),
                     n_theta=grid_count(grid_raw.get("n_theta", 4), "$.grid.n_theta"),
-                    seed=seed,
-                    n_random=grid_count(grid_raw.get("n_random", 128), "$.grid.n_random"),
-                    **collars)
+                    collar=collar, seed=seed,
+                    n_random=grid_count(grid_raw.get("n_random", 128), "$.grid.n_random"))
     check_grid_size(grid, "$.grid")
 
     tol_raw = raw.get("tolerances", {})

@@ -112,9 +112,11 @@ def assemble_metric(data: ConstructionData) -> MetricField:
     prof, a = data.profile, data.a
     iv = data.interval
     cd = data.chart_data
-    # x-steps shrink with a chart narrower than 1 (a small sphere), so stencils stay in scale.
+    # Steps shrink with a chart narrower than 1 (a small sphere) and with an interval
+    # shorter than 1, so stencils stay in scale.
     (x1lo, x1hi), _ = cd.chart.bounds
     x_step = 1.5e-3 * min(1.0, x1hi - x1lo)
+    tau_step = 3e-4 * min(1.0, iv.length)
 
     def value(P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
@@ -212,7 +214,7 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         return h
 
     return MetricField(dim=4, value=value, dvalue=dvalue, d2value=d2value, domain=domain,
-                       step=np.array([x_step, x_step, 3e-4, 1e-2]),
+                       step=np.array([x_step, x_step, tau_step, 1e-2]),
                        step_limiter=step_limiter,
                        name=f"construction[{data.surface.surface_type}:{cd.chart.name}]")
 
@@ -398,7 +400,10 @@ def tau_field(data: ConstructionData) -> ScalarField:
     def hess(P):
         return np.zeros((np.asarray(P).shape[0], 4, 4))
 
-    return ScalarField(value=value, grad=grad, hess=hess, name="tau")
+    def d3(P):
+        return np.zeros((np.asarray(P).shape[0], 4, 4, 4))
+
+    return ScalarField(value=value, grad=grad, hess=hess, d3=d3, name="tau")
 
 
 def kappa_field(data: ConstructionData) -> ScalarField:

@@ -53,7 +53,7 @@ from .construction import (ConstructionData, assemble_metric, assemble_J,
                            build_construction, tau_field)
 from .fubini import FSChart, fs_J, fs_metric, fs_random_directions, fs_tau
 from .piecewise import chebyshev_interpolant, lobatto_nodes, trig_interpolant
-from .profiles import Interval, MomentumProfile, make_profile
+from .profiles import MAX_Q_DEGREE, Interval, MomentumProfile, make_profile
 from .rp1 import INFINITY, RP1Value, recover_kappa
 from .surfaces import (BaseSurfaceData, ChartData, KappaField, SurfaceChart, curvature_form,
                        curvature_grad, curvature_hess, solve_connection_radial,
@@ -169,10 +169,10 @@ def trace_fibers(oracle: ExtractionOracle) -> list:
 def extract_profile(traces: list):
     """(profile, diagnostics) from one polynomial fit of Q(tau) over every trace sample.
 
-    The fit takes the lowest degree from 2 to 8 whose max residual is at
-    roundoff, 1e-12 max(Q_max, 1).  A residual above 1e-5 max(Q_max, 1)
-    means Q is not a function of tau.  The interval is where the fit
-    vanishes, at the two real roots that bracket the samples, and a is the
+    The fit takes the lowest degree from 2 to ``MAX_Q_DEGREE`` (20) whose max
+    residual is at roundoff, 1e-12 max(Q_max, 1).  A residual above 1e-5
+    max(Q_max, 1) means Q is not a function of tau.  The interval is where the
+    fit vanishes, at the two real roots that bracket the samples, and a is the
     mean of its half end slopes, which must agree to 2e-3 a.  rho is the fit
     divided twice by w = (tau - tau_min)(tau_max - tau), as polynomials in
     t = (tau - tau_min)/L, with 2a/L taken off between the divisions.
@@ -180,7 +180,7 @@ def extract_profile(traces: list):
     tau = np.concatenate([tr.values for tr in traces])
     q = np.concatenate([tr.q for tr in traces])
     scale = max(float(np.max(q)), 1.0)
-    for degree in range(2, 9):
+    for degree in range(2, MAX_Q_DEGREE + 1):
         fit = np.polynomial.Polynomial.fit(tau, q, degree)
         residual = float(np.max(np.abs(fit(tau) - q)))
         if residual <= 1e-12 * scale:

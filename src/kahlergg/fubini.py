@@ -159,17 +159,29 @@ def fs_tau(chart: FSChart) -> ScalarField:
         tau, s = tau_and_s(p)
         return (2.0 / s)[:, None] * (p * wy - tau[:, None] * p)
 
-    def hess(p: np.ndarray) -> np.ndarray:
+    def grad_hess(p: np.ndarray):
         # d_a grad_j = (2/s) ((wy_j - tau) delta_aj - p_a grad_j - grad_a p_j)
-        p = np.asarray(p, dtype=float)
         tau, s = tau_and_s(p)
         gr = (2.0 / s)[:, None] * (p * wy - tau[:, None] * p)
         pg = p[:, :, None] * gr[:, None, :]
         out = -(pg + np.swapaxes(pg, 1, 2))
         out += (wy[None, :] - tau[:, None])[:, :, None] * np.eye(p.shape[1])
-        return (2.0 / s)[:, None, None] * out
+        return gr, (2.0 / s)[:, None, None] * out, s
 
-    return ScalarField(value=value, grad=grad, hess=hess, name="fs-tau")
+    def hess(p: np.ndarray) -> np.ndarray:
+        return grad_hess(np.asarray(p, dtype=float))[1]
+
+    def d3(p: np.ndarray) -> np.ndarray:
+        # Three derivatives of s tau = |p_y|^2 + y0, with d_j s = 2 p_j, give
+        # d_b H_aj = -(2/s) sym3(grad_b delta_aj + p_b H_aj), sym3 the sum over the slot
+        # the b-factor takes in (b, a, j).
+        p = np.asarray(p, dtype=float)
+        gr, h, s = grad_hess(p)
+        t = gr[:, :, None, None] * np.eye(p.shape[1]) + p[:, :, None, None] * h[:, None]
+        t += t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
+        return (-2.0 / s)[:, None, None, None] * t
+
+    return ScalarField(value=value, grad=grad, hess=hess, d3=d3, name="fs-tau")
 
 
 def fs_J(chart: FSChart) -> MatrixField:

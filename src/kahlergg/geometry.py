@@ -8,20 +8,21 @@ for all points and axes in one call.  Index conventions used throughout:
     Gamma[p, k, i, j] = Christoffel symbol with upper index k
     gradX[p, k, i]   = (nabla X)^k_i = d_i X^k + Gamma^k_il X^l
 
-Derivatives use 4th-order central stencils.  Steps may vary per point and
-per axis; metric fields can install a limiter so stencils never cross a
-domain boundary (the fiber coordinate of the constructed metrics lives on
-an open interval).  Analytic first derivatives are used whenever a field
-carries them; a metric without ``dvalue`` is differentiated by a stencil of
-g, which is the independent route where one is required.  ``build_frame``
+Finite differences (``fd_jet``) are 4th-order central stencils.  Steps may
+vary per point and per axis; metric fields can install a limiter so stencils
+never cross a domain boundary (the fiber coordinate of the constructed
+metrics lives on an open interval).  Analytic derivatives are used whenever a
+field carries them; a metric without ``dvalue`` is differentiated by a
+stencil of g, which is the independent route where one is required (the
+extraction oracle, the ``oracle_equivalence`` check).  ``build_frame``
 gathers g, its derivative and Gamma at a batch of points together with the
 exact first jets of v = grad tau, of Q = |grad tau|^2 and of J, for callers
 that read many identities off the same points.  Curvature is a contraction of a
 Gamma jet (``ricci``).  ``Frame.second_jets`` gives that jet and the jet of
 nabla v by algebra at the frame's points from the metric's exact second
-derivatives ``d2value`` and a jet of tau's Hessian, the one stencil left
-(symmetrised into a third jet): no frame, inverse or solve at a stencil
-point, and identities between the jets (Bochner's formula) hold to roundoff.
+derivatives ``d2value`` and tau's exact third jet ``d3``: no stencil, frame,
+inverse or solve at a second point, and the identities between the jets
+(Bochner's formula, d Delta tau = -2 Ric(v)) hold to roundoff.
 Richardson extrapolation (``richardson_even``) serves only the limits at the
 fiber ends in the ``boundary_limits`` check.
 """
@@ -74,6 +75,7 @@ class ScalarField:
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]                    # (N, j) = d_j f
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None  # (N, a, j) = d_a d_j f
+    d3: Optional[Callable[[np.ndarray], np.ndarray]] = None    # (N, b, a, j) = d_b d_a d_j f
     name: str = ""
 
 
@@ -286,21 +288,18 @@ class Frame:
         """(d_b (nabla grad)^k_i, d_b Gamma^k_ij) at the points: (N, b, k, i), (N, b, k, i, j).
 
         ``d2g[p,b,a,i,j] = d_b d_a g_ij`` is the metric's exact ``d2value``,
-        symmetric in (b, a).  ``d3tau[p,b,a,j] = d_b d_a d_j tau`` is a jet of
-        tau's exact Hessian (``fd_jet`` of ``tau.hess``), symmetrised in (b, a)
-        here, so it is a third jet of one function and identities between the
-        results hold to roundoff.  With v = grad and dv = ``dgrad``,
+        symmetric in (b, a), and ``d3tau[p,b,a,j] = d_b d_a d_j tau`` is tau's
+        exact third jet ``tau.d3``, symmetric in all three slots, so identities
+        between the results hold to roundoff.  With v = grad and dv = ``dgrad``,
 
             d_b d_a v      = g^-1 (d_b d_a dtau - (d_b d_a g) v - (d_a g) d_b v - (d_b g) d_a v),
             d_b Gamma^k_ij = g^kl (1/2 d_b t_lij - (d_b g)_lm Gamma^m_ij),  t as in levi_civita,
             d_b (nabla v)^k_i = d_b d_i v^k + (d_b Gamma^k_il) v^l + Gamma^k_il d_b v^l,
 
-        all batched matmuls at the frame's points: no inverse or solve at a
-        stencil point.
+        all batched matmuls at the frame's points.
         """
         npts, n = self.grad.shape
         shape4 = (npts, n, n, n)
-        d3tau = 0.5 * (d3tau + np.swapaxes(d3tau, 1, 2))
         v, dv_t = self.grad[..., None], np.swapaxes(self.dgrad, 1, 2)  # dv_t[p,l,b] = d_b v^l
         # x[p,a,i,b] = (d_a g)_ij d_b v^j gives the two first-order terms of d_b d_a v.
         x = (self.dg.reshape(npts, n * n, n) @ dv_t).reshape(shape4)

@@ -47,6 +47,9 @@ class InvalidProfileError(ValueError):
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
+# The highest degree of Q that extraction fits; rho of n coefficients makes Q of degree n + 3.
+MAX_Q_DEGREE = 20
+
 
 @dataclass(frozen=True)
 class Interval:

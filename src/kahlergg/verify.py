@@ -8,15 +8,12 @@ per point, and returns a CheckReport whose pass flag is exactly
           nabla J, Killing, geodesic-gradient;
     1e-5  second-derivative identities: Laplacian, gamma recovery, the
           radial ODE family, bracket identities;
-    1e-3  third-derivative (Ricci/Bochner) identities, on a deeper arclength
-          collar from one frame, the metric's exact second derivatives and a
-          stencil of tau's Hessian, the only quantity still differenced
-          (Bochner's formula holds to roundoff; d Delta tau = -2 Ric(v) keeps
-          that stencil's h^4 error, which is 0 where tau is a coordinate, as
-          on the constructions), and boundary limits, by Richardson
-          extrapolation along the fibers (finite differences of
-          Christoffel-level poles are hopeless near the fiber ends at
-          tighter tolerances);
+    1e-3  third-derivative (Ricci/Bochner) identities, on the inner half of
+          the main grid in s, from one frame, the metric's exact second
+          derivatives and tau's exact third jet (they hold to roundoff), and
+          boundary limits, by Richardson extrapolation along the fibers
+          (finite differences of Christoffel-level poles are hopeless near
+          the fiber ends at tighter tolerances);
     1e-4  flow arclength consistency.
 
 Default grid: 8x8 base points x 16 tau-values (Chebyshev-spaced in the
@@ -26,6 +23,9 @@ the sparse theta sampling guards the implementation rather than the math.
 The seven main-grid checks read one frame of exact jets and take no stencil:
 gamma enters as kappa = 1/(tau_star - gamma) (see ``rp1``), whose closed-form
 gradient makes d phi exact, with one formula for every gamma, inf included.
+Bochner reads the half of the main grid nearest the middle of its fibers
+(``bochner_points``) from a frame of its own; no check but
+``oracle_equivalence``, the deliberate stencil of g, differences anything.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class GridSpec:
     n_tau: int = 16
     n_theta: int = 4
     collar: float = 0.02
-    deep_collar: float = 0.2
     seed: int = 0
     n_random: int = 128
 
@@ -480,19 +479,26 @@ def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, des
     return make_report("bracket_identities", desc, points, res, tol, extras)
 
 
+def bochner_points(subject: VerificationSubject, points: np.ndarray) -> np.ndarray:
+    """The max(1, N // 2) of the points nearest the middle of their fibers, in grid order.
+
+    Points are ranked by |s(tau) - lambda/2| with a stable sort, so on the
+    constructions' grid they are the inner n_tau/2 tau-levels.
+    """
+    s = np.asarray(subject.maps.s_of_tau(subject.tau.value(points)), dtype=float)
+    order = np.argsort(np.abs(s - 0.5 * subject.maps.lam), kind="stable")
+    return points[np.sort(order[:max(1, len(points) // 2)])]
+
+
 def _bochner_jets(subject: VerificationSubject, points: np.ndarray):
     """(frame, nabla v, nabla_v v and the jets of those and of Gamma) for ``check_bochner``.
 
-    One frame and the metric's exact ``d2value`` at the points.  Only tau's
-    Hessian is differenced, at half the metric's step (at most 2.5e-3), whose
-    4th-order stencil leaves h^4 truncation (none where tau is a coordinate,
-    as on the constructions).
+    One frame, the metric's exact ``d2value`` and tau's exact ``d3`` at the
+    points: nothing is differenced.
     """
-    m = subject.metric
-    steps = 0.5 * np.minimum(m.steps_at(points), 5e-3)
-    fr = geo.build_frame(m, subject.tau, points)
-    d_gradv, d_gamma = fr.second_jets(m.d2value(points),
-                                      geo.fd_jet(subject.tau.hess, points, steps))
+    m, tau = subject.metric, subject.tau
+    fr = geo.build_frame(m, tau, points)
+    d_gradv, d_gamma = fr.second_jets(m.d2value(points), tau.d3(points))
     vv, dv = fr.grad, fr.dgrad
     gv = geo.nabla_vector(dv, vv, fr.gamma)
     nvv = (gv @ vv[..., None])[..., 0]
@@ -505,7 +511,7 @@ def _bochner_jets(subject: VerificationSubject, points: np.ndarray):
 
 def check_bochner(subject: VerificationSubject, points: np.ndarray, desc: str,
                   tol: float) -> CheckReport:
-    """Bochner's formula and d(Delta tau) = -2 Ric(v) for v = grad tau, from exact second jets of g.
+    """Bochner's formula and d(Delta tau) = -2 Ric(v) for v = grad tau, from exact jets of g and tau.
 
     With v = grad tau, div v = tr nabla v = Delta tau, so d div v = d Delta tau
     is the trace of the jet of nabla v.
@@ -651,8 +657,6 @@ def run_suite(subject: VerificationSubject, spec: Optional[GridSpec] = None,
     spec = spec or GridSpec()
     tols = resolve_tolerances(tolerances, tol_scale)
     points, desc = subject.grid_points(spec)
-    deep_spec = replace(spec, collar=spec.deep_collar, n_tau=max(6, spec.n_tau // 2))
-    deep_points, deep_desc = subject.grid_points(deep_spec)
     reports = []
 
     def want(name: str) -> bool:
@@ -670,10 +674,10 @@ def run_suite(subject: VerificationSubject, spec: Optional[GridSpec] = None,
     if grid_checks:
         frame = subject.frame(points)
         reports += [check(subject, frame, desc, tols[name]) for name, check in grid_checks]
-        del frame  # freed before bochner builds its deep-grid stencils
+        del frame  # freed before bochner builds its second jets
     if want("bochner"):
-        reports.append(check_bochner(subject, deep_points, deep_desc + " (deep collar)",
-                                     tols["bochner"]))
+        reports.append(check_bochner(subject, bochner_points(subject, points),
+                                     desc + " (inner half in s)", tols["bochner"]))
     if want("boundary_limits") and subject.fiber_point is not None:
         reports.append(check_boundary_limits(subject, tols["boundary_limits"]))
     if want("flow_lengths") and subject.fiber_point is not None:

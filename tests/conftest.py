@@ -90,6 +90,25 @@ def dipped_steeper_torus_data(interval):
 
 
 @pytest.fixture(scope="session")
+def short_torus_data():
+    # |I| = 2e-3 with a constant gamma: the tau-step of the metric's stencils
+    # must shrink with the interval (an absolute 3e-4 failed oracle_equivalence
+    # at 1.2e-2 and the round trip's gamma spread by 1.0e-2).
+    interval = Interval(-1e-3, 1e-3)
+    surface, a = build_surface("torus", H_SCALE, {"torus": gamma_constant(1.0, interval.tau_star)},
+                               interval, 2.0)
+    return build_construction(interval, a, surface)
+
+
+@pytest.fixture(scope="session")
+def short_cos_torus_data():
+    # |I| = 1e-2 with the cos gamma (an absolute tau-step failed oracle_equivalence at 8.1e-3).
+    interval = Interval(0.0, 1e-2)
+    surface, a = _cos_torus(interval, 2.0)
+    return build_construction(interval, a, surface)
+
+
+@pytest.fixture(scope="session")
 def sphere_data(interval):
     gammas = {w: gamma_constant(3.0, interval.tau_star) for w in ("south", "north")}
     surface, a = build_surface("sphere", SPHERE_RADIUS, gammas, interval, 2.0)

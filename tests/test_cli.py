@@ -254,8 +254,8 @@ def test_cli_fubini_check_non_numeric_option_is_config_error(tmp_path, capsys, f
 
 
 @pytest.mark.parametrize("grid", ["a,b,c,d", "2,2,0,2", "2,2,-1,2",
-                                  # past 2^20 points, counting bochner's deep grid of >= 6 tau values
-                                  "1024,1024,1,1", "9223372036854775808,2,2,1",
+                                  # past 2^20 points
+                                  "1024,1024,2,1", "9223372036854775808,2,2,1",
                                   "2,2,1000000000000000000000000000000,1"])
 def test_cli_verify_bad_grid_is_config_error(torus_cfg_file, tmp_path, capsys, grid):
     code = main(["verify", "--config", str(torus_cfg_file), "--out", str(tmp_path / "o"),
@@ -272,14 +272,15 @@ def _with_grid(**grid) -> str:
 
 
 @pytest.mark.parametrize("grid", [{"base": [2 ** 63, 2]}, {"n_tau": 10 ** 30},
-                                  {"base": [512, 512], "n_tau": 1, "n_theta": 1},
+                                  {"base": [512, 512], "n_tau": 4, "n_theta": 2},
                                   {"n_random": 2 ** 20 + 1}])
 def test_grid_past_its_bound_is_config_error(grid):
-    # A grid is allocated whole: past 2^20 points (bochner's deep grid takes at
-    # least 6 tau values) it used to end in a ValueError or MemoryError traceback.
+    # A grid is allocated whole: past 2^20 points it used to end in a
+    # ValueError or MemoryError traceback.
     with pytest.raises(ConfigError, match=r"\$\.grid: .* at most 1048576"):
         parse_config(_with_grid(**grid))
     assert parse_config(_with_grid(base=[128, 128], n_tau=16, n_theta=4, n_random=2 ** 20))
+    assert parse_config(_with_grid(base=[1024, 1024], n_tau=1, n_theta=1))
 
 
 def test_cli_verify_zero_n_tau_in_config_is_config_error(tmp_path, capsys):
@@ -298,8 +299,8 @@ def test_cli_verify_zero_n_tau_in_config_is_config_error(tmp_path, capsys):
     ('"seed": 0', '"seed": -1', "$.seed"),
     ('"n_random": 40', '"collar": "x", "n_random": 40', "$.grid.collar"),
     ('"n_random": 40', '"collar": [1], "n_random": 40', "$.grid.collar"),
-    ('"n_random": 40', '"deep_collar": 2, "n_random": 40', "$.grid.deep_collar"),
-    ('"n_random": 40', '"deep_collar": -1, "n_random": 40', "$.grid.deep_collar"),
+    # An unknown grid key is named with its path.
+    ('"n_random": 40', '"deep_collar": 0.2, "n_random": 40', "$.grid.deep_collar: unknown key"),
     ('"seed": 0', '"tolerances": [1], "seed": 0', "$.tolerances"),
     ('"seed": 0', '"tolerances": {"kaehler": NaN}, "seed": 0', "$.tolerances.kaehler"),
     ('"seed": 0', '"tol_scale": 0, "seed": 0', "$.tol_scale"),
@@ -349,6 +350,21 @@ def test_cli_nonpositive_q_factor_is_config_error(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())["error"]
     assert err["kind"] == "config" and "q(" in err["message"]
+
+
+def test_cli_q_factor_takes_at_most_17_coefficients(tmp_path, capsys):
+    # n coefficients give Q a degree of n + 3, and extraction fits Q up to degree 20.
+    def with_coeffs(n):
+        return TORUS_CFG.replace('{"type": "constant"}',
+                                 json.dumps({"type": "poly", "coeffs": [0.1] + [0.0] * (n - 1)}))
+
+    assert len(parse_config(with_coeffs(17)).q_coeffs) == 17
+    cfg = tmp_path / "q_degree_21.json"
+    cfg.write_text(with_coeffs(18))
+    code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err["kind"] == "config" and "$.construction.q_factor.coeffs: at most 17" in err["message"]
 
 
 @pytest.mark.parametrize("exc", cli.CONFIG_ERRORS + cli.NUMERICAL_ERRORS,
@@ -537,8 +553,7 @@ def _mutated_configs(draw):
                             "surface": {"type": surface},
                             "gamma": {"type": "constant", "value": 3.0},
                             "normalize": "none", "chart": 0},
-           "grid": {"base": [2, 2], "n_tau": 2, "n_theta": 1, "collar": 0.02,
-                    "deep_collar": 0.2, "n_random": 4},
+           "grid": {"base": [2, 2], "n_tau": 2, "n_theta": 1, "collar": 0.02, "n_random": 4},
            "tolerances": {"kaehler": 1e-6}, "tol_scale": 1.0, "seed": 0,
            "control": "none", "oracle": "construction"}
     rnd = draw(st.randoms(use_true_random=False))  # uniform picks: sampled_from favours early items

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from kahlergg import extract, geometry as geo
+from kahlergg.config import build_from_config, parse_config
 from kahlergg.extract import (ExtractionOracle, InconsistentOracleError, NotAFunctionOfTauError,
                               extract_all, extract_gamma, extract_h, extract_profile,
                               oracle_from_construction, oracle_from_fs, round_trip, trace_fibers)
@@ -201,7 +203,9 @@ def test_distorted_tau_is_inconsistent():
                                          ("dipped_steeper_torus_data", 5e-12),
                                          ("height_sphere_data", 1e-12),
                                          ("height_sphere_north_data", 1e-12),
-                                         ("wide_sphere_data", 3e-12)])
+                                         ("wide_sphere_data", 3e-12),
+                                         ("short_torus_data", 1e-12),
+                                         ("short_cos_torus_data", 1e-12)])
 def test_round_trip_deviation_bounds(data, bound, request):
     # Interval, a and rho come from one fit of the exact Q(tau) samples.  What is
     # left is the rebuild's interpolation of lam2 and kappa over the 24 seed rows:
@@ -218,6 +222,20 @@ def test_round_trip_deviation_bounds(data, bound, request):
     rho = rep["extracted"]["q_factor_coeffs"]
     assert len(rho) == len(data.profile.rho_coeffs)
     assert np.allclose(rho, data.profile.rho_coeffs, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("coeffs", [[0.1, 0, 0, 0, 0, 0.5], [0.1, 0, 0, 0, 0, 0.5, 0, 0, 0, 0, 0.2]],
+                         ids=["Q-degree-9", "Q-degree-14"])
+def test_high_degree_q_factor_round_trips(coeffs):
+    # n q_factor coefficients give Q a degree of n + 3.  A fit that stopped at
+    # degree 8 left degree 9 at 5.8e-5 and rejected degree 14 as no function of tau.
+    cfg = json.loads((ROOT / "configs" / "torus.json").read_text())
+    cfg["construction"]["q_factor"] = {"type": "poly", "coeffs": coeffs}
+    rep = round_trip(build_from_config(parse_config(json.dumps(cfg))))
+    assert rep["extracted"]["diagnostics"]["q_fit_degree"] == len(coeffs) + 3
+    assert rep["max_rel_metric_dev"] <= 1e-11
+    # rho's coefficients come out of a degree-14 fit to 8.9e-8, its metric to 1.8e-12.
+    assert np.allclose(rep["extracted"]["q_factor_coeffs"], coeffs, rtol=0.0, atol=1e-6)
 
 
 ROUND_TRIP_DEV = """
