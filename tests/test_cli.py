@@ -299,8 +299,9 @@ def test_cli_verify_zero_n_tau_in_config_is_config_error(tmp_path, capsys):
     ('"seed": 0', '"seed": -1', "$.seed"),
     ('"n_random": 40', '"collar": "x", "n_random": 40', "$.grid.collar"),
     ('"n_random": 40', '"collar": [1], "n_random": 40', "$.grid.collar"),
-    # An unknown grid key is named with its path.
-    ('"n_random": 40', '"deep_collar": 0.2, "n_random": 40', "$.grid.deep_collar: unknown key"),
+    # $.grid.deep_collar is no longer a key: any value of it is refused as unknown, by path.
+    ('"n_random": 40', '"deep_collar": 2, "n_random": 40', "$.grid.deep_collar: unknown key"),
+    ('"n_random": 40', '"deep_collar": -1, "n_random": 40', "$.grid.deep_collar: unknown key"),
     ('"seed": 0', '"tolerances": [1], "seed": 0', "$.tolerances"),
     ('"seed": 0', '"tolerances": {"kaehler": NaN}, "seed": 0', "$.tolerances.kaehler"),
     ('"seed": 0', '"tol_scale": 0, "seed": 0', "$.tol_scale"),
