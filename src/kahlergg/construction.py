@@ -33,8 +33,9 @@ oracle-equivalence gate of the test suite.
 
 Neither route knows the documented negative controls.  ``with_control``
 wraps the clean metric and J in the perturbation that ``data.control``
-names, each wrapper with its own analytic jets, and the verification subject
-is its only caller; the closed-form Christoffels describe the clean metric.
+names, each wrapper with analytic jets (the metric ones add p E, with p's
+jet), and the verification subject is its only caller; the closed-form
+Christoffels describe the clean metric.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import MatrixField, MetricField, ScalarField
+from .geometry import MatrixField, MetricField, ScalarField, jet_chain, jet_mul
 from .profiles import Interval, MomentumProfile, ReparamMaps, build_reparams, make_profile
 from .surfaces import J_SIGMA, BaseSurfaceData, ChartData
 
@@ -67,44 +68,39 @@ class ConstructionData:
     def chart_data(self) -> ChartData:
         return self.surface.charts[self.chart_index]
 
-    @property
-    def tau_star(self) -> float:
-        return self.interval.tau_star
-
 
 def _beta(data: ConstructionData, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """beta = 1 + kappa (tau - tau_star)."""
-    return 1.0 + data.chart_data.kappa.value(x) * (tau - data.tau_star)
+    return 1.0 + data.chart_data.kappa.value(x) * (tau - data.interval.tau_star)
 
 
-def _beta_jet(data: ConstructionData, x: np.ndarray, tau: np.ndarray):
-    """``_beta`` and its (d_x1, d_x2, d_tau) derivatives: (tau - tau_star) d kappa and kappa."""
-    kappa = data.chart_data.kappa
-    k, dt = kappa.value(x), tau - data.tau_star
-    return 1.0 + k * dt, dt[:, None] * kappa.grad(x), k
+def _coordinate(P: np.ndarray, i: int, order: int) -> tuple:
+    """The jet of the chart coordinate q_i at the points, to ``order``."""
+    e = np.zeros(P.shape)
+    e[:, i] = 1.0
+    return (P[:, i], e, np.zeros(P.shape + (P.shape[1],)))[:order + 1]
 
 
-def _beta_hess(data: ConstructionData, x: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """d d beta over (x1, x2, tau): (tau - tau_star) d d kappa, d kappa across, 0 along tau."""
-    kappa = data.chart_data.kappa
-    out = np.zeros((tau.shape[0], 3, 3))
-    out[:, :2, :2] = (tau - data.tau_star)[:, None, None] * kappa.hess(x)
-    out[:, :2, 2] = out[:, 2, :2] = kappa.grad(x)
-    return out
+def _on_base(fns: tuple, x: np.ndarray, n: int) -> tuple:
+    """Each f(x) of a base field's chart jet (f, d f, ...), padded with zeros to the n coordinates."""
+    out = []
+    for f in fns:
+        v = f(x)
+        d = np.zeros(v.shape[:1] + (n,) * (v.ndim - 1))
+        d[(slice(None),) + (slice(0, 2),) * (v.ndim - 1)] = v
+        out.append(d)
+    return tuple(out)
 
 
-def _lam2_jets(chart, x: np.ndarray):
-    """lam2's gradient and Hessian over (x1, x2, tau): (N, 3) and (N, 3, 3), 0 along tau."""
-    n = x.shape[0]
-    dl, d2l = np.zeros((n, 3)), np.zeros((n, 3, 3))
-    dl[:, :2], d2l[:, :2, :2] = chart.dlam2(x), chart.d2lam2(x)
-    return dl, d2l
-
-
-def _sym_outer(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """u (x) w + w (x) u per point, exactly symmetric: (N, k), (N, k) -> (N, k, k)."""
-    c = u[:, :, None] * w[:, None, :]
-    return c + np.swapaxes(c, 1, 2)
+def _beta_lam2(data: ConstructionData, P: np.ndarray, order: int) -> tuple:
+    """The jets of beta = 1 + kappa (tau - tau_star) and of lam2 over the chart coordinates
+    (x1, x2, tau) or (x1, x2, tau, theta) that P holds, to ``order``."""
+    cd, x, n = data.chart_data, P[:, :2], P.shape[1]
+    kappa = _on_base((cd.kappa.value, cd.kappa.grad, cd.kappa.hess)[:order + 1], x, n)
+    dt = _coordinate(P, 2, order)
+    beta = jet_mul(kappa, (dt[0] - data.interval.tau_star,) + dt[1:])
+    return ((1.0 + beta[0],) + beta[1:],
+            _on_base((cd.chart.lam2, cd.chart.dlam2, cd.chart.d2lam2)[:order + 1], x, n))
 
 
 def assemble_metric(data: ConstructionData) -> MetricField:
@@ -139,23 +135,20 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         P = np.asarray(P, dtype=float)
         x, tau = P[:, :2], P[:, 2]
         n = P.shape[0]
-        lam2 = cd.chart.lam2(x)
         A = cd.connection.A(x)
         dA = cd.connection.dA(x)
         Q = prof.Q(tau)
         dQ = prof.dQ(tau)
-        beta, dbeta_dx, dbeta_dtau = _beta_jet(data, x, tau)
+        dF = jet_mul(*_beta_lam2(data, P[:, :3], 1))[1]  # d (beta lam2), the base block's diagonal
         B = Q / a ** 2
         dB = dQ / a ** 2
         out = np.zeros((n, 4, 4, 4))
-        # d_a (beta lam2) = (d_a beta) lam2 + beta d_a lam2 on the diagonal of the base block.
-        dbl = dbeta_dx * lam2[:, None] + beta[:, None] * cd.chart.dlam2(x)
         dAA = dA[:, :, :, None] * A[:, None, None, :]  # [a,i,j] = d_a A_i A_j
-        out[:, :2, :2, :2] = (dbl[:, :, None, None] * _EYE2
+        out[:, :2, :2, :2] = (dF[:, :2, None, None] * _EYE2
                               + B[:, None, None, None] * (dAA + np.swapaxes(dAA, 2, 3)))
         out[:, :2, :2, 3] = -B[:, None, None] * dA
         out[:, :2, 3, :2] = out[:, :2, :2, 3]
-        out[:, 2, :2, :2] = ((dbeta_dtau * lam2)[:, None, None] * _EYE2
+        out[:, 2, :2, :2] = (dF[:, 2, None, None] * _EYE2
                              + dB[:, None, None] * A[:, :, None] * A[:, None, :])
         out[:, 2, :2, 3] = -dB[:, None] * A
         out[:, 2, 3, :2] = out[:, 2, :2, 3]
@@ -169,14 +162,9 @@ def assemble_metric(data: ConstructionData) -> MetricField:
         P = np.asarray(P, dtype=float)
         x, tau = P[:, :2], P[:, 2]
         n = P.shape[0]
-        lam2 = cd.chart.lam2(x)
         A, dA, d2A = cd.connection.A(x), cd.connection.dA(x), cd.connection.d2A(x)
         Q, dQ, d2Q = prof.Q(tau), prof.dQ(tau), prof.d2Q(tau)
-        beta, dbeta_dx, dbeta_dtau = _beta_jet(data, x, tau)
-        dbeta = np.column_stack([dbeta_dx, dbeta_dtau])
-        dl, d2l = _lam2_jets(cd.chart, x)
-        d2f = (lam2[:, None, None] * _beta_hess(data, x, tau) + _sym_outer(dbeta, dl)
-               + beta[:, None, None] * d2l)
+        d2f = jet_mul(*_beta_lam2(data, P[:, :3], 2))[2]
         B, dB, d2B = Q / a ** 2, dQ / a ** 2, d2Q / a ** 2
         AA = A[:, :, None] * A[:, None, :]
         dAA = dA[:, :, :, None] * A[:, None, None, :]  # [a,i,j] = d_a A_i A_j
@@ -263,17 +251,31 @@ def assemble_J(data: ConstructionData) -> MatrixField:
 def with_control(data: ConstructionData, metric: MetricField, J: MatrixField):
     """The (metric, J) pair of ``data.control``: the clean pair itself for "none".
 
-    Each negative control wraps the clean fields and keeps analytic jets,
-    so the clean evaluators carry no control code.
+    perturb-j flips J_Sigma in J; the two metric controls add p E to the
+    clean metric (``_plus``), so the clean evaluators carry no control code.
     """
     if data.control == "none":
         return metric, J
     if data.control == "perturb-j":
         return metric, _flip_j(J)
-    wrap = {"perturb-beta": _perturb_beta, "break-symmetry": _break_symmetry}[data.control]
-    value, dvalue, d2value = wrap(data, metric)
-    return replace(metric, value=value, dvalue=dvalue, d2value=d2value,
-                   name=f"{metric.name}+{data.control}"), J
+    e, p = {"perturb-beta": (_BASE_DIAGONAL, _perturb_beta),
+            "break-symmetry": (_TAU_TAU, _break_symmetry)}[data.control]
+    return _plus(metric, e, lambda P, g: p(data, P, g), f"{metric.name}+{data.control}"), J
+
+
+def _plus(metric: MetricField, e: np.ndarray, p, name: str) -> MetricField:
+    """The metric g + p E for a constant matrix E and a scalar p whose jet at the points is
+    ``p(P, g)``, to the order of g's jet ``g`` (g, d g, d d g cut after the entry read)."""
+    fns = (metric.value, metric.dvalue, metric.d2value)
+
+    def at_order(order):
+        def evaluate(P):
+            P = np.asarray(P, dtype=float)
+            g = tuple(f(P) for f in fns[:order + 1])
+            return g[order] + p(P, g)[order][..., None, None] * e
+        return evaluate
+
+    return replace(metric, value=at_order(0), dvalue=at_order(1), d2value=at_order(2), name=name)
 
 
 # Rows (x1, x2, theta) x columns (x1, x2): the entries of J and of its jet
@@ -297,94 +299,27 @@ def _flip_j(J: MatrixField) -> MatrixField:
     return replace(J, value=value, jac=jac, name=f"{J.name}-flipped")
 
 
+_BASE_DIAGONAL = np.diag([1.0, 1.0, 0.0, 0.0])
+_TAU_TAU = np.diag([0.0, 0.0, 1.0, 0.0])
 _BREAK_AMP = 0.1
 
 
-def _break_symmetry(data: ConstructionData, metric: MetricField):
-    """break-symmetry: g_tautau times f = 1 + 0.1 sin(2 pi x1) sin theta."""
-
-    def value(P):
-        P = np.asarray(P, dtype=float)
-        g = metric.value(P)
-        g[:, 2, 2] *= 1.0 + _BREAK_AMP * np.sin(2.0 * np.pi * P[:, 0]) * np.sin(P[:, 3])
-        return g
-
-    def dvalue(P):
-        P = np.asarray(P, dtype=float)
-        gtt = metric.value(P)[:, 2, 2]
-        dg = metric.dvalue(P)
-        s1, c1 = np.sin(2.0 * np.pi * P[:, 0]), np.cos(2.0 * np.pi * P[:, 0])
-        st, ct = np.sin(P[:, 3]), np.cos(P[:, 3])
-        dg[:, :, 2, 2] *= (1.0 + _BREAK_AMP * s1 * st)[:, None]
-        dg[:, 0, 2, 2] += gtt * _BREAK_AMP * 2.0 * np.pi * c1 * st
-        dg[:, 3, 2, 2] += gtt * _BREAK_AMP * s1 * ct
-        return dg
-
-    def d2value(P):
-        # d d (g f) = (d d g) f + (d g (x) d f + d f (x) d g) + g d d f for g = g_tautau.
-        P = np.asarray(P, dtype=float)
-        gtt, dgtt = metric.value(P)[:, 2, 2], metric.dvalue(P)[:, :, 2, 2]
-        d2g = metric.d2value(P)
-        w = 2.0 * np.pi
-        s1, c1 = np.sin(w * P[:, 0]), np.cos(w * P[:, 0])
-        st, ct = np.sin(P[:, 3]), np.cos(P[:, 3])
-        df = np.zeros((P.shape[0], 4))
-        df[:, 0], df[:, 3] = _BREAK_AMP * w * c1 * st, _BREAK_AMP * s1 * ct
-        d2f = np.zeros((P.shape[0], 4, 4))
-        d2f[:, 0, 0] = -_BREAK_AMP * w * w * s1 * st
-        d2f[:, 0, 3] = d2f[:, 3, 0] = _BREAK_AMP * w * c1 * ct
-        d2f[:, 3, 3] = -_BREAK_AMP * s1 * st
-        d2g[:, :, :, 2, 2] = ((1.0 + _BREAK_AMP * s1 * st)[:, None, None] * d2g[:, :, :, 2, 2]
-                              + _sym_outer(dgtt, df) + gtt[:, None, None] * d2f)
-        return d2g
-
-    return value, dvalue, d2value
+def _break_symmetry(data: ConstructionData, P: np.ndarray, g: tuple) -> tuple:
+    """break-symmetry: g_tautau times f = 1 + 0.1 sin(2 pi x1) sin theta, p = (f - 1) g_tautau."""
+    order, w = len(g) - 1, 2.0 * np.pi
+    s1, st = np.sin(w * P[:, 0]), np.sin(P[:, 3])
+    f_minus_1 = jet_mul(jet_chain(_coordinate(P, 0, order), _BREAK_AMP * s1,
+                                  _BREAK_AMP * w * np.cos(w * P[:, 0]), -_BREAK_AMP * w * w * s1),
+                        jet_chain(_coordinate(P, 3, order), st, np.cos(P[:, 3]), -st))
+    return jet_mul(f_minus_1, tuple(t[..., 2, 2] for t in g))
 
 
-def _perturb_beta(data: ConstructionData, metric: MetricField):
-    """perturb-beta: beta -> beta^1.01 in the horizontal block: + (beta^1.01 - beta) lam2 delta."""
-    chart = data.chart_data.chart
-
-    def value(P):
-        P = np.asarray(P, dtype=float)
-        x = P[:, :2]
-        beta = _beta(data, x, P[:, 2])
-        g = metric.value(P)
-        g[:, :2, :2] += ((beta ** 1.01 - beta) * chart.lam2(x))[:, None, None] * _EYE2
-        return g
-
-    def dvalue(P):
-        P = np.asarray(P, dtype=float)
-        x = P[:, :2]
-        beta, dbeta_dx, dbeta_dtau = _beta_jet(data, x, P[:, 2])
-        lam2 = chart.lam2(x)
-        fac = 1.01 * beta ** 0.01 - 1.0
-        dg = metric.dvalue(P)
-        ddx = ((fac[:, None] * dbeta_dx) * lam2[:, None]
-               + (beta ** 1.01 - beta)[:, None] * chart.dlam2(x))
-        dg[:, :2, :2, :2] += ddx[:, :, None, None] * _EYE2
-        dg[:, 2, :2, :2] += (fac * dbeta_dtau * lam2)[:, None, None] * _EYE2
-        return dg
-
-    def d2value(P):
-        # d d (phi(beta) lam2), phi = beta^1.01 - beta, over (x1, x2, tau).
-        P = np.asarray(P, dtype=float)
-        x = P[:, :2]
-        beta, dbeta_dx, dbeta_dtau = _beta_jet(data, x, P[:, 2])
-        dbeta = np.column_stack([dbeta_dx, dbeta_dtau])
-        lam2 = chart.lam2(x)
-        dl, d2l = _lam2_jets(chart, x)
-        fac = 1.01 * beta ** 0.01 - 1.0
-        d2phi = (1.01 * 0.01) * beta ** -0.99
-        d2 = ((d2phi * lam2)[:, None, None] * (dbeta[:, :, None] * dbeta[:, None, :])
-              + (fac * lam2)[:, None, None] * _beta_hess(data, x, P[:, 2])
-              + fac[:, None, None] * _sym_outer(dbeta, dl)
-              + (beta ** 1.01 - beta)[:, None, None] * d2l)
-        d2g = metric.d2value(P)
-        d2g[:, :3, :3, :2, :2] += d2[:, :, :, None, None] * _EYE2
-        return d2g
-
-    return value, dvalue, d2value
+def _perturb_beta(data: ConstructionData, P: np.ndarray, g: tuple) -> tuple:
+    """perturb-beta: beta -> beta^1.01 in the horizontal block, p = (beta^1.01 - beta) lam2."""
+    beta, lam2 = _beta_lam2(data, P, len(g) - 1)
+    b = beta[0]
+    return jet_mul(jet_chain(beta, b ** 1.01 - b, 1.01 * b ** 0.01 - 1.0, (1.01 * 0.01) * b ** -0.99),
+                   lam2)
 
 
 def tau_field(data: ConstructionData) -> ScalarField:
@@ -409,17 +344,9 @@ def tau_field(data: ConstructionData) -> ScalarField:
 def kappa_field(data: ConstructionData) -> ScalarField:
     """The input kappa = 1/(tau_star - gamma) as a function of the chart point, with its gradient."""
     kappa = data.chart_data.kappa
-
-    def value(P):
-        return kappa.value(np.asarray(P, dtype=float)[:, :2])
-
-    def grad(P):
-        P = np.asarray(P, dtype=float)
-        out = np.zeros((P.shape[0], 4))
-        out[:, :2] = kappa.grad(P[:, :2])
-        return out
-
-    return ScalarField(value=value, grad=grad, name="kappa")
+    return ScalarField(value=lambda P: kappa.value(np.asarray(P, dtype=float)[:, :2]),
+                       grad=lambda P: _on_base((kappa.grad,), np.asarray(P, dtype=float)[:, :2], 4)[0],
+                       name="kappa")
 
 
 def christoffel_closed_form(data: ConstructionData, P: np.ndarray) -> np.ndarray:
@@ -448,7 +375,7 @@ def christoffel_closed_form(data: ConstructionData, P: np.ndarray) -> np.ndarray
     dA = cd.connection.dA(x)
 
     dw = (0.5 * cd.chart.dlam2(x) / lam2[:, None]
-          + ((tau - data.tau_star) / (2.0 * beta))[:, None] * cd.kappa.grad(x))
+          + ((tau - data.interval.tau_star) / (2.0 * beta))[:, None] * cd.kappa.grad(x))
     ghat = (_EYE2[None, :, :, None] * dw[:, None, None, :]
             + _EYE2[None, :, None, :] * dw[:, None, :, None]
             - _EYE2[None, None, :, :] * dw[:, :, None, None])

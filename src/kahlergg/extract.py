@@ -55,9 +55,8 @@ from .fubini import FSChart, fs_J, fs_metric, fs_random_directions, fs_tau
 from .piecewise import chebyshev_interpolant, lobatto_nodes, trig_interpolant
 from .profiles import MAX_Q_DEGREE, Interval, MomentumProfile, make_profile
 from .rp1 import INFINITY, RP1Value, recover_kappa
-from .surfaces import (BaseSurfaceData, ChartData, KappaField, SurfaceChart, curvature_form,
-                       curvature_grad, curvature_hess, solve_connection_radial,
-                       solve_connection_torus)
+from .surfaces import (BaseSurfaceData, ChartData, KappaField, SurfaceChart, _curvature_jet,
+                       solve_connection_radial, solve_connection_torus)
 
 
 class InconsistentOracleError(ValueError):
@@ -78,7 +77,6 @@ class ExtractionOracle:
     metric: geo.MetricField
     tau: geo.ScalarField
     J: geo.MatrixField
-    dim: int
     seeds: np.ndarray
     base_axes: tuple = (0, 1)
     meta: dict = field(default_factory=dict)
@@ -112,7 +110,7 @@ def oracle_from_construction(data: ConstructionData, n_x1: int = 24, n_x2: int =
     bases = np.column_stack([g1.ravel(), g2.ravel()])
     tau_mid = data.interval.tau_star
     seeds = np.column_stack([bases, np.full(len(bases), tau_mid), np.full(len(bases), theta)])
-    return ExtractionOracle(name=metric.name, metric=metric, tau=tau, J=jf, dim=4, seeds=seeds,
+    return ExtractionOracle(name=metric.name, metric=metric, tau=tau, J=jf, seeds=seeds,
                             meta={"surface": data.surface.surface_type, "n_x1": n_x1})
 
 
@@ -121,9 +119,8 @@ def oracle_from_fs(chart: Optional[FSChart] = None, n_seeds: int = 12) -> Extrac
     metric = replace(fs_metric(chart), dvalue=None, d2value=None, name="fubini-study:oracle")
     dirs = fs_random_directions(chart, n_seeds, np.random.default_rng(11))
     seeds = dirs * np.tan(np.pi / 4.0)  # tau = 1/2 on the default chart
-    return ExtractionOracle(name="fubini-study", metric=metric, tau=fs_tau(chart),
-                            J=fs_J(chart), dim=chart.dim, seeds=seeds,
-                            base_axes=(), meta={"surface": "fubini"})
+    return ExtractionOracle(name="fubini-study", metric=metric, tau=fs_tau(chart), J=fs_J(chart),
+                            seeds=seeds, base_axes=(), meta={"surface": "fubini"})
 
 
 # ----------------------------------------------------------------------------
@@ -264,7 +261,7 @@ def extract_h(oracle: ExtractionOracle, interval: Interval, kappas: np.ndarray) 
     ev = v / np.sqrt(dot(v, v))[:, None]
     u_perp = u - dot(u, ev)[:, None] * ev
     eu = u_perp / np.sqrt(dot(u_perp, u_perp))[:, None]
-    e = np.zeros((len(p), 2, oracle.dim))
+    e = np.zeros((len(p), 2, oracle.metric.dim))
     e[:, [0, 1], list(oracle.base_axes)] = 1.0
     e -= dot(e, ev)[..., None] * ev[:, None] + dot(e, eu)[..., None] * eu[:, None]
     hm = np.einsum("pri,pij,pcj->prc", e, g, e)
@@ -354,7 +351,7 @@ def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
     """
     torus = oracle.meta["surface"] == "torus"
     rows = oracle.meta["n_x1"]
-    base = oracle.seeds.reshape(rows, -1, oracle.dim)[:, 0, list(oracle.base_axes)]
+    base = oracle.seeds.reshape(rows, -1, oracle.metric.dim)[:, 0, list(oracle.base_axes)]
     k_row = ex.kappas.reshape(rows, -1).mean(axis=1)
     h_row = ex.h_samples.reshape(rows, -1, 2, 2).mean(axis=1)
     lam2_row = 0.5 * (h_row[:, 0, 0] + h_row[:, 1, 1])
@@ -375,34 +372,19 @@ def _rebuild(ex: ExtractedData, oracle: ExtractionOracle) -> ConstructionData:
         half = 0.7 * math.sqrt(sigma_max)  # the sphere's square inside its outer ring
         domain, bounds = (lambda x: coord(x)[0] < sigma_max), ((-half, half),) * 2
 
-    def grad(fit_of_u, x):  # the coordinate differential of fit_of_u(u), from its u-derivative
-        u_x, du_dx, _ = coord(x)
-        return fit_of_u(u_x)[1][:, None] * du_dx
+    def through_u(fit):  # the callables (f, d f, d d f) of f(x) = fit(u(x)): a jet_chain through u
+        def jet(x, order):
+            u = coord(x)[:order + 1]
+            return geo.jet_chain(u, *fit(u[0]))
 
-    def hess(fit_of_u, x):  # p'' du (x) du + p' d du
-        u_x, du_dx, d2u = coord(x)
-        _, p1, p2 = fit_of_u(u_x)
-        return p2[:, None, None] * (du_dx[:, :, None] * du_dx[:, None, :]) + p1[:, None, None] * d2u
+        return (lambda x: fit(coord(x)[0])[0], lambda x: jet(x, 1)[1], lambda x: jet(x, 2)[2])
 
-    kappa = KappaField(value=lambda x: k_fit(coord(x)[0])[0], grad=lambda x: grad(k_fit, x),
-                       hess=lambda x: hess(k_fit, x),
-                       value_range=(float(np.min(k_row)), float(np.max(k_row))))
-    chart = SurfaceChart(name=f"{oracle.meta['surface']}-rebuilt",
-                         lam2=lambda x: lam2_fit(coord(x)[0])[0],
-                         dlam2=lambda x: grad(lam2_fit, x), d2lam2=lambda x: hess(lam2_fit, x),
-                         domain=domain, bounds=bounds)
-
-    def w_fn(x):
-        return curvature_form(ex.a, chart, kappa, x)
-
-    def dw_fn(x):
-        return curvature_grad(ex.a, chart, kappa, x)
-
-    def d2w_fn(x):
-        return curvature_hess(ex.a, chart, kappa, x)
-
-    conn = (solve_connection_torus(w_fn, dw_fn) if torus
-            else solve_connection_radial(w_fn, dw_fn, d2w_fn, sigma_max=sigma_max))
+    kappa = KappaField(*through_u(k_fit), value_range=(float(np.min(k_row)), float(np.max(k_row))))
+    chart = SurfaceChart(f"{oracle.meta['surface']}-rebuilt", *through_u(lam2_fit), domain=domain,
+                         bounds=bounds)
+    w_jet = _curvature_jet(ex.a, chart, kappa)
+    conn = (solve_connection_torus(w_jet) if torus
+            else solve_connection_radial(w_jet, sigma_max=sigma_max))
     surface = BaseSurfaceData(surface_type=oracle.meta["surface"],
                               charts=[ChartData(chart=chart, kappa=kappa, connection=conn)],
                               params={"rebuilt": True})

@@ -22,9 +22,11 @@ Gamma jet (``ricci``).  ``Frame.second_jets`` gives that jet and the jet of
 nabla v by algebra at the frame's points from the metric's exact second
 derivatives ``d2value`` and tau's exact third jet ``d3``: no stencil, frame,
 inverse or solve at a second point, and the identities between the jets
-(Bochner's formula, d Delta tau = -2 Ric(v)) hold to roundoff.
-Richardson extrapolation (``richardson_even``) serves only the limits at the
-fiber ends in the ``boundary_limits`` check.
+(Bochner's formula, d Delta tau = -2 Ric(v)) hold to roundoff.  Scalar
+second jets over chart coordinates are built by one product rule and one
+chain rule, ``jet_mul`` and ``jet_chain``.  Richardson extrapolation
+(``richardson_even``) serves only the limits at the fiber ends in the
+``boundary_limits`` check.
 """
 
 from __future__ import annotations
@@ -93,6 +95,38 @@ class MatrixField:
     value: Callable[[np.ndarray], np.ndarray]
     jac: Optional[Callable[[np.ndarray], np.ndarray]] = None  # (N, a, k, j) = d_a J^k_j
     name: str = ""
+
+
+def jet_mul(p: tuple, q: tuple) -> tuple:
+    """The product rule: the jet of p q from the jets of p and q, to the lower of their orders.
+
+    A jet is the tuple (f, d f, d d f) of shapes (N,), (N, n) and (N, n, n),
+    cut after any entry.  The cross term d p (x) d q + d q (x) d p of the
+    Hessian is exactly symmetric.
+    """
+    out = [p[0] * q[0]]
+    if len(p) > 1 and len(q) > 1:
+        out.append(p[1] * q[0][:, None] + p[0][:, None] * q[1])
+    if len(p) > 2 and len(q) > 2:
+        c = p[1][:, :, None] * q[1][:, None, :]
+        out.append(p[2] * q[0][:, None, None] + (c + np.swapaxes(c, 1, 2))
+                   + p[0][:, None, None] * q[2])
+    return tuple(out)
+
+
+def jet_chain(p: tuple, f: np.ndarray, df: np.ndarray, d2f: np.ndarray) -> tuple:
+    """The chain rule: the jet of F(p) from p's jet and F, F', F'' at p's value, to p's order.
+
+    d F(p) = F' d p and d d F(p) = F'' d p (x) d p + F' d d p; the jets are
+    those of ``jet_mul``.
+    """
+    out = [f]
+    if len(p) > 1:
+        out.append(df[:, None] * p[1])
+    if len(p) > 2:
+        out.append(d2f[:, None, None] * (p[1][:, :, None] * p[1][:, None, :])
+                   + df[:, None, None] * p[2])
+    return tuple(out)
 
 
 def _stencil4(vals: np.ndarray, h: np.ndarray) -> np.ndarray:

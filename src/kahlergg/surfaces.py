@@ -5,7 +5,9 @@ surface admits, puts h = lam2 * euclidean, so a chart carries only the
 conformal factor lam2 and its gradient, omega_h = lam2 dx1 ^ dx2, and J_Sigma
 is multiplication by i, the constant rotation ``J_SIGMA``.  Charts, kappa
 fields and connections carry their second jets too (``d2lam2``, ``hess``,
-``d2A``), which the metric's exact second derivatives are built from.  Two built-ins
+``d2A``), which the metric's exact second derivatives are built from; kappa
+chains through gamma's jet and W = -a kappa lam2 is one jet (``geometry.jet_chain``,
+``geometry.jet_mul``), while values compute no derivative.  Two built-ins
 cover the needs of the suite:
 
   * the flat torus R^2/Z^2 with h = c^2 * euclidean, a single periodic chart
@@ -48,6 +50,7 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import jet_chain, jet_mul
 from .piecewise import hermite_table
 from .profiles import Interval, _cumulative_gl
 from .rp1 import RP1Value
@@ -102,36 +105,36 @@ def sphere_chart(radius: float, which: str) -> SurfaceChart:
         sig = np.sum(x * x, axis=1)
         return (2.0 * r2 / (r2 + sig)) ** 2
 
-    def dlam2(x):
-        sig = np.sum(x * x, axis=1)
-        dl2_dsig = -2.0 * (2.0 * r2 / (r2 + sig)) ** 2 / (r2 + sig)
-        return (dl2_dsig * 2.0)[:, None] * x
-
-    def d2lam2(x):
+    def lam2_jet(x, order):
         # lam2 of sigma = |x|^2: lam2' = -2 lam2/(R^2 + sigma), lam2'' = 6 lam2/(R^2 + sigma)^2.
-        sig = np.sum(x * x, axis=1)
-        l2 = (2.0 * r2 / (r2 + sig)) ** 2
-        return _radial_hess(x / (r2 + sig)[:, None], -2.0 * l2 / (r2 + sig), 6.0 * l2)
+        s = r2 + np.sum(x * x, axis=1)
+        l2 = (2.0 * r2 / s) ** 2
+        return _radial_jet(x, s, l2, -2.0 * l2 / s, 6.0 * l2, order)
 
     half = 0.75 * float(radius)
     return SurfaceChart(
         name=f"sphere-{which}",
         lam2=lam2,
-        dlam2=dlam2,
-        d2lam2=d2lam2,
+        dlam2=lambda x: lam2_jet(x, 1)[1],
+        d2lam2=lambda x: lam2_jet(x, 2)[2],
         domain=lambda x: np.sum(x * x, axis=1) < rho_max2,
         bounds=((-half, half), (-half, half)),
     )
 
 
-def _radial_hess(y: np.ndarray, f1: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """d_b d_a f(|x|^2) = 2 delta_ab f' + 4 x_a x_b f'' per point: (N, 2, 2).
+def _radial_jet(x: np.ndarray, s: np.ndarray, f: np.ndarray, f1: np.ndarray, c: np.ndarray,
+                order: int) -> tuple:
+    """The jet (f, 2 f' x, 2 delta f' + 4 x (x) x f'') of f(|x|^2) at chart points, to ``order``.
 
-    Takes f', y = x/(R^2 + |x|^2) and c = (R^2 + |x|^2)^2 f'', so that no
-    factor overflows on a tiny chart (f'' alone is about 1/R^4).
+    Takes s = R^2 + |x|^2, f' and c = s^2 f'', and scales x by 1/s in the
+    Hessian, so that no factor overflows on a tiny chart (f'' alone is about 1/R^4).
     """
+    out = (f, (f1 * 2.0)[:, None] * x)
+    if order < 2:
+        return out[:order + 1]
+    y = x / s[:, None]
     yy = y[:, :, None] * y[:, None, :]
-    return (2.0 * f1)[:, None, None] * _EYE2 + (4.0 * c)[:, None, None] * yy
+    return out + ((2.0 * f1)[:, None, None] * _EYE2 + (4.0 * c)[:, None, None] * yy,)
 
 
 def sphere_height(radius: float, which: str, x: np.ndarray) -> np.ndarray:
@@ -140,22 +143,6 @@ def sphere_height(radius: float, which: str, x: np.ndarray) -> np.ndarray:
     sig = np.sum(x * x, axis=1)
     z = radius * (sig - r2) / (sig + r2)
     return z if which == "south" else -z
-
-
-def sphere_height_grad(radius: float, which: str, x: np.ndarray) -> np.ndarray:
-    r2 = radius ** 2
-    sig = np.sum(x * x, axis=1)
-    dz_dsig = 2.0 * radius * r2 / (sig + r2) ** 2
-    g = 2.0 * x * dz_dsig[:, None]
-    return g if which == "south" else -g
-
-
-def sphere_height_hess(radius: float, which: str, x: np.ndarray) -> np.ndarray:
-    r2 = radius ** 2
-    sig = np.sum(x * x, axis=1)
-    h = _radial_hess(x / (sig + r2)[:, None], 2.0 * radius * r2 / (sig + r2) ** 2,
-                     -4.0 * radius * r2 / (sig + r2))
-    return h if which == "south" else -h
 
 
 # ----------------------------------------------------------------------------
@@ -181,10 +168,9 @@ def gamma_constant(value: "float | RP1Value | str", tau_star: float) -> KappaFie
                       value_range=(k, k))
 
 
-def _kappa_family(gamma: Callable, dgamma: Callable, d2gamma: Callable, lo: float, hi: float,
-                  tau_star: float) -> KappaField:
-    """kappa = 1/(tau_star - gamma), d kappa = kappa^2 d gamma and
-    d d kappa = 2 kappa^3 d gamma (x) d gamma + kappa^2 d d gamma, for a finite gamma in [lo, hi].
+def _kappa_family(gamma: tuple, lo: float, hi: float, tau_star: float) -> KappaField:
+    """kappa = 1/(tau_star - gamma) for gamma = (gamma, d gamma, d d gamma), finite in [lo, hi]:
+    kappa's jet chains through gamma's, with kappa' = kappa^2 and kappa'' = 2 kappa^3.
 
     Where [lo, hi] holds tau_star, kappa passes through infinity and its
     range is the whole line: both its end values may satisfy |kappa| l < 1,
@@ -195,17 +181,15 @@ def _kappa_family(gamma: Callable, dgamma: Callable, d2gamma: Callable, lo: floa
     else:
         kappa_range = tuple(sorted((1.0 / (tau_star - lo), 1.0 / (tau_star - hi))))
 
-    def value(x):
-        return 1.0 / (tau_star - gamma(x))
-
-    def hess(x):
-        k, dg = value(x), dgamma(x)
+    def jet(x, order):
+        g = _jet(gamma, x, order)
+        k = 1.0 / (tau_star - g[0])
         k2 = k * k
-        return ((2.0 * k2 * k)[:, None, None] * (dg[:, :, None] * dg[:, None, :])
-                + k2[:, None, None] * d2gamma(x))
+        return jet_chain(g, k, k2, 2.0 * k2 * k)
 
-    return KappaField(value=value, grad=lambda x: (value(x) ** 2)[:, None] * dgamma(x),
-                      hess=hess, value_range=kappa_range)
+    return KappaField(value=lambda x: 1.0 / (tau_star - gamma[0](x)),
+                      grad=lambda x: jet(x, 1)[1], hess=lambda x: jet(x, 2)[2],
+                      value_range=kappa_range)
 
 
 def gamma_cos(c0: float, c1: float, tau_star: float) -> KappaField:
@@ -218,17 +202,28 @@ def gamma_cos(c0: float, c1: float, tau_star: float) -> KappaField:
         return out
 
     return _kappa_family(
-        lambda x: c0 + c1 * np.cos(w * x[:, 0]),
-        lambda x: np.column_stack([-w * c1 * np.sin(w * x[:, 0]), np.zeros(x.shape[0])]),
-        d2gamma, c0 - abs(c1), c0 + abs(c1), tau_star)
+        (lambda x: c0 + c1 * np.cos(w * x[:, 0]),
+         lambda x: np.column_stack([-w * c1 * np.sin(w * x[:, 0]), np.zeros(x.shape[0])]),
+         d2gamma), c0 - abs(c1), c0 + abs(c1), tau_star)
 
 
 def gamma_height(c0: float, c1: float, radius: float, which: str, tau_star: float) -> KappaField:
     """gamma = c0 + c1 * (embedding height) on a sphere chart."""
-    return _kappa_family(lambda x: c0 + c1 * sphere_height(radius, which, x),
-                         lambda x: c1 * sphere_height_grad(radius, which, x),
-                         lambda x: c1 * sphere_height_hess(radius, which, x),
+    r2, sign = radius ** 2, (1.0 if which == "south" else -1.0)
+
+    def height_jet(x, order):  # z' = 2 R^3/s^2 and s^2 z'' = -4 R^3/s, s = R^2 + |x|^2
+        s = np.sum(x * x, axis=1) + r2
+        return _radial_jet(x, s, sphere_height(radius, which, x),
+                           sign * (2.0 * radius * r2 / s ** 2), sign * (-4.0 * radius * r2 / s), order)
+
+    return _kappa_family((lambda x: c0 + c1 * sphere_height(radius, which, x),
+                          lambda x: c1 * height_jet(x, 1)[1], lambda x: c1 * height_jet(x, 2)[2]),
                          c0 - abs(c1) * radius, c0 + abs(c1) * radius, tau_star)
+
+
+def _jet(fns: tuple, x: np.ndarray, order: int) -> tuple:
+    """The jet (f, d f, d d f) at chart points to ``order``, from a field's callables ``fns``."""
+    return tuple(f(x) for f in fns[:order + 1])
 
 
 def validate_gamma_range(kappa: KappaField, interval: Interval) -> None:
@@ -261,16 +256,14 @@ def curvature_form(a: float, chart: SurfaceChart, kappa: KappaField, x: np.ndarr
     return -a * kappa.value(x) * chart.lam2(x)
 
 
-def curvature_grad(a: float, chart: SurfaceChart, kappa: KappaField, x: np.ndarray) -> np.ndarray:
-    """d W of ``curvature_form``'s W = -a kappa lam2: (N, 2)."""
-    return -a * (kappa.grad(x) * chart.lam2(x)[:, None] + kappa.value(x)[:, None] * chart.dlam2(x))
+def _curvature_jet(a: float, chart: SurfaceChart, kappa: KappaField) -> Callable:
+    """(x, order) -> the jet of ``curvature_form``'s W = -a kappa lam2 at chart points, to ``order``."""
 
+    def jet(x, order):
+        k = tuple(-a * t for t in _jet((kappa.value, kappa.grad, kappa.hess), x, order))
+        return jet_mul(k, _jet((chart.lam2, chart.dlam2, chart.d2lam2), x, order))
 
-def curvature_hess(a: float, chart: SurfaceChart, kappa: KappaField, x: np.ndarray) -> np.ndarray:
-    """d d W of ``curvature_form``'s W = -a kappa lam2: (N, 2, 2)."""
-    cross = kappa.grad(x)[:, :, None] * chart.dlam2(x)[:, None, :]
-    return -a * (chart.lam2(x)[:, None, None] * kappa.hess(x) + (cross + np.swapaxes(cross, 1, 2))
-                 + kappa.value(x)[:, None, None] * chart.d2lam2(x))
+    return jet
 
 
 @dataclass
@@ -283,20 +276,20 @@ class ConnectionForm:
     gauge_jump: float = 0.0                          # torus seam jump F(1) - F(0)
 
 
-def solve_connection_torus(w_fn: Callable, dw_fn: Callable) -> ConnectionForm:
+def solve_connection_torus(w_jet: Callable) -> ConnectionForm:
     """A = F(x1) dx2 with F' = W and F(0) = 0, for Omega = W(x1) dx1 ^ dx2.
 
-    W must not depend on x2 (checked by sampling); the gauge jump across the
-    periodic seam is the full flux integral(W) over one period.  ``dw_fn``
-    gives d W at chart points: d_1 d_1 A_2 = F'' = d_1 W.
+    ``w_jet(x, order)`` is the jet (W, d W, d d W) at chart points to ``order``,
+    and d_1 d_1 A_2 = F'' = d_1 W.  W must not depend on x2 (checked by sampling);
+    the gauge jump across the periodic seam is the full flux integral(W) over one period.
     """
     probe = np.linspace(0.0, 1.0, 17)
 
     def w_of_x1(t):
         pts = np.column_stack([np.asarray(t, dtype=float), np.zeros(np.size(t))])
-        return w_fn(pts)
+        return w_jet(pts, 0)[0]
 
-    rows = [w_fn(np.column_stack([probe, np.full(probe.size, x2)])) for x2 in (0.1, 0.5, 0.9)]
+    rows = [w_jet(np.column_stack([probe, np.full(probe.size, x2)]), 0)[0] for x2 in (0.1, 0.5, 0.9)]
     rows = np.array(rows)
     if np.ptp(rows, axis=0).max() > 1e-10 * (1.0 + np.max(np.abs(rows))):
         raise ValueError("torus curvature coefficient depends on x2; "
@@ -325,14 +318,13 @@ def solve_connection_torus(w_fn: Callable, dw_fn: Callable) -> ConnectionForm:
 
     def d2a_fn(x):
         out = np.zeros((x.shape[0], 2, 2, 2))
-        out[:, 0, 0, 1] = dw_fn(x)[:, 0]
+        out[:, 0, 0, 1] = w_jet(x, 1)[1][:, 0]
         return out
 
     return ConnectionForm(A=a_fn, dA=da_fn, d2A=d2a_fn, gauge_jump=jump)
 
 
-def solve_connection_radial(w_fn: Callable, dw_fn: Callable, d2w_fn: Callable,
-                            sigma_max: float) -> ConnectionForm:
+def solve_connection_radial(w_jet: Callable, sigma_max: float) -> ConnectionForm:
     """Rotationally symmetric potential A = P(rho)(x dy - y dx), rho = |x|.
 
     dA = W dx ^ dy is the ODE d/d(rho)[rho^2 P] = rho W for a radial W, so
@@ -350,13 +342,13 @@ def solve_connection_radial(w_fn: Callable, dw_fn: Callable, d2w_fn: Callable,
         d_b d_a A_i = D (x_a d_b x^perp_i + x_b d_a x^perp_i + delta_ab x^perp_i)
                       + (x.dW/sigma - 4 D)(x_a x_b/sigma) x^perp_i.
 
-    ``dw_fn`` and ``d2w_fn`` give d W and d d W at chart points.
+    ``w_jet(x, order)`` is the jet (W, d W, d d W) at chart points to ``order``.
     """
     def w_of_rho(rho):
-        return w_fn(np.column_stack([rho, np.zeros(rho.size)]))
+        return w_jet(np.column_stack([rho, np.zeros(rho.size)]), 0)[0]
 
     def dw_of_rho(rho):  # W'(rho) = d_1 W on the x1-axis
-        return dw_fn(np.column_stack([rho, np.zeros(rho.size)]))[:, 0]
+        return w_jet(np.column_stack([rho, np.zeros(rho.size)]), 1)[1][:, 0]
 
     rho = np.linspace(0.0, math.sqrt(sigma_max), 4097)
     w = w_of_rho(rho)
@@ -367,7 +359,7 @@ def solve_connection_radial(w_fn: Callable, dw_fn: Callable, d2w_fn: Callable,
     # D is tabulated as rho_max^2 D against rho/rho_max, in range on a tiny chart.
     rho_max = rho[-1]
     v = _cumulative_gl(lambda r: r * r * dw_of_rho(r), rho)  # rho^4 D
-    d = np.concatenate([[0.25 * d2w_fn(np.zeros((1, 2)))[0, 0, 0]],
+    d = np.concatenate([[0.25 * w_jet(np.zeros((1, 2)), 2)[2][0, 0, 0]],
                         v[1:] / rho[1:] ** 2 / rho[1:] ** 2])
     d_slope = np.concatenate([[0.0], (dw_of_rho(rho[1:]) / rho[1:] - 4.0 * d[1:]) / rho[1:]])
     d_table = hermite_table(rho / rho_max, d * rho_max ** 2, d_slope * rho_max ** 3)
@@ -384,7 +376,7 @@ def solve_connection_radial(w_fn: Callable, dw_fn: Callable, d2w_fn: Callable,
         p = p_table(np.sqrt(sig))
         # (x_a x_b / sigma)(W - 2P), the quotient taken as 0 at sigma = 0.
         xx = quotient(x[:, :, None] * x[:, None, :], sig[:, None, None])
-        m = xx * (w_fn(x) - 2.0 * p)[:, None, None]
+        m = xx * (w_jet(x, 0)[0] - 2.0 * p)[:, None, None]
         out = np.stack([-m[:, :, 1], m[:, :, 0]], axis=2)     # x^perp_i d_a P, then P d_a x^perp_i
         out[:, 1, 0] -= p
         out[:, 0, 1] += p
@@ -397,7 +389,7 @@ def solve_connection_radial(w_fn: Callable, dw_fn: Callable, d2w_fn: Callable,
         # e[a,i] = d_a x^perp_i, and s[b,a,i] = x_b e[a,i] + x_a e[b,i] + delta_ab x^perp_i.
         xe = x[:, :, None, None] * _DXPERP[None, None]
         s = xe + np.swapaxes(xe, 1, 2) + _EYE2[None, :, :, None] * xp[:, None, None, :]
-        radial = ((quotient(np.einsum("pa,pa->p", x, dw_fn(x)), sig) - 4.0 * d)[:, None, None]
+        radial = ((quotient(np.einsum("pa,pa->p", x, w_jet(x, 1)[1]), sig) - 4.0 * d)[:, None, None]
                   * quotient(x[:, :, None] * x[:, None, :], sig[:, None, None]))
         return d[:, None, None, None] * s + radial[:, :, :, None] * xp[:, None, None, :]
 
@@ -434,17 +426,12 @@ def _assemble(surface_type: str, size: float, kappas: dict, a: float) -> tuple:
     integrals of A around the equator |x| = R, 2 pi R A_2(R, 0)."""
     if surface_type == "torus":
         chart, kappa = torus_chart(size), kappas["torus"]
-        conn = solve_connection_torus(lambda x: curvature_form(a, chart, kappa, x),
-                                      lambda x: curvature_grad(a, chart, kappa, x))
+        conn = solve_connection_torus(_curvature_jet(a, chart, kappa))
         return [ChartData(chart, kappa, conn)], conn.gauge_jump / (2.0 * np.pi)
     chart_data, chern = [], 0.0
     for which in ("south", "north"):
         chart, kappa = sphere_chart(size, which), kappas[which]
-        conn = solve_connection_radial(
-            lambda x, ch=chart, k=kappa: curvature_form(a, ch, k, x),
-            lambda x, ch=chart, k=kappa: curvature_grad(a, ch, k, x),
-            lambda x, ch=chart, k=kappa: curvature_hess(a, ch, k, x),
-            sigma_max=4.0 * size ** 2)
+        conn = solve_connection_radial(_curvature_jet(a, chart, kappa), sigma_max=4.0 * size ** 2)
         chart_data.append(ChartData(chart, kappa, conn))
         chern += size * float(conn.A(np.array([[size, 0.0]]))[0, 1])   # 2 pi R A_2(R, 0) / 2 pi
     return chart_data, chern

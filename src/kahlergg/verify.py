@@ -42,7 +42,7 @@ from .construction import (ConstructionData, assemble_J, assemble_metric,
                            with_control)
 from .fubini import (FSChart, fs_J, fs_metric, fs_profile, fs_random_directions,
                      fs_ray_point, fs_tau)
-from .profiles import Interval, MomentumProfile, ReparamMaps
+from .profiles import MomentumProfile, ReparamMaps
 from .rp1 import recover_kappa
 from .surfaces import curvature_form
 
@@ -154,9 +154,6 @@ class VerificationSubject:
     metric: geo.MetricField
     J: geo.MatrixField
     tau: geo.ScalarField
-    dim: int
-    interval: Interval
-    a: float
     profile: MomentumProfile
     maps: ReparamMaps
     kappa_expected: Optional[geo.ScalarField] = None  # 1/(tau_star - gamma), with its gradient
@@ -229,8 +226,7 @@ def subject_from_construction(data: ConstructionData) -> VerificationSubject:
     return VerificationSubject(
         name=f"{data.surface.surface_type}:{chart.name}"
              + ("" if data.control == "none" else f"+{data.control}"),
-        metric=metric, J=jf, tau=tau, dim=4,
-        interval=data.interval, a=data.a, profile=data.profile, maps=data.maps,
+        metric=metric, J=jf, tau=tau, profile=data.profile, maps=data.maps,
         kappa_expected=kappa_field(data),
         lift_fields=(lift(0), lift(1)),
         omega12=omega12,
@@ -279,8 +275,7 @@ def subject_from_fs(chart: Optional[FSChart] = None) -> VerificationSubject:
     can_ray = chart.k == 0 and chart.norm_index == 0
     return VerificationSubject(
         name=f"fubini-study[m={chart.m},(k,l)=({chart.k},{chart.l})]",
-        metric=metric, J=jf, tau=tau, dim=chart.dim,
-        interval=Interval(0.0, 1.0), a=2.0, profile=prof, maps=maps,
+        metric=metric, J=jf, tau=tau, profile=prof, maps=maps,
         kappa_expected=kappa_expected,
         lift_fields=None, omega12=None,
         fiber_point=(lambda base, s, theta=0.0: fs_ray_point(chart, base, s)[0]) if can_ray else None,
@@ -312,7 +307,7 @@ def _psi_phi(subject: VerificationSubject, points: np.ndarray):
     if subject.kappa_expected is None:
         return psi, np.zeros(points.shape[0]), np.zeros(points.shape)
     k, dk = subject.kappa_expected.value(points), subject.kappa_expected.grad(points)
-    q, dt = prof.Q(tau), tau - subject.interval.tau_star
+    q, dt = prof.Q(tau), tau - prof.interval.tau_star
     beta = 1.0 + k * dt
     phi = 0.5 * q * k / beta
     dbeta = k[:, None] * dtau + dt[:, None] * dk
@@ -331,7 +326,7 @@ def check_kaehler(subject: VerificationSubject, frame: geo.Frame, desc: str,
     comm = jv @ gv - gv @ jv
     cscale = 1.0 + np.max(np.abs(gv), axis=(1, 2)) * np.max(np.abs(jv), axis=(1, 2))
     extras["commutator_J_nabla_v_max"] = float(np.max(np.max(np.abs(comm), axis=(1, 2)) / cscale))
-    extras["J_squared_plus_id_max"] = float(np.max(np.abs(jv @ jv + np.eye(subject.dim))))
+    extras["J_squared_plus_id_max"] = float(np.max(np.abs(jv @ jv + np.eye(subject.metric.dim))))
     g = frame.g
     herm = np.swapaxes(jv, 1, 2) @ g @ jv - g
     extras["hermitian_defect_max"] = float(np.max(np.abs(herm) / (1.0 + np.max(np.abs(g), axis=(1, 2)))[:, None, None]))
@@ -378,7 +373,7 @@ def check_laplacian_identity(subject: VerificationSubject, frame: geo.Frame, des
 def _recovered_kappa(subject: VerificationSubject, frame: geo.Frame) -> np.ndarray:
     pts = frame.points
     tau = subject.tau.value(pts)
-    return recover_kappa(tau, subject.interval.tau_star, frame.q, frame.laplacian(),
+    return recover_kappa(tau, subject.profile.interval.tau_star, frame.q, frame.laplacian(),
                          subject.profile.psi(tau))
 
 
@@ -390,7 +385,7 @@ def check_gamma_recovery(subject: VerificationSubject, frame: geo.Frame, desc: s
     """
     if subject.kappa_expected is None:
         raise ValueError("subject provides no expected gamma")
-    ell = 0.5 * subject.interval.length
+    ell = 0.5 * subject.profile.interval.length
     kappa = _recovered_kappa(subject, frame)
     res = ell * np.abs(kappa - subject.kappa_expected.value(frame.points))
     extras = {}
@@ -454,7 +449,7 @@ def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, des
     res = res_wwv
     if subject.omega12 is not None:
         om = subject.omega12(points)
-        res_curv = np.abs(c_u - om / subject.a) / (1.0 + np.abs(om) / subject.a)
+        res_curv = np.abs(c_u - om / subject.profile.a) / (1.0 + np.abs(om) / subject.profile.a)
         extras["vertical_vs_curvature_max"] = float(np.max(res_curv))
         res = np.maximum(res, res_curv)
 
@@ -550,7 +545,7 @@ def check_boundary_limits(subject: VerificationSubject, tol: float) -> CheckRepo
     """
     if subject.fiber_point is None or not subject.fiber_bases:
         raise ValueError("subject provides no fiber structure")
-    a, lam = subject.a, subject.maps.lam
+    a, lam = subject.profile.a, subject.maps.lam
     svals = _END_FRAC * lam * np.array([1.0, 2.0, 4.0])
     ends = [(base, end, sign) for base in subject.fiber_bases
             for end, sign in (("min", 1.0), ("max", -1.0))
@@ -591,9 +586,9 @@ def _flow_lengths(subject: VerificationSubject, tol: float,
 
     Each fiber is seeded at its middle, s0 = lambda/2, and flows down and up
     from there in one ``geometry.flow_both_ways`` batch until each half stops
-    (sqrt(Q) below ``geometry.FLOW_END`` of its largest value), in t-steps
-    min(FLOW_STEP, 2 FLOW_STEP / a), which hold a h at most at its value for
-    a = 2 (tau -> c tau multiplies a by c).  A fiber's residual is
+    (sqrt(Q) below ``geometry.FLOW_END`` of its largest value).  Along a fiber
+    tau' = Q, so a t-step h scales Q by about exp(h Q'): h = 4 FLOW_STEP / max_I |Q'|
+    holds h |Q'| at 0.192, its value at a = 2, for every a and Q.  A fiber's residual is
     |s(tau) - (s0 + arclength)| over the samples of both halves, with the
     arclength signed from the seed; a half that does not stop makes it inf.
     """
@@ -601,8 +596,9 @@ def _flow_lengths(subject: VerificationSubject, tol: float,
         raise ValueError("subject provides no fiber structure")
     s0 = 0.5 * subject.maps.lam
     seeds = np.array([subject.fiber_point(base, s0) for base in subject.fiber_bases[:n_fibers]])
-    traces = geo.flow_both_ways(subject.metric, subject.tau, seeds,
-                                step=min(geo.FLOW_STEP, 2.0 * geo.FLOW_STEP / subject.a))
+    iv = subject.profile.interval
+    slope = np.max(np.abs(subject.profile.dQ(np.linspace(iv.tau_min, iv.tau_max, 257))))
+    traces = geo.flow_both_ways(subject.metric, subject.tau, seeds, step=4.0 * geo.FLOW_STEP / slope)
     rows, failed = [], []
     drift_max = 0.0
     for i, tr in enumerate(traces):

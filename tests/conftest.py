@@ -67,6 +67,13 @@ def steep_torus_data(interval):
 
 
 @pytest.fixture(scope="session")
+def flattest_torus_data(interval):
+    # a = 3e-4: the flow's t-step grows as 1/a, or a fiber takes thousands of steps.
+    surface, a = _cos_torus(interval, 3e-4, normalize="h-scale")
+    return build_construction(interval, a, surface)
+
+
+@pytest.fixture(scope="session")
 def steepest_torus_data(interval):
     # a = 1e4: the trace retraces six times, to a t-step of 3^-6 FLOW_STEP.
     surface, a = _cos_torus(interval, 1e4, normalize="h-scale")

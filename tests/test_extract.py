@@ -137,8 +137,7 @@ def test_warped_metric_rejected():
     jf = geo.MatrixField(value=lambda p: np.broadcast_to(np.eye(4), (p.shape[0], 4, 4)).copy())
     seeds = np.column_stack([np.linspace(0.1, 0.9, 5), np.zeros(5),
                              np.full(5, 0.5), np.zeros(5)])
-    oracle = ExtractionOracle(name="warped", metric=metric, tau=tau, J=jf, dim=4,
-                              seeds=seeds)
+    oracle = ExtractionOracle(name="warped", metric=metric, tau=tau, J=jf, seeds=seeds)
     traces = trace_fibers(oracle)
     with pytest.raises(NotAFunctionOfTauError):
         extract_profile(traces)
@@ -151,7 +150,7 @@ def test_rescaled_tau_oracle():
     tau2 = geo.ScalarField(value=lambda p: 2.0 * base.tau.value(p),
                            grad=lambda p: 2.0 * base.tau.grad(p))
     oracle = ExtractionOracle(name="fs-rescaled", metric=base.metric, tau=tau2,
-                              J=base.J, dim=base.dim, seeds=base.seeds, base_axes=())
+                              J=base.J, seeds=base.seeds, base_axes=())
     profile, _ = extract_profile(trace_fibers(oracle))
     assert abs(profile.interval.tau_min - 0.0) < 2e-3
     assert abs(profile.interval.tau_max - 2.0) < 2e-3
@@ -168,7 +167,7 @@ def test_steep_tau_oracle():
     tau10 = geo.ScalarField(value=lambda p: 10.0 * base.tau.value(p),
                             grad=lambda p: 10.0 * base.tau.grad(p))
     oracle = ExtractionOracle(name="fs-steep", metric=base.metric, tau=tau10,
-                              J=base.J, dim=base.dim, seeds=base.seeds, base_axes=())
+                              J=base.J, seeds=base.seeds, base_axes=())
     profile, _ = extract_profile(trace_fibers(oracle))
     assert abs(profile.interval.tau_min) < 1e-9 * 10.0
     assert abs(profile.interval.tau_max - 10.0) < 1e-9 * 10.0
@@ -188,7 +187,7 @@ def test_distorted_tau_is_inconsistent():
     tau2 = geo.ScalarField(value=lambda p: chi(base.tau.value(p)),
                            grad=lambda p: dchi(base.tau.value(p))[:, None] * base.tau.grad(p))
     oracle = ExtractionOracle(name="fs-distorted", metric=base.metric, tau=tau2,
-                              J=base.J, dim=base.dim, seeds=base.seeds, base_axes=())
+                              J=base.J, seeds=base.seeds, base_axes=())
     traces = trace_fibers(oracle)
     with pytest.raises(InconsistentOracleError):
         extract_profile(traces)
@@ -312,7 +311,7 @@ def test_trace_fibers_on_a_metric_singular_at_the_seeds():
 
     def value(p):
         calls.append(len(p))
-        return np.zeros((len(p), base.dim, base.dim))
+        return np.zeros((len(p), base.metric.dim, base.metric.dim))
 
     oracle = replace(base, metric=replace(base.metric, value=value, name="zero"))
     with pytest.raises(geo.NumericalFailure, match="metric 'zero' is numerically singular"):

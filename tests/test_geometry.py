@@ -315,6 +315,50 @@ def test_trace_fibers_metric_evaluations():
     assert len(calls) <= 300
 
 
+def _sin_exp_jets(x):
+    """(jet of sin(a.x), jet of exp(b.x), jet of their product, a, b) at x (N, 3), closed forms."""
+    a, b = np.array([0.3, -1.2, 0.7]), np.array([1.1, 0.4, -0.5])
+    s, c, e = np.sin(x @ a), np.cos(x @ a), np.exp(x @ b)
+    aa, ab, bb = np.outer(a, a), np.outer(a, b), np.outer(b, b)
+    sin = (s, c[:, None] * a, -s[:, None, None] * aa)
+    exp = (e, e[:, None] * b, e[:, None, None] * bb)
+    prod = (s * e, e[:, None] * (c[:, None] * a + s[:, None] * b),
+            e[:, None, None] * (-s[:, None, None] * aa + c[:, None, None] * (ab + ab.T)
+                                + s[:, None, None] * bb))
+    return sin, exp, prod, a
+
+
+@pytest.mark.parametrize("entries", [1, 2, 3])
+def test_jet_mul_matches_sin_times_exp(entries):
+    # Jets cut after the value, the gradient or the Hessian: the product keeps the lower cut.
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (25, 3))
+    sin, exp, prod, _ = _sin_exp_jets(x)
+    got = geo.jet_mul(sin[:entries], exp)
+    assert len(got) == entries and len(geo.jet_mul(sin, exp[:entries])) == entries
+    for have, want in zip(got, prod):
+        assert np.allclose(have, want, rtol=1e-14, atol=1e-14)
+    if entries == 3:
+        assert np.array_equal(got[2], np.swapaxes(got[2], 1, 2))
+
+
+@pytest.mark.parametrize("entries", [1, 2, 3])
+def test_jet_chain_matches_one_over_c_minus_sin(entries):
+    # F(p) = 1/(c - p), F' = F^2, F'' = 2 F^3 through p = sin(a.x):
+    # d F = F^2 cos a and d d F = (2 F^3 cos^2 - F^2 sin) a (x) a.
+    x = np.random.default_rng(1).uniform(-1.0, 1.0, (25, 3))
+    sin, _, _, a = _sin_exp_jets(x)
+    f = 1.0 / (2.5 - sin[0])
+    got = geo.jet_chain(sin[:entries], f, f * f, 2.0 * f ** 3)
+    c = np.cos(x @ a)
+    want = (f, (f * f * c)[:, None] * a,
+            (2.0 * f ** 3 * c * c - f * f * sin[0])[:, None, None] * np.outer(a, a))
+    assert len(got) == entries
+    for have, w in zip(got, want):
+        assert np.allclose(have, w, rtol=1e-14, atol=1e-14)
+    if entries == 3:
+        assert np.array_equal(got[2], np.swapaxes(got[2], 1, 2))
+
+
 def test_richardson_even_exact_on_quartic():
     f = lambda h: 3.0 + 2.0 * h ** 2 - 5.0 * h ** 4
     vals = np.array([f(0.1), f(0.2), f(0.4)])

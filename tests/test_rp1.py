@@ -14,7 +14,8 @@ from kahlergg.surfaces import GammaRangeError, gamma_constant, validate_gamma_ra
 def beta_at(tau: float, tau_star: float, kappa: float) -> float:
     """The construction's beta = 1 + kappa (tau - tau_star) at one point, kappa constant."""
     field = SimpleNamespace(value=lambda x: np.full(x.shape[0], kappa))
-    data = SimpleNamespace(chart_data=SimpleNamespace(kappa=field), tau_star=tau_star)
+    data = SimpleNamespace(chart_data=SimpleNamespace(kappa=field),
+                           interval=SimpleNamespace(tau_star=tau_star))
     return float(_beta(data, np.zeros((1, 2)), np.array([tau]))[0])
 
 

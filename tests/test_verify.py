@@ -126,7 +126,7 @@ def test_killing_route_agreement(torus_subject):
     assert rep.passed
     u = frame.apply_J(frame.grad, frame.dgrad)[0]
     expect = np.zeros_like(u)
-    expect[:, 3] = torus_subject.a
+    expect[:, 3] = torus_subject.profile.a
     assert np.max(np.abs(u - expect)) < 1e-8
 
 
@@ -205,7 +205,8 @@ def test_flow_lengths_reports_every_failing_fiber(torus_subject):
 @pytest.mark.parametrize("data, bound", [("torus_data", 1e-8), ("sphere_data", 1e-8),
                                          ("torus_inf_data", 1e-8), ("fs", 1e-9),
                                          ("steep_torus_data", 1e-8),
-                                         ("steepest_torus_data", 1e-8)])
+                                         ("steepest_torus_data", 1e-8),
+                                         ("flattest_torus_data", 1e-6)])
 def test_flow_lengths_steps_and_residual(request, fs_subject, data, bound):
     subject = fs_subject if data == "fs" else subject_from_construction(
         request.getfixturevalue(data))
@@ -217,8 +218,9 @@ def test_flow_lengths_steps_and_residual(request, fs_subject, data, bound):
 
     metric = replace(subject.metric, value=value)
     report, traces = _flow_lengths(replace(subject, metric=metric), 1e-4)
-    # The t-step min(FLOW_STEP, 2 FLOW_STEP / a) holds a h at its value for a = 2,
-    # so the tori at a = 30 and 1e4 take as many steps as the rest.  Seeded at
+    # The t-step 4 FLOW_STEP / max |Q'| holds h |Q'| at its value for a = 2, so the
+    # tori at a = 3e-4, 30 and 1e4 take as many steps as the rest (at a = 3e-4 a step
+    # of FLOW_STEP would not reach the stop rule in 200,000 steps).  Seeded at
     # the middle, each half covers half a fiber: 85 steps and 596 calls from s = 0.01 lambda.
     steps = max(max(np.count_nonzero(tr.t < 0), np.count_nonzero(tr.t > 0)) for tr in traces)
     assert steps <= 45
@@ -230,6 +232,27 @@ def test_flow_lengths_steps_and_residual(request, fs_subject, data, bound):
         sq = np.sqrt(tr.q)
         for half in (sq[tr.t <= 0][::-1], sq[tr.t >= 0]):
             assert half[-1] < geo.FLOW_END * np.max(half) <= half[-2]
+
+
+@pytest.mark.parametrize("data, control", [("torus_data", "none"), ("sphere_data", "none"),
+                                           ("torus_data", "perturb-beta"),
+                                           ("sphere_data", "break-symmetry")])
+def test_flows_compute_no_derivative(request, data, control, monkeypatch):
+    # The flows read the metric's values alone, about 290 calls per verify: on that
+    # path no derivative of kappa, lam2 or A may be computed, controls included.
+    data = replace(request.getfixturevalue(data), control=control)
+    subject = subject_from_construction(data)
+
+    def forbidden(x):
+        raise AssertionError("a value-only path computed a derivative")
+
+    cd = data.chart_data
+    for owner, names in ((cd.kappa, ("grad", "hess")), (cd.chart, ("dlam2", "d2lam2")),
+                         (cd.connection, ("dA", "d2A"))):
+        for name in names:
+            monkeypatch.setattr(owner, name, forbidden)
+    report = check_flow_lengths(subject, 1e-4)
+    assert report.passed and "failed_fibers" not in report.extras
 
 
 @pytest.mark.parametrize("data", ["torus_data", "fs"])
@@ -457,7 +480,7 @@ def test_tau_third_jet_matches_a_stencil_of_its_hessian(torus_subject, chart):
     subject = torus_subject if chart is None else subject_from_fs(chart)
     pts, _ = subject.grid_points(FAST)
     d3 = subject.tau.d3(pts)
-    assert d3.shape == (len(pts),) + (subject.dim,) * 3
+    assert d3.shape == (len(pts),) + (subject.metric.dim,) * 3
     # The stencil reads 2.8e-12 off at this step, 1.4e-10 at 1e-3 (h^4 truncation).
     assert np.max(np.abs(d3 - geo.fd_jet(subject.tau.hess, pts, 3e-4))) <= 1e-10
     for axes in ((0, 2, 1, 3), (0, 1, 3, 2), (0, 3, 2, 1)):
@@ -499,7 +522,7 @@ def _frame_bundle_jets(subject, points):
     The route that built a whole frame at every stencil point, at the full
     step: independent of ``Frame.second_jets``.
     """
-    m, n = subject.metric, subject.dim
+    m, n = subject.metric, subject.metric.dim
     steps = np.minimum(m.steps_at(points), 5e-3)
 
     def bundle(pp):
