@@ -232,10 +232,10 @@ def extract_gamma(oracle: ExtractionOracle, profile: MomentumProfile, traces: li
         picks.append(idx[np.linspace(0, idx.size - 1, 5).astype(int)])
     fr = geo.build_frame(oracle.metric, oracle.tau,
                          np.concatenate([tr.points[p] for tr, p in zip(traces, picks)]))
-    psi = np.einsum("pi,pij,pj->p", fr.grad, fr.hessian(), fr.grad) / fr.q
+    psi = np.einsum("pi,pij,pj->p", fr.grad, fr.hessian, fr.grad) / fr.q
     kappa = recover_kappa(np.concatenate([tr.values[p] for tr, p in zip(traces, picks)]),
                           iv.tau_star, np.concatenate([tr.q[p] for tr, p in zip(traces, picks)]),
-                          fr.laplacian(), psi).reshape(len(traces), -1)
+                          fr.laplacian, psi).reshape(len(traces), -1)
     worst = 0.5 * iv.length * float(np.max(np.ptp(kappa, axis=1)))
     if not worst <= 1e-3:
         raise FiberInconsistencyError(

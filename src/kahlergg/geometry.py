@@ -17,21 +17,24 @@ stencil of g, which is the independent route where one is required (the
 extraction oracle, the ``oracle_equivalence`` check).  ``build_frame``
 gathers g, its derivative and Gamma at a batch of points together with the
 exact first jets of v = grad tau, of Q = |grad tau|^2 and of J, for callers
-that read many identities off the same points.  Curvature is a contraction of a
-Gamma jet (``ricci``).  ``Frame.second_jets`` gives that jet and the jet of
+that read many identities off the same points; whatever several of them read
+(nabla v, Hess tau, Delta tau, u = J grad tau) the frame computes once.
+Contractions are batched matmuls over reshaped (N, n, n, n) arrays.
+Curvature enters only as Ric(., v) (``ricci``), a contraction of the jet of
+Gamma with v.  ``Frame.second_jets`` gives that contraction and the jet of
 nabla v by algebra at the frame's points from the metric's exact second
 derivatives ``d2value`` and tau's exact third jet ``d3``: no stencil, frame,
-inverse or solve at a second point, and the identities between the jets
-(Bochner's formula, d Delta tau = -2 Ric(v)) hold to roundoff.  Scalar
-second jets over chart coordinates are built by one product rule and one
-chain rule, ``jet_mul`` and ``jet_chain``.  Richardson extrapolation
+inverse or solve at a second point, no n^5 jet of Gamma, and the identities
+between the jets (Bochner's formula, d Delta tau = -2 Ric(v)) hold to
+roundoff.  Scalar second jets over chart coordinates are built by one product
+rule and one chain rule, ``jet_mul`` and ``jet_chain``.  Richardson extrapolation
 (``richardson_even``) serves only the limits at the fiber ends in the
 ``boundary_limits`` check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -225,9 +228,15 @@ def gradient_and_q(metric: MetricField, f: ScalarField, points: np.ndarray,
     return grad, np.einsum("pi,pi->p", df, grad)  # g(grad f, grad f) = df(grad f)
 
 
+def _gamma_dot(gamma: np.ndarray, xv: np.ndarray) -> np.ndarray:
+    """(Gamma X)[p,k,i] = Gamma^k_ij X^j, one batched matmul."""
+    npts, n = xv.shape
+    return (gamma.reshape(npts, n * n, n) @ xv[..., None]).reshape(npts, n, n)
+
+
 def nabla_vector(dx: np.ndarray, xv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(nabla X)[p,k,i] from dx[p,i,k] = d_i X^k, X and Gamma at the points."""
-    return np.swapaxes(dx, 1, 2) + np.einsum("pkil,pl->pki", gamma, xv)
+    return np.swapaxes(dx, 1, 2) + _gamma_dot(gamma, xv)
 
 
 def lie_derivative_metric(g: np.ndarray, gx: np.ndarray) -> np.ndarray:
@@ -236,9 +245,20 @@ def lie_derivative_metric(g: np.ndarray, gx: np.ndarray) -> np.ndarray:
     return m + np.swapaxes(m, 1, 2)
 
 
+def _gamma_trace(gamma: np.ndarray) -> np.ndarray:
+    """Gamma^k_kl at the points: (N, l)."""
+    return np.einsum("pkkl->pl", gamma)
+
+
+def _gamma_against(gamma: np.ndarray, tv: np.ndarray) -> np.ndarray:
+    """Gamma^l_kj T^k_l at the points, (N, j), from T[p,k,l]: one batched matmul."""
+    npts, n = tv.shape[:2]
+    return (np.swapaxes(tv, 1, 2).reshape(npts, 1, n * n) @ gamma.reshape(npts, n * n, n))[:, 0]
+
+
 def divergence_vector(dx: np.ndarray, xv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """div X = d_k X^k + Gamma^k_kl X^l from the jet dx[p,i,k] = d_i X^k, X and Gamma."""
-    return np.einsum("pkk->p", nabla_vector(dx, xv, gamma))
+    return np.einsum("pkk->p", dx) + np.einsum("pl,pl->p", _gamma_trace(gamma), xv)
 
 
 def divergence_endomorphism(dt: np.ndarray, tv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -248,8 +268,8 @@ def divergence_endomorphism(dt: np.ndarray, tv: np.ndarray, gamma: np.ndarray) -
     Gamma at the points.
     """
     out = np.einsum("pkkj->pj", dt)
-    out += np.einsum("pkkl,plj->pj", gamma, tv)
-    out -= np.einsum("plkj,pkl->pj", gamma, tv)
+    out += (_gamma_trace(gamma)[:, None] @ tv)[:, 0]
+    out -= _gamma_against(gamma, tv)
     return out
 
 
@@ -257,10 +277,13 @@ def nabla_J(dj: np.ndarray, jv: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """(nabla_a J)^k_j = d_a J^k_j + Gamma^k_al J^l_j - Gamma^l_aj J^k_l.
 
     ``dj[p,a,k,j] = d_a J^k_j`` is the jet of J; ``jv`` and ``gamma`` are J and
-    Gamma at the points.
+    Gamma at the points.  Each Gamma term is one batched matmul, in (k, a, j)
+    order, and the terms are added as (d J + Gamma J) - J Gamma.
     """
-    ga = np.swapaxes(gamma, 1, 2)  # ga[p,a,k,l] = Gamma^k_al
-    return dj + ga @ jv[:, None] - jv[:, None] @ ga
+    npts, n = jv.shape[:2]
+    out = dj + (gamma.reshape(npts, n * n, n) @ jv).reshape(npts, n, n, n).transpose(0, 2, 1, 3)
+    out -= (jv @ gamma.reshape(npts, n, n * n)).reshape(npts, n, n, n).transpose(0, 2, 1, 3)
+    return out
 
 
 @dataclass
@@ -274,9 +297,11 @@ class Frame:
         d_a grad = g^-1 (d_a dtau - (d_a g) grad),
         d_a Q    = 2 (d_a dtau)(grad) - g'_a(grad, grad),   g'_a = d_a g,
 
-    from g, d g and tau's closed-form partials ``tau.grad`` and ``tau.hess``,
-    computed on first read.  ``J`` and ``dJ`` are set when a J is given, and
-    u = J grad with its jet is ``apply_J(grad, dgrad)``.
+    from g, d g and tau's closed-form partials ``tau.grad`` and ``tau.hess``.
+    Everything derived (the jets, Gamma v, nabla v, Hess tau, Delta tau and
+    u = J grad with its jet) is a cached property: computed on first read,
+    once per frame, however many checks read it.  ``J`` and ``dJ`` are set
+    when a J is given.
     """
 
     points: np.ndarray
@@ -304,52 +329,78 @@ class Frame:
     def dq(self) -> np.ndarray:  # (N, a) = d_a Q
         return ((2.0 * self.d2tau - self._dg_grad) @ self.grad[..., None])[..., 0]
 
+    @cached_property
+    def gamma_grad(self) -> np.ndarray:  # (N, k, i) = Gamma^k_ij grad^j
+        return _gamma_dot(self.gamma, self.grad)
+
+    @cached_property
+    def nabla_grad(self) -> np.ndarray:  # (N, k, i) = (nabla v)^k_i, as ``nabla_vector``
+        return np.swapaxes(self.dgrad, 1, 2) + self.gamma_grad
+
+    @cached_property
     def hessian(self) -> np.ndarray:
         """The covariant Hessian (nabla d tau)_ij = d_i d_j tau - Gamma^k_ij d_k tau."""
         return self.d2tau - np.einsum("pkij,pk->pij", self.gamma, self.dtau)
 
+    @cached_property
     def laplacian(self) -> np.ndarray:
         """Delta tau = g^ij (nabla d tau)_ij."""
-        return np.einsum("pij,pij->p", self.ginv, self.hessian())
+        return np.einsum("pij,pij->p", self.ginv, self.hessian)
 
-    def apply_J(self, x: np.ndarray, dx: np.ndarray):
-        """(J X, its jet d_a(J X)^k) from X and its jet dx[p,a,k] = d_a X^k."""
-        jx = np.einsum("pkj,pj->pk", self.J, x)
-        djx = np.einsum("pakj,pj->pak", self.dJ, x) + np.einsum("pkj,paj->pak", self.J, dx)
-        return jx, djx
+    @cached_property
+    def u_jet(self) -> tuple:
+        """(u, du): u = J grad tau and its jet du[p,a,k] = d_a u^k = (d_a J) grad + J d_a grad."""
+        npts, n = self.grad.shape
+        v = self.grad[..., None]
+        du = (self.dJ.reshape(npts, n * n, n) @ v).reshape(npts, n, n)
+        du += self.dgrad @ np.swapaxes(self.J, 1, 2)
+        return (self.J @ v)[..., 0], du
 
     def second_jets(self, d2g: np.ndarray, d3tau: np.ndarray):
-        """(d_b (nabla grad)^k_i, d_b Gamma^k_ij) at the points: (N, b, k, i), (N, b, k, i, j).
+        """(d_b (nabla grad)^k_i, (d_b Gamma^k_ij) grad^j) at the points: two (N, b, k, i).
 
         ``d2g[p,b,a,i,j] = d_b d_a g_ij`` is the metric's exact ``d2value``,
         symmetric in (b, a), and ``d3tau[p,b,a,j] = d_b d_a d_j tau`` is tau's
         exact third jet ``tau.d3``, symmetric in all three slots, so identities
-        between the results hold to roundoff.  With v = grad and dv = ``dgrad``,
+        between the results hold to roundoff.  With v = grad, dv = ``dgrad``,
+        D[b,a,i] = (d_b d_a g_ij) v^j and E[b,i,l] = v^c d_c d_b g_il,
 
-            d_b d_a v      = g^-1 (d_b d_a dtau - (d_b d_a g) v - (d_a g) d_b v - (d_b g) d_a v),
-            d_b Gamma^k_ij = g^kl (1/2 d_b t_lij - (d_b g)_lm Gamma^m_ij),  t as in levi_civita,
+            d_b d_a v      = g^-1 (d_b d_a dtau - D_ba - (d_a g) d_b v - (d_b g) d_a v),
+            (d_b Gamma^k_ij) v^j = g^kl (1/2 (D_bil + E_bil - D_bli) - (d_b g)_lm (Gamma v)^m_i),
             d_b (nabla v)^k_i = d_b d_i v^k + (d_b Gamma^k_il) v^l + Gamma^k_il d_b v^l,
 
-        all batched matmuls at the frame's points.
+        all batched matmuls of (N, n, n, n) arrays at the frame's points: the
+        jet of Gamma itself, n^5 entries per point, is never formed.
         """
         npts, n = self.grad.shape
         shape4 = (npts, n, n, n)
         v, dv_t = self.grad[..., None], np.swapaxes(self.dgrad, 1, 2)  # dv_t[p,l,b] = d_b v^l
         # x[p,a,i,b] = (d_a g)_ij d_b v^j gives the two first-order terms of d_b d_a v.
         x = (self.dg.reshape(npts, n * n, n) @ dv_t).reshape(shape4)
-        rhs = d3tau - (d2g.reshape(npts, n ** 3, n) @ v).reshape(shape4)
+        d = (d2g.reshape(npts, n ** 3, n) @ v).reshape(shape4)
+        rhs = d3tau - d
         rhs -= x.transpose(0, 3, 1, 2)
         rhs -= x.transpose(0, 1, 3, 2)
         d2v = (rhs.reshape(npts, n * n, n) @ np.swapaxes(self.ginv, 1, 2)).reshape(shape4)
-        dt = d2g.transpose(0, 1, 3, 2, 4) + d2g.transpose(0, 1, 3, 4, 2)
-        dt -= d2g
-        inner = 0.5 * dt.reshape(npts, n, n, n * n)
-        inner -= (self.dg.reshape(npts, n * n, n)
-                  @ self.gamma.reshape(npts, n, n * n)).reshape(npts, n, n, n * n)
-        dgamma = (self.ginv[:, None] @ inner).reshape(npts, n, n, n, n)
-        dnv = np.swapaxes(d2v, 2, 3) + (dgamma.reshape(npts, n ** 3, n) @ v).reshape(shape4)
-        dnv += (self.gamma.reshape(npts, n * n, n) @ dv_t).reshape(shape4).transpose(0, 3, 1, 2)
-        return dnv, dgamma
+        # From here each product goes into an array read for the last time
+        # (x, rhs, d): a new one per product would fault in fresh pages.
+        # E from d2g's symmetry in (c, b); it is symmetric in (i, l) as g is.
+        e = np.matmul(self.grad[:, None], d2g.reshape(npts, n, n ** 3),
+                      out=rhs.reshape(npts, 1, n ** 3)).reshape(shape4)
+        inner = np.subtract(np.swapaxes(d, 2, 3), d, out=x)  # inner[p,b,l,i]
+        inner += e
+        inner *= 0.5
+        inner -= np.matmul(self.dg, self.gamma_grad[:, None], out=rhs)
+        dgamma_v = self.ginv[:, None] @ inner
+        dnv = np.add(np.swapaxes(d2v, 2, 3), dgamma_v, out=d)
+        dnv += np.matmul(self.gamma.reshape(npts, n * n, n), dv_t,
+                         out=rhs.reshape(npts, n * n, n)).reshape(shape4).transpose(0, 3, 1, 2)
+        return dnv, dgamma_v
+
+    def at(self, idx: np.ndarray) -> "Frame":
+        """This frame at its points ``idx``, without J: each point's geometry is its own."""
+        return Frame(**{f.name: getattr(self, f.name)[idx] for f in fields(Frame)
+                        if f.name not in ("J", "dJ")})
 
 
 def build_frame(metric: MetricField, tau: ScalarField, points: np.ndarray,
@@ -366,18 +417,22 @@ def build_frame(metric: MetricField, tau: ScalarField, points: np.ndarray,
     return frame
 
 
-def ricci(dgamma: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Ric_jk = d_i Gamma^i_jk - d_j Gamma^i_ik + Gamma^i_im Gamma^m_jk - Gamma^i_jm Gamma^m_ik.
+def ricci(dgamma_v: np.ndarray, gamma: np.ndarray, gamma_v: np.ndarray) -> np.ndarray:
+    """Ric(., v)_j = Ric_jk v^k from the jet of Gamma contracted with v.
 
-    ``dgamma[p,a,k,i,j] = d_a Gamma^k_ij`` is the jet of Gamma (e.g. ``fd_jet``
-    of ``christoffel``) and ``gamma`` is Gamma at the points; the result is
-    symmetrised.
+        Ric_jk v^k = d_i Gamma^i_jk v^k - d_j Gamma^i_ik v^k
+                     + Gamma^i_im (Gamma v)^m_j - Gamma^i_jm (Gamma v)^m_i,
+
+    with ``dgamma_v[p,b,k,i] = (d_b Gamma^k_ij) v^j`` (``Frame.second_jets``),
+    ``gamma`` = Gamma and ``gamma_v[p,k,i] = Gamma^k_ij v^j`` at the points:
+    two traces of ``dgamma_v`` and two batched matmuls.  The full tensor is
+    its value at the coordinate vectors v = e_k.
     """
-    ric = np.einsum("piijk->pjk", dgamma)
-    ric -= np.einsum("pjiik->pjk", dgamma)
-    ric += np.einsum("pm,pmjk->pjk", np.einsum("piim->pm", gamma), gamma)
-    ric -= np.einsum("pijm,pmik->pjk", gamma, gamma)
-    return 0.5 * (ric + np.swapaxes(ric, 1, 2))
+    out = np.einsum("piij->pj", dgamma_v)
+    out -= np.einsum("pjii->pj", dgamma_v)
+    out += (_gamma_trace(gamma)[:, None] @ gamma_v)[:, 0]
+    out -= _gamma_against(gamma, gamma_v)
+    return out
 
 
 # ----------------------------------------------------------------------------

@@ -23,15 +23,19 @@ the sparse theta sampling guards the implementation rather than the math.
 The seven main-grid checks read one frame of exact jets and take no stencil:
 gamma enters as kappa = 1/(tau_star - gamma) (see ``rp1``), whose closed-form
 gradient makes d phi exact, with one formula for every gamma, inf included.
+What several checks read (nabla v, Hess tau, Delta tau, u = J grad tau and its
+jet, and psi, phi, d phi) the frame computes once (``SubjectFrame``).
 Bochner reads the half of the main grid nearest the middle of its fibers
-(``bochner_points``) from a frame of its own; no check but
+(``bochner_index``) from the main frame at those points, and curvature only as
+Ric(., v), the contraction of the jet of Gamma with v; no check but
 ``oracle_equivalence``, the deliberate stencil of g, differences anything.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -166,9 +170,24 @@ class VerificationSubject:
     random_points: Optional[Callable] = None     # (n, seed, s_range) -> points
     construction: Optional[ConstructionData] = None
 
-    def frame(self, points: np.ndarray) -> geo.Frame:
-        """The geometry the main-grid checks read: g, Gamma and the jets of tau, v and J."""
-        return geo.build_frame(self.metric, self.tau, points, j=self.J)
+    def frame(self, points: np.ndarray) -> "SubjectFrame":
+        """The geometry the main-grid checks read: g, Gamma, the jets of tau, v and J, and psi, phi."""
+        fr = geo.build_frame(self.metric, self.tau, points, j=self.J)
+        return SubjectFrame(**{f.name: getattr(fr, f.name) for f in fields(geo.Frame)}, subject=self)
+
+
+@dataclass
+class SubjectFrame(geo.Frame):
+    """A ``geometry.Frame`` with the subject's (psi, phi, d phi) at its points, computed on first read.
+
+    The main-grid checks share it as they share the frame's nabla v, Delta tau and u.
+    """
+
+    subject: Optional[VerificationSubject] = None
+
+    @cached_property
+    def psi_phi(self) -> tuple:
+        return _psi_phi(self.subject, self.points)
 
 
 def subject_from_construction(data: ConstructionData) -> VerificationSubject:
@@ -319,18 +338,19 @@ def check_kaehler(subject: VerificationSubject, frame: geo.Frame, desc: str,
                   tol: float) -> CheckReport:
     gamma, jv = frame.gamma, frame.J
     nj = geo.nabla_J(frame.dJ, jv, gamma)
-    scale = 1.0 + (np.max(np.abs(gamma), axis=(1, 2, 3)) * np.max(np.abs(jv), axis=(1, 2)))
-    res = np.max(np.abs(nj), axis=(1, 2, 3)) / scale
-    extras = {}
-    gv = geo.nabla_vector(frame.dgrad, frame.grad, gamma)
+    # max |nabla J| / (1 + max |Gamma| max |J|); |Gamma| reuses nj's array once it is read.
+    jmax = np.max(np.abs(jv), axis=(1, 2))
+    res = np.max(np.abs(nj, out=nj), axis=(1, 2, 3))
+    res /= 1.0 + np.max(np.abs(gamma, out=nj), axis=(1, 2, 3)) * jmax
+    gv = frame.nabla_grad
     comm = jv @ gv - gv @ jv
-    cscale = 1.0 + np.max(np.abs(gv), axis=(1, 2)) * np.max(np.abs(jv), axis=(1, 2))
-    extras["commutator_J_nabla_v_max"] = float(np.max(np.max(np.abs(comm), axis=(1, 2)) / cscale))
+    res_comm = np.max(np.abs(comm), axis=(1, 2)) / (1.0 + np.max(np.abs(gv), axis=(1, 2)) * jmax)
+    extras = {"commutator_J_nabla_v_max": float(np.max(res_comm))}
     extras["J_squared_plus_id_max"] = float(np.max(np.abs(jv @ jv + np.eye(subject.metric.dim))))
     g = frame.g
     herm = np.swapaxes(jv, 1, 2) @ g @ jv - g
     extras["hermitian_defect_max"] = float(np.max(np.abs(herm) / (1.0 + np.max(np.abs(g), axis=(1, 2)))[:, None, None]))
-    res = np.maximum(res, np.max(np.abs(comm), axis=(1, 2)) / cscale)
+    res = np.maximum(res, res_comm)
     return make_report("kaehler", desc, frame.points, res, tol, extras)
 
 
@@ -338,7 +358,7 @@ def check_killing(subject: VerificationSubject, frame: geo.Frame, desc: str,
                   tol: float) -> CheckReport:
     """L_u g = 0 for u = J grad tau, with its exact jet from the frame."""
     g = frame.g
-    u, du = frame.apply_J(frame.grad, frame.dgrad)
+    u, du = frame.u_jet
     lie = geo.lie_derivative_metric(g, geo.nabla_vector(du, u, frame.gamma))
     res = np.max(np.abs(lie), axis=(1, 2)) / (1.0 + np.max(np.abs(g), axis=(1, 2)))
     return make_report("killing", desc, frame.points, res, tol)
@@ -351,8 +371,8 @@ def check_geodesic_gradient(subject: VerificationSubject, frame: geo.Frame, desc
     scale = (1.0 + np.max(np.abs(dq), axis=1)) * (1.0 + np.max(np.abs(dtau), axis=1))
     res_wedge = np.max(np.abs(wedge), axis=(1, 2)) / scale
     vv = frame.grad
-    nvv = np.einsum("pki,pi->pk", geo.nabla_vector(frame.dgrad, vv, frame.gamma), vv)
-    psi = _psi_phi(subject, frame.points)[0]
+    nvv = (frame.nabla_grad @ vv[..., None])[..., 0]
+    psi = frame.psi_phi[0]
     dev = nvv - psi[:, None] * vv
     res_geo = np.max(np.abs(dev), axis=1) / (1.0 + np.abs(psi) * np.max(np.abs(vv), axis=1))
     extras = {"wedge_max": float(np.max(res_wedge)), "nabla_vv_max": float(np.max(res_geo))}
@@ -362,8 +382,8 @@ def check_geodesic_gradient(subject: VerificationSubject, frame: geo.Frame, desc
 
 def check_laplacian_identity(subject: VerificationSubject, frame: geo.Frame, desc: str,
                              tol: float) -> CheckReport:
-    lap = frame.laplacian()
-    psi, phi, _ = _psi_phi(subject, frame.points)
+    lap = frame.laplacian
+    psi, phi, _ = frame.psi_phi
     target = 2.0 * (psi + phi)
     res = np.abs(lap - target) / (1.0 + np.abs(lap))
     return make_report("laplacian", desc, frame.points, res, tol,
@@ -373,7 +393,7 @@ def check_laplacian_identity(subject: VerificationSubject, frame: geo.Frame, des
 def _recovered_kappa(subject: VerificationSubject, frame: geo.Frame) -> np.ndarray:
     pts = frame.points
     tau = subject.tau.value(pts)
-    return recover_kappa(tau, subject.profile.interval.tau_star, frame.q, frame.laplacian(),
+    return recover_kappa(tau, subject.profile.interval.tau_star, frame.q, frame.laplacian,
                          subject.profile.psi(tau))
 
 
@@ -404,16 +424,15 @@ def check_ode_identities(subject: VerificationSubject, frame: geo.Frame, desc: s
                          tol: float) -> CheckReport:
     points, vv = frame.points, frame.grad
     q_prof = subject.profile.Q(subject.tau.value(points))
-    psi, phi, dphi = _psi_phi(subject, points)
+    psi, phi, dphi = frame.psi_phi
     r1 = np.abs(np.einsum("pi,pi->p", vv, frame.dtau) - q_prof) / (1.0 + q_prof)
     r2 = (np.abs(np.einsum("pi,pi->p", vv, frame.dq) - 2.0 * psi * q_prof)
           / (1.0 + np.abs(psi) * q_prof))
     dv_phi = np.einsum("pa,pa->p", vv, dphi)
     r3 = np.abs(dv_phi - 2.0 * (psi - phi) * phi) / (1.0 + np.abs(psi * phi) + phi ** 2)
-    lap = frame.laplacian()
+    lap = frame.laplacian
     r4 = np.abs(lap - 2.0 * (psi + phi)) / (1.0 + np.abs(lap))
-    gv = geo.nabla_vector(frame.dgrad, vv, frame.gamma)
-    norm2 = _grad_v_norm2(frame.g, frame.ginv, gv)
+    norm2 = _grad_v_norm2(frame.g, frame.ginv, frame.nabla_grad)
     r5 = np.abs(norm2 - 2.0 * (psi ** 2 + phi ** 2)) / (1.0 + psi ** 2 + phi ** 2)
     extras = {"d_v_tau": float(np.max(r1)), "d_v_Q": float(np.max(r2)),
               "d_v_phi": float(np.max(r3)), "laplacian_split": float(np.max(r4)),
@@ -427,22 +446,37 @@ def _grad_v_norm2(g: np.ndarray, ginv: np.ndarray, gv: np.ndarray) -> np.ndarray
     return np.einsum("pkl,pkl->p", g, gv @ ginv @ np.swapaxes(gv, 1, 2))
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y per point."""
+    return np.einsum("pi,pi->p", x, y)
+
+
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m x per point, for m (N, i, j) and x (N, j)."""
+    return (m @ x[..., None])[..., 0]
+
+
 def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, desc: str,
                              tol: float) -> CheckReport:
+    """The horizontal lifts' bracket against v, u and the curvature, and d_X [phi g(w_a, w_b) / Q].
+
+    Every g(x, y) is a dot product with g y, lowered once per vector.
+    """
     if subject.lift_fields is None:
         raise ValueError("subject provides no horizontal lifts")
     points, g, q, vv = frame.points, frame.g, frame.q, frame.grad
     w1, w2 = subject.lift_fields
     wv = (w1.value(points), w2.value(points))
     dw = (w1.jac(points), w2.jac(points))
+    gw = [_apply(g, w) for w in wv]
     # [w1, w2]^k = w1^j d_j w2^k - w2^j d_j w1^k
-    bracket = np.einsum("pj,pjk->pk", wv[0], dw[1]) - np.einsum("pj,pjk->pk", wv[1], dw[0])
-    uv = np.einsum("pkj,pj->pk", frame.J, vv)  # u = J grad tau
-    c_v = np.einsum("pij,pi,pj->p", g, bracket, vv) / q
-    c_u = np.einsum("pij,pi,pj->p", g, bracket, uv) / q
-    _, phi, dphi = _psi_phi(subject, points)
-    jw1 = np.einsum("pij,pj->pi", frame.J, wv[0])
-    g_jw_w = np.einsum("pij,pi,pj->p", g, jw1, wv[1])
+    bracket = (wv[0][:, None] @ dw[1] - wv[1][:, None] @ dw[0])[:, 0]
+    uv = frame.u_jet[0]  # u = J grad tau
+    g_bracket = _apply(g, bracket)
+    c_v = _dot(g_bracket, vv) / q
+    c_u = _dot(g_bracket, uv) / q
+    _, phi, dphi = frame.psi_phi
+    g_jw_w = _dot(_apply(frame.J, wv[0]), gw[1])
     scale = 1.0 + np.abs(phi * g_jw_w)
     res_wwv = (np.abs(q * c_v) + np.abs(q * c_u + 2.0 * phi * g_jw_w)) / scale
     extras = {"wwv_max": float(np.max(res_wwv))}
@@ -454,19 +488,19 @@ def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, des
         res = np.maximum(res, res_curv)
 
     # d_X [phi g(w_a, w_b) / Q] along X = v and X = u for every lift pair, every jet exact.
-    r_dvq = np.zeros(points.shape[0])
+    pairs = ((0, 0), (0, 1), (1, 1))
+    gab = [_dot(wv[a], gw[b]) for a, b in pairs]
+    npts, n = vv.shape
+    r_dvq = np.zeros(npts)
     for vec in (vv, uv):
-        d_phi = np.einsum("pa,pa->p", vec, dphi)
-        d_q = np.einsum("pa,pa->p", vec, frame.dq)
-        d_g = np.einsum("pa,paij->pij", vec, frame.dg)
-        d_w = [np.einsum("pa,pak->pk", vec, jet) for jet in dw]
-        for a, b in ((0, 0), (0, 1), (1, 1)):
-            gab = np.einsum("pij,pi,pj->p", g, wv[a], wv[b])
-            d_gab = (np.einsum("pij,pi,pj->p", g, d_w[a], wv[b])
-                     + np.einsum("pij,pi,pj->p", d_g, wv[a], wv[b])
-                     + np.einsum("pij,pi,pj->p", g, wv[a], d_w[b]))
-            quot = phi * gab / q
-            d_quot = (d_phi * gab + phi * d_gab) / q - quot * d_q / q
+        d_phi, d_q = _dot(vec, dphi), _dot(vec, frame.dq)
+        d_g = (vec[:, None] @ frame.dg.reshape(npts, n, n * n)).reshape(npts, n, n)
+        d_w = [(vec[:, None] @ jet)[:, 0] for jet in dw]
+        d_gw = [_apply(d_g, w) for w in wv]
+        for (a, b), g_ab in zip(pairs, gab):
+            d_gab = _dot(d_w[a], gw[b]) + _dot(wv[a], d_gw[b]) + _dot(gw[a], d_w[b])
+            quot = phi * g_ab / q
+            d_quot = (d_phi * g_ab + phi * d_gab) / q - quot * d_q / q
             sc = (1.0 + np.abs(quot)) * (1.0 + q)
             r_dvq = np.maximum(r_dvq, np.abs(d_quot) / sc)
     extras["dvq_max"] = float(np.max(r_dvq))
@@ -474,55 +508,57 @@ def check_bracket_identities(subject: VerificationSubject, frame: geo.Frame, des
     return make_report("bracket_identities", desc, points, res, tol, extras)
 
 
-def bochner_points(subject: VerificationSubject, points: np.ndarray) -> np.ndarray:
-    """The max(1, N // 2) of the points nearest the middle of their fibers, in grid order.
+def bochner_index(subject: VerificationSubject, points: np.ndarray) -> np.ndarray:
+    """The indices of the max(1, N // 2) points nearest the middle of their fibers, in grid order.
 
     Points are ranked by |s(tau) - lambda/2| with a stable sort, so on the
     constructions' grid they are the inner n_tau/2 tau-levels.
     """
     s = np.asarray(subject.maps.s_of_tau(subject.tau.value(points)), dtype=float)
     order = np.argsort(np.abs(s - 0.5 * subject.maps.lam), kind="stable")
-    return points[np.sort(order[:max(1, len(points) // 2)])]
+    return np.sort(order[:max(1, len(points) // 2)])
 
 
-def _bochner_jets(subject: VerificationSubject, points: np.ndarray):
-    """(frame, nabla v, nabla_v v and the jets of those and of Gamma) for ``check_bochner``.
+def _bochner_jets(subject: VerificationSubject, points: np.ndarray,
+                  frame: Optional[geo.Frame] = None):
+    """(frame, nabla v, nabla_v v, the jets of those, and Ric(v)) for ``check_bochner``.
 
-    One frame, the metric's exact ``d2value`` and tau's exact ``d3`` at the
-    points: nothing is differenced.
+    One frame (``frame`` if the caller has it at the points), the metric's
+    exact ``d2value`` and tau's exact ``d3`` at the points: nothing is
+    differenced, and curvature is only the contraction Ric(., v) of the jet
+    of Gamma with v.
     """
     m, tau = subject.metric, subject.tau
-    fr = geo.build_frame(m, tau, points)
-    d_gradv, d_gamma = fr.second_jets(m.d2value(points), tau.d3(points))
-    vv, dv = fr.grad, fr.dgrad
-    gv = geo.nabla_vector(dv, vv, fr.gamma)
-    nvv = (gv @ vv[..., None])[..., 0]
+    fr = geo.build_frame(m, tau, points) if frame is None else frame
+    d_gradv, dgamma_v = fr.second_jets(m.d2value(points), tau.d3(points))
+    vv, dv, gv = fr.grad, fr.dgrad, fr.nabla_grad
+    nvv = _apply(gv, vv)
     # d_b (nabla_v v)^k = d_b (nabla v)^k_i v^i + (nabla v)^k_i d_b v^i
     npts, n = vv.shape
     d_nvv = (d_gradv.reshape(npts, n * n, n) @ vv[..., None]).reshape(npts, n, n)
     d_nvv += dv @ np.swapaxes(gv, 1, 2)
-    return fr, gv, nvv, d_gradv, d_nvv, d_gamma
+    return fr, gv, nvv, d_gradv, d_nvv, geo.ricci(dgamma_v, fr.gamma, fr.gamma_grad)
 
 
 def check_bochner(subject: VerificationSubject, points: np.ndarray, desc: str,
-                  tol: float) -> CheckReport:
+                  tol: float, frame: Optional[geo.Frame] = None) -> CheckReport:
     """Bochner's formula and d(Delta tau) = -2 Ric(v) for v = grad tau, from exact jets of g and tau.
 
     With v = grad tau, div v = tr nabla v = Delta tau, so d div v = d Delta tau
-    is the trace of the jet of nabla v.
+    is the trace of the jet of nabla v.  ``frame`` is the geometry at the
+    points when the caller has built it (``run_suite``: the main grid's
+    frame at the inner half); without it the check builds its own.
     """
-    fr, gv, nvv, d_gradv, d_nvv, d_gamma = _bochner_jets(subject, points)
+    fr, gv, nvv, d_gradv, d_nvv, ric_v = _bochner_jets(subject, points, frame)
     d_lap = np.einsum("pakk->pa", d_gradv)  # d div v = d Delta tau
     vv = fr.grad
     div_gradv = geo.divergence_endomorphism(d_gradv, gv, fr.gamma)
-    ric = geo.ricci(d_gamma, fr.gamma)
-    ric_v = np.einsum("pij,pj->pi", ric, vv)
     scale = 1.0 + np.max(np.abs(ric_v), axis=1) + np.max(np.abs(d_lap), axis=1)
     r_bch = np.max(np.abs(d_lap - div_gradv + ric_v), axis=1) / scale
     r_ddt = np.max(np.abs(d_lap + 2.0 * ric_v), axis=1) / scale
     div_nvv = geo.divergence_vector(d_nvv, nvv, fr.gamma)
     norm2 = _grad_v_norm2(fr.g, fr.ginv, gv)
-    dv_lap = np.einsum("pi,pi->p", vv, d_lap)
+    dv_lap = _dot(vv, d_lap)
     r_dvd = np.abs(dv_lap - 2.0 * div_nvv + 2.0 * norm2) / (1.0 + np.abs(dv_lap) + norm2)
     extras = {"bochner_max": float(np.max(r_bch)), "ddt_max": float(np.max(r_ddt)),
               "dvd_max": float(np.max(r_dvd))}
@@ -557,8 +593,8 @@ def check_boundary_limits(subject: VerificationSubject, tol: float) -> CheckRepo
     # L^-1 Hess L^-T, and L^T E L^-T is the one-jet E in an orthonormal frame.
     lt = np.swapaxes(np.linalg.cholesky(fr.g), 1, 2)
     lt_inv = np.linalg.inv(lt)
-    eigs = np.linalg.eigvalsh(np.swapaxes(lt_inv, 1, 2) @ fr.hessian() @ lt_inv)[:, ::-1]
-    ef = lt @ geo.nabla_vector(fr.dgrad, fr.grad, fr.gamma) @ lt_inv
+    eigs = np.linalg.eigvalsh(np.swapaxes(lt_inv, 1, 2) @ fr.hessian @ lt_inv)[:, ::-1]
+    ef = lt @ fr.nabla_grad @ lt_inv
     sign = np.array([sg for _, _, sg in ends])
     e2 = np.max(np.abs(ef @ ef - (a * np.repeat(sign, 3))[:, None, None] * ef), axis=(1, 2))
     slopes = np.einsum("pa,pa->p", fr.dq, fr.grad) / fr.q
@@ -667,13 +703,17 @@ def run_suite(subject: VerificationSubject, spec: Optional[GridSpec] = None,
         ("ode_identities", check_ode_identities, True),
         ("bracket_identities", check_bracket_identities, subject.lift_fields is not None),
     ) if applies and want(name)]
+    inner = bochner_index(subject, points) if want("bochner") else None
+    inner_frame = None
     if grid_checks:
         frame = subject.frame(points)
         reports += [check(subject, frame, desc, tols[name]) for name, check in grid_checks]
+        if inner is not None:
+            inner_frame = frame.at(inner)
         del frame  # freed before bochner builds its second jets
-    if want("bochner"):
-        reports.append(check_bochner(subject, bochner_points(subject, points),
-                                     desc + " (inner half in s)", tols["bochner"]))
+    if inner is not None:
+        reports.append(check_bochner(subject, points[inner], desc + " (inner half in s)",
+                                     tols["bochner"], frame=inner_frame))
     if want("boundary_limits") and subject.fiber_point is not None:
         reports.append(check_boundary_limits(subject, tols["boundary_limits"]))
     if want("flow_lengths") and subject.fiber_point is not None:

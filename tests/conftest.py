@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kahlergg import geometry as geo
 from kahlergg.construction import build_construction
 from kahlergg.profiles import Interval
 from kahlergg.surfaces import build_surface, gamma_constant, gamma_cos, gamma_height
@@ -23,6 +24,21 @@ def announce():
         ACCEPTANCE_LINES.append(line)
 
     return _announce
+
+
+@pytest.fixture()
+def ricci_tensor():
+    """Ric_jk of a metric at the points: ``geometry.ricci`` at each coordinate vector v = e_k.
+
+    The jet of Gamma is a stencil of ``christoffel`` at the given step.
+    """
+    def _ricci(metric, points, step):
+        dgamma = geo.fd_jet(lambda p: geo.christoffel(metric, p), points, step)
+        gamma = geo.christoffel(metric, points)
+        return np.stack([geo.ricci(dgamma[..., k], gamma, gamma[..., k])
+                         for k in range(metric.dim)], axis=2)
+
+    return _ricci
 
 H_SCALE = float(np.pi * np.sqrt(6.0))      # makes the torus Chern integral exactly 1
 SPHERE_RADIUS = float(np.sqrt(0.625))      # makes the sphere Chern integral exactly 1

@@ -270,7 +270,7 @@ def test_hessian_eigenvalues_are_psi_psi_phi_phi(torus_data):
     psi = 0.5 * torus_data.profile.dQ(pts[:, 2])
     phi = torus_data.profile.Q(pts[:, 2]) / (2.0 * (pts[:, 2] - torus_gamma(pts)))
     frame = geo.build_frame(m, tf, pts)
-    hess, g = frame.hessian(), frame.g
+    hess, g = frame.hessian, frame.g
     for i in range(12):
         eigs = np.sort(scipy.linalg.eigh(hess[i], g[i])[0])
         expect = np.sort([psi[i]] * 2 + [phi[i]] * 2)

@@ -46,12 +46,11 @@ def test_momentum_matches_quadratic(chart, sample_points):
     assert np.max(np.abs(q - 4.0 * t * (1.0 - t))) < 1e-8
 
 
-def test_ricci_einstein_constant(chart, sample_points):
+def test_ricci_einstein_constant(chart, sample_points, ricci_tensor):
     # curvature-4 normalization: Ric = 2(m+1) g = 6 g on CP^2
     m = fs_metric(chart)
     pts = sample_points[:30]
-    ric = geo.ricci(geo.fd_jet(lambda p: geo.christoffel(m, p), pts, 5e-3), geo.christoffel(m, pts))
-    assert np.max(np.abs(ric - 6.0 * m.value(pts))) < 1e-3
+    assert np.max(np.abs(ricci_tensor(m, pts, 5e-3) - 6.0 * m.value(pts))) < 1e-3
 
 
 def test_tau_critical_values(chart):

@@ -1,15 +1,18 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from kahlergg import geometry as geo
+from kahlergg import verify
 from kahlergg.construction import build_construction
 from kahlergg.surfaces import build_surface, gamma_cos
 from kahlergg.fubini import FSChart
 from kahlergg.verify import (CONTROL_EXPECTATIONS, GridSpec, _bochner_jets,
-                             _flow_lengths, _psi_phi, _recovered_kappa, bochner_points,
+                             _flow_lengths, _psi_phi, _recovered_kappa, bochner_index,
                              check_bochner, check_boundary_limits,
                              check_bracket_identities, check_flow_lengths, check_gamma_recovery,
                              check_killing, check_laplacian_identity, make_report, run_suite,
@@ -114,7 +117,7 @@ def test_gauge_invariance(torus_data):
 
 def test_laplacian_spot_value(torus_subject):
     # Delta tau at (1/4, 0, 1/2, 0) = (1/2 - 3)^(-1) * 1 + 0 = -0.4
-    lap = torus_subject.frame(np.array([[0.25, 0.0, 0.5, 0.0]])).laplacian()
+    lap = torus_subject.frame(np.array([[0.25, 0.0, 0.5, 0.0]])).laplacian
     assert abs(lap[0] + 0.4) < 1e-5
 
 
@@ -124,7 +127,7 @@ def test_killing_route_agreement(torus_subject):
     frame = torus_subject.frame(pts[:200])
     rep = check_killing(torus_subject, frame, desc, 1e-6)
     assert rep.passed
-    u = frame.apply_J(frame.grad, frame.dgrad)[0]
+    u = frame.u_jet[0]
     expect = np.zeros_like(u)
     expect[:, 3] = torus_subject.profile.a
     assert np.max(np.abs(u - expect)) < 1e-8
@@ -341,7 +344,7 @@ def test_fused_checks_evaluate_the_metric_once_per_stencil_point(torus_subject, 
                                             (check_bochner, 1e-3, GridSpec(), (1, 1, 1))):
             pts, desc = subject.grid_points(grid)
             if check is check_bochner:
-                pts = bochner_points(subject, pts)
+                pts = pts[bochner_index(subject, pts)]
             for calls in seen.values():
                 calls.clear()
             report = check(subject, pts, desc, tol)
@@ -373,7 +376,7 @@ def test_frame_jets_match_finite_differences(request, fs_subject, name):
 
     assert np.max(np.abs(frame.dq - geo.fd_jet(q, pts, steps))) < 1e-8
     assert np.max(np.abs(frame.dgrad - geo.fd_jet(v, pts, steps))) < 1e-8
-    assert np.max(np.abs(frame.apply_J(frame.grad, frame.dgrad)[1]
+    assert np.max(np.abs(frame.u_jet[1]
                          - geo.fd_jet(jv, pts, steps))) < 1e-8
 
 
@@ -404,6 +407,56 @@ def test_main_grid_checks_share_one_frame(torus_subject, monkeypatch):
     assert builds.count(len(pts)) == 1
 
 
+def test_main_grid_forms_each_shared_quantity_once(torus_subject, monkeypatch):
+    # A default-grid run_suite forms nabla v, Hess tau, Delta tau and (psi, phi,
+    # d phi) once each on the main grid (3, 3, 3 and 4 times when each check
+    # built its own), counted in points as in
+    # test_fused_checks_evaluate_the_metric_once_per_stencil_point.  The one
+    # nabla_vector call there is killing's nabla u; bochner's frame (the inner
+    # half) and boundary_limits' (18 points) form their own nabla v.  Bochner's
+    # frame is the main one at its points: no second levi_civita build there.
+    pts, _ = torus_subject.grid_points(GridSpec())
+    seen = {"nabla_grad": [], "hessian": [], "laplacian": [], "psi_phi": [], "nabla_vector": [],
+            "levi_civita": []}
+
+    def counting_property(name):
+        func = geo.Frame.__dict__[name].func
+
+        def counted(frame):
+            seen[name].append(len(frame.points))
+            return func(frame)
+
+        prop = cached_property(counted)
+        prop.__set_name__(geo.Frame, name)
+        monkeypatch.setattr(geo.Frame, name, prop)
+
+    for name in ("nabla_grad", "hessian", "laplacian"):
+        counting_property(name)
+    psi_phi, nabla_vector = verify._psi_phi, geo.nabla_vector
+
+    def counted_psi_phi(subject, pp):
+        seen["psi_phi"].append(len(pp))
+        return psi_phi(subject, pp)
+
+    def counted_nabla_vector(dx, xv, gamma):
+        seen["nabla_vector"].append(len(xv))
+        return nabla_vector(dx, xv, gamma)
+
+    def counted_levi_civita(metric, pp, lc=geo.levi_civita):
+        seen["levi_civita"].append(len(pp))
+        return lc(metric, pp)
+
+    monkeypatch.setattr(verify, "_psi_phi", counted_psi_phi)
+    monkeypatch.setattr(geo, "nabla_vector", counted_nabla_vector)
+    monkeypatch.setattr(geo, "levi_civita", counted_levi_civita)
+    assert suite_passed(run_suite(torus_subject, GridSpec()))
+    assert {k: v.count(len(pts)) for k, v in seen.items()} == {
+        "nabla_grad": 1, "hessian": 1, "laplacian": 1, "psi_phi": 1, "nabla_vector": 1,
+        "levi_civita": 1}
+    assert 2048 in seen["nabla_grad"] and 18 in seen["nabla_grad"]
+    assert 2048 not in seen["levi_civita"]
+
+
 @pytest.mark.parametrize("name", ["torus_data", "sphere_data", "fs"])
 def test_exact_dphi_matches_a_stencil(request, fs_subject, name):
     # d phi = [(Q' kappa d tau + Q d kappa) - 2 phi d beta]/(2 beta) from the closed-form
@@ -418,7 +471,7 @@ def test_exact_dphi_matches_a_stencil(request, fs_subject, name):
     dphi = _psi_phi(subject, pts)[2]
     jet = geo.fd_jet(lambda pp: _psi_phi(subject, pp)[1], pts, subject.metric.steps_at(pts))
     assert np.max(np.abs(jet)) > 0.1 and np.max(np.abs(dphi - jet)) <= 1e-8
-    for vec in (frame.grad, frame.apply_J(frame.grad, frame.dgrad)[0]):
+    for vec in (frame.grad, frame.u_jet[0]):
         exact, fd = np.einsum("pa,pa->p", vec, dphi), np.einsum("pa,pa->p", vec, jet)
         assert np.max(np.abs(exact - fd)) <= 1e-8
 
@@ -450,6 +503,22 @@ def test_fubini_bochner_takes_v_jacobian_from_the_frame(fs_subject):
     assert [sum(seen[k]) for k in ("value", "dvalue", "d2value")] == [len(pts)] * 3
 
 
+def test_bochner_memory_peak_on_the_default_torus(torus_subject):
+    # The contraction (d Gamma) v is (N, n, n, n): no n^5 jet of Gamma, its
+    # transposes or the full Ricci tensor.  tracemalloc's peak over
+    # check_bochner at the 2,048 inner points was 25.6 MiB with them; the
+    # metric's d2value (4 MiB) is the one (N, n, n, n, n) array left.
+    pts = torus_subject.grid_points(GridSpec())[0]
+    pts = pts[bochner_index(torus_subject, pts)]
+    tracemalloc.start()
+    try:
+        report = check_bochner(torus_subject, pts, "", 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and peak <= 20 * 2 ** 20
+
+
 # The largest bochner residual of each subject when every stencil point built
 # its own frame; the route from one centre frame must stay at or below it.
 BOCHNER_BEFORE = {"torus_data": 1.09e-9, "sphere_data": 1.03e-9, "torus_inf_data": 8.6e-10,
@@ -467,7 +536,7 @@ def _bochner_subject(request, fs_subject, name):
     subject = fs_subject if name == "fs" else subject_from_construction(
         request.getfixturevalue(name))
     pts, desc = subject.grid_points(GridSpec())
-    return subject, bochner_points(subject, pts), desc
+    return subject, pts[bochner_index(subject, pts)], desc
 
 
 @pytest.mark.parametrize("chart", [None, FSChart(m=2, k=0, l=1), FSChart(m=2, k=1, l=0),
@@ -494,15 +563,15 @@ def test_bochner_points_are_the_inner_half_of_the_main_grid(torus_subject, fs_su
     # constructions' default grid the 8 inner tau-levels of 16, s in
     # [0.196, 0.804] lambda; on Fubini-Study 128 of its 256 samples.
     pts, _ = torus_subject.grid_points(GridSpec())
-    inner = bochner_points(torus_subject, pts)
+    inner = pts[bochner_index(torus_subject, pts)]
     assert len(inner) == 2048
     lam = torus_subject.maps.lam
     s = torus_subject.maps.s_of_tau(inner[:, 2]) / lam
     assert 0.19 < np.min(s) and np.max(s) < 0.81 and len(np.unique(inner[:, 2])) == 8
-    assert len(bochner_points(fs_subject, fs_subject.grid_points(GridSpec())[0])) == 128
+    assert len(bochner_index(fs_subject, fs_subject.grid_points(GridSpec())[0])) == 128
     for n_tau in (1, 2):
         tiny, _ = torus_subject.grid_points(GridSpec(base=(1, 1), n_tau=n_tau, n_theta=1))
-        assert len(bochner_points(torus_subject, tiny)) == 1
+        assert len(bochner_index(torus_subject, tiny)) == 1
 
 
 @pytest.mark.parametrize("name", sorted(BOCHNER_BEFORE))
@@ -535,15 +604,15 @@ def _frame_bundle_jets(subject, points):
     d_gradv = jet[..., :n * n].reshape(-1, n, n, n)
     d_gamma = jet[..., n * n + n:].reshape(-1, n, n, n, n)
     fr = geo.build_frame(m, subject.tau, points)
-    ric_v = np.einsum("pij,pj->pi", geo.ricci(d_gamma, fr.gamma), fr.grad)
+    ric_v = geo.ricci(np.einsum("pakij,pj->paki", d_gamma, fr.grad), fr.gamma, fr.gamma_grad)
     return np.einsum("pakk->pa", d_gradv), ric_v, jet[..., n * n:n * n + n]
 
 
 @pytest.mark.parametrize("name", ["torus_data", "fs"])
 def test_bochner_jets_match_a_stencil_of_whole_frames(request, fs_subject, name):
+    # d(nabla v), Ric(v) from the contraction (d Gamma) v, and d(nabla_v v).
     subject, pts, _ = _bochner_subject(request, fs_subject, name)
-    fr, _, _, d_gradv, d_nvv, d_gamma = _bochner_jets(subject, pts)
-    ric_v = np.einsum("pij,pj->pi", geo.ricci(d_gamma, fr.gamma), fr.grad)
+    fr, _, _, d_gradv, d_nvv, ric_v = _bochner_jets(subject, pts)
     new = (np.einsum("pakk->pa", d_gradv), ric_v, d_nvv)
     for got, want in zip(new, _frame_bundle_jets(subject, pts)):
         assert np.max(np.abs(got - want)) <= 1e-7 * (1.0 + np.max(np.abs(want)))
