@@ -199,6 +199,11 @@ def cmd_flow(args) -> int:
             w.writerow([repr(float(t)), repr(float(arc))] + [repr(float(c)) for c in p]
                        + [repr(float(s))])
     payload = _suite_payload(_config_digest(cfg), [report])
+    # The integrator's work: the metric calls of its one two-way batch, and each half's steps.
+    payload["flow"] = {"metric_calls": path.metric_calls,
+                       "steps": [{"fiber": i, "descending": int(np.count_nonzero(tr.t < 0)),
+                                  "ascending": int(np.count_nonzero(tr.t > 0))}
+                                 for i, tr in enumerate(traces)]}
     _write_json(out / "flow_report.json", payload)
     _print_reports([report])
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -129,7 +129,9 @@ def oracle_from_fs(chart: Optional[FSChart] = None, n_seeds: int = 12) -> Extrac
 
 # Fiber ends that mean a step went past the end of its fiber, and how many times
 # trace_fibers retraces at a third of the step when one occurs: 3^-210 FLOW_STEP
-# is the step of the steepest a a config admits, 1e100.
+# is the step of the steepest a a config admits, 1e100, where it holds a h at
+# 0.023, below the 0.072 of FLOW_STEP at a = 2 and inside the stability interval
+# of the integrator's ABM step, a h < 0.132 (h |Q'| < 0.264 with |Q'| = 2a at the ends).
 _OVERSHOT = frozenset({"non-finite", "left-domain"})
 _RETRACES = 210
 
@@ -142,11 +144,14 @@ def trace_fibers(oracle: ExtractionOracle) -> list:
     rule.  The samples are fixed t-steps apart, so their arclength steps
     shrink geometrically toward both ends, where sqrt(Q) vanishes linearly.
     Toward the end of a fiber with a large end slope a step can go past it:
-    a fiber that ends "non-finite" or "left-domain", or a stage whose metric
-    is singular, makes every seed retrace at a third of the step, up to
-    ``_RETRACES`` times, after which InconsistentOracleError is raised.  A
-    metric singular at the seeds is a NumericalFailure of its own.  tau and
-    Q are exact oracle values at every sample, wherever the step put it.
+    an RK6 starter stage can land past the critical level, and an ABM step
+    whose h |Q'| is outside its stability interval (0.264) can overshoot
+    there within a few steps.  A fiber that ends "non-finite" or "left-domain", or
+    a stage or predicted point whose metric is singular, makes every seed
+    retrace at a third of the step, up to ``_RETRACES`` times, after which
+    InconsistentOracleError is raised.  A metric singular at the seeds is a
+    NumericalFailure of its own.  tau and Q are exact oracle values at every
+    sample, wherever the step put it.
     """
     geo.gradient_and_q(oracle.metric, oracle.tau, oracle.seeds)  # singular here: NumericalFailure
     step = geo.FLOW_STEP

@@ -465,6 +465,7 @@ class FlowResult:
     q: np.ndarray               # (M, N) Q = |grad f|^2 along the curves
     status: list                # per fiber: stop, stationary, left-domain, non-finite, max-steps
     last: np.ndarray            # (N,) row of each fiber's final sample
+    metric_calls: int           # batched metric evaluations the integration made
 
     def fiber(self, i: int) -> PathResult:
         """Fiber ``i`` alone, cut at its final sample."""
@@ -486,107 +487,164 @@ _RK6_A = ((),
 _RK6_B = (11.0 / 120.0, 0.0, 27.0 / 40.0, 27.0 / 40.0, -4.0 / 15.0, -4.0 / 15.0, 11.0 / 120.0)
 
 
-def _rk6(rates: Callable, x0: np.ndarray, first: tuple, h: np.ndarray) -> tuple:
-    """One RK6 step of x' = k from x0, of length h per point: (x1, h sum_i b_i r_i for each r).
+def _rk6(rates: Callable, x0: np.ndarray, first: np.ndarray, h: float) -> np.ndarray:
+    """One RK6 step of x' = r[:, :n] from x0 (N, n): the increment h sum_i b_i r_i, (N, m).
 
-    ``rates(x)`` returns (k, r_1, r_2, ...) at the points; ``first`` is that
-    tuple at x0, so a step calls ``rates`` six times.  The trailing rates
-    (speed, dt/df) are integrated along with x by the same quadrature.
+    ``rates(x)`` returns the rates r (N, m) at the points, the velocity in its
+    first n columns and rates integrated along with x (the speed) after them;
+    ``first`` is r at x0, so a step calls ``rates`` six times.
     """
+    n = x0.shape[1]
     stages = [first]
     for row in _RK6_A[1:]:
-        dx = sum(a * st[0] for a, st in zip(row, stages) if a != 0.0)
-        stages.append(rates(x0 + h[:, None] * dx))
-    sums = [sum(b * st[j] for b, st in zip(_RK6_B, stages) if b != 0.0) for j in range(len(first))]
-    return (x0 + h[:, None] * sums[0],) + tuple(h * s for s in sums[1:])
+        dx = sum(a * st[:, :n] for a, st in zip(row, stages) if a != 0.0)
+        stages.append(rates(x0 + h * dx))
+    return h * sum(b * st for b, st in zip(_RK6_B, stages) if b != 0.0)
 
+
+# Adams-Bashforth-Moulton PECE of order 10 (Hairer, Norsett and Wanner, Solving
+# ODEs I, III.1): the predictor AB10 weighs the rates of steps n, n - 1, ...,
+# n - 9, and the corrector the rate at the predicted point, of step n + 1, with
+# the same ten.  Each weight is the integral over one step of a Lagrange basis
+# polynomial on those steps.  The rates live in a ring of _ADAMS_ORDER slots;
+# when slot p holds step n, slot s holds step n - (p - s) mod _ADAMS_ORDER, so
+# the weights per slot are row p of the _RING tables.
+_ADAMS_ORDER = 10
+_AB = np.array([30277247, -104995189, 265932680, -454661776, 538363838, -444772162,
+                252618224, -94307320, 20884811, -2082753]) / 7257600
+_AM = np.array([134211265, 656185652, -890175549, 1446205080, -1823311566, 1710774528,
+                -1170597042, 567450984, -184776195, 36284876, -3250433]) / 479001600
+_RING_LAG = (np.arange(_ADAMS_ORDER)[:, None] - np.arange(_ADAMS_ORDER)) % _ADAMS_ORDER
+_AB_RING = _AB[_RING_LAG]
+_AM_RING = _AM[1:][_RING_LAG]
 
 # The largest t-step of a flow (near an end with Hessian constant a, sqrt(Q)
-# shrinks by exp(-a h) per step h: a h = 0.096 at a = 2), and the fraction of
+# shrinks by exp(-a h) per step h: a h = 0.072 at a = 2), and the fraction of
 # its largest sqrt(Q) so far below which a fiber ends.
-FLOW_STEP = 4.8e-2
+FLOW_STEP = 3.6e-2
 FLOW_END = 0.04
 
 
 def integrate_gradient_flow(metric: MetricField, f: ScalarField, seeds: np.ndarray,
                             direction: "float | np.ndarray" = 1.0, *,
                             step: float, max_steps: int = 200000) -> FlowResult:
-    """RK6 integral curves of xdot = direction * grad f for a batch of seeds (N, n).
+    """Integral curves of xdot = direction * grad f for a batch of seeds (N, n), by ABM PECE.
 
-    The true gradient ODE is integrated with Butcher's 7-stage, 6th-order
-    tableau in fixed steps h = ``step`` of t, so a step covers about
-    ``h * |grad f|`` of g-arclength: toward a critical set, where |grad f|
-    vanishes linearly, the steps shrink geometrically instead of jumping past
-    it.  A step's arclength is the same tableau applied to the stage speeds,
-    ``h sum_i b_i sqrt(Q_i)``.
+    The true gradient ODE is integrated in fixed steps h = ``step`` of t, so
+    a step covers about ``h * |grad f|`` of g-arclength: toward a critical
+    set, where |grad f| vanishes linearly, the steps shrink geometrically
+    instead of jumping past it.  A step is an Adams-Bashforth-Moulton PECE
+    step of order 10: the AB10 predictor from the rates of the last 10
+    steps, one metric call at the predicted point, the Adams-Moulton
+    corrector from the rate there and the same 10, and one metric call at
+    the corrected end point, which gives Q = |grad f|^2 there and the next
+    step's rate.  A step's arclength is the corrector applied to the speeds,
+    ``h sum_j c_j sqrt(Q_j)``.  The first 9 steps, before there are 10
+    rates, are RK6 steps (Butcher's 7-stage tableau: its six later stages
+    and the end point, 7 calls), so a flow of k >= 9 steps makes
+    1 + 63 + 2 (k - 9) metric calls, counted in ``FlowResult.metric_calls``.
+    On x' = lambda x the PECE step is stable for -0.264 < h lambda < 0
+    (RK6: -2.86); near an end, where a step scales Q by about exp(h Q'),
+    h |Q'| should stay below 0.264.
 
-    A step evaluates the metric at its six stages after the first and at its
-    end point, which is the next step's first stage and gives Q = |grad f|^2
-    there: 7 calls.  A fiber stops, and is frozen with its own status, once
-    sqrt(Q) falls below ``FLOW_END`` of its largest value so far ("stop"),
-    at a zero gradient ("stationary"), when a step leaves the metric's
-    domain ("left-domain", the last inside point is kept), when a stage or
-    the end of a step reads a Q that is negative or not finite
-    ("non-finite": the step went past a critical level, where sqrt(Q) is
-    NaN; the start of the step is kept), or after ``max_steps`` steps
-    ("max-steps").  A metric that is singular at a seed or a stage raises
-    NumericalFailure.  A batch is as deep as its longest fiber: ``flow_both_ways``
-    flows both halves from mid-fiber, half the steps of a flow from one end.
+    A fiber stops, and is frozen with its own status, once sqrt(Q) falls
+    below ``FLOW_END`` of its largest value so far ("stop"), at a zero
+    gradient ("stationary"), when a step leaves the metric's domain
+    ("left-domain", the last inside point is kept), when the predicted point,
+    a stage or the end of a step reads a Q that is negative or not finite
+    ("non-finite": the step went past a critical level, where sqrt(Q) is NaN;
+    the start of the step is kept), or after ``max_steps`` steps
+    ("max-steps").  A metric that is singular at a seed, a stage or a
+    predicted point raises NumericalFailure.  A batch is as deep as its
+    longest fiber: ``flow_both_ways`` flows both halves from mid-fiber, half
+    the steps of a flow from one end.
     """
     n = metric.dim
     x = np.array(seeds, dtype=float).reshape(-1, n)
     nf = len(x)
-    sign = np.broadcast_to(np.asarray(direction, dtype=float), (nf,)).copy()
+    sign = np.broadcast_to(np.asarray(direction, dtype=float), (nf,)).reshape(nf, 1).copy()
+    calls = 0
 
-    def field(pp, idx):  # (xdot, sqrt(Q), Q); sqrt(Q) is NaN past a critical level, where Q < 0
+    def rates(pp, out=None):  # (xdot, sqrt(Q)) per point into ``out``, and Q
+        nonlocal calls
+        calls += 1
         grad, q = gradient_and_q(metric, f, pp)
-        with np.errstate(invalid="ignore"):
-            return sign[idx, None] * grad, np.sqrt(q), q
+        if out is None:
+            out = np.empty((len(pp), n + 1))
+        np.multiply(grad, sign, out=out[:, :n])
+        np.sqrt(q, out=out[:, n])  # NaN past a critical level, where Q < 0
+        return out, q
 
-    k, sp, q = field(x, np.arange(nf))
-    fv = np.array(f.value(x), dtype=float)
-    t, arc = np.zeros(nf), np.zeros(nf)
-    ref = sp.copy()
-    active = np.ones(nf, dtype=bool)
+    # The state of the active fibers, compacted whenever one is frozen: their
+    # indices, signs, points, arclengths, largest sqrt(Q) so far and the ring of
+    # their rates (xdot, sqrt(Q)).  ``rows`` holds every fiber's sample after each step.
+    idx = np.arange(nf)
+    ring = np.empty((_ADAMS_ORDER, nf, n + 1))
+    ptr = 0
     status = ["max-steps"] * nf
     last = np.zeros(nf, dtype=int)
-    rows = [(x.copy(), t.copy(), arc.copy(), fv.copy(), q.copy())]
+    with np.errstate(invalid="ignore"):
+        q = rates(x, ring[0])[1]
+        ref = ring[0, :, n].copy()
+        arc, t = np.zeros(nf), 0.0
+        cols = (x, np.zeros(nf), arc, np.asarray(f.value(x), dtype=float), q)
+        rows = [cols]
 
-    def freeze(which, why):
-        for i in which:
-            status[i] = why
-        active[which] = False
+        def sift(ok, why, *arrays):  # freeze the active fibers failing ``ok``; the rest of each array
+            for i in idx[~ok]:
+                status[i] = why
+            return (idx[ok], ring[:, ok], sign[ok]) + tuple(a[ok] for a in arrays)
 
-    def sift(ok, why, idx, *arrays):  # freeze the fibers idx[~ok] with ``why``; keep the rest
-        freeze(idx[~ok], why)
-        return (idx[ok],) + tuple(arr[ok] for arr in arrays)
-
-    for _ in range(max_steps):
-        freeze(np.flatnonzero(active & (sp <= 1e-15)), "stationary")
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        xn, seg = _rk6(lambda pp: field(pp, idx)[:2], x[idx], (k[idx], sp[idx]),
-                       np.full(idx.size, step))
-        if metric.domain is not None:
-            idx, xn, seg = sift(np.asarray(metric.domain(xn), dtype=bool), "left-domain",
-                                idx, xn, seg)
+        for _ in range(max_steps):
+            still = ring[ptr, :, n] <= 1e-15
+            if still.any():
+                idx, ring, sign, x, arc, ref = sift(~still, "stationary", x, arc, ref)
             if idx.size == 0:
                 break
-        kn, spn, qn = field(xn, idx)
-        idx, xn, seg, kn, spn, qn = sift(np.isfinite(seg) & np.isfinite(spn), "non-finite",
-                                         idx, xn, seg, kn, spn, qn)
-        x[idx], k[idx], q[idx], sp[idx] = xn, kn, qn, spn
-        fv[idx] = f.value(xn)
-        t[idx] += step
-        arc[idx] += seg
-        last[idx] = len(rows)
-        rows.append((x.copy(), t.copy(), arc.copy(), fv.copy(), q.copy()))
-        ref[idx] = np.maximum(ref[idx], spn)
-        freeze(idx[spn < FLOW_END * ref[idx]], "stop")
+            if len(rows) < _ADAMS_ORDER:  # fewer rates than the ring holds: an RK6 starter step
+                incr = _rk6(lambda pp: rates(pp)[0], x, ring[ptr], step)
+            else:  # PECE; a weighted sum of the ring is one matmul over its flattened slots
+                flat = ring.reshape(_ADAMS_ORDER, -1)
+                xp = x + step * (_AB_RING[ptr] @ flat).reshape(ring.shape[1:])[:, :n]
+                incr = (_AM_RING[ptr] @ flat).reshape(ring.shape[1:])
+                incr += _AM[0] * rates(xp)[0]
+                incr *= step
+            xn, seg = x + incr[:, :n], incr[:, n]
+            if metric.domain is not None:
+                inside = np.asarray(metric.domain(xn), dtype=bool)
+                if not inside.all():
+                    idx, ring, sign, x, arc, ref, xn, seg = sift(inside, "left-domain",
+                                                                 x, arc, ref, xn, seg)
+                    if idx.size == 0:
+                        break
+            ptr = (ptr + 1) % _ADAMS_ORDER
+            qn = rates(xn, ring[ptr])[1]
+            spn = ring[ptr, :, n]
+            finite = np.isfinite(seg) & np.isfinite(spn)
+            if not finite.all():
+                idx, ring, sign, x, arc, ref, xn, seg, qn = sift(finite, "non-finite",
+                                                                 x, arc, ref, xn, seg, qn)
+                if idx.size == 0:
+                    break
+                spn = ring[ptr, :, n]
+            x, arc, t = xn, arc + seg, t + step
+            fv = np.asarray(f.value(x), dtype=float)
+            if idx.size == nf:  # every fiber active: this step's arrays are the row
+                cols = (x, np.full(nf, t), arc, fv, qn)
+                last[:] = len(rows)
+            else:
+                cols = tuple(c.copy() for c in cols)
+                for col, val in zip(cols, (x, t, arc, fv, qn)):
+                    col[idx] = val
+                last[idx] = len(rows)
+            rows.append(cols)
+            ref = np.maximum(ref, spn)
+            going = spn >= FLOW_END * ref
+            if not going.all():
+                idx, ring, sign, x, arc, ref = sift(going, "stop", x, arc, ref)
     pts, params, arcs, vals, qs = (np.array(col) for col in zip(*rows))
     return FlowResult(points=pts, params=params, arclength=arcs, values=vals, q=qs,
-                      status=status, last=last)
+                      status=status, last=last, metric_calls=calls)
 
 
 @dataclass
@@ -603,11 +661,17 @@ class FiberTrace:
     q: np.ndarray
     points: np.ndarray
     status: tuple               # (descending half, ascending half)
+    metric_calls: int           # of the whole two-way batch this trace came from
 
 
 def flow_both_ways(metric: MetricField, f: ScalarField, seeds: np.ndarray, *,
                    step: float, max_steps: int = 200000) -> list:
-    """One FiberTrace per seed, from one ``integrate_gradient_flow`` batch of both halves."""
+    """One FiberTrace per seed, from one ``integrate_gradient_flow`` batch of both halves.
+
+    The batch holds 2 N fibers, as deep as the longest half, and makes one
+    metric call per stage for all of them: 1 + 7 per RK6 starter step + 2 per
+    ABM step, each trace's ``metric_calls``.
+    """
     n = len(seeds)
     flow = integrate_gradient_flow(metric, f, np.concatenate([seeds, seeds]),
                                    np.repeat([-1.0, 1.0], n), step=step, max_steps=max_steps)
@@ -617,7 +681,8 @@ def flow_both_ways(metric: MetricField, f: ScalarField, seeds: np.ndarray, *,
             return np.concatenate([sign * getattr(down, name)[::-1], getattr(up, name)[1:]])
 
         return FiberTrace(s=cat("arclength", -1.0), t=cat("params", -1.0), values=cat("values"),
-                          q=cat("q"), points=cat("points"), status=(down.status, up.status))
+                          q=cat("q"), points=cat("points"), status=(down.status, up.status),
+                          metric_calls=flow.metric_calls)
 
     return [merged(flow.fiber(i), flow.fiber(n + i)) for i in range(n)]
 

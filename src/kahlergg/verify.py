@@ -624,9 +624,12 @@ def _flow_lengths(subject: VerificationSubject, tol: float,
     from there in one ``geometry.flow_both_ways`` batch until each half stops
     (sqrt(Q) below ``geometry.FLOW_END`` of its largest value).  Along a fiber
     tau' = Q, so a t-step h scales Q by about exp(h Q'): h = 4 FLOW_STEP / max_I |Q'|
-    holds h |Q'| at 0.192, its value at a = 2, for every a and Q.  A fiber's residual is
-    |s(tau) - (s0 + arclength)| over the samples of both halves, with the
-    arclength signed from the seed; a half that does not stop makes it inf.
+    holds h |Q'| at 0.144, its value at a = 2, for every a and Q, inside the
+    stability interval of the integrator's ABM step (h |Q'| < 0.264).  On the
+    canonical profiles each half takes 55 steps, and the batch 156 metric
+    calls.  A fiber's residual is |s(tau) - (s0 + arclength)| over the samples
+    of both halves, with the arclength signed from the seed; a half that does
+    not stop makes it inf.
     """
     if subject.fiber_point is None or not subject.fiber_bases:
         raise ValueError("subject provides no fiber structure")

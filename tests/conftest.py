@@ -107,7 +107,7 @@ def dipped_steep_torus_data(interval):
 @pytest.fixture(scope="session")
 def dipped_steeper_torus_data(interval):
     # a = 100 with the q-factor at 0.3 of its end value mid-interval: past tau_max
-    # Q vanishes again, and a stage of the base t-step lands where g is singular.
+    # Q vanishes again, and a step of the base t-step leaves the metric's domain.
     surface, a = _cos_torus(interval, 100.0, normalize="h-scale")
     return build_construction(interval, a, surface, q_interior=(-560.0,))
 

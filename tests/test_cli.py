@@ -146,6 +146,12 @@ def test_cli_flow(torus_cfg_file, tmp_path):
     assert min(s_of_tau) < 0.05 * lam and max(s_of_tau) > 0.95 * lam
     t = [float(r[0]) for r in rows[1:]]
     assert t == sorted(t) and t.count(0.0) == 1 and t[0] < 0.0 < t[-1]
+    # The report counts the integrator's work: 55 steps per half, 1 + 7 * 9 + 2 * 46
+    # calls, and fiber 0's steps are the trajectory's rows past the header and the seed.
+    flow = json.loads((out / "flow_report.json").read_text())["flow"]
+    assert flow["metric_calls"] == 156
+    assert flow["steps"] == [{"fiber": i, "descending": 55, "ascending": 55} for i in range(2)]
+    assert flow["steps"][0]["descending"] + flow["steps"][0]["ascending"] == len(rows) - 2
 
 
 @pytest.mark.parametrize("argv", [["construct"], ["flow"], ["extract", "--round-trip"],

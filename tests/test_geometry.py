@@ -222,7 +222,7 @@ def test_gradient_flow_batch_matches_single_seeds(mode):
             assert np.max(np.abs(getattr(together, name) - getattr(alone, name))) < 1e-12
 
 
-def test_plain_flow_evaluates_the_metric_seven_times_per_step():
+def test_plain_flow_evaluates_the_metric_twice_per_step_after_the_starter():
     m, f, seeds, (_, stopped) = _flow_cases()
     points = []
 
@@ -232,9 +232,12 @@ def test_plain_flow_evaluates_the_metric_seven_times_per_step():
 
     path = geo.integrate_gradient_flow(replace(m, value=value), f, seeds, **stopped)
     assert path.status == ["stop"] * len(seeds)
-    # One evaluation per seed to start, seven per fiber and step (the RK6
-    # stages after the first, then the endpoint).
-    assert sum(points) == len(seeds) + 7 * int(path.last.sum())
+    # One evaluation per seed to start, seven per fiber and RK6 starter step (the
+    # stages after the first, then the endpoint), two per later ABM step (the
+    # predicted point and the endpoint).
+    starter = np.minimum(path.last, 9)
+    assert sum(points) == len(seeds) + 7 * int(starter.sum()) + 2 * int((path.last - starter).sum())
+    assert path.metric_calls == len(points) == 1 + 7 * 9 + 2 * (int(path.last.max()) - 9)
     # Every step is the same step in t, the last one included.
     dt = np.diff(path.fiber(0).params)
     assert np.allclose(dt, stopped["step"], rtol=0, atol=1e-14)
@@ -260,6 +263,46 @@ def test_gradient_flow_freezes_each_fiber_with_its_own_status():
         assert np.all(path.arclength[path.last[i]:, i] == path.arclength[-1, i])
 
 
+def test_gradient_flow_order_and_starter_hand_off():
+    # f = -(x - 0.7)^2 / 2 on the flat plane cut at x = 1, both fibers descending:
+    # fiber 0 follows x = 0.7 - 0.7 exp(t) from 0 to max-steps at t = 4, and fiber 1
+    # follows x = 0.7 + 0.2 exp(t) from 0.9 out of the domain at t = ln 1.5, inside
+    # the nine RK6 starter steps at every step below.  Halving the step cuts both of
+    # fiber 0's errors at t = 4 by about 120, the RK6 starter's share (the ABM steps
+    # alone would give 2^10); the errors read 2.4e-6 at a step of 0.2.
+    m = geo.MetricField(dim=2, value=flat_metric(2).value, domain=lambda p: p[:, 0] < 1.0)
+    f = geo.ScalarField(value=lambda p: -0.5 * (p[:, 0] - 0.7) ** 2, grad=lambda p: np.column_stack(
+        [0.7 - p[:, 0], np.zeros(p.shape[0])]))
+    seeds = np.array([[0.0, 0.0], [0.9, 0.0]])
+    errors = []
+    for step in (0.2, 0.1, 0.05):
+        n_steps = round(4.0 / step)
+        path = geo.integrate_gradient_flow(m, f, seeds, -1.0, step=step, max_steps=n_steps)
+        assert path.status == ["max-steps", "left-domain"]
+        assert path.last[0] == n_steps and path.last[1] < 9
+        assert np.all(path.points[path.last[1]:, 1] == path.points[-1, 1])
+        alone = geo.integrate_gradient_flow(m, f, seeds[:1], -1.0, step=step,
+                                            max_steps=n_steps).fiber(0)
+        for name in ("points", "arclength", "q"):
+            assert np.allclose(getattr(path.fiber(0), name), getattr(alone, name), rtol=1e-14, atol=0)
+        errors.append((abs(path.points[-1, 0, 0] - (0.7 - 0.7 * np.exp(4.0))),
+                       abs(path.arclength[-1, 0] - 0.7 * (np.exp(4.0) - 1.0))))
+    errors = np.array(errors)
+    assert np.all(errors[:-1] >= 64.0 * errors[1:])
+
+
+def test_adams_weights_integrate_polynomials_exactly():
+    # Predictor nodes 0, -1, ..., -9 and corrector nodes 1, 0, ..., -9, in steps:
+    # each formula integrates every polynomial of degree below its node count
+    # over [0, 1] exactly, so the flow is of order 10.  The sums cancel up to
+    # 1e9-fold, so the roundoff bound is relative to the sum of their terms' sizes.
+    for weights, nodes in ((geo._AB, np.arange(0, -10, -1)), (geo._AM, np.arange(1, -10, -1))):
+        assert len(weights) == len(nodes)
+        for k in range(len(nodes)):
+            terms = weights * nodes.astype(float) ** k
+            assert abs(terms.sum() - 1.0 / (k + 1)) <= 1e-14 * np.abs(terms).sum()
+
+
 def test_metric_singular_in_a_flow_is_a_numerical_failure():
     m = geo.MetricField(dim=2, value=lambda p: np.zeros((len(p), 2, 2)), name="zero")
     f = geo.ScalarField(value=lambda p: p[:, 0], grad=lambda p: np.column_stack(
@@ -271,7 +314,7 @@ def test_metric_singular_in_a_flow_is_a_numerical_failure():
 def test_trace_fibers_pins_the_stop_rule():
     traces = trace_fibers(oracle_from_fs())
     assert len(traces) == 12
-    assert sum(len(tr.s) for tr in traces) == 996
+    assert sum(len(tr.s) for tr in traces) == 1332  # 996 with RK6 at a t-step of 4.8e-2
     # Both halves start from s = 0 at the seed.
     for tr in traces:
         assert np.count_nonzero(tr.s == 0.0) == 1
@@ -308,9 +351,10 @@ def test_trace_fibers_metric_evaluations():
 
     traces = trace_fibers(replace(oracle, metric=replace(oracle.metric, value=value)))
     assert len(traces) == 12
-    # 1 to check the seeds, 1 to start, 7 per RK6 step; RK4 at a third of the
-    # step took 493 calls, unit-speed traces at ds = 1e-3 took 3,065.
-    assert len(calls) <= 300
+    # 1 to check the seeds, 1 to start, 7 per RK6 starter step and 2 per ABM step:
+    # 157 (RK6 took 289, RK4 at a third of the step 493, unit-speed traces at
+    # ds = 1e-3 3,065).
+    assert len(calls) <= 170
 
 
 def _sin_exp_jets(x):
